@@ -3,66 +3,4 @@ Hermitian Lie algebras: root-system data, explicit symmetric-power models,
 branching to regular subalgebras, bounded-class bookkeeping, and a
 cross-checked classification engine."""
 
-from .branching import (
-    BranchingResult,
-    SubalgebraError,
-    SubalgebraSpec,
-    even_witness,
-    make_subalgebra,
-    parse_subalgebra_selector,
-    restrict_rep,
-)
-from .classify import (
-    ALGEBRAS,
-    EmbeddingRow,
-    LemmaReduction,
-    RouteDisagreement,
-    TightnessVerdict,
-    classify,
-    cross_check,
-    embedding_table,
-    replay_witness,
-    sweep,
-    verdict_class_map,
-    verify_su_n1_to_sostar,
-)
-from .kahler import (
-    HermitianFactor,
-    HomClassMap,
-    KahlerClass,
-    class_map,
-    compose,
-    distinguished_class,
-    is_positive,
-    is_strictly_positive,
-    is_tight,
-    kahler_class,
-    norm,
-    pullback,
-)
-from .rootsys import (
-    RootSystemData,
-    WeightVector,
-    build_root_system,
-    dimension,
-    eval_on_coroot,
-    weight,
-    weight_from_euclid,
-    weight_multiplicities,
-    weight_support,
-    weyl_orbit,
-)
-from .su11 import (
-    ExplicitRep,
-    SignaturePair,
-    StructureChoice,
-    clebsch_gordan,
-    pairing,
-    sym_power_rep,
-    tensor_rep,
-    tight_su11_by_pairing,
-    tight_tensor_by_pairing,
-    z_element,
-)
-
 __version__ = "0.1.0"

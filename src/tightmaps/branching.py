@@ -17,6 +17,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .errors import VerificationError
 from .rootsys import (
     RootSystemData,
     Vector,
@@ -266,7 +267,7 @@ def restrict_rep(highest: WeightVector, sub: SubalgebraSpec) -> BranchingResult:
         signatures=signatures,
     )
     if result.factor_dimension != dimension(highest):
-        raise AssertionError(
+        raise VerificationError(
             "branching lost dimensions: "
             f"{result.factor_dimension} != {dimension(highest)}"
         )
@@ -308,15 +309,17 @@ def _shift(w: WeightVector, root: Vector, n: int) -> WeightVector:
     )
 
 
-def even_witness(highest: WeightVector, sub: SubalgebraSpec):
-    """A weight with an even nonzero coroot evaluation, or None.
+def even_witness(
+    highest: WeightVector, sub: SubalgebraSpec
+) -> tuple[WeightVector, int] | None:
+    """A weight with an even nonzero coroot evaluation and that value, or None.
 
     Such a weight certifies a branching factor of even nonzero highest
     weight in the matching coordinate, hence a nontight factor.  Preference
     goes to the proof-chain candidates; a deterministic scan of the full
     support is the fallback.
     """
-    support = set(weight_multiplicities(highest))
+    support = weight_multiplicities(highest)
 
     def accepted(w: WeightVector):
         if w not in support:
@@ -324,7 +327,7 @@ def even_witness(highest: WeightVector, sub: SubalgebraSpec):
         for beta in sub.roots_b:
             v = eval_on_coroot(w, beta)
             if v != 0 and v.denominator == 1 and int(v) % 2 == 0:
-                return w
+                return w, int(v)
         return None
 
     for cand in _witness_chain(highest):

@@ -28,23 +28,22 @@ from .branching import (
     parse_subalgebra_selector,
     restrict_rep,
 )
+from .errors import VerificationError
 from .rootsys import (
     RootSystemData,
+    WeightVector,
     build_root_system,
     eval_on_coroot,
     weight,
     weight_multiplicities,
 )
 from .su11 import (
+    best_tensor_pairing,
     clebsch_gordan,
-    disc_pairing_value,
-    pairing,
-    structure_representatives,
+    sym_power_pairing,
     sym_power_rep,
     tensor_factor_pairings,
-    tensor_pairing,
     tensor_signature,
-    z_element,
 )
 
 ALGEBRAS = ("su11", "su11xsu11", "sp4", "sp4su11", "su21")
@@ -56,6 +55,10 @@ _SYSTEM_KIND = {
     "sp4su11": "C2+A1",
     "su21": "A2",
 }
+
+# The rank-two factor of each algebra that the constructive route branches;
+# its highest weight is the first two coordinates.
+_RANK2_KIND = {"sp4": "C2", "sp4su11": "C2", "su21": "A2"}
 
 # Reference data: the weights whose corresponding maps are (anti-)
 # holomorphic, from the classification of holomorphic tight maps.  Stored,
@@ -76,8 +79,19 @@ TIGHT_SUBALGEBRA_SELECTORS = {
     "su21": ("a1",),
 }
 
+# The witness kinds each algebra's constructive route emits; replay rejects
+# every other kind.
+_WITNESS_KINDS = {
+    "su11": ("zero_class", "pairing"),
+    "su11xsu11": ("zero_class", "pairing", "clebsch_gordan_even"),
+    "sp4": ("zero_class", "even_branch_witness", "reference_classification"),
+    "su21": ("zero_class", "even_branch_witness", "reference_classification"),
+    "sp4su11": ("zero_class", "pairing", "even_branch_witness", "even_tensor_factor",
+                "reference_classification"),
+}
 
-class RouteDisagreement(AssertionError):
+
+class RouteDisagreement(VerificationError):
     """Theorem route and constructive route disagreed: an implementation bug."""
 
 
@@ -100,17 +114,38 @@ def validate_weight(algebra: str, w) -> tuple[int, ...]:
 
 
 @dataclass(frozen=True)
+class Witness:
+    """A replayable certificate of one verdict.
+
+    The fields, in order, are the wire schema; ``None`` marks a field the
+    kind does not carry, and such fields are left out of reports.
+    """
+
+    kind: str
+    subalgebra: str | None = None
+    weight: tuple[int, ...] | None = None
+    evaluation: int | None = None
+    pairing_lhs: Fraction | None = None
+    pairing_rhs: Fraction | None = None
+
+
+@dataclass(frozen=True)
 class TightnessVerdict:
     algebra: str
     weight: tuple[int, ...]
     tight: bool
     holomorphic: bool | None
-    witness: dict
+    witness: Witness
+
+
+def _rank2_weight(algebra: str, w: tuple[int, ...]) -> WeightVector:
+    """Highest weight ``w[:2]`` of the rank-two factor of ``algebra``."""
+    return weight(build_root_system(_RANK2_KIND[algebra]), w[:2])
 
 
 @lru_cache(maxsize=None)
 def _subalgebra(algebra: str, selector: str) -> SubalgebraSpec:
-    system = root_system_for("sp4" if algebra == "sp4su11" else algebra)
+    system = build_root_system(_RANK2_KIND[algebra])
     return make_subalgebra(system, parse_subalgebra_selector(system, selector))
 
 
@@ -120,8 +155,7 @@ def theorem_tight(algebra: str, w: tuple[int, ...]) -> bool:
         (k,) = w
         return k % 2 == 1
     if algebra == "su11xsu11":
-        k, l = w
-        return (k % 2 == 1 and l == 0) or (l % 2 == 1 and k == 0)
+        return _pair_tight_rule(*w)
     if algebra == "sp4":
         return w == (1, 0)
     if algebra == "su21":
@@ -137,91 +171,64 @@ def _pair_tight_rule(u: int, v: int) -> bool:
     return (u % 2 == 1 and v == 0) or (v % 2 == 1 and u == 0)
 
 
-def _zero_class_witness() -> dict:
-    return {"kind": "zero_class"}
-
-
-def _pairing_witness(lhs: Fraction, rhs: Fraction) -> dict:
-    return {"kind": "pairing", "pairing_lhs": lhs, "pairing_rhs": rhs}
+def _pairing_verdict(lhs: Fraction, rhs: Fraction) -> tuple[bool, Witness]:
+    """Diagonal-disc criterion on a (pairing, disc value) pair, with its witness."""
+    return abs(lhs) == abs(rhs), Witness("pairing", pairing_lhs=lhs, pairing_rhs=rhs)
 
 
 # -- constructive routes ----------------------------------------------------
 
 
-def _constructive_su11(k: int) -> tuple[bool, dict]:
+def _constructive_su11(k: int) -> tuple[bool, Witness]:
     if k == 0:
-        return False, _zero_class_witness()
-    rep = sym_power_rep(k)
-    sig = rep.signature
-    lhs = pairing(rep.z_diagonal, z_element(sig.p, sig.q))
-    rhs = disc_pairing_value(sig.p, sig.q)
-    return abs(lhs) == abs(rhs), _pairing_witness(lhs, rhs)
+        return False, Witness("zero_class")
+    return _pairing_verdict(*sym_power_pairing(k))
 
 
-def _best_tensor_pairing(k: int, l: int) -> tuple[Fraction, Fraction]:
-    """(value of largest modulus over structure representatives, disc value)."""
-    sig = tensor_signature(k, l)
-    values = [tensor_pairing(k, l, s) for s in structure_representatives(2)]
-    best = max(values, key=abs)
-    return best, disc_pairing_value(sig.p, sig.q)
-
-
-def _constructive_su11xsu11(k: int, l: int) -> tuple[bool, dict]:
+def _constructive_su11xsu11(k: int, l: int) -> tuple[bool, Witness]:
     if (k, l) == (0, 0):
-        return False, _zero_class_witness()
+        return False, Witness("zero_class")
     if k % 2 == l % 2:
         # both parities equal: every factor of the diagonal-disc composite
         # has even highest weight, the top one being k + l
-        return False, {"kind": "clebsch_gordan_even", "evaluation": k + l}
-    lhs, rhs = _best_tensor_pairing(k, l)
-    return abs(lhs) == abs(rhs), _pairing_witness(lhs, rhs)
+        return False, Witness("clebsch_gordan_even", evaluation=k + l)
+    return _pairing_verdict(*best_tensor_pairing(k, l))
 
 
-def _sp4_type2_witness(i: int, j: int) -> tuple[tuple[int, int], int]:
-    """Witness weight and evaluation for the second branching case.
+def _check_membership(algebra: str, w: tuple[int, ...], coords) -> None:
+    top = _rank2_weight(algebra, w)
+    if weight(top.system, coords) not in weight_multiplicities(top):
+        raise VerificationError(f"witness weight {coords} is not a weight of {w[:2]}")
 
-    Prefers the highest weight itself when its long-coroot value i + j is
-    even; otherwise steps down the short dominant string to (i, j - 1),
-    whose evaluation i + j - 1 is then even and nonzero.
+
+def _long_pair_witness(algebra: str, w: tuple[int, ...]) -> Witness:
+    """Witness for the second branching case, on the orthogonal long pair.
+
+    Prefers the highest weight (i, j) itself when its long-coroot value
+    i + j is even; otherwise steps down the short dominant string to
+    (i, j - 1), whose evaluation i + j - 1 is then even and nonzero.
     """
-    if (i + j) % 2 == 0:
-        return (i, j), i + j
-    return (i, j - 1), i + j - 1
+    i, j = w[:2]
+    coords, value = ((i, j), i + j) if (i + j) % 2 == 0 else ((i, j - 1), i + j - 1)
+    _check_membership(algebra, w, coords)
+    return Witness("even_branch_witness", "a2,2a1+a2", coords, value)
 
 
-def _check_membership(system: RootSystemData, top: tuple[int, ...], coords) -> None:
-    support = {w.coords for w in weight_multiplicities(weight(system, top))}
-    if tuple(Fraction(c) for c in coords) not in support:
-        raise AssertionError(f"witness weight {coords} is not a weight of {top}")
-
-
-def _constructive_sp4(i: int, j: int) -> tuple[bool, dict]:
+def _constructive_sp4(i: int, j: int) -> tuple[bool, Witness]:
     if (i, j) == (0, 0):
-        return False, _zero_class_witness()
+        return False, Witness("zero_class")
     if i == 0:
         # first case: restrict to the short-root disc, value 2j on the top
-        return False, {
-            "kind": "even_branch_witness",
-            "subalgebra": "a1+a2",
-            "weight": (i, j),
-            "evaluation": 2 * j,
-        }
+        return False, Witness("even_branch_witness", "a1+a2", (i, j), 2 * j)
     if (i, j) != (1, 0):
         # second case: the orthogonal long pair; value i+j or i+j-1
-        wit, value = _sp4_type2_witness(i, j)
-        _check_membership(build_root_system("C2"), (i, j), wit)
-        return False, {
-            "kind": "even_branch_witness",
-            "subalgebra": "a2,2a1+a2",
-            "weight": wit,
-            "evaluation": value,
-        }
+        return False, _long_pair_witness("sp4", (i, j))
     # (1, 0): exhaustive search of both tight subalgebras finds nothing even
-    top = weight(build_root_system("C2"), (i, j))
+    top = _rank2_weight("sp4", (i, j))
     for selector in TIGHT_SUBALGEBRA_SELECTORS["sp4"]:
         if even_witness(top, _subalgebra("sp4", selector)) is not None:
             raise RouteDisagreement("unexpected even witness for sp4 weight (1,0)")
-    return True, {"kind": "reference_classification"}
+    return True, Witness("reference_classification")
 
 
 def _su21_chain_witness(k: int, l: int) -> tuple[tuple[int, int], int] | None:
@@ -243,30 +250,23 @@ def _su21_chain_witness(k: int, l: int) -> tuple[tuple[int, int], int] | None:
     return None
 
 
-def _constructive_su21(k: int, l: int) -> tuple[bool, dict]:
+def _constructive_su21(k: int, l: int) -> tuple[bool, Witness]:
     if (k, l) == (0, 0):
-        return False, _zero_class_witness()
-    a2 = build_root_system("A2")
-    top = weight(a2, (k, l))
+        return False, Witness("zero_class")
+    top = _rank2_weight("su21", (k, l))
     sub = _subalgebra("su21", "a1")
     if (k, l) in ((1, 0), (0, 1)):
         if even_witness(top, sub) is not None:
-            raise RouteDisagreement(
-                f"unexpected even witness for su21 weight {(k, l)}"
-            )
-        return True, {"kind": "reference_classification"}
+            raise RouteDisagreement(f"unexpected even witness for su21 weight {(k, l)}")
+        return True, Witness("reference_classification")
     found = _su21_chain_witness(k, l)
     if found is None:
         raise RouteDisagreement(f"no chain witness for su21 weight {(k, l)}")
     coords, value = found
-    _check_membership(a2, (k, l), coords)
-    assert eval_on_coroot(weight(a2, coords), a2.simple_roots[0]) == value
-    return False, {
-        "kind": "even_branch_witness",
-        "subalgebra": "a1",
-        "weight": coords,
-        "evaluation": value,
-    }
+    _check_membership("su21", (k, l), coords)
+    if eval_on_coroot(weight(top.system, coords), sub.roots_b[0]) != value:
+        raise VerificationError(f"su21 chain witness {coords} does not evaluate to {value}")
+    return False, Witness("even_branch_witness", "a1", coords, value)
 
 
 def _sp4su11_expansion(i: int, j: int, k: int) -> list[tuple[int, int]]:
@@ -278,9 +278,8 @@ def _sp4su11_expansion(i: int, j: int, k: int) -> list[tuple[int, int]]:
     splitting again leaves irreducible pieces (a, c) with c in the
     Clebsch-Gordan range of (b, k).
     """
-    pair = _subalgebra("sp4", "a2,2a1+a2")
-    c2 = build_root_system("C2")
-    branch = restrict_rep(weight(c2, (i, j)), pair)
+    pair = _subalgebra("sp4su11", "a2,2a1+a2")
+    branch = restrict_rep(_rank2_weight("sp4su11", (i, j)), pair)
     out = []
     for b, a in branch.factors:  # stored as (a2 value, 2a1+a2 value)
         for c in clebsch_gordan(b, k):
@@ -288,14 +287,13 @@ def _sp4su11_expansion(i: int, j: int, k: int) -> list[tuple[int, int]]:
     return out
 
 
-def _constructive_sp4su11(i: int, j: int, k: int) -> tuple[bool, dict]:
+def _constructive_sp4su11(i: int, j: int, k: int) -> tuple[bool, Witness]:
     if (i, j, k) == (0, 0, 0):
-        return False, _zero_class_witness()
+        return False, Witness("zero_class")
     if (i, j) == (0, 0):
         # composing a diagonal disc of the rank-two factor reduces to the
         # two-factor pairing criterion on (0, k)
-        lhs, rhs = _best_tensor_pairing(0, k)
-        return abs(lhs) == abs(rhs), _pairing_witness(lhs, rhs)
+        return _pairing_verdict(*best_tensor_pairing(0, k))
     factors = _sp4su11_expansion(i, j, k)
     tight = all(_pair_tight_rule(u, v) or (u, v) == (0, 0) for u, v in factors)
     if tight:
@@ -303,31 +301,16 @@ def _constructive_sp4su11(i: int, j: int, k: int) -> tuple[bool, dict]:
             raise RouteDisagreement(
                 f"unexpected tight expansion for sp4su11 weight {(i, j, k)}"
             )
-        return True, {"kind": "reference_classification"}
+        return True, Witness("reference_classification")
     if i == 0:
         # first case of the split: short-root witness on the rank-two factor
-        return False, {
-            "kind": "even_branch_witness",
-            "subalgebra": "a1+a2",
-            "weight": (0, j),
-            "evaluation": 2 * j,
-        }
+        return False, Witness("even_branch_witness", "a1+a2", (0, j), 2 * j)
     if (i, j) == (1, 0):
         value = k if k % 2 == 0 else k + 1
-        assert any(value in f for f in factors)
-        return False, {
-            "kind": "even_tensor_factor",
-            "subalgebra": "a2,2a1+a2",
-            "evaluation": value,
-        }
-    wit, value = _sp4_type2_witness(i, j)
-    _check_membership(build_root_system("C2"), (i, j), wit)
-    return False, {
-        "kind": "even_branch_witness",
-        "subalgebra": "a2,2a1+a2",
-        "weight": wit,
-        "evaluation": value,
-    }
+        if not any(value in f for f in factors):
+            raise VerificationError(f"no factor of sp4su11 {(i, j, k)} has value {value}")
+        return False, Witness("even_tensor_factor", "a2,2a1+a2", evaluation=value)
+    return False, _long_pair_witness("sp4su11", (i, j, k))
 
 
 _CONSTRUCTIVE = {
@@ -339,7 +322,7 @@ _CONSTRUCTIVE = {
 }
 
 
-def constructive_verdict(algebra: str, w: tuple[int, ...]) -> tuple[bool, dict]:
+def constructive_verdict(algebra: str, w: tuple[int, ...]) -> tuple[bool, Witness]:
     """Re-run the computation behind the theorems for one weight."""
     return _CONSTRUCTIVE[algebra](validate_weight(algebra, w))
 
@@ -374,24 +357,22 @@ def classify(algebra: str, w) -> TightnessVerdict:
 
 def _replay_even_branch(verdict: TightnessVerdict) -> bool:
     wit = verdict.witness
-    algebra = verdict.algebra
-    base = "sp4" if algebra == "sp4su11" else algebra
-    system = root_system_for(base)
-    sub = _subalgebra(base, wit["subalgebra"])
-    rank2_weight = verdict.weight[:2] if algebra == "sp4su11" else verdict.weight
-    witness_weight = weight(system, wit["weight"])
-    support = set(weight_multiplicities(weight(system, rank2_weight)))
-    if witness_weight not in support:
+    if None in (wit.subalgebra, wit.weight, wit.evaluation) or wit != Witness(
+        wit.kind, wit.subalgebra, wit.weight, wit.evaluation
+    ):
+        return False
+    sub = _subalgebra(verdict.algebra, wit.subalgebra)
+    top = _rank2_weight(verdict.algebra, verdict.weight)
+    witness_weight = weight(top.system, wit.weight)
+    if witness_weight not in weight_multiplicities(top):
         return False
     values = [eval_on_coroot(witness_weight, beta) for beta in sub.roots_b]
-    value = Fraction(wit["evaluation"])
-    if value == 0 or value.denominator != 1 or int(value) % 2 != 0:
-        return False
-    if value not in values:
+    value = Fraction(wit.evaluation)
+    if value == 0 or value.denominator != 1 or int(value) % 2 != 0 or value not in values:
         return False
     # the recorded value certifies a factor of even nonzero highest weight
     # in the matching coordinate
-    branch = restrict_rep(weight(system, rank2_weight), sub)
+    branch = restrict_rep(top, sub)
     if sub.target_kind == SL2:
         return any(m % 2 == 0 and m != 0 and m >= abs(value) for m in branch.factors)
     idx = values.index(value)
@@ -402,58 +383,52 @@ def _replay_even_branch(verdict: TightnessVerdict) -> bool:
 
 
 def _replay_pairing(verdict: TightnessVerdict) -> bool:
-    algebra = verdict.algebra
-    if algebra == "su11":
-        (k,) = verdict.weight
-        rep = sym_power_rep(k)
-        lhs = pairing(rep.z_diagonal, z_element(rep.signature.p, rep.signature.q))
-        rhs = disc_pairing_value(rep.signature.p, rep.signature.q)
-    elif algebra == "su11xsu11":
-        lhs, rhs = _best_tensor_pairing(*verdict.weight)
-    elif algebra == "sp4su11":
-        lhs, rhs = _best_tensor_pairing(0, verdict.weight[2])
-    else:
+    w = verdict.weight
+    # the zero weight has no disc, and sp4su11 pairs only on (0, 0, k)
+    if not any(w) or (verdict.algebra == "sp4su11" and any(w[:2])):
         return False
-    return (
-        lhs == verdict.witness["pairing_lhs"]
-        and rhs == verdict.witness["pairing_rhs"]
-        and (abs(lhs) == abs(rhs)) == verdict.tight
-    )
+    if verdict.algebra == "su11":
+        found = sym_power_pairing(*w)
+    else:
+        found = best_tensor_pairing(*w[-2:])
+    return _pairing_verdict(*found) == (verdict.tight, verdict.witness)
 
 
 def replay_witness(verdict: TightnessVerdict) -> bool:
-    """Recompute the recorded witness from scratch; True iff it checks out."""
+    """Recompute the recorded witness from scratch; True iff it checks out.
+
+    A field the witness kind does not carry must be unset.
+    """
     wit = verdict.witness
-    kind = wit["kind"]
+    kind = wit.kind
+    if kind not in _WITNESS_KINDS.get(verdict.algebra, ()):
+        return False
     if kind == "zero_class":
-        return all(c == 0 for c in verdict.weight) or (
-            verdict.algebra == "su11xsu11" and verdict.weight == (0, 0)
-        )
+        return wit == Witness(kind) and not any(verdict.weight)
     if kind == "pairing":
         return _replay_pairing(verdict)
     if kind == "clebsch_gordan_even":
         k, l = verdict.weight
-        factors = clebsch_gordan(k, l)
-        top = wit["evaluation"]
         return (
-            top == k + l
-            and top != 0
-            and all(m % 2 == 0 for m in factors)
+            wit == Witness(kind, evaluation=k + l)
+            and k + l != 0
+            and all(m % 2 == 0 for m in clebsch_gordan(k, l))
         )
     if kind == "even_branch_witness":
         return _replay_even_branch(verdict)
     if kind == "even_tensor_factor":
-        i, j, k = verdict.weight
-        value = wit["evaluation"]
-        if value == 0 or value % 2 != 0:
-            return False
-        factors = _sp4su11_expansion(i, j, k)
-        return any(u == value or v == value for u, v in factors)
-    if kind == "reference_classification":
-        return verdict.tight and verdict.weight in HOLOMORPHIC_WEIGHTS[
-            verdict.algebra
-        ]
-    return False
+        value = wit.evaluation or 0
+        return (
+            wit == Witness(kind, "a2,2a1+a2", evaluation=value)
+            and value != 0
+            and value % 2 == 0
+            and any(value in f for f in _sp4su11_expansion(*verdict.weight))
+        )
+    return (
+        wit == Witness("reference_classification")
+        and verdict.tight
+        and verdict.weight in HOLOMORPHIC_WEIGHTS[verdict.algebra]
+    )
 
 
 def cross_check(algebra: str, w) -> dict:
@@ -538,7 +513,8 @@ def verify_su_n1_to_sostar(p: int) -> dict:
         raise LemmaReduction(f"so*({2 * p}) is outside the Hermitian range")
     n = p - 1  # tightness pins the degree-one multiplicity
     l = 2 * p - 3 * n  # dimension count 3n + l = 2p
-    assert p - 3 + l == 0
+    if p - 3 + l != 0:
+        raise VerificationError(f"p={p}: the residual p - 3 + l is {p - 3 + l}, not 0")
     return {
         "p": p,
         "n": n,
@@ -637,10 +613,9 @@ def _sl2_route_map(factors) -> kahler.HomClassMap:
     for m in factors:
         if m == 0:
             continue
-        rep = sym_power_rep(m)
-        sig = rep.signature
+        sig = sym_power_rep(m).signature
         targets.append(kahler.su(sig.p, sig.q))
-        coeffs.append(2 * pairing(rep.z_diagonal, z_element(sig.p, sig.q)))
+        coeffs.append(2 * sym_power_pairing(m)[0])
     if not targets:
         return kahler.class_map(source, source, [[0]])
     return kahler.class_map(source, targets, [coeffs])
@@ -678,16 +653,14 @@ def verdict_class_map(verdict: TightnessVerdict) -> kahler.HomClassMap:
     if algebra == "su11xsu11":
         return _pair_route_map([w])
     if algebra == "su21":
-        sub = _subalgebra("su21", "a1")
-        branch = restrict_rep(weight(build_root_system("A2"), w), sub)
+        branch = restrict_rep(_rank2_weight(algebra, w), _subalgebra(algebra, "a1"))
         return _sl2_route_map(branch.factors)
     if algebra == "sp4":
         if w[0] == 0:
-            sub = _subalgebra("sp4", "a1+a2")
-            branch = restrict_rep(weight(build_root_system("C2"), w), sub)
-            return _sl2_route_map(branch.factors)
-        pair = _subalgebra("sp4", "a2,2a1+a2")
-        branch = restrict_rep(weight(build_root_system("C2"), w), pair)
+            sub = _subalgebra(algebra, "a1+a2")
+            return _sl2_route_map(restrict_rep(_rank2_weight(algebra, w), sub).factors)
+        pair = _subalgebra(algebra, "a2,2a1+a2")
+        branch = restrict_rep(_rank2_weight(algebra, w), pair)
         return _pair_route_map([(a, b) for b, a in branch.factors])
     if algebra == "sp4su11":
         i, j, k = w

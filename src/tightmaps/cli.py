@@ -3,7 +3,7 @@ inspection, and lemma verification, with deterministic JSON or markdown
 reports.
 
 Exit codes: 0 success/agreement, 1 usage error, 2 validation error,
-3 verification failure.
+3 verification failure (including a failed internal exactness check).
 """
 
 from __future__ import annotations
@@ -25,30 +25,22 @@ from .branching import (
 from .classify import (
     ALGEBRAS,
     LemmaReduction,
-    RouteDisagreement,
     TightnessVerdict,
+    Witness,
     cross_check,
+    root_system_for,
     sweep,
     verify_su_n1_to_sostar,
 )
-from .rootsys import build_root_system, eval_on_coroot, weight
+from .errors import VerificationError
+from .rootsys import weight
 
 OK = 0
 USAGE_ERROR = 1
 VALIDATION_ERROR = 2
 VERIFICATION_FAILURE = 3
 
-_BRANCH_SYSTEMS = {"su11": "A1", "sp4": "C2", "su21": "A2"}
-
-# witness keys allowed on the wire, in serialization order
-_WITNESS_KEYS = (
-    "kind",
-    "subalgebra",
-    "weight",
-    "evaluation",
-    "pairing_lhs",
-    "pairing_rhs",
-)
+_BRANCH_ALGEBRAS = ("sp4", "su11", "su21")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -71,8 +63,9 @@ def encode(value):
     return value
 
 
-def witness_wire(witness: dict) -> dict:
-    return {k: encode(witness[k]) for k in _WITNESS_KEYS if k in witness}
+def witness_wire(witness: Witness) -> dict:
+    """The witness fields that are set, in field order."""
+    return {k: encode(v) for k, v in vars(witness).items() if v is not None}
 
 
 def verdict_row(verdict: TightnessVerdict) -> dict:
@@ -130,8 +123,11 @@ def to_markdown(report: dict) -> str:
 def _emit(report: dict, fmt: str, out: str | None) -> None:
     text = to_json(report) if fmt == "json" else to_markdown(report)
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w") as fh:
+                fh.write(text)
+        except OSError as err:
+            raise ValueError(f"cannot write report to {out}: {err.strerror}") from err
     else:
         print(text)
 
@@ -186,11 +182,11 @@ def cmd_sweep(args) -> int:
 
 def cmd_branch(args) -> int:
     started = time.perf_counter()
-    if args.algebra not in _BRANCH_SYSTEMS:
+    if args.algebra not in _BRANCH_ALGEBRAS:
         raise ValueError(
-            f"branch supports algebras {sorted(_BRANCH_SYSTEMS)}, got {args.algebra!r}"
+            f"branch supports algebras {list(_BRANCH_ALGEBRAS)}, got {args.algebra!r}"
         )
-    system = build_root_system(_BRANCH_SYSTEMS[args.algebra])
+    system = root_system_for(args.algebra)
     coords = _parse_weight(args.weight)
     top = weight(system, coords)
     if not (top.is_dominant and top.is_integral):
@@ -201,12 +197,8 @@ def cmd_branch(args) -> int:
     if witness is None:
         wire = None
     else:
-        values = [eval_on_coroot(witness, beta) for beta in sub.roots_b]
-        even = next(v for v in values if v != 0 and int(v) % 2 == 0)
-        wire = {
-            "weight": [int(c) for c in witness.coords],
-            "evaluation": int(even),
-        }
+        found, value = witness
+        wire = {"weight": [int(c) for c in found.coords], "evaluation": value}
     row = {
         "weight": list(coords),
         "subalgebra": args.sub,
@@ -313,7 +305,7 @@ def make_parser() -> _Parser:
     p.set_defaults(run=cmd_sweep)
 
     p = sub.add_parser("branch", help="restrict a representation to a subalgebra")
-    p.add_argument("--algebra", required=True, choices=sorted(_BRANCH_SYSTEMS))
+    p.add_argument("--algebra", required=True, choices=_BRANCH_ALGEBRAS)
     p.add_argument("--weight", required=True)
     p.add_argument("--sub", required=True, help="e.g. a1+a2 or a2,2a1+a2")
     _add_common(p)
@@ -339,7 +331,7 @@ def main(argv=None) -> int:
     except (ValueError, SubalgebraError) as err:
         sys.stderr.write(f"validation error: {err}\n")
         return VALIDATION_ERROR
-    except RouteDisagreement as err:
+    except VerificationError as err:
         sys.stderr.write(f"verification failure: {err}\n")
         return VERIFICATION_FAILURE
 

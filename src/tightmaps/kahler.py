@@ -16,6 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import floor
 
+from .errors import VerificationError
+
 
 @dataclass(frozen=True)
 class HermitianFactor:
@@ -182,7 +184,7 @@ def compose(f: HomClassMap, h: HomClassMap) -> HomClassMap:
     composite = HomClassMap(f.source, h.target, matrix)
     kappa = distinguished_class(h.target)
     if norm(pullback(composite, kappa)) > norm(kappa):
-        raise AssertionError("composition gained norm on the distinguished class")
+        raise VerificationError("composition gained norm on the distinguished class")
     return composite
 
 

@@ -20,6 +20,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
 
+from .errors import VerificationError
+
 Vector = tuple[Fraction, ...]
 
 SIMPLE_KINDS = ("A1", "A2", "C2")
@@ -203,7 +205,8 @@ def _build_cached(kinds: tuple[str, ...]) -> RootSystemData:
             out = [0] * total_dim
             for i, e in enumerate(v):
                 scaled = Fraction(e) * s
-                assert scaled.denominator == 1
+                if scaled.denominator != 1:
+                    raise VerificationError(f"{k}: scale {s} leaves {e} non-integral")
                 out[dim_offset + i] = int(scaled)
             return tuple(out)
 
@@ -232,7 +235,8 @@ def _build_cached(kinds: tuple[str, ...]) -> RootSystemData:
 
     cartan = tuple(tuple(row) for row in cartan_rows)
     rho2 = [sum(col) for col in zip(*int_pos)]
-    assert all(c % 2 == 0 for c in rho2)
+    if any(c % 2 for c in rho2):
+        raise VerificationError(f"{'+'.join(kinds)}: 2 rho = {rho2} is not even")
     int_rho = tuple(c // 2 for c in rho2)
 
     return RootSystemData(
@@ -264,24 +268,29 @@ def build_root_system(kind) -> RootSystemData:
 
 @lru_cache(maxsize=None)
 def _validate(system: RootSystemData) -> None:
+    def check(ok: bool, what: str) -> None:
+        if not ok:
+            raise VerificationError(f"{system.kind}: {what}")
+
     # dual-basis property <omega_i, alpha_j^vee> = delta_ij
     for i, w in enumerate(system.fundamental_weights):
         for j, a in enumerate(system.simple_roots):
             expected = 1 if i == j else 0
-            assert 2 * dot(w, a) / dot(a, a) == expected
+            check(2 * dot(w, a) / dot(a, a) == expected, f"omega_{i + 1} is not dual")
     # Cartan entries match the realisation
     for i, ai in enumerate(system.simple_roots):
         for j, aj in enumerate(system.simple_roots):
-            assert system.cartan_matrix[i][j] == 2 * dot(aj, ai) / dot(ai, ai)
+            entry = 2 * dot(aj, ai) / dot(ai, ai)
+            check(system.cartan_matrix[i][j] == entry, f"Cartan entry ({i}, {j})")
     # positive roots are nonnegative integer combinations of simple roots
     for coeffs, root in zip(
         system.positive_root_coefficients, system.positive_roots
     ):
-        assert all(c >= 0 for c in coeffs)
+        check(all(c >= 0 for c in coeffs), f"negative coefficients {coeffs}")
         rebuilt = [Fraction(0)] * len(root)
         for c, a in zip(coeffs, system.simple_roots):
             rebuilt = [r + c * x for r, x in zip(rebuilt, a)]
-        assert tuple(rebuilt) == root
+        check(tuple(rebuilt) == root, f"coefficients {coeffs} do not rebuild a root")
 
 
 @dataclass(frozen=True)
@@ -356,15 +365,6 @@ def reflect_simple(w: WeightVector, i: int) -> WeightVector:
         c - mi * cartan[j][i] for j, c in enumerate(w.coords)
     )
     return WeightVector(new, w.system)
-
-
-def dominant_representative(w: WeightVector) -> WeightVector:
-    current = w
-    while True:
-        neg = next((i for i, c in enumerate(current.coords) if c < 0), None)
-        if neg is None:
-            return current
-        current = reflect_simple(current, neg)
 
 
 def weyl_orbit(w: WeightVector) -> frozenset[WeightVector]:
@@ -523,11 +523,11 @@ def _multiplicity_table(
                 k += 1
         mu_rho = tuple(a + b for a, b in zip(mu_e, rho))
         denom = lam_norm - _idot(mu_rho, mu_rho)
-        assert denom > 0
-        assert (2 * num) % denom == 0
-        mult = (2 * num) // denom
-        assert mult > 0
-        mults[mu] = mult
+        if denom <= 0 or (2 * num) % denom != 0 or 2 * num <= 0:
+            raise VerificationError(
+                f"Freudenthal at {mu} below {top} in {system.kind}: 2*{num}/{denom}"
+            )
+        mults[mu] = (2 * num) // denom
     return mults
 
 
@@ -556,5 +556,6 @@ def dimension(highest: WeightVector) -> int:
     for alpha_e in system.int_positive:
         num *= _idot(lam_rho, alpha_e)
         den *= _idot(rho, alpha_e)
-    assert num % den == 0
+    if num % den != 0:
+        raise VerificationError(f"Weyl dimension of {top} is {num}/{den}")
     return num // den

@@ -136,6 +136,17 @@ def disc_pairing_value(p: int, q: int) -> Fraction:
     return pairing(diagonal_disc_z(p, q), z_element(p, q))
 
 
+def sym_power_pairing(k: int) -> tuple[Fraction, Fraction]:
+    """(<rho(Z), Z_(p,q)>, diagonal-disc value of su(p,q)) for the degree-k model.
+
+    Needs k >= 1: the degree-0 model carries no su(p,q) with p + q >= 2.
+    """
+    rep = sym_power_rep(k)
+    sig = rep.signature
+    lhs = pairing(rep.z_diagonal, z_element(sig.p, sig.q))
+    return lhs, disc_pairing_value(sig.p, sig.q)
+
+
 def tight_su11_by_pairing(k: int) -> bool:
     """Diagonal-disc trace-pairing criterion for the degree-k model.
 
@@ -143,12 +154,10 @@ def tight_su11_by_pairing(k: int) -> bool:
     of the carrying su(p,q).  A rank-zero target carries no disc and gets a
     zero pullback class, hence nontight; this covers k = 0.
     """
-    rep = sym_power_rep(k)
-    p, q = rep.signature.p, rep.signature.q
-    if min(p, q) == 0:
+    if k == 0:
         return False
-    lhs = pairing(rep.z_diagonal, z_element(p, q))
-    return abs(lhs) == abs(disc_pairing_value(p, q))
+    lhs, disc = sym_power_pairing(k)
+    return abs(lhs) == abs(disc)
 
 
 def clebsch_gordan(k: int, l: int) -> tuple[int, ...]:
@@ -194,20 +203,17 @@ def tensor_rep(k: int, l: int, structure: StructureChoice) -> ExplicitRep:
     ]
     diag = tuple(v for vals, _ in blocks for v in vals)
     labels = tuple(s for _, labs in blocks for s in labs)
-    a, b = rep1.signature.p, rep1.signature.q
-    c, d = rep2.signature.p, rep2.signature.q
     return ExplicitRep(
         dim=(k + 1) * (l + 1),
-        signature=SignaturePair(a * c + b * d, a * d + b * c),
+        signature=tensor_signature(k, l),
         z_diagonal=diag,
         basis_labels=labels,
     )
 
 
 def tensor_signature(k: int, l: int) -> SignaturePair:
-    a, b = sym_power_rep(k).signature.p, sym_power_rep(k).signature.q
-    c, d = sym_power_rep(l).signature.p, sym_power_rep(l).signature.q
-    return SignaturePair(a * c + b * d, a * d + b * c)
+    one, two = sym_power_rep(k).signature, sym_power_rep(l).signature
+    return SignaturePair(one.p * two.p + one.q * two.q, one.p * two.q + one.q * two.p)
 
 
 def tensor_factor_pairings(k: int, l: int) -> tuple[Fraction, Fraction]:
@@ -217,12 +223,7 @@ def tensor_factor_pairings(k: int, l: int) -> tuple[Fraction, Fraction]:
     pairs the Z-contribution of factor t alone against the ambient central
     element.
     """
-    sig = tensor_signature(k, l)
-    ambient = z_element(sig.p, sig.q)
-    one = tensor_rep(k, l, StructureChoice((1, 1)))
-    mixed = tensor_rep(k, l, StructureChoice((1, -1)))
-    p_plus = pairing(one.z_diagonal, ambient)
-    p_minus = pairing(mixed.z_diagonal, ambient)
+    p_plus, p_minus = (tensor_pairing(k, l, s) for s in structure_representatives(2))
     # half sum and half difference of the two structure pairings
     return (p_plus + p_minus) / 2, (p_plus - p_minus) / 2
 
@@ -233,6 +234,16 @@ def tensor_pairing(k: int, l: int, structure: StructureChoice) -> Fraction:
     return pairing(rep.z_diagonal, z_element(sig.p, sig.q))
 
 
+def best_tensor_pairing(k: int, l: int) -> tuple[Fraction, Fraction]:
+    """(structure pairing of largest modulus, diagonal-disc value) for (k, l).
+
+    Ties go to the first structure representative.  Needs (k, l) != (0, 0).
+    """
+    sig = tensor_signature(k, l)
+    best = max((tensor_pairing(k, l, s) for s in structure_representatives(2)), key=abs)
+    return best, disc_pairing_value(sig.p, sig.q)
+
+
 def tight_tensor_by_pairing(k: int, l: int) -> bool:
     """Structure-sweep diagonal-disc criterion for the two-factor model.
 
@@ -240,11 +251,13 @@ def tight_tensor_by_pairing(k: int, l: int) -> bool:
     absolute value; the degenerate rank-zero target (k = l = 0) is nontight
     with a zero pullback class.
     """
-    sig = tensor_signature(k, l)
-    if sig.rank == 0:
+    if (k, l) == (0, 0):
         return False
-    disc = abs(disc_pairing_value(sig.p, sig.q))
-    return any(
-        abs(tensor_pairing(k, l, structure)) == disc
-        for structure in structure_representatives(2)
-    )
+    # Comparing only the largest pairing suffices because no structure
+    # pairing exceeds the disc value in modulus.  Twice a pairing is the
+    # coefficient of the pullback of the Kahler class of su(p,q) along the
+    # diagonal su(1,1); pullback does not increase the norm, which is pi
+    # times the rank (Domic-Toledo), so |pairing| <= rank/2, the disc value.
+    # Exact computation confirms the bound for all k, l < 25.
+    best, disc = best_tensor_pairing(k, l)
+    return abs(best) == abs(disc)

@@ -79,15 +79,15 @@ def test_criterion_3_sp4_sweep():
         if verdict.weight == (0, 0):
             # the trivial representation has a zero pullback class instead
             # of an even witness
-            ok = ok and verdict.witness["kind"] == "zero_class"
+            ok = ok and verdict.witness.kind == "zero_class"
             ok = ok and replay_witness(verdict)
             continue
         wit = verdict.witness
-        ok = ok and wit["kind"] == "even_branch_witness"
-        ok = ok and wit["evaluation"] % 2 == 0 and wit["evaluation"] != 0
+        ok = ok and wit.kind == "even_branch_witness"
+        ok = ok and wit.evaluation % 2 == 0 and wit.evaluation != 0
         # two-case split: short-root disc for (0,l), long pair otherwise
         expected_sub = "a1+a2" if verdict.weight[0] == 0 else "a2,2a1+a2"
-        ok = ok and wit["subalgebra"] == expected_sub
+        ok = ok and wit.subalgebra == expected_sub
         ok = ok and replay_witness(verdict)
     _report(3, "sp(4,R) sweep: one tight weight, replayable witnesses", ok)
 
@@ -101,7 +101,7 @@ def test_criterion_4_su21_sweep():
         if verdict.tight:
             continue
         if verdict.weight == (0, 0):
-            ok = ok and verdict.witness["kind"] == "zero_class"
+            ok = ok and verdict.witness.kind == "zero_class"
             ok = ok and replay_witness(verdict)
             continue
         k, l = verdict.weight
@@ -112,10 +112,10 @@ def test_criterion_4_su21_sweep():
             (k - 2, l - 2): k - 2,
             (k + 1, l - 2): k + 1,
         }
-        ok = ok and wit["kind"] == "even_branch_witness"
-        ok = ok and wit["subalgebra"] == "a1"
-        ok = ok and chain.get(tuple(wit["weight"])) == wit["evaluation"]
-        ok = ok and wit["evaluation"] in (k, k - 1, -2, k + 1)
+        ok = ok and wit.kind == "even_branch_witness"
+        ok = ok and wit.subalgebra == "a1"
+        ok = ok and chain.get(tuple(wit.weight)) == wit.evaluation
+        ok = ok and wit.evaluation in (k, k - 1, -2, k + 1)
         ok = ok and replay_witness(verdict)
     _report(4, "su(2,1) sweep: two tight weights, chain witnesses", ok)
 

@@ -146,12 +146,12 @@ def test_peeling_is_involution_consistent():
 
 
 def test_even_witness_examples():
-    w = even_witness(weight(A2, (0, 2)), sub_a2())
+    w, _ = even_witness(weight(A2, (0, 2)), sub_a2())
     assert tuple(int(c) for c in w.coords) == (-2, 0)
     assert eval_on_coroot(w, A2.simple_roots[0]) == -2
 
     for l in (1, 2, 3):
-        w = even_witness(weight(C2, (0, l)), sub_c2_short())
+        w, _ = even_witness(weight(C2, (0, l)), sub_c2_short())
         assert tuple(int(c) for c in w.coords) == (0, l)
 
     assert even_witness(weight(A2, (1, 0)), sub_a2()) is None

@@ -7,6 +7,7 @@ from tightmaps.classify import (
     ALGEBRAS,
     HOLOMORPHIC_WEIGHTS,
     LemmaReduction,
+    Witness,
     classify,
     cross_check,
     dominant_weights,
@@ -26,17 +27,17 @@ def test_classify_examples():
 
     v = classify("sp4", (0, 2))
     assert not v.tight
-    assert v.witness["evaluation"] == 4
-    assert v.witness["subalgebra"] == "a1+a2"
+    assert v.witness.evaluation == 4
+    assert v.witness.subalgebra == "a1+a2"
 
     v = classify("sp4su11", (1, 0, 0))
     assert v.tight and v.holomorphic
 
     v = classify("su11", (4,))
-    assert not v.tight and v.witness["kind"] == "pairing"
+    assert not v.tight and v.witness.kind == "pairing"
 
     v = classify("su11", (0,))
-    assert not v.tight and v.witness["kind"] == "zero_class"
+    assert not v.tight and v.witness.kind == "zero_class"
 
 
 def test_validate_weight_errors():
@@ -55,13 +56,13 @@ def test_cross_check_examples():
 
     report = cross_check("su21", (2, 0))
     assert not report["verdict"].tight
-    assert report["verdict"].witness["weight"] == (2, 0)
-    assert report["verdict"].witness["evaluation"] == 2
+    assert report["verdict"].witness.weight == (2, 0)
+    assert report["verdict"].witness.evaluation == 2
 
     report = cross_check("su11xsu11", (1, 1))
     assert not report["verdict"].tight
-    assert report["verdict"].witness["kind"] == "clebsch_gordan_even"
-    assert report["verdict"].witness["evaluation"] == 2
+    assert report["verdict"].witness.kind == "clebsch_gordan_even"
+    assert report["verdict"].witness.evaluation == 2
 
 
 def test_sweep_counts():
@@ -107,10 +108,36 @@ def test_replay_rejects_tampered_witness():
     from dataclasses import replace
 
     verdict = classify("sp4", (0, 2))
-    forged = replace(verdict, witness=dict(verdict.witness, evaluation=6))
+    forged = replace(verdict, witness=replace(verdict.witness, evaluation=6))
     assert not replay_witness(forged)
-    forged = replace(verdict, witness=dict(verdict.witness, weight=(0, 1)))
+    forged = replace(verdict, witness=replace(verdict.witness, weight=(0, 1)))
     assert not replay_witness(forged)
+
+    # a witness kind only su11xsu11 emits does not replay on a rank-two row
+    for algebra in ("sp4", "su21"):
+        verdict = classify(algebra, (2, 0))
+        forged = Witness("clebsch_gordan_even", evaluation=2)
+        assert not replay_witness(replace(verdict, witness=forged)), algebra
+
+    rows = {a: [classify(a, w) for w in dominant_weights(a, 6)] for a in ALGEBRAS}
+    kinds = {a: {v.witness.kind for v in vs} for a, vs in rows.items()}
+    samples = {v.witness.kind: v.witness for vs in rows.values() for v in vs}
+    assert set(samples) == {
+        "zero_class", "pairing", "clebsch_gordan_even", "even_branch_witness",
+        "even_tensor_factor", "reference_classification",
+    }
+    for algebra, verdicts in rows.items():
+        foreign = [w for kind, w in samples.items() if kind not in kinds[algebra]]
+        for verdict in verdicts:
+            wit = verdict.witness
+            for forged in (
+                replace(wit, evaluation=(wit.evaluation or 0) + 1),
+                replace(wit, pairing_lhs=(wit.pairing_lhs or 0) + 1),
+                *foreign,
+            ):
+                assert not replay_witness(replace(verdict, witness=forged)), (
+                    algebra, verdict.weight, forged,
+                )
 
 
 def test_nontight_propagation_is_monotone():

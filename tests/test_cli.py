@@ -4,10 +4,12 @@ import json
 
 import pytest
 
+import tightmaps.branching
 from tightmaps.cli import (
     OK,
     USAGE_ERROR,
     VALIDATION_ERROR,
+    VERIFICATION_FAILURE,
     main,
     to_json,
     to_markdown,
@@ -184,6 +186,26 @@ def test_out_writes_file(tmp_path, capsys):
     assert out == ""
     doc = json.loads(target.read_text())
     assert doc["rows"][0]["tight"] is True
+
+
+def test_out_to_unwritable_path_is_a_validation_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "r.json"
+    code, out, err = run(
+        capsys, "sweep", "--algebra", "su11", "--max", "2", "--out", str(target)
+    )
+    assert code == VALIDATION_ERROR
+    assert err.startswith("validation error: ") and str(target) in err
+    assert "Traceback" not in err and out == ""
+
+
+def test_failed_exactness_check_is_a_verification_failure(monkeypatch, capsys):
+    monkeypatch.setattr(tightmaps.branching, "dimension", lambda highest: 0)
+    code, _, err = run(
+        capsys, "branch", "--algebra", "sp4", "--weight", "0,1", "--sub", "a1+a2"
+    )
+    assert code == VERIFICATION_FAILURE
+    assert err.startswith("verification failure: ")
+    assert "branching lost dimensions" in err
 
 
 def test_default_format_is_markdown(capsys):
