@@ -25,6 +25,7 @@ from .rootsys import (
     dimension,
     dot,
     eval_on_coroot,
+    show_vector,
     weight_multiplicities,
 )
 from .su11 import SignaturePair, sym_power_rep, tensor_signature
@@ -50,27 +51,22 @@ class SubalgebraSpec:
 
 
 def _span_roots(system: RootSystemData, roots: tuple[Vector, ...]) -> tuple[Vector, ...]:
-    """ZB intersected with the root set, for |B| <= 2 (coefficients small)."""
-    found = []
-    bound = 4
+    """ZB intersected with the root set, for |B| <= 2.
+
+    The systems are reduced, so one root spans only itself and its negative.
+    Two independent roots of a rank-two system are tested by Cramer's rule
+    over their simple-root coefficients.
+    """
     if len(roots) == 1:
-        combos = [(c,) for c in range(-bound, bound + 1)]
-    else:
-        combos = [
-            (c1, c2)
-            for c1 in range(-bound, bound + 1)
-            for c2 in range(-bound, bound + 1)
-        ]
-    for combo in combos:
-        if all(c == 0 for c in combo):
-            continue
-        vec = tuple(
-            sum(c * r[i] for c, r in zip(combo, roots))
-            for i in range(len(roots[0]))
-        )
-        if system.is_root(vec) and vec not in found:
-            found.append(vec)
-    return tuple(found)
+        return roots + (tuple(-x for x in roots[0]),)
+    (x0, x1), (y0, y1) = (system.root_coefficients(r) for r in roots)
+    det = x0 * y1 - x1 * y0
+
+    def in_span(r: Vector) -> bool:
+        r0, r1 = system.root_coefficients(r)
+        return (r0 * y1 - r1 * y0) % det == 0 and (x0 * r1 - x1 * r0) % det == 0
+
+    return tuple(r for r in system.roots() if in_span(r))
 
 
 def make_subalgebra(system: RootSystemData, roots) -> SubalgebraSpec:
@@ -84,7 +80,7 @@ def make_subalgebra(system: RootSystemData, roots) -> SubalgebraSpec:
         raise SubalgebraError("only rank-one and rank-two subalgebras are supported")
     for r in b:
         if not system.is_root(r):
-            raise SubalgebraError(f"{r} is not a root of {system.kind}")
+            raise SubalgebraError(f"{show_vector(r)} is not a root of {system.kind}")
     if len(set(b)) != len(b):
         raise SubalgebraError("B has repeated roots")
 
@@ -96,7 +92,7 @@ def make_subalgebra(system: RootSystemData, roots) -> SubalgebraSpec:
             diff = tuple(a - c for a, c in zip(x, y))
             if system.is_root(diff):
                 raise SubalgebraError(
-                    f"condition 1 fails: {x} - {y} is a root"
+                    f"condition 1 fails: {show_vector(x)} - {show_vector(y)} is a root"
                 )
 
     # condition 2: linear independence
@@ -104,7 +100,9 @@ def make_subalgebra(system: RootSystemData, roots) -> SubalgebraSpec:
         x, y = b
         gram = dot(x, x) * dot(y, y) - dot(x, y) ** 2
         if gram == 0:
-            raise SubalgebraError(f"condition 2 fails: {x}, {y} are dependent")
+            raise SubalgebraError(
+                f"condition 2 fails: {show_vector(x)}, {show_vector(y)} are dependent"
+            )
 
     # condition 3: one noncompact root per Dynkin component of B
     components: list[list[Vector]] = []
@@ -116,8 +114,8 @@ def make_subalgebra(system: RootSystemData, roots) -> SubalgebraSpec:
         noncompact = sum(1 for r in comp if system.is_noncompact_root(r))
         if noncompact != 1:
             raise SubalgebraError(
-                f"condition 3 fails: component {comp} has {noncompact} "
-                "noncompact roots (expected exactly 1)"
+                f"condition 3 fails: component [{', '.join(map(show_vector, comp))}] "
+                f"has {noncompact} noncompact roots (expected exactly 1)"
             )
 
     span = _span_roots(system, b)
@@ -196,19 +194,14 @@ class BranchingResult:
 
 
 def evaluation_multiset(highest: WeightVector, sub: SubalgebraSpec) -> Counter:
-    """Coroot evaluations of every weight, with multiplicity."""
-    mults = weight_multiplicities(highest)
+    """Coroot evaluations of every weight, with multiplicity.
+
+    The weights carry integer coordinates and the coroot table is integral,
+    so every evaluation is an int.
+    """
     out: Counter = Counter()
-    for mu, m in mults.items():
-        evals = []
-        for beta in sub.roots_b:
-            v = eval_on_coroot(mu, beta)
-            if v.denominator != 1:
-                raise ValueError(
-                    f"non-integral evaluation {v} of {mu.coords} on {beta}"
-                )
-            evals.append(int(v))
-        out[tuple(evals)] += m
+    for mu, m in weight_multiplicities(highest).items():
+        out[tuple(eval_on_coroot(mu, beta) for beta in sub.roots_b)] += m
     return out
 
 
@@ -296,16 +289,10 @@ def _witness_chain(highest: WeightVector) -> list[WeightVector]:
 
 
 def _shift(w: WeightVector, root: Vector, n: int) -> WeightVector:
-    """w - n*root, expressed back in fundamental coordinates."""
-    system = w.system
-    cartan = system.cartan_matrix
-    coeffs = system.root_coefficients(root)
-    delta = tuple(
-        sum(coeffs[i] * cartan[j][i] for i in range(system.rank))
-        for j in range(system.rank)
-    )
+    """w - n*root, for an integral w, in fundamental coordinates."""
+    delta = w.system.root_table[root].fundamental
     return WeightVector(
-        tuple(c - n * d for c, d in zip(w.coords, delta)), system
+        tuple(int(c) - n * d for c, d in zip(w.coords, delta)), w.system
     )
 
 
@@ -326,7 +313,7 @@ def even_witness(
             return None
         for beta in sub.roots_b:
             v = eval_on_coroot(w, beta)
-            if v != 0 and v.denominator == 1 and int(v) % 2 == 0:
+            if v != 0 and v % 2 == 0:
                 return w, int(v)
         return None
 

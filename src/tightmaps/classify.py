@@ -58,7 +58,7 @@ _SYSTEM_KIND = {
 
 # The rank-two factor of each algebra that the constructive route branches;
 # its highest weight is the first two coordinates.
-_RANK2_KIND = {"sp4": "C2", "sp4su11": "C2", "su21": "A2"}
+_RANK2_FACTOR = {"sp4": "sp4", "sp4su11": "sp4", "su21": "su21"}
 
 # Reference data: the weights whose corresponding maps are (anti-)
 # holomorphic, from the classification of holomorphic tight maps.  Stored,
@@ -140,12 +140,12 @@ class TightnessVerdict:
 
 def _rank2_weight(algebra: str, w: tuple[int, ...]) -> WeightVector:
     """Highest weight ``w[:2]`` of the rank-two factor of ``algebra``."""
-    return weight(build_root_system(_RANK2_KIND[algebra]), w[:2])
+    return weight(root_system_for(_RANK2_FACTOR[algebra]), w[:2])
 
 
 @lru_cache(maxsize=None)
 def _subalgebra(algebra: str, selector: str) -> SubalgebraSpec:
-    system = build_root_system(_RANK2_KIND[algebra])
+    system = root_system_for(_RANK2_FACTOR[algebra])
     return make_subalgebra(system, parse_subalgebra_selector(system, selector))
 
 
@@ -360,6 +360,9 @@ def _replay_even_branch(verdict: TightnessVerdict) -> bool:
     if None in (wit.subalgebra, wit.weight, wit.evaluation) or wit != Witness(
         wit.kind, wit.subalgebra, wit.weight, wit.evaluation
     ):
+        return False
+    factor = _RANK2_FACTOR[verdict.algebra]
+    if wit.subalgebra not in TIGHT_SUBALGEBRA_SELECTORS[factor] or len(wit.weight) != 2:
         return False
     sub = _subalgebra(verdict.algebra, wit.subalgebra)
     top = _rank2_weight(verdict.algebra, verdict.weight)

@@ -220,6 +220,13 @@ def cmd_branch(args) -> int:
 
 def _verify_lemma_bla(args, started: float) -> int:
     lo, hi = _parse_p_range(args.p_range)
+    if lo < 4:
+        # odd p >= 5 are checked and even p reduce to them, but nothing here
+        # checks p <= 3, so a report over them could not claim agreement
+        raise ValueError(
+            f"p-range {args.p_range} includes p < 4, which lemma-bla does not check: "
+            "p = 1, 2 are not Hermitian and p = 3 is left to the unitary classification"
+        )
     rows = []
     failed = False
     for p in range(lo, hi + 1):
@@ -320,10 +327,22 @@ def make_parser() -> _Parser:
     return parser
 
 
+def _join_negative_weight(argv: list[str]) -> list[str]:
+    """``--weight -1,0`` as ``--weight=-1,0``; argparse reads ``-1,0`` as an option."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] == "--weight" and arg[:1] == "-" and arg[1:2].isdigit():
+            out[-1] = f"--weight={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     parser = make_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_negative_weight(argv))
     except SystemExit as exit_:
         return exit_.code if isinstance(exit_.code, int) else USAGE_ERROR
     try:

@@ -1,24 +1,29 @@
 """Exact root-system data for A1, A2, C2 and their finite direct sums.
 
-Everything is done over the rationals.  Each system is realised inside a
-small Euclidean space with the standard dot product:
+Each system is realised inside a small Euclidean space over the rationals,
+with the standard dot product:
 
     A1:  alpha = (1, -1) in Q^2
     A2:  alpha_1 = e1 - e2, alpha_2 = e2 - e3 in the sum-zero subspace of Q^3
     C2:  alpha_1 = (1, -1), alpha_2 = (0, 2) in Q^2  (alpha_2 is the long root)
 
-Products concatenate coordinate blocks.  Weights are stored by their
-coefficients in the fundamental-weight basis; dominant integral weights
-support Freudenthal multiplicities and the Weyl dimension formula, which
-serve as independent oracles for each other.
+Products concatenate coordinate blocks.  The Euclidean realisation is the
+validated fixture: each system derives from it, once, an integer table
+holding every root's simple-root coefficients, coroot functional,
+fundamental coordinates and half squared length.  Weights are stored by
+their coordinates in the fundamental-weight basis, and coroot evaluation,
+weight supports, Freudenthal multiplicities and the Weyl dimension formula
+all run on integers through that table.  Euclidean vectors remain the
+names of roots, and the oracle the tests check the table against.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple
 
 from .errors import VerificationError
 
@@ -28,8 +33,7 @@ SIMPLE_KINDS = ("A1", "A2", "C2")
 
 # Per-kind data: simple roots, positive roots (with simple-root coefficients),
 # Cartan matrix entries cartan[i][j] = <alpha_j, alpha_i^vee>, fundamental
-# weights, Weyl group order, indices of noncompact simple roots, and an
-# integer scale making every listed vector integral (used by fast paths).
+# weights, Weyl group order and indices of noncompact simple roots.
 _KIND_DATA = {
     "A1": {
         "simple": [[1, -1]],
@@ -38,7 +42,6 @@ _KIND_DATA = {
         "fundamental": [[Fraction(1, 2), Fraction(-1, 2)]],
         "weyl_order": 2,
         "noncompact": (0,),
-        "scale": 2,
     },
     "A2": {
         "simple": [[1, -1, 0], [0, 1, -1]],
@@ -50,7 +53,6 @@ _KIND_DATA = {
         ],
         "weyl_order": 6,
         "noncompact": (0,),
-        "scale": 3,
     },
     "C2": {
         "simple": [[1, -1], [0, 2]],
@@ -59,7 +61,6 @@ _KIND_DATA = {
         "fundamental": [[Fraction(1), Fraction(0)], [Fraction(1), Fraction(1)]],
         "weyl_order": 8,
         "noncompact": (1,),
-        "scale": 1,
     },
 }
 
@@ -70,6 +71,20 @@ def _vec(entries: Iterable) -> Vector:
 
 def dot(x: Vector, y: Vector) -> Fraction:
     return sum((a * b for a, b in zip(x, y)), Fraction(0))
+
+
+def show_vector(vec: Iterable) -> str:
+    """A vector as ``(a, b, ...)`` with rationals written ``p/q``."""
+    return "(" + ", ".join(str(x) for x in vec) + ")"
+
+
+class RootEntry(NamedTuple):
+    """Integer data of one root beta, derived from the Euclidean fixture."""
+
+    coefficients: tuple[int, ...]  # beta in the simple-root basis
+    coroot: tuple[int, ...]  # <omega_i, beta^vee> for each fundamental weight
+    fundamental: tuple[int, ...]  # <beta, alpha_j^vee>, i.e. beta as a weight
+    half_norm: int  # (beta, beta) / 2
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,16 +102,8 @@ class RootSystemData:
     fundamental_weights: tuple[Vector, ...]
     noncompact_marking: frozenset[int]
     weyl_order: int
-    # simple-root coefficient tuple for every positive root, same order
-    positive_root_coefficients: tuple[tuple[int, ...], ...]
-    # inverse Cartan matrix, for expanding weights in the simple-root basis
-    inverse_cartan: tuple[tuple[Fraction, ...], ...]
-    # integer-scaled copies of the Euclidean realisation (per-factor scaling
-    # of the invariant form, legitimate since the form is unique up to a
-    # positive scalar on each simple factor)
-    int_fundamental: tuple[tuple[int, ...], ...]
-    int_positive: tuple[tuple[int, ...], ...]
-    int_rho: tuple[int, ...]
+    # every root, positive ones first, keyed by its Euclidean vector
+    root_table: dict[Vector, RootEntry]
 
     @property
     def rank(self) -> int:
@@ -111,21 +118,15 @@ class RootSystemData:
         return "+".join(self.kinds)
 
     def roots(self) -> tuple[Vector, ...]:
-        return self.positive_roots + tuple(
-            tuple(-c for c in r) for r in self.positive_roots
-        )
+        return tuple(self.root_table)
 
     def root_coefficients(self, root: Vector) -> tuple[int, ...] | None:
         """Simple-root coefficients of ``root``, or None if not a root."""
-        for coeffs, pos in zip(self.positive_root_coefficients, self.positive_roots):
-            if pos == root:
-                return coeffs
-            if tuple(-c for c in pos) == root:
-                return tuple(-c for c in coeffs)
-        return None
+        entry = self.root_table.get(tuple(root))
+        return None if entry is None else entry.coefficients
 
     def is_root(self, vec: Vector) -> bool:
-        return self.root_coefficients(vec) is not None
+        return tuple(vec) in self.root_table
 
     def is_noncompact_root(self, root: Vector) -> bool:
         """A root is noncompact iff its noncompact-simple coefficient is odd.
@@ -135,7 +136,7 @@ class RootSystemData:
         """
         coeffs = self.root_coefficients(root)
         if coeffs is None:
-            raise ValueError(f"{root} is not a root of {self.kind}")
+            raise ValueError(f"{show_vector(root)} is not a root of {self.kind}")
         return sum(coeffs[i] for i in self.noncompact_marking) % 2 == 1
 
 
@@ -152,106 +153,57 @@ def _normalize_kind(kind) -> tuple[str, ...]:
     return parts
 
 
-def _invert(matrix: Sequence[Sequence[int]]) -> tuple[tuple[Fraction, ...], ...]:
-    n = len(matrix)
-    aug = [
-        [Fraction(matrix[i][j]) for j in range(n)]
-        + [Fraction(1 if i == j else 0) for j in range(n)]
-        for i in range(n)
-    ]
-    for col in range(n):
-        pivot = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        factor = aug[col][col]
-        aug[col] = [x / factor for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                scale = aug[r][col]
-                aug[r] = [x - scale * y for x, y in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
-
-
 @lru_cache(maxsize=None)
 def _build_cached(kinds: tuple[str, ...]) -> RootSystemData:
-    simple: list[Vector] = []
-    positive: list[Vector] = []
-    pos_coeffs: list[tuple[int, ...]] = []
-    cartan_rows: list[list[int]] = []
-    fundamental: list[Vector] = []
-    noncompact: set[int] = set()
-    int_fund: list[tuple[int, ...]] = []
-    int_pos: list[tuple[int, ...]] = []
-    weyl_order = 1
+    blocks = [_KIND_DATA[k] for k in kinds]
+    dims = [len(data["simple"][0]) for data in blocks]
+    ranks = [len(data["simple"]) for data in blocks]
 
-    dim_offset = 0
-    idx_offset = 0
-    total_rank = sum(len(_KIND_DATA[k]["simple"]) for k in kinds)
-    total_dim = sum(len(_KIND_DATA[k]["simple"][0]) for k in kinds)
+    def pad(v, sizes: list[int], b: int) -> tuple:
+        """Block ``b`` of a direct sum whose blocks have these sizes."""
+        return (0,) * sum(sizes[:b]) + tuple(v) + (0,) * sum(sizes[b + 1:])
 
-    for k in kinds:
-        data = _KIND_DATA[k]
-        block_rank = len(data["simple"])
-        block_dim = len(data["simple"][0])
-        scale = data["scale"]
-        weyl_order *= data["weyl_order"]
+    simple, fundamental, positive, pos_coeffs, cartan = [], [], [], [], []
+    for b, data in enumerate(blocks):
+        simple += [_vec(pad(v, dims, b)) for v in data["simple"]]
+        fundamental += [_vec(pad(w, dims, b)) for w in data["fundamental"]]
+        positive += [_vec(pad(v, dims, b)) for v in data["positive"].values()]
+        pos_coeffs += [pad(c, ranks, b) for c in data["positive"]]
+        cartan += [pad(row, ranks, b) for row in data["cartan"]]
+    kind = "+".join(kinds)
 
-        def embed(v) -> Vector:
-            out = [Fraction(0)] * total_dim
-            for i, e in enumerate(v):
-                out[dim_offset + i] = Fraction(e)
-            return tuple(out)
+    def integer(value: Fraction, root: Vector) -> int:
+        if value.denominator != 1:
+            raise VerificationError(
+                f"{kind}: root {show_vector(root)} has the non-integral table entry {value}"
+            )
+        return int(value)
 
-        def embed_int(v, s) -> tuple[int, ...]:
-            out = [0] * total_dim
-            for i, e in enumerate(v):
-                scaled = Fraction(e) * s
-                if scaled.denominator != 1:
-                    raise VerificationError(f"{k}: scale {s} leaves {e} non-integral")
-                out[dim_offset + i] = int(scaled)
-            return tuple(out)
-
-        for v in data["simple"]:
-            simple.append(embed(v))
-        for w in data["fundamental"]:
-            fundamental.append(embed(w))
-            int_fund.append(embed_int(w, scale))
-        for coeffs, v in data["positive"].items():
-            positive.append(embed(v))
-            int_pos.append(embed_int(v, scale))
-            full = [0] * total_rank
-            for i, c in enumerate(coeffs):
-                full[idx_offset + i] = c
-            pos_coeffs.append(tuple(full))
-        for i, row in enumerate(data["cartan"]):
-            full_row = [0] * total_rank
-            for j, c in enumerate(row):
-                full_row[idx_offset + j] = c
-            cartan_rows.append(full_row)
-        for i in data["noncompact"]:
-            noncompact.add(idx_offset + i)
-
-        dim_offset += block_dim
-        idx_offset += block_rank
-
-    cartan = tuple(tuple(row) for row in cartan_rows)
-    rho2 = [sum(col) for col in zip(*int_pos)]
-    if any(c % 2 for c in rho2):
-        raise VerificationError(f"{'+'.join(kinds)}: 2 rho = {rho2} is not even")
-    int_rho = tuple(c // 2 for c in rho2)
+    # the integer root table, read off the Euclidean realisation
+    table = {}
+    for coeffs, root in zip(pos_coeffs, positive):
+        norm = dot(root, root)
+        table[root] = RootEntry(
+            coeffs,
+            tuple(integer(2 * dot(w, root) / norm, root) for w in fundamental),
+            tuple(integer(2 * dot(root, a) / dot(a, a), root) for a in simple),
+            integer(norm / 2, root),
+        )
+    for root, entry in list(table.items()):
+        negated = (tuple(-c for c in part) for part in entry[:3])
+        table[tuple(-c for c in root)] = RootEntry(*negated, entry.half_norm)
 
     return RootSystemData(
         kinds=kinds,
         simple_roots=tuple(simple),
         positive_roots=tuple(positive),
-        cartan_matrix=cartan,
+        cartan_matrix=tuple(cartan),
         fundamental_weights=tuple(fundamental),
-        noncompact_marking=frozenset(noncompact),
-        weyl_order=weyl_order,
-        positive_root_coefficients=tuple(pos_coeffs),
-        inverse_cartan=_invert(cartan),
-        int_fundamental=tuple(int_fund),
-        int_positive=tuple(int_pos),
-        int_rho=int_rho,
+        noncompact_marking=frozenset(
+            sum(ranks[:b]) + i for b, data in enumerate(blocks) for i in data["noncompact"]
+        ),
+        weyl_order=math.prod(data["weyl_order"] for data in blocks),
+        root_table=table,
     )
 
 
@@ -283,9 +235,8 @@ def _validate(system: RootSystemData) -> None:
             entry = 2 * dot(aj, ai) / dot(ai, ai)
             check(system.cartan_matrix[i][j] == entry, f"Cartan entry ({i}, {j})")
     # positive roots are nonnegative integer combinations of simple roots
-    for coeffs, root in zip(
-        system.positive_root_coefficients, system.positive_roots
-    ):
+    for root in system.positive_roots:
+        coeffs = system.root_table[root].coefficients
         check(all(c >= 0 for c in coeffs), f"negative coefficients {coeffs}")
         rebuilt = [Fraction(0)] * len(root)
         for c, a in zip(coeffs, system.simple_roots):
@@ -348,13 +299,12 @@ def weight_from_euclid(system: RootSystemData, vec: Iterable) -> WeightVector:
     return WeightVector(coords, system)
 
 
-def eval_on_coroot(w: WeightVector, root: Vector) -> Fraction:
-    """<w, root^vee> = 2 <w, root> / <root, root>."""
-    root = _vec(root)
-    if not w.system.is_root(root):
-        raise ValueError(f"{root} is not a root of {w.system.kind}")
-    e = w.euclid()
-    return 2 * dot(e, root) / dot(root, root)
+def eval_on_coroot(w: WeightVector, root: Vector) -> int | Fraction:
+    """<w, root^vee> = sum_i m_i <omega_i, root^vee>, from the root table."""
+    entry = w.system.root_table.get(tuple(root))
+    if entry is None:
+        raise ValueError(f"{show_vector(root)} is not a root of {w.system.kind}")
+    return sum(m * c for m, c in zip(w.coords, entry.coroot))
 
 
 def reflect_simple(w: WeightVector, i: int) -> WeightVector:
@@ -385,62 +335,50 @@ def weyl_orbit(w: WeightVector) -> frozenset[WeightVector]:
 
 def _require_dominant_integral(w: WeightVector) -> None:
     if not w.is_integral:
-        raise ValueError(f"weight {w.coords} is not integral")
+        raise ValueError(f"weight {show_vector(w.coords)} is not integral")
     if not w.is_dominant:
-        raise ValueError(f"weight {w.coords} is not dominant")
+        raise ValueError(f"weight {show_vector(w.coords)} is not dominant")
 
 
-def _simple_root_coefficients(
-    system: RootSystemData, diff: tuple[int, ...]
-) -> tuple[Fraction, ...]:
-    """Expand a fundamental-coordinate vector in the simple-root basis."""
-    inv = system.inverse_cartan
-    return tuple(
-        sum((inv[i][j] * diff[j] for j in range(system.rank)), Fraction(0))
-        for i in range(system.rank)
-    )
+def _support_coords(
+    system: RootSystemData, top: tuple[int, ...]
+) -> dict[tuple[int, ...], tuple[int, ...]]:
+    """All weights mu of the irrep ``top``, each with its depth below ``top``.
 
-
-def _support_coords(system: RootSystemData, top: tuple[int, ...]) -> set[tuple[int, ...]]:
-    """Integer fundamental coordinates of all weights of the irrep ``top``.
-
-    A candidate mu (in top - Q+) belongs to the support iff its dominant
-    Weyl representative mu+ satisfies top - mu+ in Q+.  Candidates are
+    The depth of mu is the simple-root coefficient vector of top - mu.  A
+    candidate mu (in top - Q+) belongs to the support iff its dominant Weyl
+    representative mu+ satisfies top - mu+ in Q+.  Reflecting mu by s_i
+    subtracts mu_i alpha_i, which adds mu_i to depth i.  Candidates are
     generated by walking down simple roots from the highest weight; every
     weight of an irrep is reachable this way.
     """
     cartan = system.cartan_matrix
     rank = system.rank
 
-    def lower(mu: tuple[int, ...], i: int) -> tuple[int, ...]:
-        return tuple(mu[j] - cartan[j][i] for j in range(rank))
-
-    def dominant(mu: tuple[int, ...]) -> tuple[int, ...]:
-        cur = list(mu)
+    def member(mu: tuple[int, ...], depth: tuple[int, ...]) -> bool:
+        cur, depth = list(mu), list(depth)
         while True:
             neg = next((i for i, c in enumerate(cur) if c < 0), None)
             if neg is None:
-                return tuple(cur)
+                return all(n >= 0 for n in depth)
             mi = cur[neg]
+            depth[neg] += mi
             for j in range(rank):
                 cur[j] -= mi * cartan[j][neg]
-        # unreachable
 
-    def member(mu: tuple[int, ...]) -> bool:
-        dom = dominant(mu)
-        diff = tuple(t - d for t, d in zip(top, dom))
-        coeffs = _simple_root_coefficients(system, diff)
-        return all(c.denominator == 1 and c >= 0 for c in coeffs)
-
-    support = {top}
+    support = {top: (0,) * rank}
     frontier = [top]
     while frontier:
         nxt = []
         for mu in frontier:
+            depth = support[mu]
             for i in range(rank):
-                cand = lower(mu, i)
-                if cand not in support and member(cand):
-                    support.add(cand)
+                cand = tuple(mu[j] - cartan[j][i] for j in range(rank))
+                if cand in support:
+                    continue
+                cand_depth = depth[:i] + (depth[i] + 1,) + depth[i + 1:]
+                if member(cand, cand_depth):
+                    support[cand] = cand_depth
                     nxt.append(cand)
         frontier = nxt
     return support
@@ -451,78 +389,48 @@ def weight_support(highest: WeightVector) -> frozenset[WeightVector]:
     _require_dominant_integral(highest)
     system = highest.system
     top = tuple(int(c) for c in highest.coords)
-    return frozenset(
-        WeightVector(tuple(Fraction(c) for c in mu), system)
-        for mu in _support_coords(system, top)
-    )
-
-
-def _int_euclid(system: RootSystemData, coords: tuple[int, ...]) -> tuple[int, ...]:
-    n = len(system.int_fundamental[0])
-    out = [0] * n
-    for m, w in zip(coords, system.int_fundamental):
-        for i in range(n):
-            out[i] += m * w[i]
-    return tuple(out)
-
-
-def _idot(x: tuple[int, ...], y: tuple[int, ...]) -> int:
-    return sum(a * b for a, b in zip(x, y))
+    return frozenset(WeightVector(mu, system) for mu in _support_coords(system, top))
 
 
 @lru_cache(maxsize=None)
 def _multiplicity_table(
     system: RootSystemData, top: tuple[int, ...]
 ) -> dict[tuple[int, ...], int]:
-    """Freudenthal recursion over the integer-scaled realisation.
+    """Freudenthal recursion in integer fundamental coordinates.
 
-    The recursion runs level by level (by height of top - mu); the choice of
-    invariant form cancels between numerator and denominator, so the
-    per-factor integer scaling gives the same multiplicities as the exact
-    rational realisation.
+    With lambda = top and n the depth of mu (top - mu = sum n_i alpha_i),
+    the two inner products the formula needs are
+
+        (mu + k alpha, alpha) = (alpha, alpha)/2 * (<mu, alpha^vee> + 2k),
+        |lambda + rho|^2 - |mu + rho|^2
+            = sum_i n_i (alpha_i, alpha_i)/2 * (lambda_i + mu_i + 2),
+
+    since rho = (1, ..., 1).  The recursion runs level by level, by the
+    height sum(n).
     """
-    system_rank = system.rank
-    cartan = system.cartan_matrix
     support = _support_coords(system, top)
-
-    def height(mu: tuple[int, ...]) -> Fraction:
-        diff = tuple(t - m for t, m in zip(top, mu))
-        return sum(_simple_root_coefficients(system, diff))
-
-    ordered = sorted(support, key=lambda mu: (height(mu), mu))
-    euclid = {mu: _int_euclid(system, mu) for mu in support}
-    rho = system.int_rho
-    top_e = euclid[top]
-    lam_rho = tuple(a + b for a, b in zip(top_e, rho))
-    lam_norm = _idot(lam_rho, lam_rho)
-
-    # fundamental coordinates of each positive root
-    alpha_fund = [
-        tuple(
-            sum(coeffs[i] * cartan[j][i] for i in range(system_rank))
-            for j in range(system_rank)
-        )
-        for coeffs in system.positive_root_coefficients
-    ]
-
+    positive = [system.root_table[r] for r in system.positive_roots]
+    simple_half = [system.root_table[a].half_norm for a in system.simple_roots]
     mults: dict[tuple[int, ...], int] = {top: 1}
-    for mu in ordered:
+    for mu in sorted(support, key=lambda mu: (sum(support[mu]), mu)):
         if mu == top:
             continue
-        mu_e = euclid[mu]
         num = 0
-        for af, alpha_e in zip(alpha_fund, system.int_positive):
+        for entry in positive:
+            value = sum(m * c for m, c in zip(mu, entry.coroot))
+            up = mu
             k = 1
             while True:
-                up = tuple(m + k * a for m, a in zip(mu, af))
+                up = tuple(u + a for u, a in zip(up, entry.fundamental))
                 if up not in support:
                     break
                 # mu + k*alpha sits strictly above mu, so it is already done
-                up_e = tuple(a + k * b for a, b in zip(mu_e, alpha_e))
-                num += _idot(up_e, alpha_e) * mults[up]
+                num += entry.half_norm * (value + 2 * k) * mults[up]
                 k += 1
-        mu_rho = tuple(a + b for a, b in zip(mu_e, rho))
-        denom = lam_norm - _idot(mu_rho, mu_rho)
+        denom = sum(
+            h * n * (t + m + 2)
+            for h, n, t, m in zip(simple_half, support[mu], top, mu)
+        )
         if denom <= 0 or (2 * num) % denom != 0 or 2 * num <= 0:
             raise VerificationError(
                 f"Freudenthal at {mu} below {top} in {system.kind}: 2*{num}/{denom}"
@@ -537,25 +445,20 @@ def weight_multiplicities(highest: WeightVector) -> dict[WeightVector, int]:
     system = highest.system
     top = tuple(int(c) for c in highest.coords)
     table = _multiplicity_table(system, top)
-    return {
-        WeightVector(tuple(Fraction(c) for c in mu), system): m
-        for mu, m in table.items()
-    }
+    return {WeightVector(mu, system): m for mu, m in table.items()}
 
 
 def dimension(highest: WeightVector) -> int:
-    """Weyl dimension formula, prod <lam+rho, alpha> / <rho, alpha>."""
+    """Weyl dimension formula, prod <lam+rho, alpha^vee> / <rho, alpha^vee>."""
     _require_dominant_integral(highest)
     system = highest.system
     top = tuple(int(c) for c in highest.coords)
-    lam = _int_euclid(system, top)
-    rho = system.int_rho
-    lam_rho = tuple(a + b for a, b in zip(lam, rho))
     num = 1
     den = 1
-    for alpha_e in system.int_positive:
-        num *= _idot(lam_rho, alpha_e)
-        den *= _idot(rho, alpha_e)
+    for root in system.positive_roots:
+        coroot = system.root_table[root].coroot
+        num *= sum((t + 1) * c for t, c in zip(top, coroot))
+        den *= sum(coroot)
     if num % den != 0:
         raise VerificationError(f"Weyl dimension of {top} is {num}/{den}")
     return num // den

@@ -104,6 +104,20 @@ def test_route_agreement_to_bound_ten():
         assert sweep(algebra, 10)["agreement"]
 
 
+@pytest.mark.parametrize(
+    "algebra,bound,expected",
+    [
+        ("sp4", 14, {(1, 0)}),
+        ("su21", 20, {(1, 0), (0, 1)}),
+        ("sp4su11", 10, {(1, 0, 0)} | {(0, 0, k) for k in range(1, 11, 2)}),
+    ],
+)
+def test_rank_two_sweeps_beyond_the_acceptance_bounds(algebra, bound, expected):
+    result = sweep(algebra, bound)
+    assert result["agreement"]
+    assert {r["weight"] for r in result["rows"] if r["verdict"].tight} == expected
+
+
 def test_replay_rejects_tampered_witness():
     from dataclasses import replace
 
@@ -133,6 +147,10 @@ def test_replay_rejects_tampered_witness():
             for forged in (
                 replace(wit, evaluation=(wit.evaluation or 0) + 1),
                 replace(wit, pairing_lhs=(wit.pairing_lhs or 0) + 1),
+                *(replace(wit, subalgebra=s) for s in ("a1", "a3", "2a1")
+                  if s != wit.subalgebra),
+                replace(wit, weight=(wit.weight or ()) + (0,)),
+                replace(wit, weight=(1,)),
                 *foreign,
             ):
                 assert not replay_witness(replace(verdict, witness=forged)), (

@@ -175,6 +175,32 @@ def test_exit_codes(capsys):
     assert code == VALIDATION_ERROR
 
 
+def test_lemma_bla_range_below_the_battery_is_a_validation_error(capsys):
+    code, out, err = run(capsys, "verify", "lemma-bla", "--p-range", "1:4")
+    assert code == VALIDATION_ERROR and "1:4" in err and out == ""
+
+    code, doc, _ = run_json(capsys, "verify", "lemma-bla", "--p-range", "5:5")
+    assert code == OK and doc["rows"][0]["status"] == "infeasible"
+
+
+@pytest.mark.parametrize("command", ["classify", "branch"])
+def test_negative_weight_is_a_validation_error(capsys, command):
+    extra = ("--sub", "a1+a2") if command == "branch" else ()
+    code, _, err = run(capsys, command, "--algebra", "sp4", "--weight", "-1,0", *extra)
+    assert code == VALIDATION_ERROR and "not dominant integral" in err
+
+
+@pytest.mark.parametrize(
+    "algebra,sub", [("sp4", "a1"), ("sp4", "2a1"), ("su21", "a2")]
+)
+def test_subalgebra_errors_print_no_fraction_reprs(capsys, algebra, sub):
+    code, _, err = run(
+        capsys, "branch", "--algebra", algebra, "--weight", "1,1", "--sub", sub
+    )
+    assert code == VALIDATION_ERROR
+    assert "Fraction(" not in err
+
+
 def test_out_writes_file(tmp_path, capsys):
     target = tmp_path / "report.json"
     code, out, _ = run(

@@ -1,5 +1,6 @@
 """Root-system data, orbits, supports, multiplicities, dimensions."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -92,6 +93,33 @@ def test_c2_coroot_identities(k, l):
     w = weight(C2, (k, l))
     assert eval_on_coroot(w, vsum(a1, a2)) == k + 2 * l
     assert eval_on_coroot(w, vsum(a1, a1, a2)) == k + l
+
+
+ORACLE_COORDS = tuple(range(-3, 4)) + (Fraction(1, 2), Fraction(-3, 2))
+
+
+@pytest.mark.parametrize("system", SYSTEMS, ids=lambda s: s.kind)
+def test_eval_on_coroot_matches_euclidean_oracle(system):
+    roots = system.roots()
+    assert len(roots) == 2 * len(system.positive_roots)
+    for coords in itertools.product(ORACLE_COORDS, repeat=system.rank):
+        w = weight(system, coords)
+        e = w.euclid()
+        for r in roots:
+            assert eval_on_coroot(w, r) == 2 * dot(e, r) / dot(r, r), (coords, r)
+
+
+@pytest.mark.parametrize("system", SYSTEMS, ids=lambda s: s.kind)
+def test_dimension_matches_euclidean_weyl_product(system):
+    rho = tuple(sum(parts) for parts in zip(*system.fundamental_weights))
+    for top in itertools.product(range(7), repeat=system.rank):
+        if sum(top) > 6:
+            continue
+        lam_rho = tuple(a + b for a, b in zip(weight(system, top).euclid(), rho))
+        expected = Fraction(1)
+        for alpha in system.positive_roots:
+            expected *= dot(lam_rho, alpha) / dot(rho, alpha)
+        assert dimension(weight(system, top)) == expected, top
 
 
 def test_weyl_orbit_examples():
