@@ -128,6 +128,9 @@ class Witness:
     pairing_lhs: Fraction | None = None
     pairing_rhs: Fraction | None = None
 
+    def __str__(self) -> str:  # the set fields in wire order, rationals as p/q
+        return ", ".join(f"{k}={v}" for k, v in vars(self).items() if v is not None)
+
 
 @dataclass(frozen=True)
 class TightnessVerdict:

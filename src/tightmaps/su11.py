@@ -2,20 +2,22 @@
 
 The degree-k model lives on the symmetric power of the standard
 representation, carries an invariant indefinite Hermitian form, and is
-stored by its diagonalised central element: every Z-image is ``i*diag(d)``
-with ``d`` a trace-zero tuple of rationals, basis ordered positive vectors
-first.  The trace pairing of two such diagonals against each other drives
-the diagonal-disc tightness criterion; tensor products under both complex
-structures cover the two-factor case.
+stored by its doubled central element: every Z-image is ``i*diag(d/2)``
+with ``d`` a trace-zero tuple of integers, basis ordered positive vectors
+first.  Pairing ``d`` against the integer element ``(p+q) Z`` of su(p,q)
+and dividing once by ``2(p+q)`` drives the diagonal-disc criterion; tensor
+products under both complex structures cover the two-factor case.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-Diagonal = tuple[Fraction, ...]
+Diagonal = tuple[int, ...]  # doubled: d for the Z-image i*diag(d/2)
+Exact = int | Fraction
 
 
 @dataclass(frozen=True)
@@ -40,21 +42,26 @@ class SignaturePair:
 
 @dataclass(frozen=True)
 class ExplicitRep:
-    """A representation given by its form signature and diagonal Z-image."""
+    """A representation given by its form signature and doubled Z-image."""
 
     dim: int
     signature: SignaturePair
-    z_diagonal: Diagonal
+    z_doubled: Diagonal
     basis_labels: tuple[str, ...]
     positive_first: bool = True
 
     def __post_init__(self):
         if self.signature.dim != self.dim:
             raise ValueError("signature does not sum to the dimension")
-        if len(self.z_diagonal) != self.dim or len(self.basis_labels) != self.dim:
+        if len(self.z_doubled) != self.dim or len(self.basis_labels) != self.dim:
             raise ValueError("diagonal/basis length mismatch")
-        if sum(self.z_diagonal) != 0:
+        if sum(self.z_doubled) != 0:
             raise ValueError("Z-image must be trace free")
+
+    @property
+    def z_diagonal(self) -> tuple[Fraction, ...]:
+        """The Z-image diagonal itself, in exact rationals."""
+        return tuple(Fraction(d, 2) for d in self.z_doubled)
 
 
 @dataclass(frozen=True)
@@ -81,59 +88,64 @@ def sym_power_rep(k: int) -> ExplicitRep:
     """Degree-k symmetric power of the standard su(1,1)-representation.
 
     Basis ordered positive vectors first: monomials e1^(k-m) e2^m with m
-    even, then m odd; the Z-eigenvalue on e1^(k-m) e2^m is (k-2m)/2.
+    even, then m odd; the Z-eigenvalue on e1^(k-m) e2^m is (k-2m)/2, stored
+    doubled as k-2m.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
-    even_m = [m for m in range(k + 1) if m % 2 == 0]
-    odd_m = [m for m in range(k + 1) if m % 2 == 1]
-    diag = tuple(Fraction(k - 2 * m, 2) for m in even_m + odd_m)
-    labels = tuple(f"e1^{k - m} e2^{m}" for m in even_m + odd_m)
+    order = [*range(0, k + 1, 2), *range(1, k + 1, 2)]
     return ExplicitRep(
         dim=k + 1,
-        signature=SignaturePair(len(even_m), len(odd_m)),
-        z_diagonal=diag,
-        basis_labels=labels,
+        signature=SignaturePair(k // 2 + 1, (k + 1) // 2),
+        z_doubled=tuple([k - 2 * m for m in order]),
+        basis_labels=tuple([f"e1^{k - m} e2^{m}" for m in order]),
     )
 
 
-def z_element(p: int, q: int) -> Diagonal:
+def _scaled_z_element(p: int, q: int) -> tuple[int, ...]:
+    """(p+q) times the central element of su(p,q): q, ..., -p, ..."""
+    if p < q or q < 0:
+        raise ValueError("expected p >= q >= 0")
+    if p + q < 2:
+        raise ValueError("su(p,q) needs p+q >= 2")
+    return (q,) * p + (-p,) * q
+
+
+def z_element(p: int, q: int) -> tuple[Fraction, ...]:
     """Diagonal of the central element of su(p,q), positive block first.
 
     i*diag(q/(p+q), ..., -p/(p+q), ...); the restriction to any 2x2 block of
     a diagonal disc has eigenvalues +-1/2.
     """
-    if p < q or q < 0:
-        raise ValueError("expected p >= q >= 0")
-    if p + q < 2:
-        raise ValueError("su(p,q) needs p+q >= 2")
-    n = p + q
-    return tuple([Fraction(q, n)] * p + [Fraction(-p, n)] * q)
+    return tuple(Fraction(v, p + q) for v in _scaled_z_element(p, q))
 
 
 def diagonal_disc_z(p: int, q: int) -> Diagonal:
-    """Z-image of the diagonal disc of su(p,q).
+    """Doubled Z-image of the diagonal disc of su(p,q).
 
     Explicit block-diagonal embedding: min(p,q) blocks pair one positive
-    with one negative basis vector and carry eigenvalues +-1/2; leftover
-    positive directions are untouched.
+    with one negative basis vector and carry eigenvalues +-1/2 (doubled
+    +-1); leftover positive directions are untouched.
     """
     r = min(p, q)
-    return tuple(
-        [Fraction(1, 2)] * r + [Fraction(0)] * (p - r) + [Fraction(-1, 2)] * q
-    )
+    return (1,) * r + (0,) * (p - r) + (-1,) * q
 
 
-def pairing(x: Diagonal, y: Diagonal) -> Fraction:
-    """tr(X* Y) for X = i*diag(x), Y = i*diag(y): the sum of x_j * y_j."""
+def pairing(x: tuple[Exact, ...], y: tuple[Exact, ...]) -> Exact:
+    """tr(X* Y) for X = i*diag(x), Y = i*diag(y): the exact sum of x_j * y_j."""
     if len(x) != len(y):
         raise ValueError(f"length mismatch: {len(x)} vs {len(y)}")
-    return sum((a * b for a, b in zip(x, y)), Fraction(0))
+    return sum(map(operator.mul, x, y))
+
+
+def _pair_with_z(doubled: Diagonal, p: int, q: int) -> Fraction:
+    """Pairing of a doubled diagonal with the central element of su(p,q)."""
+    return Fraction(pairing(doubled, _scaled_z_element(p, q)), 2 * (p + q))
 
 
 def disc_pairing_value(p: int, q: int) -> Fraction:
     """Pairing of the diagonal disc of su(p,q) against its central element."""
-    return pairing(diagonal_disc_z(p, q), z_element(p, q))
+    return _pair_with_z(diagonal_disc_z(p, q), p, q)
 
 
 def sym_power_pairing(k: int) -> tuple[Fraction, Fraction]:
@@ -143,7 +155,7 @@ def sym_power_pairing(k: int) -> tuple[Fraction, Fraction]:
     """
     rep = sym_power_rep(k)
     sig = rep.signature
-    lhs = pairing(rep.z_diagonal, z_element(sig.p, sig.q))
+    lhs = _pair_with_z(rep.z_doubled, sig.p, sig.q)
     return lhs, disc_pairing_value(sig.p, sig.q)
 
 
@@ -169,7 +181,7 @@ def clebsch_gordan(k: int, l: int) -> tuple[int, ...]:
 
 def _split(rep: ExplicitRep) -> tuple[Diagonal, Diagonal]:
     p = rep.signature.p
-    return rep.z_diagonal[:p], rep.z_diagonal[p:]
+    return rep.z_doubled[:p], rep.z_doubled[p:]
 
 
 def tensor_rep(k: int, l: int, structure: StructureChoice) -> ExplicitRep:
@@ -206,7 +218,7 @@ def tensor_rep(k: int, l: int, structure: StructureChoice) -> ExplicitRep:
     return ExplicitRep(
         dim=(k + 1) * (l + 1),
         signature=tensor_signature(k, l),
-        z_diagonal=diag,
+        z_doubled=diag,
         basis_labels=labels,
     )
 
@@ -231,7 +243,7 @@ def tensor_factor_pairings(k: int, l: int) -> tuple[Fraction, Fraction]:
 def tensor_pairing(k: int, l: int, structure: StructureChoice) -> Fraction:
     sig = tensor_signature(k, l)
     rep = tensor_rep(k, l, structure)
-    return pairing(rep.z_diagonal, z_element(sig.p, sig.q))
+    return _pair_with_z(rep.z_doubled, sig.p, sig.q)
 
 
 def best_tensor_pairing(k: int, l: int) -> tuple[Fraction, Fraction]:
@@ -258,6 +270,6 @@ def tight_tensor_by_pairing(k: int, l: int) -> bool:
     # coefficient of the pullback of the Kahler class of su(p,q) along the
     # diagonal su(1,1); pullback does not increase the norm, which is pi
     # times the rank (Domic-Toledo), so |pairing| <= rank/2, the disc value.
-    # Exact computation confirms the bound for all k, l < 25.
+    # tests/test_su11.py checks the bound exactly for all k, l < 25.
     best, disc = best_tensor_pairing(k, l)
     return abs(best) == abs(disc)

@@ -1,5 +1,8 @@
 """Classification engine: routes, witnesses, sweeps, conversions."""
 
+from dataclasses import replace
+from fractions import Fraction
+
 import pytest
 
 from tightmaps import kahler
@@ -119,8 +122,6 @@ def test_rank_two_sweeps_beyond_the_acceptance_bounds(algebra, bound, expected):
 
 
 def test_replay_rejects_tampered_witness():
-    from dataclasses import replace
-
     verdict = classify("sp4", (0, 2))
     forged = replace(verdict, witness=replace(verdict.witness, evaluation=6))
     assert not replay_witness(forged)
@@ -156,6 +157,31 @@ def test_replay_rejects_tampered_witness():
                 assert not replay_witness(replace(verdict, witness=forged)), (
                     algebra, verdict.weight, forged,
                 )
+
+
+def test_every_pairing_witness_mutation_fails_replay():
+    half = Fraction(1, 2)
+    verdicts = [
+        *(classify("su11", w) for w in dominant_weights("su11", 50)),
+        *(classify("su11xsu11", w) for w in dominant_weights("su11xsu11", 10)),
+        *(classify("sp4su11", (0, 0, k)) for k in range(11)),
+    ]
+    rows = [v for v in verdicts if v.witness.kind == "pairing"]
+    assert {v.algebra for v in rows} == {"su11", "su11xsu11", "sp4su11"}
+    for verdict in rows:
+        wit = verdict.witness
+        lhs, rhs = wit.pairing_lhs, wit.pairing_rhs
+        assert replay_witness(verdict)
+        forgeries = [replace(wit, pairing_lhs=lhs + d) for d in (half, -half)]
+        forgeries += [replace(wit, pairing_rhs=rhs + d) for d in (half, -half)]
+        if lhs != 0:
+            forgeries.append(replace(wit, pairing_lhs=-lhs))
+        if lhs != rhs:
+            forgeries.append(replace(wit, pairing_lhs=rhs, pairing_rhs=lhs))
+        for forged in forgeries:
+            assert not replay_witness(replace(verdict, witness=forged)), (
+                verdict.algebra, verdict.weight, forged,
+            )
 
 
 def test_nontight_propagation_is_monotone():

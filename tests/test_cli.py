@@ -5,6 +5,7 @@ import json
 import pytest
 
 import tightmaps.branching
+import tightmaps.classify
 from tightmaps.cli import (
     OK,
     USAGE_ERROR,
@@ -232,6 +233,15 @@ def test_failed_exactness_check_is_a_verification_failure(monkeypatch, capsys):
     assert code == VERIFICATION_FAILURE
     assert err.startswith("verification failure: ")
     assert "branching lost dimensions" in err
+
+
+def test_failed_replay_names_the_row_and_prints_the_wire_witness(monkeypatch, capsys):
+    monkeypatch.setattr(tightmaps.classify, "replay_witness", lambda verdict: False)
+    code, _, err = run(capsys, "classify", "--algebra", "su11", "--weight", "4")
+    assert code == VERIFICATION_FAILURE
+    assert "Fraction(" not in err and "Witness(" not in err
+    assert err.startswith("verification failure: su11 (4,): witness failed replay: ")
+    assert "kind=pairing, pairing_lhs=0, pairing_rhs=1" in err
 
 
 def test_default_format_is_markdown(capsys):

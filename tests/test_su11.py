@@ -14,6 +14,7 @@ from tightmaps.su11 import (
     disc_pairing_value,
     pairing,
     structure_representatives,
+    sym_power_pairing,
     sym_power_rep,
     tensor_factor_pairings,
     tensor_pairing,
@@ -216,3 +217,46 @@ def test_mixed_parity_pairing_values():
             sig = tensor_signature(k, l)
             assert (sig.p, sig.q) == (p * (2 * q + 1), p * (2 * q + 1))
             assert disc_pairing_value(sig.p, sig.q) == F(p * (2 * q + 1), 2)
+
+
+def _fraction_disc(p, q):
+    # the diagonal disc's Z-image in rationals, built independently of su11
+    r = min(p, q)
+    return (F(1, 2),) * r + (F(0),) * (p - r) + (F(-1, 2),) * q
+
+
+def _exactly(value, expected):
+    return type(value) is Fraction and value == expected
+
+
+def test_integer_pairings_match_the_fraction_oracle():
+    for k in [*range(1, 61), 999, 1000]:
+        rep = sym_power_rep(k)
+        p, q = rep.signature.p, rep.signature.q
+        lhs, disc = sym_power_pairing(k)
+        assert _exactly(lhs, pairing(rep.z_diagonal, z_element(p, q))), k
+        assert _exactly(disc, pairing(_fraction_disc(p, q), z_element(p, q))), k
+    for k in range(13):
+        for l in range(13):
+            if (k, l) == (0, 0):
+                continue
+            sig = tensor_signature(k, l)
+            for s in structure_representatives(2):
+                oracle = pairing(tensor_rep(k, l, s).z_diagonal, z_element(sig.p, sig.q))
+                assert _exactly(tensor_pairing(k, l, s), oracle), (k, l, s)
+    for p in range(1, 30):
+        for q in range(1, min(p, 30 - p) + 1):
+            oracle = pairing(_fraction_disc(p, q), z_element(p, q))
+            assert _exactly(disc_pairing_value(p, q), oracle), (p, q)
+
+
+def test_no_structure_pairing_exceeds_the_disc_value():
+    # tight_tensor_by_pairing compares only the largest pairing with the disc
+    for k in range(25):
+        for l in range(25):
+            if (k, l) == (0, 0):
+                continue
+            sig = tensor_signature(k, l)
+            disc = disc_pairing_value(sig.p, sig.q)
+            for s in structure_representatives(2):
+                assert abs(tensor_pairing(k, l, s)) <= disc, (k, l, s)
