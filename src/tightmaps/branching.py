@@ -12,6 +12,8 @@ the signatures of the explicit models carrying them.
 
 from __future__ import annotations
 
+import itertools
+import operator
 import re
 from collections import Counter
 from dataclasses import dataclass
@@ -196,63 +198,57 @@ class BranchingResult:
 def evaluation_multiset(highest: WeightVector, sub: SubalgebraSpec) -> Counter:
     """Coroot evaluations of every weight, with multiplicity.
 
-    The weights carry integer coordinates and the coroot table is integral,
-    so every evaluation is an int.
+    The weights carry integer coordinates and each coroot of B is an integer
+    row of the root table, so every evaluation is an int.
     """
+    coroots = [highest.system.root_table[beta].coroot for beta in sub.roots_b]
     out: Counter = Counter()
     for mu, m in weight_multiplicities(highest).items():
-        out[tuple(eval_on_coroot(mu, beta) for beta in sub.roots_b)] += m
+        coords = mu.coords
+        out[tuple(sum(map(operator.mul, coords, row)) for row in coroots)] += m
     return out
 
 
-def _peel_sl2(values: Counter) -> list[int]:
-    remaining = Counter(values)
-    factors = []
-    while remaining:
-        top = max(remaining)
-        m = top[0]
-        if m < 0:
-            raise ValueError("evaluation multiset is not symmetric")
-        for v in range(m, -m - 1, -2):
-            if remaining[(v,)] <= 0:
-                raise ValueError(f"string peeling failed at value {v}")
-            remaining[(v,)] -= 1
-            if remaining[(v,)] == 0:
-                del remaining[(v,)]
-        factors.append(m)
-    return factors
+def _peel_strings(values: Counter) -> list[tuple[int, ...]]:
+    """Highest weights of the sl2 or sl2xsl2 strings making up ``values``.
 
-
-def _peel_sl2xsl2(values: Counter) -> list[tuple[int, int]]:
-    remaining = Counter(values)
-    factors = []
-    while remaining:
-        m, n = max(remaining)
-        if m < 0 or n < 0:
-            raise ValueError("evaluation multiset is not bi-symmetric")
-        for v in range(m, -m - 1, -2):
-            for w in range(n, -n - 1, -2):
-                if remaining[(v, w)] <= 0:
-                    raise ValueError(f"string peeling failed at value {(v, w)}")
-                remaining[(v, w)] -= 1
-                if remaining[(v, w)] == 0:
-                    del remaining[(v, w)]
-        factors.append((m, n))
-    return factors
+    A multiset N that each sign flip of a coordinate preserves is a unique
+    virtual sum of strings, with sum_s (-1)^(|s|/2) N(m + s), s over
+    {0, 2}^r, strings of highest weight m: N(m) - N(m+2) for one factor,
+    N(m,n) - N(m+2,n) - N(m,n+2) + N(m+2,n+2) for two.  It is a genuine
+    sum iff no count is negative.
+    """
+    for key, count in values.items():
+        for i, v in enumerate(key):
+            if v and values[key[:i] + (-v,) + key[i + 1:]] != count:
+                raise ValueError(f"evaluation multiset is not symmetric at {key}")
+    rank = len(next(iter(values), ()))
+    shifts = [(s, (-1) ** (sum(s) // 2)) for s in itertools.product((0, 2), repeat=rank)]
+    counts: Counter = Counter()
+    for key, count in values.items():
+        if min(key) >= 0:
+            # N(key) enters the count of each m = key - s with m >= 0
+            for s, sign in shifts:
+                m = tuple(map(operator.sub, key, s))
+                if min(m) >= 0:
+                    counts[m] += sign * count
+    for m, count in counts.items():
+        if count < 0:
+            raise ValueError(f"string peeling failed at value {m}")
+    return list(counts.elements())
 
 
 def restrict_rep(highest: WeightVector, sub: SubalgebraSpec) -> BranchingResult:
     """Decompose the restriction of an irreducible into sl2 strings.
 
-    Peels the evaluation multiset greedily from the top; the result is
+    Peels the evaluation multiset by second differences; the result is
     checked for dimension conservation against the ambient irreducible.
     """
-    values = evaluation_multiset(highest, sub)
+    factors = sorted(_peel_strings(evaluation_multiset(highest, sub)), reverse=True)
     if sub.target_kind == SL2:
-        factors = sorted(_peel_sl2(values), reverse=True)
+        factors = [m for (m,) in factors]
         signatures = tuple(sym_power_rep(m).signature for m in factors)
     else:
-        factors = sorted(_peel_sl2xsl2(values), reverse=True)
         signatures = tuple(tensor_signature(m, n) for m, n in factors)
     result = BranchingResult(
         target_kind=sub.target_kind,

@@ -13,13 +13,17 @@ holding every root's simple-root coefficients, coroot functional,
 fundamental coordinates and half squared length.  Weights are stored by
 their coordinates in the fundamental-weight basis, and coroot evaluation,
 weight supports, Freudenthal multiplicities and the Weyl dimension formula
-all run on integers through that table.  Euclidean vectors remain the
-names of roots, and the oracle the tests check the table against.
+all run on integers through that table.  Freudenthal runs on the dominant
+weights only; every other weight takes the multiplicity of its dominant
+Weyl representative, and the support is the union of their orbits.
+Euclidean vectors remain the names of roots, and the oracle the tests
+check the table against.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -319,18 +323,8 @@ def reflect_simple(w: WeightVector, i: int) -> WeightVector:
 
 def weyl_orbit(w: WeightVector) -> frozenset[WeightVector]:
     """Closure of ``w`` under all simple reflections."""
-    seen = {w}
-    frontier = [w]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for i in range(w.system.rank):
-                r = reflect_simple(v, i)
-                if r not in seen:
-                    seen.add(r)
-                    nxt.append(r)
-        frontier = nxt
-    return frozenset(seen)
+    orbit = _orbit_coords(w.system, w.coords)
+    return frozenset(WeightVector(nu, w.system) for nu in orbit)
 
 
 def _require_dominant_integral(w: WeightVector) -> None:
@@ -340,102 +334,98 @@ def _require_dominant_integral(w: WeightVector) -> None:
         raise ValueError(f"weight {show_vector(w.coords)} is not dominant")
 
 
-def _support_coords(
-    system: RootSystemData, top: tuple[int, ...]
-) -> dict[tuple[int, ...], tuple[int, ...]]:
-    """All weights mu of the irrep ``top``, each with its depth below ``top``.
-
-    The depth of mu is the simple-root coefficient vector of top - mu.  A
-    candidate mu (in top - Q+) belongs to the support iff its dominant Weyl
-    representative mu+ satisfies top - mu+ in Q+.  Reflecting mu by s_i
-    subtracts mu_i alpha_i, which adds mu_i to depth i.  Candidates are
-    generated by walking down simple roots from the highest weight; every
-    weight of an irrep is reachable this way.
-    """
-    cartan = system.cartan_matrix
-    rank = system.rank
-
-    def member(mu: tuple[int, ...], depth: tuple[int, ...]) -> bool:
-        cur, depth = list(mu), list(depth)
-        while True:
-            neg = next((i for i, c in enumerate(cur) if c < 0), None)
-            if neg is None:
-                return all(n >= 0 for n in depth)
-            mi = cur[neg]
-            depth[neg] += mi
-            for j in range(rank):
-                cur[j] -= mi * cartan[j][neg]
-
-    support = {top: (0,) * rank}
-    frontier = [top]
-    while frontier:
-        nxt = []
-        for mu in frontier:
-            depth = support[mu]
-            for i in range(rank):
-                cand = tuple(mu[j] - cartan[j][i] for j in range(rank))
-                if cand in support:
-                    continue
-                cand_depth = depth[:i] + (depth[i] + 1,) + depth[i + 1:]
-                if member(cand, cand_depth):
-                    support[cand] = cand_depth
-                    nxt.append(cand)
-        frontier = nxt
-    return support
-
-
 def weight_support(highest: WeightVector) -> frozenset[WeightVector]:
     """All weights of the irreducible representation with this highest weight."""
-    _require_dominant_integral(highest)
-    system = highest.system
-    top = tuple(int(c) for c in highest.coords)
-    return frozenset(WeightVector(mu, system) for mu in _support_coords(system, top))
+    return frozenset(weight_multiplicities(highest))
+
+
+def _orbit_coords(system: RootSystemData, mu: tuple) -> list[tuple]:
+    """Closure of the coordinates ``mu`` under all simple reflections.
+
+    s_i subtracts mu_i alpha_i, whose coordinates are column i of the
+    Cartan matrix; it fixes a weight with mu_i = 0.
+    """
+    columns = list(zip(*system.cartan_matrix))
+    orbit, seen = [mu], {mu}
+    for nu in orbit:
+        for ni, column in zip(nu, columns):
+            if ni:
+                image = tuple([x - ni * c for x, c in zip(nu, column)])
+                if image not in seen:
+                    seen.add(image)
+                    orbit.append(image)
+    return orbit
 
 
 @lru_cache(maxsize=None)
 def _multiplicity_table(
     system: RootSystemData, top: tuple[int, ...]
 ) -> dict[tuple[int, ...], int]:
-    """Freudenthal recursion in integer fundamental coordinates.
+    """Freudenthal recursion on dominant weights, filled out along Weyl orbits.
 
-    With lambda = top and n the depth of mu (top - mu = sum n_i alpha_i),
-    the two inner products the formula needs are
+    Multiplicities are Weyl invariant, so the recursion runs only on the
+    dominant weights of the irrep, in order of their height below the top,
+    and every other weight takes the multiplicity of its dominant
+    representative (Moody-Patera, 1982).  The support is the union of the
+    orbits of the dominant weights.  With lambda = top and n the depth of
+    mu (top - mu = sum n_i alpha_i), the two inner products the formula
+    needs are
 
         (mu + k alpha, alpha) = (alpha, alpha)/2 * (<mu, alpha^vee> + 2k),
         |lambda + rho|^2 - |mu + rho|^2
             = sum_i n_i (alpha_i, alpha_i)/2 * (lambda_i + mu_i + 2),
 
-    since rho = (1, ..., 1).  The recursion runs level by level, by the
-    height sum(n).
+    since rho = (1, ..., 1).  The multiplicities must sum to the Weyl
+    dimension.
     """
-    support = _support_coords(system, top)
+    # The dominant weights below the top, each with its depth (top - mu in
+    # simple roots).  Two dominant weights mu < nu are joined by a chain of
+    # dominant weights whose steps are positive roots (Stembridge, 1998), so
+    # descending by positive roots through dominant weights reaches them all.
     positive = [system.root_table[r] for r in system.positive_roots]
+    depths = {top: (0,) * system.rank}
+    found = [top]
+    for mu in found:
+        for entry in positive:
+            cand = tuple(map(operator.sub, mu, entry.fundamental))
+            if min(cand) >= 0 and cand not in depths:
+                depths[cand] = tuple(map(operator.add, depths[mu], entry.coefficients))
+                found.append(cand)
+    representative = {nu: mu for mu in found for nu in _orbit_coords(system, mu)}
     simple_half = [system.root_table[a].half_norm for a in system.simple_roots]
-    mults: dict[tuple[int, ...], int] = {top: 1}
-    for mu in sorted(support, key=lambda mu: (sum(support[mu]), mu)):
+    dominant: dict[tuple[int, ...], int] = {top: 1}
+    for mu in sorted(depths, key=lambda mu: (sum(depths[mu]), mu)):
         if mu == top:
             continue
         num = 0
         for entry in positive:
-            value = sum(m * c for m, c in zip(mu, entry.coroot))
+            value = sum(map(operator.mul, mu, entry.coroot))
             up = mu
             k = 1
             while True:
-                up = tuple(u + a for u, a in zip(up, entry.fundamental))
-                if up not in support:
+                up = tuple(map(operator.add, up, entry.fundamental))
+                rep = representative.get(up)
+                if rep is None:
                     break
-                # mu + k*alpha sits strictly above mu, so it is already done
-                num += entry.half_norm * (value + 2 * k) * mults[up]
+                # the dominant representative of mu + k*alpha sits strictly
+                # above mu, so it is already done
+                num += entry.half_norm * (value + 2 * k) * dominant[rep]
                 k += 1
         denom = sum(
             h * n * (t + m + 2)
-            for h, n, t, m in zip(simple_half, support[mu], top, mu)
+            for h, n, t, m in zip(simple_half, depths[mu], top, mu)
         )
         if denom <= 0 or (2 * num) % denom != 0 or 2 * num <= 0:
             raise VerificationError(
                 f"Freudenthal at {mu} below {top} in {system.kind}: 2*{num}/{denom}"
             )
-        mults[mu] = (2 * num) // denom
+        dominant[mu] = (2 * num) // denom
+    mults = {nu: dominant[mu] for nu, mu in representative.items()}
+    total, dim = sum(mults.values()), _weyl_dimension(system, top)
+    if total != dim:
+        raise VerificationError(
+            f"multiplicities of {top} in {system.kind} sum to {total}, not {dim}"
+        )
     return mults
 
 
@@ -451,8 +441,10 @@ def weight_multiplicities(highest: WeightVector) -> dict[WeightVector, int]:
 def dimension(highest: WeightVector) -> int:
     """Weyl dimension formula, prod <lam+rho, alpha^vee> / <rho, alpha^vee>."""
     _require_dominant_integral(highest)
-    system = highest.system
-    top = tuple(int(c) for c in highest.coords)
+    return _weyl_dimension(highest.system, tuple(int(c) for c in highest.coords))
+
+
+def _weyl_dimension(system: RootSystemData, top: tuple[int, ...]) -> int:
     num = 1
     den = 1
     for root in system.positive_roots:

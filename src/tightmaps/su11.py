@@ -12,6 +12,7 @@ products under both complex structures cover the two-factor case.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -42,19 +43,25 @@ class SignaturePair:
 
 @dataclass(frozen=True)
 class ExplicitRep:
-    """A representation given by its form signature and doubled Z-image."""
+    """A representation given by its form signature and doubled Z-image.
+
+    ``degrees`` is (k,) for the degree-k model and (k, l) for the tensor
+    product of the degree-k and degree-l models.
+    """
 
     dim: int
     signature: SignaturePair
     z_doubled: Diagonal
-    basis_labels: tuple[str, ...]
+    degrees: tuple[int, ...]
     positive_first: bool = True
 
     def __post_init__(self):
         if self.signature.dim != self.dim:
             raise ValueError("signature does not sum to the dimension")
-        if len(self.z_doubled) != self.dim or len(self.basis_labels) != self.dim:
+        if len(self.z_doubled) != self.dim:
             raise ValueError("diagonal/basis length mismatch")
+        if math.prod(d + 1 for d in self.degrees) != self.dim:
+            raise ValueError("degrees do not match the dimension")
         if sum(self.z_doubled) != 0:
             raise ValueError("Z-image must be trace free")
 
@@ -62,6 +69,19 @@ class ExplicitRep:
     def z_diagonal(self) -> tuple[Fraction, ...]:
         """The Z-image diagonal itself, in exact rationals."""
         return tuple(Fraction(d, 2) for d in self.z_doubled)
+
+    @property
+    def basis_labels(self) -> tuple[str, ...]:
+        """Names of the basis vectors, in the order of ``z_doubled``.
+
+        The degree-k model's entry d names e1^((k+d)/2) e2^((k-d)/2).
+        """
+        if len(self.degrees) == 1:
+            k = self.degrees[0]
+            return tuple(f"e1^{(k + d) // 2} e2^{(k - d) // 2}" for d in self.z_doubled)
+        one, two = (sym_power_rep(k) for k in self.degrees)
+        labels = one.basis_labels, two.basis_labels, one.signature.p, two.signature.p
+        return tuple(f"({a}) (x) ({b})" for a, b in _tensor_order(*labels))
 
 
 @dataclass(frozen=True)
@@ -98,7 +118,7 @@ def sym_power_rep(k: int) -> ExplicitRep:
         dim=k + 1,
         signature=SignaturePair(k // 2 + 1, (k + 1) // 2),
         z_doubled=tuple([k - 2 * m for m in order]),
-        basis_labels=tuple([f"e1^{k - m} e2^{m}" for m in order]),
+        degrees=(k,),
     )
 
 
@@ -179,47 +199,36 @@ def clebsch_gordan(k: int, l: int) -> tuple[int, ...]:
     return tuple(range(k + l, abs(k - l) - 1, -2))
 
 
-def _split(rep: ExplicitRep) -> tuple[Diagonal, Diagonal]:
-    p = rep.signature.p
-    return rep.z_doubled[:p], rep.z_doubled[p:]
+def _tensor_order(one: list, two: list, p1: int, p2: int) -> list[tuple]:
+    """Pairs of basis entries of two models in tensor basis order.
+
+    ``p1`` and ``p2`` are the positive block sizes.  Block order (positive
+    vectors first): pos(x)pos, neg(x)neg, pos(x)neg, neg(x)pos, each block
+    first-factor major.
+    """
+    pos1, neg1, pos2, neg2 = one[:p1], one[p1:], two[:p2], two[p2:]
+    blocks = ((pos1, pos2), (neg1, neg2), (pos1, neg2), (neg1, pos2))
+    return [(a, b) for xs, ys in blocks for a in xs for b in ys]
 
 
 def tensor_rep(k: int, l: int, structure: StructureChoice) -> ExplicitRep:
     """Tensor product of the degree-k and degree-l models.
 
-    Block order (positive vectors first): pos(x)pos, neg(x)neg, pos(x)neg,
-    neg(x)pos, each block first-factor major.  The structure signs flip the
+    The basis follows :func:`_tensor_order`.  The structure signs flip the
     Z-contribution of the corresponding factor.
     """
     if len(structure.signs) != 2:
         raise ValueError("two-factor structure choice expected")
     s1, s2 = structure.signs
     rep1, rep2 = sym_power_rep(k), sym_power_rep(l)
-    pos1, neg1 = _split(rep1)
-    pos2, neg2 = _split(rep2)
-    lab1 = rep1.basis_labels
-    lab2 = rep2.basis_labels
-    plab1, nlab1 = lab1[: len(pos1)], lab1[len(pos1):]
-    plab2, nlab2 = lab2[: len(pos2)], lab2[len(pos2):]
-
-    def block(xs, ys, xlabs, ylabs):
-        vals = [s1 * a + s2 * b for a in xs for b in ys]
-        labs = [f"({la}) (x) ({lb})" for la in xlabs for lb in ylabs]
-        return vals, labs
-
-    blocks = [
-        block(pos1, pos2, plab1, plab2),
-        block(neg1, neg2, nlab1, nlab2),
-        block(pos1, neg2, plab1, nlab2),
-        block(neg1, pos2, nlab1, plab2),
-    ]
-    diag = tuple(v for vals, _ in blocks for v in vals)
-    labels = tuple(s for _, labs in blocks for s in labs)
+    pairs = _tensor_order(
+        rep1.z_doubled, rep2.z_doubled, rep1.signature.p, rep2.signature.p
+    )
     return ExplicitRep(
         dim=(k + 1) * (l + 1),
         signature=tensor_signature(k, l),
-        z_doubled=diag,
-        basis_labels=labels,
+        z_doubled=tuple([s1 * a + s2 * b for a, b in pairs]),
+        degrees=(k, l),
     )
 
 

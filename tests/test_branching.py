@@ -1,5 +1,6 @@
 """Regular subalgebras, restriction, string peeling, even witnesses."""
 
+import itertools
 from collections import Counter
 
 import pytest
@@ -8,6 +9,7 @@ from tightmaps.branching import (
     SL2,
     SL2_X_SL2,
     SubalgebraError,
+    _peel_strings,
     evaluation_multiset,
     even_witness,
     make_subalgebra,
@@ -143,6 +145,93 @@ def test_peeling_is_involution_consistent():
                         for u in range(n, -n - 1, -2):
                             rebuilt[(v, u)] += 1
             assert rebuilt == original
+
+
+def _greedy_sl2(values):
+    """Peel strings off the top, one at a time.
+
+    This is the peel the second-difference counts replaced, kept with its
+    two-factor twin as their oracle.
+    """
+    remaining = Counter(values)
+    factors = []
+    while remaining:
+        top = max(remaining)
+        m = top[0]
+        if m < 0:
+            raise ValueError("evaluation multiset is not symmetric")
+        for v in range(m, -m - 1, -2):
+            if remaining[(v,)] <= 0:
+                raise ValueError(f"string peeling failed at value {v}")
+            remaining[(v,)] -= 1
+            if remaining[(v,)] == 0:
+                del remaining[(v,)]
+        factors.append(m)
+    return factors
+
+
+def _greedy_sl2xsl2(values):
+    remaining = Counter(values)
+    factors = []
+    while remaining:
+        m, n = max(remaining)
+        if m < 0 or n < 0:
+            raise ValueError("evaluation multiset is not bi-symmetric")
+        for v in range(m, -m - 1, -2):
+            for w in range(n, -n - 1, -2):
+                if remaining[(v, w)] <= 0:
+                    raise ValueError(f"string peeling failed at value {(v, w)}")
+                remaining[(v, w)] -= 1
+                if remaining[(v, w)] == 0:
+                    del remaining[(v, w)]
+        factors.append((m, n))
+    return factors
+
+
+def _sign_flips(key):
+    return {tuple(s * x for s, x in zip(signs, key))
+            for signs in itertools.product((1, -1), repeat=len(key))}
+
+
+def _perturbed(values):
+    """Multisets near ``values`` that no sum of strings gives.
+
+    One unit of the top entry is dropped, an unpaired entry is added above
+    the top, or one unit of the top entry moves down by 2; each breaks the
+    sign symmetry.  The last adds every sign flip of an entry 4 above the
+    top: symmetric, but its string has no interior, so a count goes
+    negative.
+    """
+    top = max(values)
+    one = Counter({top: 1})
+    return [
+        values - one,
+        values + Counter({(top[0] + 2,) + top[1:]: 1}),
+        values - one + Counter({(top[0] - 2,) + top[1:]: 1}),
+        values + Counter(_sign_flips((top[0] + 4,) + top[1:])),
+    ]
+
+
+@pytest.mark.parametrize(
+    "system,sub", [(C2, sub_c2_short), (C2, sub_c2_pair), (A2, sub_a2)],
+    ids=["c2-a1+a2", "c2-a2,2a1+a2", "a2-a1"],
+)
+def test_second_difference_peel_matches_greedy_oracle(system, sub):
+    sub = sub()
+    oracle = _greedy_sl2 if sub.target_kind == SL2 else _greedy_sl2xsl2
+    for k in range(13):
+        for l in range(13 - k):
+            values = evaluation_multiset(weight(system, (k, l)), sub)
+            peeled = _peel_strings(values)
+            if sub.target_kind == SL2:
+                peeled = [m for (m,) in peeled]
+            assert sorted(peeled) == sorted(oracle(values)), (k, l)
+            if max(values) == (0,) * sub.rank:
+                continue  # the trivial multiset has no nonzero top to move
+            for bad in _perturbed(values):
+                for attempt in (_peel_strings, oracle):
+                    with pytest.raises(ValueError):
+                        attempt(bad)
 
 
 def test_even_witness_examples():

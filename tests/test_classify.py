@@ -110,9 +110,9 @@ def test_route_agreement_to_bound_ten():
 @pytest.mark.parametrize(
     "algebra,bound,expected",
     [
-        ("sp4", 14, {(1, 0)}),
+        ("sp4", 20, {(1, 0)}),
         ("su21", 20, {(1, 0), (0, 1)}),
-        ("sp4su11", 10, {(1, 0, 0)} | {(0, 0, k) for k in range(1, 11, 2)}),
+        ("sp4su11", 14, {(1, 0, 0)} | {(0, 0, k) for k in range(1, 14, 2)}),
     ],
 )
 def test_rank_two_sweeps_beyond_the_acceptance_bounds(algebra, bound, expected):
@@ -178,6 +178,33 @@ def test_every_pairing_witness_mutation_fails_replay():
             forgeries.append(replace(wit, pairing_lhs=-lhs))
         if lhs != rhs:
             forgeries.append(replace(wit, pairing_lhs=rhs, pairing_rhs=lhs))
+        for forged in forgeries:
+            assert not replay_witness(replace(verdict, witness=forged)), (
+                verdict.algebra, verdict.weight, forged,
+            )
+
+
+def test_every_even_branch_witness_mutation_fails_replay():
+    # Left out, because they can name another genuine certificate:
+    # evaluation - 2, weight[1] + 1 and the swap to the other tight
+    # selector.  sp4 (2, 2), for one, also replays with evaluation 2.
+    rows = [
+        v
+        for algebra in ("sp4", "su21", "sp4su11")
+        for v in (classify(algebra, w) for w in dominant_weights(algebra, 10))
+        if v.witness.kind == "even_branch_witness"
+    ]
+    assert len(rows) == 392
+    for verdict in rows:
+        wit = verdict.witness
+        (i, j), value = wit.weight, wit.evaluation
+        assert replay_witness(verdict)
+        forgeries = [
+            *(replace(wit, evaluation=value + d) for d in (1, -1, 2)),
+            replace(wit, evaluation=-value),
+            *(replace(wit, weight=(i + d, j)) for d in (1, -1)),
+            replace(wit, weight=(i, j - 1)),
+        ]
         for forged in forgeries:
             assert not replay_witness(replace(verdict, witness=forged)), (
                 verdict.algebra, verdict.weight, forged,

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tightmaps.rootsys import (
+    _multiplicity_table,
     build_root_system,
     dimension,
     dot,
@@ -251,6 +252,75 @@ def test_product_system_factorises():
     assert len(support) == 12
     mults = weight_multiplicities(weight(prod, (1, 1, 1)))
     assert sum(mults.values()) == 16 * 2
+
+
+def _full_support_oracle(system, top):
+    """Freudenthal on every weight of the support, found by a member walk.
+
+    The support is walked down simple roots from the top; a candidate mu
+    belongs to it iff its dominant representative lies below the top.  This
+    is the recursion the dominant-only table replaced, kept as its oracle.
+    """
+    cartan, rank = system.cartan_matrix, system.rank
+
+    def member(mu, depth):
+        cur, depth = list(mu), list(depth)
+        while True:
+            neg = next((i for i, c in enumerate(cur) if c < 0), None)
+            if neg is None:
+                return all(n >= 0 for n in depth)
+            mi = cur[neg]
+            depth[neg] += mi
+            for j in range(rank):
+                cur[j] -= mi * cartan[j][neg]
+
+    support = {top: (0,) * rank}
+    frontier = [top]
+    while frontier:
+        nxt = []
+        for mu in frontier:
+            for i in range(rank):
+                cand = tuple(mu[j] - cartan[j][i] for j in range(rank))
+                depth = tuple(d + (j == i) for j, d in enumerate(support[mu]))
+                if cand not in support and member(cand, depth):
+                    support[cand] = depth
+                    nxt.append(cand)
+        frontier = nxt
+
+    positive = [system.root_table[r] for r in system.positive_roots]
+    simple_half = [system.root_table[a].half_norm for a in system.simple_roots]
+    mults = {top: 1}
+    for mu in sorted(support, key=lambda mu: sum(support[mu])):
+        if mu == top:
+            continue
+        num = 0
+        for entry in positive:
+            value = sum(m * c for m, c in zip(mu, entry.coroot))
+            up, k = mu, 1
+            while True:
+                up = tuple(u + a for u, a in zip(up, entry.fundamental))
+                if up not in support:
+                    break
+                num += entry.half_norm * (value + 2 * k) * mults[up]
+                k += 1
+        denom = sum(
+            h * n * (t + m + 2)
+            for h, n, t, m in zip(simple_half, support[mu], top, mu)
+        )
+        assert (2 * num) % denom == 0
+        mults[mu] = 2 * num // denom
+    return mults
+
+
+@pytest.mark.parametrize("system", SYSTEMS, ids=lambda s: s.kind)
+def test_multiplicity_table_matches_full_support_oracle(system):
+    for top in itertools.product(range(13), repeat=system.rank):
+        if sum(top) > 12:
+            continue
+        table = _multiplicity_table(system, top)
+        assert table == _full_support_oracle(system, top), top
+        support = weight_support(weight(system, top))
+        assert support == {weight(system, mu) for mu in table}, top
 
 
 def test_support_equals_multiplicity_support():
