@@ -30,7 +30,7 @@ from .rootsys import (
     show_vector,
     weight_multiplicities,
 )
-from .su11 import SignaturePair, sym_power_rep, tensor_signature
+from .su11 import SignaturePair, sym_power_signature, tensor_signature
 
 SL2 = "sl2"
 SL2_X_SL2 = "sl2xsl2"
@@ -247,7 +247,7 @@ def restrict_rep(highest: WeightVector, sub: SubalgebraSpec) -> BranchingResult:
     factors = sorted(_peel_strings(evaluation_multiset(highest, sub)), reverse=True)
     if sub.target_kind == SL2:
         factors = [m for (m,) in factors]
-        signatures = tuple(sym_power_rep(m).signature for m in factors)
+        signatures = tuple(sym_power_signature(m) for m in factors)
     else:
         signatures = tuple(tensor_signature(m, n) for m, n in factors)
     result = BranchingResult(

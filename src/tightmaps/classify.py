@@ -41,7 +41,7 @@ from .su11 import (
     best_tensor_pairing,
     clebsch_gordan,
     sym_power_pairing,
-    sym_power_rep,
+    sym_power_signature,
     tensor_factor_pairings,
     tensor_signature,
 )
@@ -619,7 +619,7 @@ def _sl2_route_map(factors) -> kahler.HomClassMap:
     for m in factors:
         if m == 0:
             continue
-        sig = sym_power_rep(m).signature
+        sig = sym_power_signature(m)
         targets.append(kahler.su(sig.p, sig.q))
         coeffs.append(2 * sym_power_pairing(m)[0])
     if not targets:

@@ -4,9 +4,12 @@ The degree-k model lives on the symmetric power of the standard
 representation, carries an invariant indefinite Hermitian form, and is
 stored by its doubled central element: every Z-image is ``i*diag(d/2)``
 with ``d`` a trace-zero tuple of integers, basis ordered positive vectors
-first.  Pairing ``d`` against the integer element ``(p+q) Z`` of su(p,q)
-and dividing once by ``2(p+q)`` drives the diagonal-disc criterion; tensor
-products under both complex structures cover the two-factor case.
+first.  Signatures depend on k alone and are read without a model.
+Pairing ``d`` against the integer element ``(p+q) Z`` of su(p,q), divided
+once by ``2(p+q)``, gives the values that the diagonal-disc criterion in
+``classify`` compares.  Pairing is linear, so one walk of a tensor basis
+gives per-factor values P1 and P2, and structure signs (s1, s2) pair to
+``s1*P1 + s2*P2``.
 """
 
 from __future__ import annotations
@@ -53,7 +56,6 @@ class ExplicitRep:
     signature: SignaturePair
     z_doubled: Diagonal
     degrees: tuple[int, ...]
-    positive_first: bool = True
 
     def __post_init__(self):
         if self.signature.dim != self.dim:
@@ -104,6 +106,13 @@ def structure_representatives(n_factors: int = 2) -> tuple[StructureChoice, ...]
     return tuple(StructureChoice((1,) + tail) for tail in tails)
 
 
+def sym_power_signature(k: int) -> SignaturePair:
+    """Signature of the degree-k model: e1^(k-m) e2^m is positive iff m is even."""
+    if k < 0:
+        raise ValueError("k must be nonnegative")
+    return SignaturePair(k // 2 + 1, (k + 1) // 2)
+
+
 def sym_power_rep(k: int) -> ExplicitRep:
     """Degree-k symmetric power of the standard su(1,1)-representation.
 
@@ -111,12 +120,10 @@ def sym_power_rep(k: int) -> ExplicitRep:
     even, then m odd; the Z-eigenvalue on e1^(k-m) e2^m is (k-2m)/2, stored
     doubled as k-2m.
     """
-    if k < 0:
-        raise ValueError("k must be nonnegative")
     order = [*range(0, k + 1, 2), *range(1, k + 1, 2)]
     return ExplicitRep(
         dim=k + 1,
-        signature=SignaturePair(k // 2 + 1, (k + 1) // 2),
+        signature=sym_power_signature(k),  # raises for k < 0
         z_doubled=tuple([k - 2 * m for m in order]),
         degrees=(k,),
     )
@@ -175,21 +182,7 @@ def sym_power_pairing(k: int) -> tuple[Fraction, Fraction]:
     """
     rep = sym_power_rep(k)
     sig = rep.signature
-    lhs = _pair_with_z(rep.z_doubled, sig.p, sig.q)
-    return lhs, disc_pairing_value(sig.p, sig.q)
-
-
-def tight_su11_by_pairing(k: int) -> bool:
-    """Diagonal-disc trace-pairing criterion for the degree-k model.
-
-    The map is tight iff |<rho(Z), Z_(p,q)>| equals the diagonal-disc value
-    of the carrying su(p,q).  A rank-zero target carries no disc and gets a
-    zero pullback class, hence nontight; this covers k = 0.
-    """
-    if k == 0:
-        return False
-    lhs, disc = sym_power_pairing(k)
-    return abs(lhs) == abs(disc)
+    return _pair_with_z(rep.z_doubled, sig.p, sig.q), disc_pairing_value(sig.p, sig.q)
 
 
 def clebsch_gordan(k: int, l: int) -> tuple[int, ...]:
@@ -211,48 +204,53 @@ def _tensor_order(one: list, two: list, p1: int, p2: int) -> list[tuple]:
     return [(a, b) for xs, ys in blocks for a in xs for b in ys]
 
 
+def _tensor_columns(k: int, l: int) -> list[tuple[int, int]]:
+    """Doubled Z-entries of both factor models, in tensor basis order."""
+    rep1, rep2 = sym_power_rep(k), sym_power_rep(l)
+    return _tensor_order(rep1.z_doubled, rep2.z_doubled, rep1.signature.p, rep2.signature.p)
+
+
+def _two_signs(structure: StructureChoice) -> tuple[int, int]:
+    if len(structure.signs) != 2:
+        raise ValueError("two-factor structure choice expected")
+    return structure.signs
+
+
 def tensor_rep(k: int, l: int, structure: StructureChoice) -> ExplicitRep:
     """Tensor product of the degree-k and degree-l models.
 
     The basis follows :func:`_tensor_order`.  The structure signs flip the
     Z-contribution of the corresponding factor.
     """
-    if len(structure.signs) != 2:
-        raise ValueError("two-factor structure choice expected")
-    s1, s2 = structure.signs
-    rep1, rep2 = sym_power_rep(k), sym_power_rep(l)
-    pairs = _tensor_order(
-        rep1.z_doubled, rep2.z_doubled, rep1.signature.p, rep2.signature.p
-    )
+    s1, s2 = _two_signs(structure)
     return ExplicitRep(
         dim=(k + 1) * (l + 1),
         signature=tensor_signature(k, l),
-        z_doubled=tuple([s1 * a + s2 * b for a, b in pairs]),
+        z_doubled=tuple([s1 * a + s2 * b for a, b in _tensor_columns(k, l)]),
         degrees=(k, l),
     )
 
 
 def tensor_signature(k: int, l: int) -> SignaturePair:
-    one, two = sym_power_rep(k).signature, sym_power_rep(l).signature
+    one, two = sym_power_signature(k), sym_power_signature(l)
     return SignaturePair(one.p * two.p + one.q * two.q, one.p * two.q + one.q * two.p)
 
 
 def tensor_factor_pairings(k: int, l: int) -> tuple[Fraction, Fraction]:
-    """Per-factor contributions to the diagonal-disc pairing.
+    """Per-factor contributions (P1, P2) to the diagonal-disc pairing.
 
-    The pairing under structure signs (s1, s2) is s1*P1 + s2*P2, where P_t
-    pairs the Z-contribution of factor t alone against the ambient central
-    element.
+    P_t pairs the Z-contribution of factor t alone, laid out in the tensor
+    basis, against the ambient central element; the pairing under structure
+    signs (s1, s2) is s1*P1 + s2*P2.  Needs (k, l) != (0, 0).
     """
-    p_plus, p_minus = (tensor_pairing(k, l, s) for s in structure_representatives(2))
-    # half sum and half difference of the two structure pairings
-    return (p_plus + p_minus) / 2, (p_plus - p_minus) / 2
+    sig = tensor_signature(k, l)
+    return tuple(_pair_with_z(col, sig.p, sig.q) for col in zip(*_tensor_columns(k, l)))
 
 
 def tensor_pairing(k: int, l: int, structure: StructureChoice) -> Fraction:
-    sig = tensor_signature(k, l)
-    rep = tensor_rep(k, l, structure)
-    return _pair_with_z(rep.z_doubled, sig.p, sig.q)
+    s1, s2 = _two_signs(structure)
+    p1, p2 = tensor_factor_pairings(k, l)
+    return s1 * p1 + s2 * p2
 
 
 def best_tensor_pairing(k: int, l: int) -> tuple[Fraction, Fraction]:
@@ -260,25 +258,13 @@ def best_tensor_pairing(k: int, l: int) -> tuple[Fraction, Fraction]:
 
     Ties go to the first structure representative.  Needs (k, l) != (0, 0).
     """
-    sig = tensor_signature(k, l)
-    best = max((tensor_pairing(k, l, s) for s in structure_representatives(2)), key=abs)
-    return best, disc_pairing_value(sig.p, sig.q)
-
-
-def tight_tensor_by_pairing(k: int, l: int) -> bool:
-    """Structure-sweep diagonal-disc criterion for the two-factor model.
-
-    True iff some structure representative attains the disc value in
-    absolute value; the degenerate rank-zero target (k = l = 0) is nontight
-    with a zero pullback class.
-    """
-    if (k, l) == (0, 0):
-        return False
-    # Comparing only the largest pairing suffices because no structure
-    # pairing exceeds the disc value in modulus.  Twice a pairing is the
-    # coefficient of the pullback of the Kahler class of su(p,q) along the
-    # diagonal su(1,1); pullback does not increase the norm, which is pi
-    # times the rank (Domic-Toledo), so |pairing| <= rank/2, the disc value.
+    # Only the largest pairing needs comparing with the disc value: twice a
+    # pairing is the pullback coefficient of the Kahler class of su(p,q) along
+    # the diagonal su(1,1), pullback does not increase its norm, pi times the
+    # rank (Domic-Toledo), so |pairing| <= rank/2, the disc value.
     # tests/test_su11.py checks the bound exactly for all k, l < 25.
-    best, disc = best_tensor_pairing(k, l)
-    return abs(best) == abs(disc)
+    p1, p2 = tensor_factor_pairings(k, l)
+    sig = tensor_signature(k, l)
+    signs = (s.signs for s in structure_representatives(2))
+    best = max((s1 * p1 + s2 * p2 for s1, s2 in signs), key=abs)
+    return best, disc_pairing_value(sig.p, sig.q)

@@ -8,7 +8,10 @@ from fractions import Fraction
 from tightmaps import kahler
 from tightmaps.branching import make_subalgebra, parse_subalgebra_selector, restrict_rep
 from tightmaps.classify import (
+    Witness,
+    _pairing_verdict,
     classify,
+    constructive_verdict,
     dominant_weights,
     embedding_table,
     replay_witness,
@@ -23,13 +26,12 @@ from tightmaps.rootsys import (
     weyl_orbit,
 )
 from tightmaps.su11 import (
+    best_tensor_pairing,
     clebsch_gordan,
     disc_pairing_value,
     structure_representatives,
     tensor_pairing,
     tensor_signature,
-    tight_su11_by_pairing,
-    tight_tensor_by_pairing,
 )
 
 F = Fraction
@@ -41,17 +43,24 @@ def _report(number: int, label: str, ok: bool) -> None:
 
 
 def test_criterion_1_su11_tight_iff_odd():
-    checks = [tight_su11_by_pairing(k) == (k % 2 == 1) for k in range(51)]
+    # the pairing criterion for k >= 1, the zero class at k = 0
+    checks = [constructive_verdict("su11", (k,))[0] == (k % 2 == 1) for k in range(51)]
     assert len(checks) == 51
     _report(1, "su(1,1) tight iff odd, k <= 50", all(checks))
 
 
 def test_criterion_2_two_factor_rule_and_proof_values():
+    # the pairing criterion on every pair, equal parities included, and the
+    # zero class at (0, 0)
     rule_ok = all(
-        tight_tensor_by_pairing(k, l)
+        _pairing_verdict(*best_tensor_pairing(k, l))[0]
         == ((k % 2 == 1 and l == 0) or (l % 2 == 1 and k == 0))
         for k in range(13)
         for l in range(13)
+        if (k, l) != (0, 0)
+    )
+    rule_ok = rule_ok and constructive_verdict("su11xsu11", (0, 0)) == (
+        False, Witness("zero_class")
     )
     values_ok = True
     for p in range(1, 7):  # l = 2p-1 <= 12

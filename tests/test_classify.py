@@ -148,6 +148,7 @@ def test_replay_rejects_tampered_witness():
             for forged in (
                 replace(wit, evaluation=(wit.evaluation or 0) + 1),
                 replace(wit, pairing_lhs=(wit.pairing_lhs or 0) + 1),
+                replace(wit, pairing_rhs=(wit.pairing_rhs or 0) + 1),
                 *(replace(wit, subalgebra=s) for s in ("a1", "a3", "2a1")
                   if s != wit.subalgebra),
                 replace(wit, weight=(wit.weight or ()) + (0,)),
@@ -205,6 +206,41 @@ def test_every_even_branch_witness_mutation_fails_replay():
             *(replace(wit, weight=(i + d, j)) for d in (1, -1)),
             replace(wit, weight=(i, j - 1)),
         ]
+        for forged in forgeries:
+            assert not replay_witness(replace(verdict, witness=forged)), (
+                verdict.algebra, verdict.weight, forged,
+            )
+
+
+def test_every_fixed_witness_mutation_fails_replay():
+    # zero_class, clebsch_gordan_even and reference_classification carry
+    # nothing a forger could choose: any set field or moved value must fail
+    kinds = ("zero_class", "clebsch_gordan_even", "reference_classification")
+    rows = [
+        v
+        for algebra in ALGEBRAS
+        for v in (classify(algebra, w) for w in dominant_weights(algebra, 10))
+        if v.witness.kind in kinds
+    ]
+    assert {v.witness.kind for v in rows} == set(kinds)
+    assert {v.algebra for v in rows} == set(ALGEBRAS)
+    values = {
+        "subalgebra": "a1",
+        "weight": (1, 0),
+        "evaluation": 2,
+        "pairing_lhs": Fraction(1, 2),
+        "pairing_rhs": Fraction(1, 2),
+    }
+    for verdict in rows:
+        wit = verdict.witness
+        assert replay_witness(verdict)
+        value = wit.evaluation or 0
+        forgeries = [
+            *(replace(wit, **{f: v}) for f, v in values.items() if getattr(wit, f) is None),
+            *(replace(wit, evaluation=value + d) for d in (2, -2)),
+        ]
+        if value:
+            forgeries.append(replace(wit, evaluation=-value))
         for forged in forgeries:
             assert not replay_witness(replace(verdict, witness=forged)), (
                 verdict.algebra, verdict.weight, forged,

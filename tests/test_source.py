@@ -1,16 +1,24 @@
 """Source checks that need no CI runner."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import tightmaps
+
+PACKAGE = Path(tightmaps.__file__).parent
+TRACE_CHILD = Path(__file__).resolve().parents[1] / "benchmarks" / "trace_child.py"
+
+
+def _package_trees():
+    for path in sorted(PACKAGE.glob("*.py")):
+        yield path, ast.parse(path.read_text(), filename=str(path))
 
 
 def test_no_assert_statements_in_the_package():
     # ``python -O`` strips asserts, so exactness checks must raise explicitly
     found = []
-    for path in sorted(Path(tightmaps.__file__).parent.glob("*.py")):
-        tree = ast.parse(path.read_text(), filename=str(path))
+    for path, tree in _package_trees():
         found += [f"{path.name}:{n.lineno}" for n in ast.walk(tree) if isinstance(n, ast.Assert)]
     assert found == []
 
@@ -19,3 +27,40 @@ def test_submodule_import_yields_the_module():
     import tightmaps.classify as module
 
     assert module.__name__ == "tightmaps.classify"
+
+
+def test_traced_layer_functions_exist():
+    # the bench harness wraps these names by getattr; a missing one would
+    # only surface in a traced bench run
+    tree = ast.parse(TRACE_CHILD.read_text(), filename=str(TRACE_CHILD))
+    (layers,) = [
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and [getattr(t, "id", None) for t in node.targets] == ["LAYER_FUNCTIONS"]
+    ]
+    missing = [
+        f"{layer}.{name}"
+        for layer, names in layers.items()
+        for name in names
+        if not hasattr(importlib.import_module(f"tightmaps.{layer}"), name)
+    ]
+    assert layers and missing == []
+
+
+def _is_abs_call(node):
+    return isinstance(node, ast.Call) and getattr(node.func, "id", None) == "abs"
+
+
+def test_one_copy_of_the_disc_criterion():
+    # |pairing| == |disc value| is decided in classify._pairing_verdict alone
+    found = [
+        f"{path.name}:{n.lineno}"
+        for path, tree in _package_trees()
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Compare)
+        and isinstance(n.ops[0], ast.Eq)
+        and _is_abs_call(n.left)
+        and _is_abs_call(n.comparators[0])
+    ]
+    assert len(found) == 1, found

@@ -1,14 +1,25 @@
 """Symmetric-power models, pairings, and the diagonal-disc criterion."""
 
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tightmaps.branching import restrict_rep
+from tightmaps.classify import (
+    TIGHT_SUBALGEBRA_SELECTORS,
+    Witness,
+    _pairing_verdict,
+    _rank2_weight,
+    _subalgebra,
+    constructive_verdict,
+)
 from tightmaps.rootsys import build_root_system, weight, weight_support
 from tightmaps.su11 import (
     StructureChoice,
+    best_tensor_pairing,
     clebsch_gordan,
     diagonal_disc_z,
     disc_pairing_value,
@@ -16,12 +27,11 @@ from tightmaps.su11 import (
     structure_representatives,
     sym_power_pairing,
     sym_power_rep,
+    sym_power_signature,
     tensor_factor_pairings,
     tensor_pairing,
     tensor_rep,
     tensor_signature,
-    tight_su11_by_pairing,
-    tight_tensor_by_pairing,
     z_element,
 )
 
@@ -50,7 +60,11 @@ def test_sym_power_signature_split():
         else:
             assert (rep.signature.p, rep.signature.q) == ((k + 1) // 2, (k + 1) // 2)
         assert rep.signature.dim == rep.dim == k + 1
+        assert sym_power_signature(k) == rep.signature
         assert sum(rep.z_diagonal) == 0
+    for build in (sym_power_signature, sym_power_rep):
+        with pytest.raises(ValueError):
+            build(-1)
 
 
 def test_sym_power_basis_labels_track_monomials():
@@ -115,16 +129,25 @@ def test_diagonal_disc_value_is_half_the_rank():
             assert len(disc) == p + q and sum(disc) == 0
 
 
+# Acceptance criteria 1 and 2 run these two criteria over k <= 50 and
+# k, l <= 12.
+
+
+def _su11_tight(k):
+    # the pairing criterion for k >= 1, the zero class at k = 0
+    return constructive_verdict("su11", (k,))[0]
+
+
+def _pairing_tight(k, l):
+    # the pairing criterion itself, also on pairs of equal parity
+    return _pairing_verdict(*best_tensor_pairing(k, l))[0]
+
+
 def test_tight_iff_odd_examples():
-    assert tight_su11_by_pairing(3) is True
-    assert tight_su11_by_pairing(2) is False
-    assert tight_su11_by_pairing(1) is True
-    assert tight_su11_by_pairing(0) is False
-
-
-def test_tight_iff_odd_up_to_fifty():
-    for k in range(51):
-        assert tight_su11_by_pairing(k) == (k % 2 == 1)
+    assert _su11_tight(3) is True
+    assert _su11_tight(2) is False
+    assert _su11_tight(1) is True
+    assert _su11_tight(0) is False
 
 
 def test_clebsch_gordan_examples():
@@ -191,17 +214,10 @@ def test_factor_pairings_decompose_the_pairing(k, l):
 
 
 def test_tight_tensor_examples():
-    assert tight_tensor_by_pairing(2, 1) is False
-    assert tight_tensor_by_pairing(0, 1) is True
-    assert tight_tensor_by_pairing(1, 1) is False
-    assert tight_tensor_by_pairing(0, 0) is False
-
-
-def test_tight_tensor_rule_up_to_twelve():
-    for k in range(13):
-        for l in range(13):
-            expected = (k % 2 == 1 and l == 0) or (l % 2 == 1 and k == 0)
-            assert tight_tensor_by_pairing(k, l) == expected
+    assert _pairing_tight(2, 1) is False
+    assert _pairing_tight(0, 1) is True
+    assert _pairing_tight(1, 1) is False
+    assert constructive_verdict("su11xsu11", (0, 0)) == (False, Witness("zero_class"))
 
 
 def test_mixed_parity_pairing_values():
@@ -251,7 +267,7 @@ def test_integer_pairings_match_the_fraction_oracle():
 
 
 def test_no_structure_pairing_exceeds_the_disc_value():
-    # tight_tensor_by_pairing compares only the largest pairing with the disc
+    # best_tensor_pairing reports only the largest pairing for the criterion
     for k in range(25):
         for l in range(25):
             if (k, l) == (0, 0):
@@ -260,3 +276,39 @@ def test_no_structure_pairing_exceeds_the_disc_value():
             disc = disc_pairing_value(sig.p, sig.q)
             for s in structure_representatives(2):
                 assert abs(tensor_pairing(k, l, s)) <= disc, (k, l, s)
+
+
+@pytest.fixture
+def model_builds(monkeypatch):
+    """Degrees of the ``sym_power_rep`` builds made while the test runs.
+
+    The name is rebound in every ``tightmaps`` module that holds it, since
+    ``from .su11 import sym_power_rep`` copies it.
+    """
+    builds = []
+
+    def counting(k):
+        builds.append(k)
+        return sym_power_rep(k)
+
+    for name, module in list(sys.modules.items()):
+        holds = vars(module).get("sym_power_rep") is sym_power_rep
+        if holds and name.split(".")[0] == "tightmaps":
+            monkeypatch.setattr(module, "sym_power_rep", counting)
+    return builds
+
+
+def test_each_factor_model_is_built_once(model_builds):
+    for k, l in ((2, 1), (0, 5), (4, 4), (7, 0)):
+        for compute, expected in (
+            (best_tensor_pairing, 2),
+            (tensor_factor_pairings, 2),
+            (tensor_signature, 0),
+        ):
+            model_builds.clear()
+            compute(k, l)
+            assert len(model_builds) == expected, (compute.__name__, k, l)
+    for selector in TIGHT_SUBALGEBRA_SELECTORS["sp4"]:
+        model_builds.clear()
+        branch = restrict_rep(_rank2_weight("sp4", (3, 2)), _subalgebra("sp4", selector))
+        assert branch.signatures and model_builds == [], selector
