@@ -4,8 +4,8 @@ subalgebras of Hermitian type.
 A subalgebra is specified by a subset B of the roots subject to three
 conditions: differences of B-elements are not roots, B is linearly
 independent, and each Dynkin component of B contains exactly one noncompact
-root.  Branching is computed through weight multiplicities: each weight is
-evaluated on the chosen coroots and the resulting multiset is peeled into
+root.  Branching evaluates each dominant weight, for its whole orbit, on the
+Weyl images of the chosen coroots and peels the resulting multiset into
 strings, giving the decomposition into irreducible factors together with
 the signatures of the explicit models carrying them.
 """
@@ -24,9 +24,12 @@ from .rootsys import (
     RootSystemData,
     Vector,
     WeightVector,
+    coroot_images,
     dimension,
+    dominant_multiplicities,
     dot,
-    eval_on_coroot,
+    multiplicity,
+    orbit_size,
     show_vector,
     weight_multiplicities,
 )
@@ -46,10 +49,16 @@ class SubalgebraSpec:
     roots_b: tuple[Vector, ...]
     generated_roots_c: tuple[Vector, ...]
     target_kind: str
+    # coroot rows of the distinct Weyl images of B, B's own rows first
+    coroot_images: tuple[tuple[tuple[int, ...], ...], ...]
 
     @property
     def rank(self) -> int:
         return len(self.roots_b)
+
+    def evaluate(self, mu: tuple[int, ...]) -> list[int]:
+        """<mu, beta^vee> for each beta in B, from int coordinates."""
+        return [sum(map(operator.mul, mu, row)) for row in self.coroot_images[0]]
 
 
 def _span_roots(system: RootSystemData, roots: tuple[Vector, ...]) -> tuple[Vector, ...]:
@@ -131,9 +140,7 @@ def make_subalgebra(system: RootSystemData, roots) -> SubalgebraSpec:
                 "rank-two subalgebra must split as two orthogonal sl2 blocks"
             )
         kind = SL2_X_SL2
-    return SubalgebraSpec(
-        system=system, roots_b=b, generated_roots_c=span, target_kind=kind
-    )
+    return SubalgebraSpec(system, b, span, kind, coroot_images(system, b))
 
 
 _TERM_RE = re.compile(r"^(\d*)a([12])$")
@@ -198,14 +205,23 @@ class BranchingResult:
 def evaluation_multiset(highest: WeightVector, sub: SubalgebraSpec) -> Counter:
     """Coroot evaluations of every weight, with multiplicity.
 
-    The weights carry integer coordinates and each coroot of B is an integer
-    row of the root table, so every evaluation is an int.
+    No orbit is listed: <w mu, beta^vee> = <mu, (w^-1 beta)^vee>, so the
+    orbit of a dominant mu evaluates as mu does against the n Weyl images of
+    B's coroot rows, and a key that c images give counts
+    c |Stab B| m(mu) / |W_mu| = c m(mu) |W mu| / n weights.
     """
-    coroots = [highest.system.root_table[beta].coroot for beta in sub.roots_b]
+    images = sub.coroot_images
     out: Counter = Counter()
-    for mu, m in weight_multiplicities(highest).items():
-        coords = mu.coords
-        out[tuple(sum(map(operator.mul, coords, row)) for row in coroots)] += m
+    for mu, m in dominant_multiplicities(highest).items():
+        share, keys = m * orbit_size(highest.system, mu), {}
+        for rows in images:
+            key = tuple([sum(map(operator.mul, mu, r)) for r in rows])
+            keys[key] = keys.get(key, 0) + share
+        for key, total in keys.items():
+            weights, rest = divmod(total, len(images))
+            if rest:
+                raise VerificationError(f"{key} counts {total}/{len(images)} weights at {mu}")
+            out[key] += weights
     return out
 
 
@@ -263,62 +279,29 @@ def restrict_rep(highest: WeightVector, sub: SubalgebraSpec) -> BranchingResult:
     return result
 
 
-def _witness_chain(highest: WeightVector) -> list[WeightVector]:
-    """Candidate witness weights, walked down the proof-preferred strings.
-
-    For A2 the chain steps down the long-root direction and then the second
-    simple root; for C2 it steps down the short dominant direction.  The
-    highest weight itself is always tried first.
-    """
-    system = highest.system
-    chain = [highest]
-    alpha_sum = tuple(
-        a + b for a, b in zip(system.simple_roots[0], system.simple_roots[1])
-    ) if system.rank == 2 else None
-    if system.kind == "A2":
-        for n in (1, 2):
-            chain.append(_shift(highest, alpha_sum, n))
-        chain.append(_shift(highest, system.simple_roots[1], 1))
-    elif system.kind == "C2":
-        chain.append(_shift(highest, alpha_sum, 1))
-    return chain
+# Proof-chain witness steps below the top, in fundamental coordinates: A2 goes
+# down alpha_1 + alpha_2 = (1, 1) twice, then alpha_2; C2 down alpha_1 + alpha_2 = (0, 1).
+_WITNESS_STEPS = {"A2": ((1, 1), (2, 2), (-1, 2)), "C2": ((0, 1),)}
 
 
-def _shift(w: WeightVector, root: Vector, n: int) -> WeightVector:
-    """w - n*root, for an integral w, in fundamental coordinates."""
-    delta = w.system.root_table[root].fundamental
-    return WeightVector(
-        tuple(int(c) - n * d for c, d in zip(w.coords, delta)), w.system
-    )
-
-
-def even_witness(
-    highest: WeightVector, sub: SubalgebraSpec
-) -> tuple[WeightVector, int] | None:
+def even_witness(highest: WeightVector, sub: SubalgebraSpec) -> tuple[WeightVector, int] | None:
     """A weight with an even nonzero coroot evaluation and that value, or None.
 
     Such a weight certifies a branching factor of even nonzero highest
     weight in the matching coordinate, hence a nontight factor.  Preference
-    goes to the proof-chain candidates; a deterministic scan of the full
-    support is the fallback.
+    goes to the highest weight and then the proof-chain candidates; a
+    deterministic scan of the full support is the fallback.
     """
-    support = weight_multiplicities(highest)
+    system, top = highest.system, tuple(int(c) for c in highest.coords)
+    steps = _WITNESS_STEPS.get(system.kind, ())
+    chain = [top] + [tuple(map(operator.sub, top, step)) for step in steps]
 
-    def accepted(w: WeightVector):
-        if w not in support:
-            return None
-        for beta in sub.roots_b:
-            v = eval_on_coroot(w, beta)
-            if v != 0 and v % 2 == 0:
-                return w, int(v)
-        return None
+    def candidates():
+        yield from (coords for coords in chain if multiplicity(highest, coords))
+        yield from sorted((w.coords for w in weight_multiplicities(highest)), reverse=True)
 
-    for cand in _witness_chain(highest):
-        hit = accepted(cand)
-        if hit is not None:
-            return hit
-    for cand in sorted(support, key=lambda w: w.coords, reverse=True):
-        hit = accepted(cand)
-        if hit is not None:
-            return hit
+    for coords in candidates():
+        for value in sub.evaluate(coords):
+            if value != 0 and value % 2 == 0:
+                return WeightVector(coords, system), value
     return None

@@ -33,9 +33,8 @@ from .rootsys import (
     RootSystemData,
     WeightVector,
     build_root_system,
-    eval_on_coroot,
+    multiplicity,
     weight,
-    weight_multiplicities,
 )
 from .su11 import (
     best_tensor_pairing,
@@ -199,8 +198,7 @@ def _constructive_su11xsu11(k: int, l: int) -> tuple[bool, Witness]:
 
 
 def _check_membership(algebra: str, w: tuple[int, ...], coords) -> None:
-    top = _rank2_weight(algebra, w)
-    if weight(top.system, coords) not in weight_multiplicities(top):
+    if not multiplicity(_rank2_weight(algebra, w), coords):
         raise VerificationError(f"witness weight {coords} is not a weight of {w[:2]}")
 
 
@@ -256,10 +254,9 @@ def _su21_chain_witness(k: int, l: int) -> tuple[tuple[int, int], int] | None:
 def _constructive_su21(k: int, l: int) -> tuple[bool, Witness]:
     if (k, l) == (0, 0):
         return False, Witness("zero_class")
-    top = _rank2_weight("su21", (k, l))
     sub = _subalgebra("su21", "a1")
     if (k, l) in ((1, 0), (0, 1)):
-        if even_witness(top, sub) is not None:
+        if even_witness(_rank2_weight("su21", (k, l)), sub) is not None:
             raise RouteDisagreement(f"unexpected even witness for su21 weight {(k, l)}")
         return True, Witness("reference_classification")
     found = _su21_chain_witness(k, l)
@@ -267,7 +264,7 @@ def _constructive_su21(k: int, l: int) -> tuple[bool, Witness]:
         raise RouteDisagreement(f"no chain witness for su21 weight {(k, l)}")
     coords, value = found
     _check_membership("su21", (k, l), coords)
-    if eval_on_coroot(weight(top.system, coords), sub.roots_b[0]) != value:
+    if sub.evaluate(coords) != [value]:
         raise VerificationError(f"su21 chain witness {coords} does not evaluate to {value}")
     return False, Witness("even_branch_witness", "a1", coords, value)
 
@@ -364,17 +361,21 @@ def _replay_even_branch(verdict: TightnessVerdict) -> bool:
         wit.kind, wit.subalgebra, wit.weight, wit.evaluation
     ):
         return False
+    # ints only: 2.0 or True would pass the int-keyed lookups below
+    if not isinstance(wit.weight, tuple) or any(
+        type(x) is not int for x in (wit.evaluation, *wit.weight)
+    ):
+        return False
     factor = _RANK2_FACTOR[verdict.algebra]
     if wit.subalgebra not in TIGHT_SUBALGEBRA_SELECTORS[factor] or len(wit.weight) != 2:
         return False
     sub = _subalgebra(verdict.algebra, wit.subalgebra)
     top = _rank2_weight(verdict.algebra, verdict.weight)
-    witness_weight = weight(top.system, wit.weight)
-    if witness_weight not in weight_multiplicities(top):
+    if not multiplicity(top, wit.weight):
         return False
-    values = [eval_on_coroot(witness_weight, beta) for beta in sub.roots_b]
-    value = Fraction(wit.evaluation)
-    if value == 0 or value.denominator != 1 or int(value) % 2 != 0 or value not in values:
+    values = sub.evaluate(wit.weight)
+    value = wit.evaluation
+    if value == 0 or value % 2 != 0 or value not in values:
         return False
     # the recorded value certifies a factor of even nonzero highest weight
     # in the matching coordinate

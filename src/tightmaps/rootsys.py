@@ -12,12 +12,13 @@ validated fixture: each system derives from it, once, an integer table
 holding every root's simple-root coefficients, coroot functional,
 fundamental coordinates and half squared length.  Weights are stored by
 their coordinates in the fundamental-weight basis, and coroot evaluation,
-weight supports, Freudenthal multiplicities and the Weyl dimension formula
-all run on integers through that table.  Freudenthal runs on the dominant
-weights only; every other weight takes the multiplicity of its dominant
-Weyl representative, and the support is the union of their orbits.
-Euclidean vectors remain the names of roots, and the oracle the tests
-check the table against.
+Freudenthal multiplicities and the Weyl dimension formula all run on
+integers through that table.  The multiplicity table holds the dominant
+weights only, and Freudenthal's string sums run on them alone through
+tails memoised within one build.  Any other weight is reflected into the
+dominant chamber and looked up; the support is the union of the dominant
+weights' orbits, walked only on request.  Euclidean vectors remain the
+names of roots, and the oracle the tests check the table against.
 """
 
 from __future__ import annotations
@@ -290,19 +291,6 @@ def weight(system: RootSystemData, coords: Iterable) -> WeightVector:
     return WeightVector(tuple(Fraction(c) for c in coords), system)
 
 
-def weight_from_euclid(system: RootSystemData, vec: Iterable) -> WeightVector:
-    """Inverse of :meth:`WeightVector.euclid` on the weight span.
-
-    Coordinates are read off by evaluating against the simple coroots, so
-    converting a weight to Euclidean coordinates and back is the identity.
-    """
-    v = _vec(vec)
-    coords = tuple(
-        2 * dot(v, a) / dot(a, a) for a in system.simple_roots
-    )
-    return WeightVector(coords, system)
-
-
 def eval_on_coroot(w: WeightVector, root: Vector) -> int | Fraction:
     """<w, root^vee> = sum_i m_i <omega_i, root^vee>, from the root table."""
     entry = w.system.root_table.get(tuple(root))
@@ -311,20 +299,9 @@ def eval_on_coroot(w: WeightVector, root: Vector) -> int | Fraction:
     return sum(m * c for m, c in zip(w.coords, entry.coroot))
 
 
-def reflect_simple(w: WeightVector, i: int) -> WeightVector:
-    """Simple reflection s_i in fundamental-weight coordinates."""
-    cartan = w.system.cartan_matrix
-    mi = w.coords[i]
-    new = tuple(
-        c - mi * cartan[j][i] for j, c in enumerate(w.coords)
-    )
-    return WeightVector(new, w.system)
-
-
 def weyl_orbit(w: WeightVector) -> frozenset[WeightVector]:
     """Closure of ``w`` under all simple reflections."""
-    orbit = _orbit_coords(w.system, w.coords)
-    return frozenset(WeightVector(nu, w.system) for nu in orbit)
+    return frozenset(WeightVector(nu, w.system) for (nu,) in _orbit(w.system, (w.coords,)))
 
 
 def _require_dominant_integral(w: WeightVector) -> None:
@@ -339,44 +316,77 @@ def weight_support(highest: WeightVector) -> frozenset[WeightVector]:
     return frozenset(weight_multiplicities(highest))
 
 
-def _orbit_coords(system: RootSystemData, mu: tuple) -> list[tuple]:
-    """Closure of the coordinates ``mu`` under all simple reflections.
+def _orbit(system: RootSystemData, weights: tuple[tuple, ...]) -> list[tuple]:
+    """Closure of a tuple of weights under simultaneous simple reflections, itself first.
 
-    s_i subtracts mu_i alpha_i, whose coordinates are column i of the
-    Cartan matrix; it fixes a weight with mu_i = 0.
+    s_i subtracts x_i alpha_i from each weight x; alpha_i is column i of the Cartan matrix.
     """
     columns = list(zip(*system.cartan_matrix))
-    orbit, seen = [mu], {mu}
-    for nu in orbit:
-        for ni, column in zip(nu, columns):
-            if ni:
-                image = tuple([x - ni * c for x, c in zip(nu, column)])
+    orbit, seen = [weights], {weights}
+    for xs in orbit:
+        for i, column in enumerate(columns):
+            if any(x[i] for x in xs):
+                image = tuple(tuple([a - x[i] * c for a, c in zip(x, column)]) for x in xs)
                 if image not in seen:
                     seen.add(image)
                     orbit.append(image)
     return orbit
 
 
+def coroot_images(system: RootSystemData, roots) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Coroot rows of the distinct Weyl images of the root tuple ``roots``, itself first."""
+    by_weight = {entry.fundamental: entry for entry in system.root_table.values()}
+    start = tuple(system.root_table[tuple(r)].fundamental for r in roots)
+    return tuple(tuple(by_weight[b].coroot for b in image) for image in _orbit(system, start))
+
+
+def _to_dominant(columns: list[tuple[int, ...]], mu: tuple, beta: tuple) -> tuple[tuple, tuple]:
+    """(w mu, w beta), w reflecting mu in its most negative coordinate until dominant."""
+    while min(mu) < 0:
+        i = mu.index(min(mu))
+        mi, bi, column = mu[i], beta[i], columns[i]
+        mu = tuple([m - mi * c for m, c in zip(mu, column)])
+        beta = tuple([b - bi * c for b, c in zip(beta, column)])
+    return mu, beta
+
+
+def orbit_size(system: RootSystemData, mu: tuple[int, ...]) -> int:
+    """|W| / |W_mu| for a dominant ``mu``.
+
+    W_mu is the parabolic subgroup on the zero coordinates of mu, per simple
+    block: the block's whole Weyl group, or else one reflection per zero.
+    """
+    stabiliser, start = 1, 0
+    for kind in system.kinds:
+        data = _KIND_DATA[kind]
+        rank = len(data["simple"])
+        zeros = mu[start:start + rank].count(0)
+        stabiliser *= data["weyl_order"] if zeros == rank else 2 ** zeros
+        start += rank
+    return system.weyl_order // stabiliser
+
+
 @lru_cache(maxsize=None)
-def _multiplicity_table(
-    system: RootSystemData, top: tuple[int, ...]
-) -> dict[tuple[int, ...], int]:
-    """Freudenthal recursion on dominant weights, filled out along Weyl orbits.
+def _multiplicity_table(system: RootSystemData, top: tuple[int, ...]) -> dict[tuple, int]:
+    """Freudenthal recursion on the dominant weights alone (Moody-Patera, 1982).
 
-    Multiplicities are Weyl invariant, so the recursion runs only on the
-    dominant weights of the irrep, in order of their height below the top,
-    and every other weight takes the multiplicity of its dominant
-    representative (Moody-Patera, 1982).  The support is the union of the
-    orbits of the dominant weights.  With lambda = top and n the depth of
-    mu (top - mu = sum n_i alpha_i), the two inner products the formula
-    needs are
+    The keys are the dominant weights of the irrep; any other weight has the
+    multiplicity of its dominant Weyl representative.  With lambda = top and
+    top - mu = sum n_i alpha_i, and rho = (1, ..., 1),
 
-        (mu + k alpha, alpha) = (alpha, alpha)/2 * (<mu, alpha^vee> + 2k),
         |lambda + rho|^2 - |mu + rho|^2
-            = sum_i n_i (alpha_i, alpha_i)/2 * (lambda_i + mu_i + 2),
+            = sum_i n_i (alpha_i, alpha_i)/2 * (lambda_i + mu_i + 2)
 
-    since rho = (1, ..., 1).  The multiplicities must sum to the Weyl
-    dimension.
+    times m(mu) is twice the sum of the string tails T(mu, alpha), alpha > 0.
+    For a dominant d and a root beta of half squared length h,
+
+        T(d, beta) = sum_(k >= 1) h (<d, beta^vee> + 2k) m(d + k beta)
+                   = h (<d, beta^vee> + 2) m(d') + T(d', w beta),
+
+    w carrying d + beta to its dominant representative d'; T is 0 when d' is
+    not a weight, since strings are unbroken.  Each d' lies strictly above
+    mu, so m(d') is known, and tails are memoised within the one build.  The
+    multiplicities times the orbit sizes must sum to the Weyl dimension.
     """
     # The dominant weights below the top, each with its depth (top - mu in
     # simple roots).  Two dominant weights mu < nu are joined by a chain of
@@ -391,26 +401,33 @@ def _multiplicity_table(
             if min(cand) >= 0 and cand not in depths:
                 depths[cand] = tuple(map(operator.add, depths[mu], entry.coefficients))
                 found.append(cand)
-    representative = {nu: mu for mu in found for nu in _orbit_coords(system, mu)}
+    by_weight = {entry.fundamental: entry for entry in system.root_table.values()}
+    columns = list(zip(*system.cartan_matrix))
     simple_half = [system.root_table[a].half_norm for a in system.simple_roots]
-    dominant: dict[tuple[int, ...], int] = {top: 1}
+    mults: dict[tuple[int, ...], int] = {top: 1}
+    tails: dict[tuple, int] = {}
+
+    def tail(d: tuple[int, ...], beta: tuple[int, ...]) -> int:
+        # walk up the string to a known or empty tail, then fill back down
+        walked = []
+        while (d, beta) not in tails:
+            up, image = _to_dominant(columns, tuple(map(operator.add, d, beta)), beta)
+            if up not in depths:
+                tails[d, beta] = 0
+                break
+            walked.append((d, beta, mults[up]))
+            d, beta = up, image
+        total = tails[d, beta]
+        for d, beta, m in reversed(walked):
+            entry = by_weight[beta]
+            total += entry.half_norm * (sum(map(operator.mul, d, entry.coroot)) + 2) * m
+            tails[d, beta] = total
+        return total
+
     for mu in sorted(depths, key=lambda mu: (sum(depths[mu]), mu)):
         if mu == top:
             continue
-        num = 0
-        for entry in positive:
-            value = sum(map(operator.mul, mu, entry.coroot))
-            up = mu
-            k = 1
-            while True:
-                up = tuple(map(operator.add, up, entry.fundamental))
-                rep = representative.get(up)
-                if rep is None:
-                    break
-                # the dominant representative of mu + k*alpha sits strictly
-                # above mu, so it is already done
-                num += entry.half_norm * (value + 2 * k) * dominant[rep]
-                k += 1
+        num = sum(tail(mu, entry.fundamental) for entry in positive)
         denom = sum(
             h * n * (t + m + 2)
             for h, n, t, m in zip(simple_half, depths[mu], top, mu)
@@ -419,23 +436,35 @@ def _multiplicity_table(
             raise VerificationError(
                 f"Freudenthal at {mu} below {top} in {system.kind}: 2*{num}/{denom}"
             )
-        dominant[mu] = (2 * num) // denom
-    mults = {nu: dominant[mu] for nu, mu in representative.items()}
-    total, dim = sum(mults.values()), _weyl_dimension(system, top)
-    if total != dim:
+        mults[mu] = (2 * num) // denom
+    total = sum(m * orbit_size(system, mu) for mu, m in mults.items())
+    if total != (dim := _weyl_dimension(system, top)):
         raise VerificationError(
             f"multiplicities of {top} in {system.kind} sum to {total}, not {dim}"
         )
     return mults
 
 
-def weight_multiplicities(highest: WeightVector) -> dict[WeightVector, int]:
-    """Weight multiplicities of the irrep, via the Freudenthal recursion."""
+def dominant_multiplicities(highest: WeightVector) -> dict[tuple[int, ...], int]:
+    """The shared cached table, dominant int coordinates to multiplicity; do not mutate."""
     _require_dominant_integral(highest)
+    return _multiplicity_table(highest.system, tuple(int(c) for c in highest.coords))
+
+
+def multiplicity(highest: WeightVector, mu: tuple[int, ...]) -> int:
+    """Multiplicity of the int coordinates ``mu``, reflected to dominant; 0 off the support."""
+    dominant, _ = _to_dominant(list(zip(*highest.system.cartan_matrix)), mu, mu)
+    return dominant_multiplicities(highest).get(dominant, 0)
+
+
+def weight_multiplicities(highest: WeightVector) -> dict[WeightVector, int]:
+    """Weight multiplicities of the irrep, the dominant table expanded along orbits."""
     system = highest.system
-    top = tuple(int(c) for c in highest.coords)
-    table = _multiplicity_table(system, top)
-    return {WeightVector(mu, system): m for mu, m in table.items()}
+    return {
+        WeightVector(nu, system): m
+        for mu, m in dominant_multiplicities(highest).items()
+        for (nu,) in _orbit(system, (mu,))
+    }
 
 
 def dimension(highest: WeightVector) -> int:

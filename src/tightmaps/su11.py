@@ -68,11 +68,6 @@ class ExplicitRep:
             raise ValueError("Z-image must be trace free")
 
     @property
-    def z_diagonal(self) -> tuple[Fraction, ...]:
-        """The Z-image diagonal itself, in exact rationals."""
-        return tuple(Fraction(d, 2) for d in self.z_doubled)
-
-    @property
     def basis_labels(self) -> tuple[str, ...]:
         """Names of the basis vectors, in the order of ``z_doubled``.
 
@@ -136,15 +131,6 @@ def _scaled_z_element(p: int, q: int) -> tuple[int, ...]:
     if p + q < 2:
         raise ValueError("su(p,q) needs p+q >= 2")
     return (q,) * p + (-p,) * q
-
-
-def z_element(p: int, q: int) -> tuple[Fraction, ...]:
-    """Diagonal of the central element of su(p,q), positive block first.
-
-    i*diag(q/(p+q), ..., -p/(p+q), ...); the restriction to any 2x2 block of
-    a diagonal disc has eigenvalues +-1/2.
-    """
-    return tuple(Fraction(v, p + q) for v in _scaled_z_element(p, q))
 
 
 def diagonal_disc_z(p: int, q: int) -> Diagonal:

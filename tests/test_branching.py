@@ -2,10 +2,12 @@
 
 import itertools
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
 from tightmaps.branching import (
+    _WITNESS_STEPS,
     SL2,
     SL2_X_SL2,
     SubalgebraError,
@@ -17,11 +19,13 @@ from tightmaps.branching import (
     restrict_rep,
     selector_of,
 )
+from tightmaps.errors import VerificationError
 from tightmaps.rootsys import (
     build_root_system,
     dimension,
     eval_on_coroot,
     weight,
+    weight_multiplicities,
 )
 
 A2 = build_root_system("A2")
@@ -147,6 +151,27 @@ def test_peeling_is_involution_consistent():
             assert rebuilt == original
 
 
+def test_evaluation_multiset_matches_the_weight_by_weight_oracle():
+    # orbit shares against the Weyl images of B equal evaluating every
+    # weight of the support on B's own coroot rows
+    for system, sub, images in ((C2, sub_c2_short(), 4), (C2, sub_c2_pair(), 8),
+                                (A2, sub_a2(), 6)):
+        assert len(sub.coroot_images) == images
+        rows = [system.root_table[beta].coroot for beta in sub.roots_b]
+        for k in range(13):
+            for l in range(13 - k):
+                w = weight(system, (k, l))
+                oracle = Counter()
+                for mu, m in weight_multiplicities(w).items():
+                    oracle[tuple(sum(c * r for c, r in zip(mu.coords, row)) for row in rows)] += m
+                assert evaluation_multiset(w, sub) == oracle, (system.kind, sub.roots_b, k, l)
+    # an image set that is not a whole Weyl orbit splits an orbit unevenly
+    short = sub_c2_short()
+    forged = replace(short, coroot_images=short.coroot_images[:3])
+    with pytest.raises(VerificationError):
+        evaluation_multiset(weight(C2, (1, 0)), forged)
+
+
 def _greedy_sl2(values):
     """Peel strings off the top, one at a time.
 
@@ -246,6 +271,17 @@ def test_even_witness_examples():
     assert even_witness(weight(A2, (1, 0)), sub_a2()) is None
     assert even_witness(weight(A2, (0, 1)), sub_a2()) is None
     assert even_witness(weight(C2, (1, 0)), sub_c2_pair()) is None
+
+
+def test_witness_steps_are_the_proof_chain_roots():
+    # A2: alpha_1 + alpha_2 once and twice, then alpha_2; C2: alpha_1 + alpha_2
+    for system, depths in ((A2, ((1, 1), (2, 2), (0, 1))), (C2, ((1, 1),))):
+        columns = list(zip(*system.cartan_matrix))
+        expected = tuple(
+            tuple(sum(n * column[i] for n, column in zip(depth, columns)) for i in range(2))
+            for depth in depths
+        )
+        assert _WITNESS_STEPS[system.kind] == expected, system.kind
 
 
 def test_even_witness_exists_for_all_nontight_c2_weights():

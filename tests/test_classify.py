@@ -205,7 +205,15 @@ def test_every_even_branch_witness_mutation_fails_replay():
             replace(wit, evaluation=-value),
             *(replace(wit, weight=(i + d, j)) for d in (1, -1)),
             replace(wit, weight=(i, j - 1)),
+            # the right values in the wrong types
+            replace(wit, weight=(float(i), float(j))),
+            replace(wit, weight=("x", j)),
+            replace(wit, weight=[i, j]),
+            replace(wit, evaluation=float(value)),
+            replace(wit, evaluation=str(value)),
         ]
+        if i in (0, 1):
+            forgeries.append(replace(wit, weight=(bool(i), j)))
         for forged in forgeries:
             assert not replay_witness(replace(verdict, witness=forged)), (
                 verdict.algebra, verdict.weight, forged,

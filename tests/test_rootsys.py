@@ -1,6 +1,7 @@
 """Root-system data, orbits, supports, multiplicities, dimensions."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -8,11 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tightmaps.rootsys import (
+    WeightVector,
     _multiplicity_table,
     build_root_system,
     dimension,
     dot,
     eval_on_coroot,
+    multiplicity,
     weight,
     weight_multiplicities,
     weight_support,
@@ -174,6 +177,23 @@ def test_integral_weights_evaluate_integrally(kind, coords, root_index):
     assert value.denominator == 1
 
 
+def reflect_simple(w, i):
+    """Simple reflection s_i in fundamental-weight coordinates."""
+    mi = w.coords[i]
+    new = tuple(c - mi * w.system.cartan_matrix[j][i] for j, c in enumerate(w.coords))
+    return WeightVector(new, w.system)
+
+
+def weight_from_euclid(system, vec):
+    """Inverse of ``WeightVector.euclid`` on the weight span.
+
+    Coordinates are read off by evaluating against the simple coroots, so
+    converting a weight to Euclidean coordinates and back is the identity.
+    """
+    v = tuple(Fraction(x) for x in vec)
+    return WeightVector(tuple(2 * dot(v, a) / dot(a, a) for a in system.simple_roots), system)
+
+
 def test_weight_support_examples():
     support = weight_support(weight(A1, (3,)))
     assert sorted(int(w.coords[0]) for w in support) == [-3, -1, 1, 3]
@@ -196,8 +216,6 @@ def test_weight_support_rejects_bad_input():
 )
 @settings(deadline=None, max_examples=30)
 def test_support_closed_under_simple_reflections(kind, coords):
-    from tightmaps.rootsys import reflect_simple
-
     system = build_root_system(kind)
     support = weight_support(weight(system, coords))
     for w in support:
@@ -312,15 +330,166 @@ def _full_support_oracle(system, top):
     return mults
 
 
+def _orbit_signs(system, v):
+    """The Weyl orbit of v, walked by simple reflections, each flipping a sign.
+
+    For a regular v the images are in bijection with W, and the sign of
+    w(v) is sign(w).
+    """
+    columns = list(zip(*system.cartan_matrix))
+    images, frontier = {v: 1}, [v]
+    for x in frontier:
+        for i, column in enumerate(columns):
+            y = tuple(a - x[i] * col for a, col in zip(x, column))
+            if y not in images:
+                images[y] = -images[x]
+                frontier.append(y)
+    return images
+
+
+def _orbit_expanded_table(system, top):
+    """The dominant-only table, each entry spread over its Weyl orbit."""
+    return {
+        nu: m
+        for mu, m in _multiplicity_table(system, top).items()
+        for nu in _orbit_signs(system, mu)
+    }
+
+
 @pytest.mark.parametrize("system", SYSTEMS, ids=lambda s: s.kind)
 def test_multiplicity_table_matches_full_support_oracle(system):
     for top in itertools.product(range(13), repeat=system.rank):
         if sum(top) > 12:
             continue
-        table = _multiplicity_table(system, top)
+        table = _orbit_expanded_table(system, top)
         assert table == _full_support_oracle(system, top), top
         support = weight_support(weight(system, top))
         assert support == {weight(system, mu) for mu in table}, top
+
+
+def _tops(bound):
+    return [(k, l) for k in range(bound + 1) for l in range(bound + 1 - k)]
+
+
+def _simple_root_coords(system, delta):
+    """``delta``, in fundamental coordinates, in the simple-root basis (rank two).
+
+    Solves delta_i = sum_j cartan[i][j] c_j by Cramer's rule; None when
+    ``delta`` is off the root lattice.
+    """
+    (a, b), (c, d) = system.cartan_matrix
+    det = a * d - b * c
+    coords = (
+        Fraction(delta[0] * d - b * delta[1], det),
+        Fraction(a * delta[1] - delta[0] * c, det),
+    )
+    if any(x.denominator != 1 for x in coords):
+        return None
+    return tuple(int(x) for x in coords)
+
+
+def _partition_counts(system, size):
+    """Kostant's partition function on [0, size]^2, by DP over the positive roots.
+
+    P(c) counts the ways to write sum_i c_i alpha_i as a sum of positive
+    roots; each root is a coin that may be used any number of times.
+    """
+    rank = system.rank
+    counts = dict.fromkeys(itertools.product(range(size + 1), repeat=rank), 0)
+    counts[(0,) * rank] = 1
+    for root in system.positive_roots:
+        coin = system.root_table[root].coefficients
+        for c in sorted(counts):  # c - coin sorts before c
+            prev = tuple(x - y for x, y in zip(c, coin))
+            if min(prev) >= 0:
+                counts[c] += counts[prev]
+    return counts
+
+
+@pytest.mark.parametrize("system", (A2, C2), ids=lambda s: s.kind)
+def test_multiplicities_match_the_kostant_formula(system):
+    # m(mu) = sum_w sign(w) P(w(lam + rho) - (mu + rho)) (Kostant, 1959),
+    # checked on every weight and on every simple-root neighbour outside
+    # the support, where it must vanish
+    size = 20
+    counts = _partition_counts(system, size)
+    columns = list(zip(*system.cartan_matrix))
+    for top in _tops(8):
+        mults = {
+            tuple(int(c) for c in w.coords): m
+            for w, m in weight_multiplicities(weight(system, top)).items()
+        }
+        images = _orbit_signs(system, tuple(t + 1 for t in top))
+
+        def kostant(mu):
+            total = 0
+            for image, sign in images.items():
+                c = _simple_root_coords(system, tuple(x - m - 1 for x, m in zip(image, mu)))
+                if c is not None and min(c) >= 0:
+                    assert max(c) <= size
+                    total += sign * counts[c]
+            return total
+
+        neighbours = {
+            tuple(x + s * col for x, col in zip(mu, column))
+            for mu in mults
+            for column in columns
+            for s in (1, -1)
+        }
+        for mu in set(mults) | neighbours:
+            assert kostant(mu) == mults.get(mu, 0), (top, mu)
+
+
+def _convex_hull(points):
+    """Vertices of the convex hull of integer points, by the monotone chain."""
+    points = sorted(set(points))
+    if len(points) <= 2:
+        return points
+
+    def half(seq):
+        out = []
+        for p in seq:
+            while len(out) >= 2 and (
+                (out[-1][0] - out[-2][0]) * (p[1] - out[-2][1])
+                - (out[-1][1] - out[-2][1]) * (p[0] - out[-2][0])
+            ) <= 0:
+                out.pop()
+            out.append(p)
+        return out[:-1]
+
+    return half(points) + half(points[::-1])
+
+
+@pytest.mark.parametrize("system", (A2, C2), ids=lambda s: s.kind)
+def test_support_size_matches_picks_theorem(system):
+    # the support is the coset top + Q inside the convex hull of the Weyl
+    # orbit, so in simple-root coordinates of top - mu it is the lattice
+    # points of a polygon: area + boundary/2 + 1 (Pick)
+    for top in _tops(15):
+        orbit = weyl_orbit(weight(system, top))
+        hull = _convex_hull(
+            _simple_root_coords(system, tuple(t - int(c) for t, c in zip(top, w.coords)))
+            for w in orbit
+        )
+        edges = list(zip(hull, hull[1:] + hull[:1]))
+        twice_area = abs(sum(x0 * y1 - x1 * y0 for (x0, y0), (x1, y1) in edges))
+        boundary = sum(math.gcd(x1 - x0, y1 - y0) for (x0, y0), (x1, y1) in edges)
+        assert len(weight_support(weight(system, top))) == (twice_area + boundary) // 2 + 1, top
+
+
+@pytest.mark.parametrize("system", (A2, C2), ids=lambda s: s.kind)
+def test_multiplicity_reflects_into_the_dominant_table(system):
+    # the table holds dominant weights only, and every weight of a box
+    # around the support is answered by reflecting it there (0 off it)
+    for top in _tops(6):
+        assert all(min(mu) >= 0 for mu in _multiplicity_table(system, top)), top
+        highest = weight(system, top)
+        mults = {tuple(int(c) for c in w.coords): m
+                 for w, m in weight_multiplicities(highest).items()}
+        low = min(min(mu) for mu in mults) - 1
+        high = max(max(mu) for mu in mults) + 1
+        for mu in itertools.product(range(low, high + 1), repeat=2):
+            assert multiplicity(highest, mu) == mults.get(mu, 0), (top, mu)
 
 
 def test_support_equals_multiplicity_support():
@@ -336,8 +505,6 @@ def test_support_equals_multiplicity_support():
 )
 @settings(deadline=None, max_examples=40)
 def test_euclid_round_trip(kind, coords):
-    from tightmaps.rootsys import weight_from_euclid
-
     system = build_root_system(kind)
     w = weight(system, coords[: system.rank])
     assert weight_from_euclid(system, w.euclid()) == w
