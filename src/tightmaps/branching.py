@@ -16,8 +16,8 @@ import itertools
 import operator
 import re
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import VerificationError
 from .rootsys import (
@@ -43,8 +43,7 @@ class SubalgebraError(ValueError):
     """A root subset violating one of the regularity conditions."""
 
 
-@dataclass(frozen=True)
-class SubalgebraSpec:
+class SubalgebraSpec(NamedTuple):
     system: RootSystemData
     roots_b: tuple[Vector, ...]
     generated_roots_c: tuple[Vector, ...]
@@ -188,8 +187,7 @@ def selector_of(system: RootSystemData, roots: tuple[Vector, ...]) -> str:
     return ",".join(names)
 
 
-@dataclass(frozen=True)
-class BranchingResult:
+class BranchingResult(NamedTuple):
     target_kind: str
     # descending multiset of sl2 highest weights, or of pairs for sl2xsl2
     factors: tuple

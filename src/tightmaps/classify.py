@@ -15,9 +15,9 @@ bundled holomorphic classification table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from . import kahler
 from .branching import (
@@ -112,8 +112,7 @@ def validate_weight(algebra: str, w) -> tuple[int, ...]:
     return tuple(int(c) for c in coords)
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(NamedTuple):
     """A replayable certificate of one verdict.
 
     The fields, in order, are the wire schema; ``None`` marks a field the
@@ -128,11 +127,10 @@ class Witness:
     pairing_rhs: Fraction | None = None
 
     def __str__(self) -> str:  # the set fields in wire order, rationals as p/q
-        return ", ".join(f"{k}={v}" for k, v in vars(self).items() if v is not None)
+        return ", ".join(f"{k}={v}" for k, v in self._asdict().items() if v is not None)
 
 
-@dataclass(frozen=True)
-class TightnessVerdict:
+class TightnessVerdict(NamedTuple):
     algebra: str
     weight: tuple[int, ...]
     tight: bool
@@ -535,8 +533,7 @@ def verify_su_n1_to_sostar(p: int) -> dict:
 # -- embedding reference table -----------------------------------------------
 
 
-@dataclass(frozen=True)
-class EmbeddingRow:
+class EmbeddingRow(NamedTuple):
     algebra: kahler.HermitianFactor
     probe: str  # which of sp4 / sp4+su11 / su21 embeds tightly holomorphically
     tube_subalgebra: kahler.HermitianFactor

@@ -16,7 +16,6 @@ from fractions import Fraction
 
 from . import kahler
 from .branching import (
-    SubalgebraError,
     even_witness,
     make_subalgebra,
     parse_subalgebra_selector,
@@ -65,7 +64,7 @@ def encode(value):
 
 def witness_wire(witness: Witness) -> dict:
     """The witness fields that are set, in field order."""
-    return {k: encode(v) for k, v in vars(witness).items() if v is not None}
+    return {k: encode(v) for k, v in witness._asdict().items() if v is not None}
 
 
 def verdict_row(verdict: TightnessVerdict) -> dict:
@@ -140,10 +139,10 @@ def _parse_weight(text: str) -> tuple[int, ...]:
 
 
 def _parse_p_range(text: str) -> tuple[int, int]:
-    parts = text.split(":")
-    if len(parts) != 2:
+    try:
+        lo, hi = (int(part) for part in text.split(":"))
+    except ValueError:
         raise ValueError(f"cannot parse range {text!r}; expected a:b")
-    lo, hi = int(parts[0]), int(parts[1])
     if lo > hi:
         raise ValueError(f"empty range {text!r}")
     return lo, hi
@@ -347,7 +346,7 @@ def main(argv=None) -> int:
         return exit_.code if isinstance(exit_.code, int) else USAGE_ERROR
     try:
         return args.run(args)
-    except (ValueError, SubalgebraError) as err:
+    except ValueError as err:
         sys.stderr.write(f"validation error: {err}\n")
         return VALIDATION_ERROR
     except VerificationError as err:

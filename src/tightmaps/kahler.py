@@ -12,15 +12,14 @@ class.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from math import floor
+from typing import NamedTuple
 
 from .errors import VerificationError
 
 
-@dataclass(frozen=True)
-class HermitianFactor:
+class HermitianFactor(NamedTuple):
     """A classical simple Hermitian Lie algebra, reduced to its bookkeeping
     data: real rank and tube type."""
 
@@ -59,14 +58,18 @@ def so2n(n: int) -> HermitianFactor:
 Factors = tuple[HermitianFactor, ...]
 
 
-@dataclass(frozen=True)
-class KahlerClass:
+class _KahlerClass(NamedTuple):
     factors: Factors
     coefficients: tuple[Fraction, ...]
 
-    def __post_init__(self):
-        if len(self.factors) != len(self.coefficients):
+
+class KahlerClass(_KahlerClass):
+    __slots__ = ()
+
+    def __new__(cls, factors: Factors, coefficients: tuple[Fraction, ...]):
+        if len(factors) != len(coefficients):
             raise ValueError("one coefficient per factor expected")
+        return super().__new__(cls, factors, coefficients)
 
 
 def kahler_class(factors, coefficients) -> KahlerClass:
@@ -98,8 +101,13 @@ def is_negative(cls: KahlerClass) -> bool:
     return all(c <= 0 for c in cls.coefficients)
 
 
-@dataclass(frozen=True)
-class HomClassMap:
+class _HomClassMap(NamedTuple):
+    source: Factors
+    target: Factors
+    matrix: tuple[tuple[Fraction, ...], ...]
+
+
+class HomClassMap(_HomClassMap):
     """Pullback action of a homomorphism on distinguished classes.
 
     ``matrix[j][i]`` is the coefficient of the source factor j in the
@@ -108,24 +116,18 @@ class HomClassMap:
     distinguished class never gains norm).
     """
 
-    source: Factors
-    target: Factors
-    matrix: tuple[tuple[Fraction, ...], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.matrix) != len(self.source) or any(
-            len(row) != len(self.target) for row in self.matrix
-        ):
+    def __new__(cls, source: Factors, target: Factors,
+                matrix: tuple[tuple[Fraction, ...], ...]):
+        if len(matrix) != len(source) or any(len(row) != len(target) for row in matrix):
             raise ValueError("matrix shape must be |source| x |target|")
-        for i, tf in enumerate(self.target):
-            col = sum(
-                (abs(self.matrix[j][i]) * sf.rank for j, sf in enumerate(self.source)),
-                Fraction(0),
-            )
+        for i, tf in enumerate(target):
+            col = sum((abs(matrix[j][i]) * sf.rank for j, sf in enumerate(source)),
+                      Fraction(0))
             if col > tf.rank:
-                raise ValueError(
-                    f"pullback of {tf.name} has norm {col} > rank {tf.rank}"
-                )
+                raise ValueError(f"pullback of {tf.name} has norm {col} > rank {tf.rank}")
+        return super().__new__(cls, source, target, matrix)
 
 
 def class_map(source, target, matrix) -> HomClassMap:

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, NamedTuple
@@ -92,9 +91,8 @@ class RootEntry(NamedTuple):
     half_norm: int  # (beta, beta) / 2
 
 
-@dataclass(frozen=True, eq=False)
 class RootSystemData:
-    """Validated root-system fixture.
+    """Validated root-system fixture, with read-only fields.
 
     Instances are interned by :func:`build_root_system`; identity comparison
     is therefore the intended notion of equality.
@@ -109,6 +107,17 @@ class RootSystemData:
     weyl_order: int
     # every root, positive ones first, keyed by its Euclidean vector
     root_table: dict[Vector, RootEntry]
+    __slots__ = tuple(__annotations__)  # the annotated names above
+
+    def __init__(self, **fields):
+        for name in self.__slots__:
+            object.__setattr__(self, name, fields[name])
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __reduce__(self):  # a copy or unpickled system is the interned one
+        return build_root_system, (self.kinds,)
 
     @property
     def rank(self) -> int:
@@ -249,18 +258,20 @@ def _validate(system: RootSystemData) -> None:
         check(tuple(rebuilt) == root, f"coefficients {coeffs} do not rebuild a root")
 
 
-@dataclass(frozen=True)
-class WeightVector:
-    """A weight, stored by its fundamental-weight coordinates."""
-
+class _WeightVector(NamedTuple):
     coords: tuple[Fraction, ...]
     system: RootSystemData
 
-    def __post_init__(self):
-        if len(self.coords) != self.system.rank:
-            raise ValueError(
-                f"expected {self.system.rank} coordinates, got {len(self.coords)}"
-            )
+
+class WeightVector(_WeightVector):
+    """A weight, stored by its fundamental-weight coordinates."""
+
+    __slots__ = ()
+
+    def __new__(cls, coords: tuple[Fraction, ...], system: RootSystemData):
+        if len(coords) != system.rank:
+            raise ValueError(f"expected {system.rank} coordinates, got {len(coords)}")
+        return super().__new__(cls, coords, system)
 
     def __hash__(self):
         return hash((self.coords, id(self.system)))

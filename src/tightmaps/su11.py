@@ -17,23 +17,27 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 Diagonal = tuple[int, ...]  # doubled: d for the Z-image i*diag(d/2)
 Exact = int | Fraction
 
 
-@dataclass(frozen=True)
-class SignaturePair:
-    """Signature (p, q) of an invariant indefinite Hermitian form."""
-
+class _SignaturePair(NamedTuple):
     p: int
     q: int
 
-    def __post_init__(self):
-        if self.p < 0 or self.q < 0:
+
+class SignaturePair(_SignaturePair):
+    """Signature (p, q) of an invariant indefinite Hermitian form."""
+
+    __slots__ = ()
+
+    def __new__(cls, p: int, q: int):
+        if p < 0 or q < 0:
             raise ValueError("signature entries must be nonnegative")
+        return super().__new__(cls, p, q)
 
     @property
     def dim(self) -> int:
@@ -44,28 +48,33 @@ class SignaturePair:
         return min(self.p, self.q)
 
 
-@dataclass(frozen=True)
-class ExplicitRep:
+class _ExplicitRep(NamedTuple):
+    dim: int
+    signature: SignaturePair
+    z_doubled: Diagonal
+    degrees: tuple[int, ...]
+
+
+class ExplicitRep(_ExplicitRep):
     """A representation given by its form signature and doubled Z-image.
 
     ``degrees`` is (k,) for the degree-k model and (k, l) for the tensor
     product of the degree-k and degree-l models.
     """
 
-    dim: int
-    signature: SignaturePair
-    z_doubled: Diagonal
-    degrees: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.signature.dim != self.dim:
+    def __new__(cls, dim: int, signature: SignaturePair, z_doubled: Diagonal,
+                degrees: tuple[int, ...]):
+        if signature.dim != dim:
             raise ValueError("signature does not sum to the dimension")
-        if len(self.z_doubled) != self.dim:
+        if len(z_doubled) != dim:
             raise ValueError("diagonal/basis length mismatch")
-        if math.prod(d + 1 for d in self.degrees) != self.dim:
+        if math.prod(d + 1 for d in degrees) != dim:
             raise ValueError("degrees do not match the dimension")
-        if sum(self.z_doubled) != 0:
+        if sum(z_doubled) != 0:
             raise ValueError("Z-image must be trace free")
+        return super().__new__(cls, dim, signature, z_doubled, degrees)
 
     @property
     def basis_labels(self) -> tuple[str, ...]:
@@ -81,15 +90,19 @@ class ExplicitRep:
         return tuple(f"({a}) (x) ({b})" for a, b in _tensor_order(*labels))
 
 
-@dataclass(frozen=True)
-class StructureChoice:
-    """Signs of the complex structure on each su(1,1) factor of the domain."""
-
+class _StructureChoice(NamedTuple):
     signs: tuple[int, ...]
 
-    def __post_init__(self):
-        if not self.signs or any(s not in (1, -1) for s in self.signs):
+
+class StructureChoice(_StructureChoice):
+    """Signs of the complex structure on each su(1,1) factor of the domain."""
+
+    __slots__ = ()
+
+    def __new__(cls, signs: tuple[int, ...]):
+        if not signs or any(s not in (1, -1) for s in signs):
             raise ValueError("signs must be +1 or -1")
+        return super().__new__(cls, signs)
 
     def flipped(self) -> "StructureChoice":
         return StructureChoice(tuple(-s for s in self.signs))

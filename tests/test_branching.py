@@ -2,7 +2,6 @@
 
 import itertools
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 
@@ -167,7 +166,7 @@ def test_evaluation_multiset_matches_the_weight_by_weight_oracle():
                 assert evaluation_multiset(w, sub) == oracle, (system.kind, sub.roots_b, k, l)
     # an image set that is not a whole Weyl orbit splits an orbit unevenly
     short = sub_c2_short()
-    forged = replace(short, coroot_images=short.coroot_images[:3])
+    forged = short._replace(coroot_images=short.coroot_images[:3])
     with pytest.raises(VerificationError):
         evaluation_multiset(weight(C2, (1, 0)), forged)
 

@@ -1,6 +1,5 @@
 """Classification engine: routes, witnesses, sweeps, conversions."""
 
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -123,16 +122,16 @@ def test_rank_two_sweeps_beyond_the_acceptance_bounds(algebra, bound, expected):
 
 def test_replay_rejects_tampered_witness():
     verdict = classify("sp4", (0, 2))
-    forged = replace(verdict, witness=replace(verdict.witness, evaluation=6))
+    forged = verdict._replace(witness=verdict.witness._replace(evaluation=6))
     assert not replay_witness(forged)
-    forged = replace(verdict, witness=replace(verdict.witness, weight=(0, 1)))
+    forged = verdict._replace(witness=verdict.witness._replace(weight=(0, 1)))
     assert not replay_witness(forged)
 
     # a witness kind only su11xsu11 emits does not replay on a rank-two row
     for algebra in ("sp4", "su21"):
         verdict = classify(algebra, (2, 0))
         forged = Witness("clebsch_gordan_even", evaluation=2)
-        assert not replay_witness(replace(verdict, witness=forged)), algebra
+        assert not replay_witness(verdict._replace(witness=forged)), algebra
 
     rows = {a: [classify(a, w) for w in dominant_weights(a, 6)] for a in ALGEBRAS}
     kinds = {a: {v.witness.kind for v in vs} for a, vs in rows.items()}
@@ -146,16 +145,16 @@ def test_replay_rejects_tampered_witness():
         for verdict in verdicts:
             wit = verdict.witness
             for forged in (
-                replace(wit, evaluation=(wit.evaluation or 0) + 1),
-                replace(wit, pairing_lhs=(wit.pairing_lhs or 0) + 1),
-                replace(wit, pairing_rhs=(wit.pairing_rhs or 0) + 1),
-                *(replace(wit, subalgebra=s) for s in ("a1", "a3", "2a1")
+                wit._replace(evaluation=(wit.evaluation or 0) + 1),
+                wit._replace(pairing_lhs=(wit.pairing_lhs or 0) + 1),
+                wit._replace(pairing_rhs=(wit.pairing_rhs or 0) + 1),
+                *(wit._replace(subalgebra=s) for s in ("a1", "a3", "2a1")
                   if s != wit.subalgebra),
-                replace(wit, weight=(wit.weight or ()) + (0,)),
-                replace(wit, weight=(1,)),
+                wit._replace(weight=(wit.weight or ()) + (0,)),
+                wit._replace(weight=(1,)),
                 *foreign,
             ):
-                assert not replay_witness(replace(verdict, witness=forged)), (
+                assert not replay_witness(verdict._replace(witness=forged)), (
                     algebra, verdict.weight, forged,
                 )
 
@@ -173,14 +172,14 @@ def test_every_pairing_witness_mutation_fails_replay():
         wit = verdict.witness
         lhs, rhs = wit.pairing_lhs, wit.pairing_rhs
         assert replay_witness(verdict)
-        forgeries = [replace(wit, pairing_lhs=lhs + d) for d in (half, -half)]
-        forgeries += [replace(wit, pairing_rhs=rhs + d) for d in (half, -half)]
+        forgeries = [wit._replace(pairing_lhs=lhs + d) for d in (half, -half)]
+        forgeries += [wit._replace(pairing_rhs=rhs + d) for d in (half, -half)]
         if lhs != 0:
-            forgeries.append(replace(wit, pairing_lhs=-lhs))
+            forgeries.append(wit._replace(pairing_lhs=-lhs))
         if lhs != rhs:
-            forgeries.append(replace(wit, pairing_lhs=rhs, pairing_rhs=lhs))
+            forgeries.append(wit._replace(pairing_lhs=rhs, pairing_rhs=lhs))
         for forged in forgeries:
-            assert not replay_witness(replace(verdict, witness=forged)), (
+            assert not replay_witness(verdict._replace(witness=forged)), (
                 verdict.algebra, verdict.weight, forged,
             )
 
@@ -201,21 +200,21 @@ def test_every_even_branch_witness_mutation_fails_replay():
         (i, j), value = wit.weight, wit.evaluation
         assert replay_witness(verdict)
         forgeries = [
-            *(replace(wit, evaluation=value + d) for d in (1, -1, 2)),
-            replace(wit, evaluation=-value),
-            *(replace(wit, weight=(i + d, j)) for d in (1, -1)),
-            replace(wit, weight=(i, j - 1)),
+            *(wit._replace(evaluation=value + d) for d in (1, -1, 2)),
+            wit._replace(evaluation=-value),
+            *(wit._replace(weight=(i + d, j)) for d in (1, -1)),
+            wit._replace(weight=(i, j - 1)),
             # the right values in the wrong types
-            replace(wit, weight=(float(i), float(j))),
-            replace(wit, weight=("x", j)),
-            replace(wit, weight=[i, j]),
-            replace(wit, evaluation=float(value)),
-            replace(wit, evaluation=str(value)),
+            wit._replace(weight=(float(i), float(j))),
+            wit._replace(weight=("x", j)),
+            wit._replace(weight=[i, j]),
+            wit._replace(evaluation=float(value)),
+            wit._replace(evaluation=str(value)),
         ]
         if i in (0, 1):
-            forgeries.append(replace(wit, weight=(bool(i), j)))
+            forgeries.append(wit._replace(weight=(bool(i), j)))
         for forged in forgeries:
-            assert not replay_witness(replace(verdict, witness=forged)), (
+            assert not replay_witness(verdict._replace(witness=forged)), (
                 verdict.algebra, verdict.weight, forged,
             )
 
@@ -244,13 +243,13 @@ def test_every_fixed_witness_mutation_fails_replay():
         assert replay_witness(verdict)
         value = wit.evaluation or 0
         forgeries = [
-            *(replace(wit, **{f: v}) for f, v in values.items() if getattr(wit, f) is None),
-            *(replace(wit, evaluation=value + d) for d in (2, -2)),
+            *(wit._replace(**{f: v}) for f, v in values.items() if getattr(wit, f) is None),
+            *(wit._replace(evaluation=value + d) for d in (2, -2)),
         ]
         if value:
-            forgeries.append(replace(wit, evaluation=-value))
+            forgeries.append(wit._replace(evaluation=-value))
         for forged in forgeries:
-            assert not replay_witness(replace(verdict, witness=forged)), (
+            assert not replay_witness(verdict._replace(witness=forged)), (
                 verdict.algebra, verdict.weight, forged,
             )
 

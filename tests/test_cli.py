@@ -184,6 +184,14 @@ def test_lemma_bla_range_below_the_battery_is_a_validation_error(capsys):
     assert code == OK and doc["rows"][0]["status"] == "infeasible"
 
 
+@pytest.mark.parametrize("text", ["a:b", "5", "5:7:9", "5:", ""])
+def test_unparsable_p_range_names_the_expected_form(capsys, text):
+    code, out, err = run(capsys, "verify", "lemma-bla", "--p-range", text)
+    assert code == VALIDATION_ERROR and out == ""
+    assert f"cannot parse range {text!r}; expected a:b" in err
+    assert "invalid literal" not in err
+
+
 @pytest.mark.parametrize("command", ["classify", "branch"])
 def test_negative_weight_is_a_validation_error(capsys, command):
     extra = ("--sub", "a1+a2") if command == "branch" else ()

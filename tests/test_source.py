@@ -2,6 +2,9 @@
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import tightmaps
@@ -64,3 +67,43 @@ def test_one_copy_of_the_disc_criterion():
         and _is_abs_call(n.comparators[0])
     ]
     assert len(found) == 1, found
+
+
+def test_no_package_module_imports_dataclasses():
+    # records are NamedTuples: importing dataclasses (and the inspect module
+    # it pulls in) and exec-ing each decorated class's generated methods are
+    # start-up costs that every fresh command would pay
+    found = [
+        f"{path.name}:{n.lineno}"
+        for path, tree in _package_trees()
+        for n in ast.walk(tree)
+        if (isinstance(n, ast.Import) and any(a.name == "dataclasses" for a in n.names))
+        or (isinstance(n, ast.ImportFrom) and n.module == "dataclasses")
+    ]
+    assert found == []
+
+
+def test_fresh_cli_import_loads_neither_dataclasses_nor_inspect():
+    code = (
+        "import sys, tightmaps.cli\n"
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])
+    ))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
+
+
+def test_no_record_is_rebuilt_past_its_validation():
+    # NamedTuple._replace and ._make build through tuple.__new__, skipping
+    # the raises in a validated record's __new__
+    found = [
+        f"{path.name}:{n.lineno}"
+        for path, tree in _package_trees()
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Attribute) and n.attr in ("_replace", "_make")
+    ]
+    assert found == []
