@@ -1,13 +1,14 @@
 """Restriction of A2/C2 irreducibles to regular rank-one and rank-two
 subalgebras of Hermitian type.
 
-A subalgebra is specified by a subset B of the roots subject to three
-conditions: differences of B-elements are not roots, B is linearly
-independent, and each Dynkin component of B contains exactly one noncompact
-root.  Branching evaluates each dominant weight, for its whole orbit, on the
-Weyl images of the chosen coroots and peels the resulting multiset into
-strings, giving the decomposition into irreducible factors together with
-the signatures of the explicit models carrying them.
+A subalgebra is specified by a subset B of the roots, each named by its
+simple-root coefficients, subject to three conditions: differences of
+B-elements are not roots, B is linearly independent, and each Dynkin
+component of B contains exactly one noncompact root.  Branching evaluates
+each dominant weight, for its whole orbit, on the Weyl images of the chosen
+coroots and peels the resulting multiset into strings, giving the
+decomposition into irreducible factors together with the signatures of the
+explicit models carrying them.
 """
 
 from __future__ import annotations
@@ -16,21 +17,17 @@ import itertools
 import operator
 import re
 from collections import Counter
-from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import VerificationError
 from .rootsys import (
     RootSystemData,
-    Vector,
     WeightVector,
     coroot_images,
     dimension,
     dominant_multiplicities,
-    dot,
     multiplicity,
     orbit_size,
-    show_vector,
     weight_multiplicities,
 )
 from .su11 import SignaturePair, sym_power_signature, tensor_signature
@@ -43,10 +40,13 @@ class SubalgebraError(ValueError):
     """A root subset violating one of the regularity conditions."""
 
 
+Root = tuple[int, ...]  # simple-root coefficients
+
+
 class SubalgebraSpec(NamedTuple):
     system: RootSystemData
-    roots_b: tuple[Vector, ...]
-    generated_roots_c: tuple[Vector, ...]
+    roots_b: tuple[Root, ...]
+    generated_roots_c: tuple[Root, ...]
     target_kind: str
     # coroot rows of the distinct Weyl images of B, B's own rows first
     coroot_images: tuple[tuple[tuple[int, ...], ...], ...]
@@ -60,7 +60,7 @@ class SubalgebraSpec(NamedTuple):
         return [sum(map(operator.mul, mu, row)) for row in self.coroot_images[0]]
 
 
-def _span_roots(system: RootSystemData, roots: tuple[Vector, ...]) -> tuple[Vector, ...]:
+def _span_roots(system: RootSystemData, roots: tuple[Root, ...]) -> tuple[Root, ...]:
     """ZB intersected with the root set, for |B| <= 2.
 
     The systems are reduced, so one root spans only itself and its negative.
@@ -68,12 +68,12 @@ def _span_roots(system: RootSystemData, roots: tuple[Vector, ...]) -> tuple[Vect
     over their simple-root coefficients.
     """
     if len(roots) == 1:
-        return roots + (tuple(-x for x in roots[0]),)
-    (x0, x1), (y0, y1) = (system.root_coefficients(r) for r in roots)
+        return roots + (tuple(-c for c in roots[0]),)
+    (x0, x1), (y0, y1) = roots
     det = x0 * y1 - x1 * y0
 
-    def in_span(r: Vector) -> bool:
-        r0, r1 = system.root_coefficients(r)
+    def in_span(r: Root) -> bool:
+        r0, r1 = r
         return (r0 * y1 - r1 * y0) % det == 0 and (x0 * r1 - x1 * r0) % det == 0
 
     return tuple(r for r in system.roots() if in_span(r))
@@ -83,61 +83,58 @@ def make_subalgebra(system: RootSystemData, roots) -> SubalgebraSpec:
     """Validate a root subset B and build the regular subalgebra it spans."""
     if system.is_product:
         raise SubalgebraError("regular subalgebras are built inside simple systems")
-    b = tuple(tuple(Fraction(x) for x in r) for r in roots)
+    b = tuple(map(tuple, roots))
     if not b:
         raise SubalgebraError("B must be nonempty")
     if len(b) > 2:
         raise SubalgebraError("only rank-one and rank-two subalgebras are supported")
     for r in b:
-        if not system.is_root(r):
-            raise SubalgebraError(f"{show_vector(r)} is not a root of {system.kind}")
+        if r not in system.root_table:
+            raise SubalgebraError(f"{_root_name(r)} is not a root of {system.kind}")
     if len(set(b)) != len(b):
         raise SubalgebraError("B has repeated roots")
+
+    # the invariant form (x, y) = sum_i x_i (alpha_i, alpha_i)/2 <y, alpha_i^vee>
+    half = [system.root_table[a].half_norm for a in system.simple_roots]
+
+    def form(x: Root, y: Root) -> int:
+        return sum(c * d * f for c, d, f in zip(x, half, system.root_table[y].fundamental))
 
     # condition 1: alpha - beta is never a root for alpha, beta in B
     for x in b:
         for y in b:
-            if x == y:
-                continue
-            diff = tuple(a - c for a, c in zip(x, y))
-            if system.is_root(diff):
+            if x != y and tuple(map(operator.sub, x, y)) in system.root_table:
                 raise SubalgebraError(
-                    f"condition 1 fails: {show_vector(x)} - {show_vector(y)} is a root"
+                    f"condition 1 fails: {_root_name(x)} minus {_root_name(y)} is a root"
                 )
 
     # condition 2: linear independence
     if len(b) == 2:
         x, y = b
-        gram = dot(x, x) * dot(y, y) - dot(x, y) ** 2
-        if gram == 0:
-            raise SubalgebraError(
-                f"condition 2 fails: {show_vector(x)}, {show_vector(y)} are dependent"
-            )
+        if form(x, x) * form(y, y) == form(x, y) ** 2:
+            raise SubalgebraError(f"condition 2 fails: {selector_of(b)} are dependent")
 
     # condition 3: one noncompact root per Dynkin component of B
-    components: list[list[Vector]] = []
+    components: list[list[Root]] = []
     for r in b:
-        attached = [c for c in components if any(dot(r, s) != 0 for s in c)]
+        attached = [c for c in components if any(form(r, s) != 0 for s in c)]
         merged = [r] + [s for c in attached for s in c]
         components = [c for c in components if c not in attached] + [merged]
     for comp in components:
         noncompact = sum(1 for r in comp if system.is_noncompact_root(r))
         if noncompact != 1:
             raise SubalgebraError(
-                f"condition 3 fails: component [{', '.join(map(show_vector, comp))}] "
+                f"condition 3 fails: component [{selector_of(comp)}] "
                 f"has {noncompact} noncompact roots (expected exactly 1)"
             )
 
     span = _span_roots(system, b)
-    plus_minus = set(b) | {tuple(-x for x in r) for r in b}
     if len(b) == 1:
         kind = SL2
     else:
         x, y = b
-        if dot(x, y) != 0 or set(span) != plus_minus:
-            raise SubalgebraError(
-                "rank-two subalgebra must split as two orthogonal sl2 blocks"
-            )
+        if form(x, y) != 0 or set(span) != set(b) | {tuple(-c for c in r) for r in b}:
+            raise SubalgebraError("rank-two subalgebra must split as two orthogonal sl2 blocks")
         kind = SL2_X_SL2
     return SubalgebraSpec(system, b, span, kind, coroot_images(system, b))
 
@@ -145,46 +142,41 @@ def make_subalgebra(system: RootSystemData, roots) -> SubalgebraSpec:
 _TERM_RE = re.compile(r"^(\d*)a([12])$")
 
 
-def parse_subalgebra_selector(system: RootSystemData, text: str) -> tuple[Vector, ...]:
-    """Parse selectors like ``a1+a2`` or ``a2,2a1+a2`` into root vectors."""
+def parse_subalgebra_selector(system: RootSystemData, text: str) -> tuple[Root, ...]:
+    """Parse selectors like ``a1+a2`` or ``a2,2a1+a2`` into coefficient tuples."""
     roots = []
     for part in text.split(","):
         part = part.strip().lower().replace(" ", "")
         if not part:
             raise SubalgebraError(f"empty component in selector {text!r}")
-        vec = None
+        root = [0] * system.rank
         for term in part.split("+"):
             m = _TERM_RE.match(term)
             if not m:
                 raise SubalgebraError(f"cannot parse selector term {term!r}")
-            coeff = int(m.group(1)) if m.group(1) else 1
             idx = int(m.group(2)) - 1
             if idx >= system.rank:
                 raise SubalgebraError(
                     f"simple root a{idx + 1} does not exist in {system.kind}"
                 )
-            simple = system.simple_roots[idx]
-            if vec is None:
-                vec = tuple(coeff * x for x in simple)
-            else:
-                vec = tuple(v + coeff * x for v, x in zip(vec, simple))
-        roots.append(vec)
+            root[idx] += int(m.group(1)) if m.group(1) else 1
+        roots.append(tuple(root))
     return tuple(roots)
 
 
-def selector_of(system: RootSystemData, roots: tuple[Vector, ...]) -> str:
+def _root_name(root: Root) -> str:
+    """A root in the selector grammar; a negative term reads ``-a1``."""
+    name = ""
+    for i, c in enumerate(root):
+        if c:
+            sign = "-" if c < 0 else "+" if name else ""
+            name += f"{sign}{abs(c) if abs(c) != 1 else ''}a{i + 1}"
+    return name or "0"
+
+
+def selector_of(roots: tuple[Root, ...]) -> str:
     """Inverse of the selector grammar, for reporting."""
-    names = []
-    for r in roots:
-        coeffs = system.root_coefficients(r)
-        terms = []
-        for i, c in enumerate(coeffs):
-            if c == 0:
-                continue
-            prefix = "" if c == 1 else str(c)
-            terms.append(f"{prefix}a{i + 1}")
-        names.append("+".join(terms))
-    return ",".join(names)
+    return ",".join(map(_root_name, roots))
 
 
 class BranchingResult(NamedTuple):
@@ -290,7 +282,7 @@ def even_witness(highest: WeightVector, sub: SubalgebraSpec) -> tuple[WeightVect
     goes to the highest weight and then the proof-chain candidates; a
     deterministic scan of the full support is the fallback.
     """
-    system, top = highest.system, tuple(int(c) for c in highest.coords)
+    system, top = highest.system, highest.coords
     steps = _WITNESS_STEPS.get(system.kind, ())
     chain = [top] + [tuple(map(operator.sub, top, step)) for step in steps]
 

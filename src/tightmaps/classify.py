@@ -359,11 +359,6 @@ def _replay_even_branch(verdict: TightnessVerdict) -> bool:
         wit.kind, wit.subalgebra, wit.weight, wit.evaluation
     ):
         return False
-    # ints only: 2.0 or True would pass the int-keyed lookups below
-    if not isinstance(wit.weight, tuple) or any(
-        type(x) is not int for x in (wit.evaluation, *wit.weight)
-    ):
-        return False
     factor = _RANK2_FACTOR[verdict.algebra]
     if wit.subalgebra not in TIGHT_SUBALGEBRA_SELECTORS[factor] or len(wit.weight) != 2:
         return False
@@ -399,14 +394,27 @@ def _replay_pairing(verdict: TightnessVerdict) -> bool:
     return _pairing_verdict(*found) == (verdict.tight, verdict.witness)
 
 
+def _wire_types_hold(wit: Witness) -> bool:
+    """Set fields have their schema types: 2.0 or True would pass the
+    comparisons and int-keyed lookups of replay, and '2' would raise there."""
+    weight = () if wit.weight is None else wit.weight
+    return (
+        type(weight) is tuple
+        and all(type(x) is int for x in weight)
+        and type(wit.evaluation) in (int, type(None))
+        and all(type(x) in (Fraction, type(None)) for x in (wit.pairing_lhs, wit.pairing_rhs))
+    )
+
+
 def replay_witness(verdict: TightnessVerdict) -> bool:
     """Recompute the recorded witness from scratch; True iff it checks out.
 
-    A field the witness kind does not carry must be unset.
+    A field the witness kind does not carry must be unset, and a set field
+    must have its schema type.
     """
     wit = verdict.witness
     kind = wit.kind
-    if kind not in _WITNESS_KINDS.get(verdict.algebra, ()):
+    if kind not in _WITNESS_KINDS.get(verdict.algebra, ()) or not _wire_types_hold(wit):
         return False
     if kind == "zero_class":
         return wit == Witness(kind) and not any(verdict.weight)

@@ -188,7 +188,7 @@ def cmd_branch(args) -> int:
     system = root_system_for(args.algebra)
     coords = _parse_weight(args.weight)
     top = weight(system, coords)
-    if not (top.is_dominant and top.is_integral):
+    if not top.is_dominant:
         raise ValueError(f"weight {coords} is not dominant integral")
     sub = make_subalgebra(system, parse_subalgebra_selector(system, args.sub))
     branch = restrict_rep(top, sub)
@@ -197,7 +197,7 @@ def cmd_branch(args) -> int:
         wire = None
     else:
         found, value = witness
-        wire = {"weight": [int(c) for c in found.coords], "evaluation": value}
+        wire = {"weight": list(found.coords), "evaluation": value}
     row = {
         "weight": list(coords),
         "subalgebra": args.sub,

@@ -1,112 +1,73 @@
 """Exact root-system data for A1, A2, C2 and their finite direct sums.
 
-Each system is realised inside a small Euclidean space over the rationals,
-with the standard dot product:
-
-    A1:  alpha = (1, -1) in Q^2
-    A2:  alpha_1 = e1 - e2, alpha_2 = e2 - e3 in the sum-zero subspace of Q^3
-    C2:  alpha_1 = (1, -1), alpha_2 = (0, 2) in Q^2  (alpha_2 is the long root)
-
-Products concatenate coordinate blocks.  The Euclidean realisation is the
-validated fixture: each system derives from it, once, an integer table
-holding every root's simple-root coefficients, coroot functional,
-fundamental coordinates and half squared length.  Weights are stored by
-their coordinates in the fundamental-weight basis, and coroot evaluation,
+Each system is derived from its Cartan data alone: the Cartan matrix,
+cartan[i][j] = <alpha_j, alpha_i^vee>, and the half squared lengths
+D_i = (alpha_i, alpha_i)/2 of the simple roots (C2's alpha_2 is the long
+root).  A root is named by its simple-root coefficients, and a weight by its
+coordinates in the fundamental-weight basis, both integer tuples.  Each
+system holds one integer table giving every root's coroot functional,
+fundamental coordinates and half squared length; coroot evaluation,
 Freudenthal multiplicities and the Weyl dimension formula all run on
 integers through that table.  The multiplicity table holds the dominant
 weights only, and Freudenthal's string sums run on them alone through
 tails memoised within one build.  Any other weight is reflected into the
 dominant chamber and looked up; the support is the union of the dominant
-weights' orbits, walked only on request.  Euclidean vectors remain the
-names of roots, and the oracle the tests check the table against.
+weights' orbits, walked only on request.  A Euclidean realisation of the
+roots is the oracle the tests check the table against.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, NamedTuple
 
 from .errors import VerificationError
 
-Vector = tuple[Fraction, ...]
-
 SIMPLE_KINDS = ("A1", "A2", "C2")
 
-# Per-kind data: simple roots, positive roots (with simple-root coefficients),
-# Cartan matrix entries cartan[i][j] = <alpha_j, alpha_i^vee>, fundamental
-# weights, Weyl group order and indices of noncompact simple roots.
+
+class _CartanData(NamedTuple):
+    """What a simple kind is built from."""
+
+    positive: tuple[tuple[int, ...], ...]  # positive roots, simple-root coefficients
+    cartan: tuple[tuple[int, ...], ...]  # cartan[i][j] = <alpha_j, alpha_i^vee>
+    half_norms: tuple[int, ...]  # (alpha_i, alpha_i) / 2
+    weyl_order: int
+    noncompact: tuple[int, ...]  # indices of the noncompact simple roots
+
+
 _KIND_DATA = {
-    "A1": {
-        "simple": [[1, -1]],
-        "positive": {(1,): [1, -1]},
-        "cartan": [[2]],
-        "fundamental": [[Fraction(1, 2), Fraction(-1, 2)]],
-        "weyl_order": 2,
-        "noncompact": (0,),
-    },
-    "A2": {
-        "simple": [[1, -1, 0], [0, 1, -1]],
-        "positive": {(1, 0): [1, -1, 0], (0, 1): [0, 1, -1], (1, 1): [1, 0, -1]},
-        "cartan": [[2, -1], [-1, 2]],
-        "fundamental": [
-            [Fraction(2, 3), Fraction(-1, 3), Fraction(-1, 3)],
-            [Fraction(1, 3), Fraction(1, 3), Fraction(-2, 3)],
-        ],
-        "weyl_order": 6,
-        "noncompact": (0,),
-    },
-    "C2": {
-        "simple": [[1, -1], [0, 2]],
-        "positive": {(1, 0): [1, -1], (0, 1): [0, 2], (1, 1): [1, 1], (2, 1): [2, 0]},
-        "cartan": [[2, -2], [-1, 2]],
-        "fundamental": [[Fraction(1), Fraction(0)], [Fraction(1), Fraction(1)]],
-        "weyl_order": 8,
-        "noncompact": (1,),
-    },
+    "A1": _CartanData(((1,),), ((2,),), (1,), 2, (0,)),
+    "A2": _CartanData(((1, 0), (0, 1), (1, 1)), ((2, -1), (-1, 2)), (1, 1), 6, (0,)),
+    "C2": _CartanData(((1, 0), (0, 1), (1, 1), (2, 1)), ((2, -2), (-1, 2)), (1, 2), 8, (1,)),
 }
 
 
-def _vec(entries: Iterable) -> Vector:
-    return tuple(Fraction(e) for e in entries)
-
-
-def dot(x: Vector, y: Vector) -> Fraction:
-    return sum((a * b for a, b in zip(x, y)), Fraction(0))
-
-
-def show_vector(vec: Iterable) -> str:
-    """A vector as ``(a, b, ...)`` with rationals written ``p/q``."""
-    return "(" + ", ".join(str(x) for x in vec) + ")"
-
-
 class RootEntry(NamedTuple):
-    """Integer data of one root beta, derived from the Euclidean fixture."""
+    """Integer data of one root beta, derived from the Cartan data."""
 
-    coefficients: tuple[int, ...]  # beta in the simple-root basis
     coroot: tuple[int, ...]  # <omega_i, beta^vee> for each fundamental weight
     fundamental: tuple[int, ...]  # <beta, alpha_j^vee>, i.e. beta as a weight
     half_norm: int  # (beta, beta) / 2
 
 
 class RootSystemData:
-    """Validated root-system fixture, with read-only fields.
+    """Root-system data, with read-only fields.
 
     Instances are interned by :func:`build_root_system`; identity comparison
     is therefore the intended notion of equality.
     """
 
     kinds: tuple[str, ...]
-    simple_roots: tuple[Vector, ...]
-    positive_roots: tuple[Vector, ...]
+    simple_roots: tuple[tuple[int, ...], ...]  # the unit coefficient tuples
+    positive_roots: tuple[tuple[int, ...], ...]
     cartan_matrix: tuple[tuple[int, ...], ...]
-    fundamental_weights: tuple[Vector, ...]
     noncompact_marking: frozenset[int]
     weyl_order: int
-    # every root, positive ones first, keyed by its Euclidean vector
-    root_table: dict[Vector, RootEntry]
+    # every root, positive ones first, keyed by its simple-root coefficients
+    root_table: dict[tuple[int, ...], RootEntry]
     __slots__ = tuple(__annotations__)  # the annotated names above
 
     def __init__(self, **fields):
@@ -131,27 +92,18 @@ class RootSystemData:
     def kind(self) -> str:
         return "+".join(self.kinds)
 
-    def roots(self) -> tuple[Vector, ...]:
+    def roots(self) -> tuple[tuple[int, ...], ...]:
         return tuple(self.root_table)
 
-    def root_coefficients(self, root: Vector) -> tuple[int, ...] | None:
-        """Simple-root coefficients of ``root``, or None if not a root."""
-        entry = self.root_table.get(tuple(root))
-        return None if entry is None else entry.coefficients
-
-    def is_root(self, vec: Vector) -> bool:
-        return tuple(vec) in self.root_table
-
-    def is_noncompact_root(self, root: Vector) -> bool:
+    def is_noncompact_root(self, root: tuple[int, ...]) -> bool:
         """A root is noncompact iff its noncompact-simple coefficient is odd.
 
         For the Hermitian systems handled here the marked simple root occurs
         with coefficient 0 or 1 in every positive root, so parity is exact.
         """
-        coeffs = self.root_coefficients(root)
-        if coeffs is None:
-            raise ValueError(f"{show_vector(root)} is not a root of {self.kind}")
-        return sum(coeffs[i] for i in self.noncompact_marking) % 2 == 1
+        if root not in self.root_table:
+            raise ValueError(f"{root} is not a root of {self.kind}")
+        return sum(root[i] for i in self.noncompact_marking) % 2 == 1
 
 
 def _normalize_kind(kind) -> tuple[str, ...]:
@@ -170,53 +122,51 @@ def _normalize_kind(kind) -> tuple[str, ...]:
 @lru_cache(maxsize=None)
 def _build_cached(kinds: tuple[str, ...]) -> RootSystemData:
     blocks = [_KIND_DATA[k] for k in kinds]
-    dims = [len(data["simple"][0]) for data in blocks]
-    ranks = [len(data["simple"]) for data in blocks]
+    ranks = [len(data.cartan) for data in blocks]
+    rank = sum(ranks)
 
-    def pad(v, sizes: list[int], b: int) -> tuple:
-        """Block ``b`` of a direct sum whose blocks have these sizes."""
-        return (0,) * sum(sizes[:b]) + tuple(v) + (0,) * sum(sizes[b + 1:])
+    def pad(v, b: int) -> tuple:
+        """Block ``b`` of a direct sum of the blocks."""
+        return (0,) * sum(ranks[:b]) + tuple(v) + (0,) * sum(ranks[b + 1:])
 
-    simple, fundamental, positive, pos_coeffs, cartan = [], [], [], [], []
+    positive, cartan, half = [], [], []
     for b, data in enumerate(blocks):
-        simple += [_vec(pad(v, dims, b)) for v in data["simple"]]
-        fundamental += [_vec(pad(w, dims, b)) for w in data["fundamental"]]
-        positive += [_vec(pad(v, dims, b)) for v in data["positive"].values()]
-        pos_coeffs += [pad(c, ranks, b) for c in data["positive"]]
-        cartan += [pad(row, ranks, b) for row in data["cartan"]]
+        positive += [pad(c, b) for c in data.positive]
+        cartan += [pad(row, b) for row in data.cartan]
+        half += data.half_norms
     kind = "+".join(kinds)
 
-    def integer(value: Fraction, root: Vector) -> int:
-        if value.denominator != 1:
+    def integer(num: int, den: int, root: tuple[int, ...]) -> int:
+        if num % den:
             raise VerificationError(
-                f"{kind}: root {show_vector(root)} has the non-integral table entry {value}"
+                f"{kind}: root {root} has the non-integral table entry {num}/{den}"
             )
-        return int(value)
+        return num // den
 
-    # the integer root table, read off the Euclidean realisation
+    # the integer root table: with beta = sum_i c_i alpha_i, (alpha_i, beta)
+    # = D_i <beta, alpha_i^vee> and (omega_i, alpha_j) = D_i delta_ij
     table = {}
-    for coeffs, root in zip(pos_coeffs, positive):
-        norm = dot(root, root)
+    for root in positive:
+        fundamental = tuple(sum(map(operator.mul, root, row)) for row in cartan)
+        norm = sum(c * d * f for c, d, f in zip(root, half, fundamental))
         table[root] = RootEntry(
-            coeffs,
-            tuple(integer(2 * dot(w, root) / norm, root) for w in fundamental),
-            tuple(integer(2 * dot(root, a) / dot(a, a), root) for a in simple),
-            integer(norm / 2, root),
+            tuple(integer(2 * c * d, norm, root) for c, d in zip(root, half)),
+            fundamental,
+            integer(norm, 2, root),
         )
     for root, entry in list(table.items()):
-        negated = (tuple(-c for c in part) for part in entry[:3])
-        table[tuple(-c for c in root)] = RootEntry(*negated, entry.half_norm)
+        negated = [tuple(-c for c in v) for v in (root, entry.coroot, entry.fundamental)]
+        table[negated[0]] = RootEntry(*negated[1:], entry.half_norm)
 
     return RootSystemData(
         kinds=kinds,
-        simple_roots=tuple(simple),
+        simple_roots=tuple(tuple(int(i == j) for j in range(rank)) for i in range(rank)),
         positive_roots=tuple(positive),
         cartan_matrix=tuple(cartan),
-        fundamental_weights=tuple(fundamental),
         noncompact_marking=frozenset(
-            sum(ranks[:b]) + i for b, data in enumerate(blocks) for i in data["noncompact"]
+            sum(ranks[:b]) + i for b, data in enumerate(blocks) for i in data.noncompact
         ),
-        weyl_order=math.prod(data["weyl_order"] for data in blocks),
+        weyl_order=math.prod(data.weyl_order for data in blocks),
         root_table=table,
     )
 
@@ -227,48 +177,20 @@ def build_root_system(kind) -> RootSystemData:
     ``kind`` is one of ``"A1"``, ``"A2"``, ``"C2"`` or a product, given
     either as ``"C2+A1"`` or as a sequence of simple kinds.
     """
-    system = _build_cached(_normalize_kind(kind))
-    _validate(system)
-    return system
-
-
-@lru_cache(maxsize=None)
-def _validate(system: RootSystemData) -> None:
-    def check(ok: bool, what: str) -> None:
-        if not ok:
-            raise VerificationError(f"{system.kind}: {what}")
-
-    # dual-basis property <omega_i, alpha_j^vee> = delta_ij
-    for i, w in enumerate(system.fundamental_weights):
-        for j, a in enumerate(system.simple_roots):
-            expected = 1 if i == j else 0
-            check(2 * dot(w, a) / dot(a, a) == expected, f"omega_{i + 1} is not dual")
-    # Cartan entries match the realisation
-    for i, ai in enumerate(system.simple_roots):
-        for j, aj in enumerate(system.simple_roots):
-            entry = 2 * dot(aj, ai) / dot(ai, ai)
-            check(system.cartan_matrix[i][j] == entry, f"Cartan entry ({i}, {j})")
-    # positive roots are nonnegative integer combinations of simple roots
-    for root in system.positive_roots:
-        coeffs = system.root_table[root].coefficients
-        check(all(c >= 0 for c in coeffs), f"negative coefficients {coeffs}")
-        rebuilt = [Fraction(0)] * len(root)
-        for c, a in zip(coeffs, system.simple_roots):
-            rebuilt = [r + c * x for r, x in zip(rebuilt, a)]
-        check(tuple(rebuilt) == root, f"coefficients {coeffs} do not rebuild a root")
+    return _build_cached(_normalize_kind(kind))
 
 
 class _WeightVector(NamedTuple):
-    coords: tuple[Fraction, ...]
+    coords: tuple[int, ...]
     system: RootSystemData
 
 
 class WeightVector(_WeightVector):
-    """A weight, stored by its fundamental-weight coordinates."""
+    """A weight, stored by its integer fundamental-weight coordinates."""
 
     __slots__ = ()
 
-    def __new__(cls, coords: tuple[Fraction, ...], system: RootSystemData):
+    def __new__(cls, coords: tuple[int, ...], system: RootSystemData):
         if len(coords) != system.rank:
             raise ValueError(f"expected {system.rank} coordinates, got {len(coords)}")
         return super().__new__(cls, coords, system)
@@ -284,29 +206,24 @@ class WeightVector(_WeightVector):
         )
 
     @property
-    def is_integral(self) -> bool:
-        return all(c.denominator == 1 for c in self.coords)
-
-    @property
     def is_dominant(self) -> bool:
         return all(c >= 0 for c in self.coords)
 
-    def euclid(self) -> Vector:
-        out = [Fraction(0)] * len(self.system.fundamental_weights[0])
-        for m, w in zip(self.coords, self.system.fundamental_weights):
-            out = [o + m * x for o, x in zip(out, w)]
-        return tuple(out)
-
 
 def weight(system: RootSystemData, coords: Iterable) -> WeightVector:
-    return WeightVector(tuple(Fraction(c) for c in coords), system)
+    """The weight with these fundamental coordinates, each an integer."""
+    coords = tuple(coords)
+    ints = tuple(int(c) for c in coords)
+    if ints != coords:
+        raise ValueError(f"weight ({', '.join(map(str, coords))}) is not integral")
+    return WeightVector(ints, system)
 
 
-def eval_on_coroot(w: WeightVector, root: Vector) -> int | Fraction:
+def eval_on_coroot(w: WeightVector, root: tuple[int, ...]) -> int:
     """<w, root^vee> = sum_i m_i <omega_i, root^vee>, from the root table."""
     entry = w.system.root_table.get(tuple(root))
     if entry is None:
-        raise ValueError(f"{show_vector(root)} is not a root of {w.system.kind}")
+        raise ValueError(f"{tuple(root)} is not a root of {w.system.kind}")
     return sum(m * c for m, c in zip(w.coords, entry.coroot))
 
 
@@ -315,11 +232,9 @@ def weyl_orbit(w: WeightVector) -> frozenset[WeightVector]:
     return frozenset(WeightVector(nu, w.system) for (nu,) in _orbit(w.system, (w.coords,)))
 
 
-def _require_dominant_integral(w: WeightVector) -> None:
-    if not w.is_integral:
-        raise ValueError(f"weight {show_vector(w.coords)} is not integral")
+def _require_dominant(w: WeightVector) -> None:
     if not w.is_dominant:
-        raise ValueError(f"weight {show_vector(w.coords)} is not dominant")
+        raise ValueError(f"weight {w.coords} is not dominant")
 
 
 def weight_support(highest: WeightVector) -> frozenset[WeightVector]:
@@ -347,7 +262,7 @@ def _orbit(system: RootSystemData, weights: tuple[tuple, ...]) -> list[tuple]:
 def coroot_images(system: RootSystemData, roots) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """Coroot rows of the distinct Weyl images of the root tuple ``roots``, itself first."""
     by_weight = {entry.fundamental: entry for entry in system.root_table.values()}
-    start = tuple(system.root_table[tuple(r)].fundamental for r in roots)
+    start = tuple(system.root_table[r].fundamental for r in roots)
     return tuple(tuple(by_weight[b].coroot for b in image) for image in _orbit(system, start))
 
 
@@ -370,9 +285,9 @@ def orbit_size(system: RootSystemData, mu: tuple[int, ...]) -> int:
     stabiliser, start = 1, 0
     for kind in system.kinds:
         data = _KIND_DATA[kind]
-        rank = len(data["simple"])
+        rank = len(data.cartan)
         zeros = mu[start:start + rank].count(0)
-        stabiliser *= data["weyl_order"] if zeros == rank else 2 ** zeros
+        stabiliser *= data.weyl_order if zeros == rank else 2 ** zeros
         start += rank
     return system.weyl_order // stabiliser
 
@@ -407,10 +322,10 @@ def _multiplicity_table(system: RootSystemData, top: tuple[int, ...]) -> dict[tu
     depths = {top: (0,) * system.rank}
     found = [top]
     for mu in found:
-        for entry in positive:
+        for root, entry in zip(system.positive_roots, positive):
             cand = tuple(map(operator.sub, mu, entry.fundamental))
             if min(cand) >= 0 and cand not in depths:
-                depths[cand] = tuple(map(operator.add, depths[mu], entry.coefficients))
+                depths[cand] = tuple(map(operator.add, depths[mu], root))
                 found.append(cand)
     by_weight = {entry.fundamental: entry for entry in system.root_table.values()}
     columns = list(zip(*system.cartan_matrix))
@@ -458,8 +373,8 @@ def _multiplicity_table(system: RootSystemData, top: tuple[int, ...]) -> dict[tu
 
 def dominant_multiplicities(highest: WeightVector) -> dict[tuple[int, ...], int]:
     """The shared cached table, dominant int coordinates to multiplicity; do not mutate."""
-    _require_dominant_integral(highest)
-    return _multiplicity_table(highest.system, tuple(int(c) for c in highest.coords))
+    _require_dominant(highest)
+    return _multiplicity_table(highest.system, highest.coords)
 
 
 def multiplicity(highest: WeightVector, mu: tuple[int, ...]) -> int:
@@ -480,8 +395,8 @@ def weight_multiplicities(highest: WeightVector) -> dict[WeightVector, int]:
 
 def dimension(highest: WeightVector) -> int:
     """Weyl dimension formula, prod <lam+rho, alpha^vee> / <rho, alpha^vee>."""
-    _require_dominant_integral(highest)
-    return _weyl_dimension(highest.system, tuple(int(c) for c in highest.coords))
+    _require_dominant(highest)
+    return _weyl_dimension(highest.system, highest.coords)
 
 
 def _weyl_dimension(system: RootSystemData, top: tuple[int, ...]) -> int:

@@ -178,6 +178,10 @@ def test_every_pairing_witness_mutation_fails_replay():
             forgeries.append(wit._replace(pairing_lhs=-lhs))
         if lhs != rhs:
             forgeries.append(wit._replace(pairing_lhs=rhs, pairing_rhs=lhs))
+        # the right values in the wrong types
+        for wrong in (float, str):
+            forgeries.append(wit._replace(pairing_lhs=wrong(lhs)))
+            forgeries.append(wit._replace(pairing_rhs=wrong(rhs)))
         for forged in forgeries:
             assert not replay_witness(verdict._replace(witness=forged)), (
                 verdict.algebra, verdict.weight, forged,
@@ -248,9 +252,44 @@ def test_every_fixed_witness_mutation_fails_replay():
         ]
         if value:
             forgeries.append(wit._replace(evaluation=-value))
+            # the right value in the wrong types
+            forgeries += [wit._replace(evaluation=wrong(value)) for wrong in (float, str)]
         for forged in forgeries:
             assert not replay_witness(verdict._replace(witness=forged)), (
                 verdict.algebra, verdict.weight, forged,
+            )
+
+
+def test_every_even_tensor_factor_witness_mutation_fails_replay():
+    # Left out, because it names another genuine certificate: evaluation - 2
+    # for odd k, since the factors of (1, 0, k) carry both k + 1 and k - 1.
+    rows = [
+        v
+        for v in (classify("sp4su11", w) for w in dominant_weights("sp4su11", 10))
+        if v.witness.kind == "even_tensor_factor"
+    ]
+    assert [v.weight for v in rows] == [(1, 0, k) for k in range(1, 10)]
+    for verdict in rows:
+        wit, k = verdict.witness, verdict.weight[2]
+        value = wit.evaluation
+        assert replay_witness(verdict)
+        forgeries = [
+            *(wit._replace(evaluation=value + d) for d in (1, -1, 2)),
+            wit._replace(evaluation=-value),
+            wit._replace(evaluation=None),
+            *(wit._replace(subalgebra=s) for s in ("a1+a2", "a1", None)),
+            wit._replace(weight=(1, 0)),
+            wit._replace(pairing_lhs=Fraction(1, 2)),
+            wit._replace(pairing_rhs=Fraction(1, 2)),
+            # the right value in the wrong types
+            wit._replace(evaluation=float(value)),
+            wit._replace(evaluation=str(value)),
+        ]
+        if k % 2 == 0:
+            forgeries.append(wit._replace(evaluation=value - 2))
+        for forged in forgeries:
+            assert not replay_witness(verdict._replace(witness=forged)), (
+                verdict.weight, forged,
             )
 
 

@@ -210,6 +210,24 @@ def test_subalgebra_errors_print_no_fraction_reprs(capsys, algebra, sub):
     assert "Fraction(" not in err
 
 
+@pytest.mark.parametrize(
+    "algebra,sub,message",
+    [
+        ("sp4", "2a1", "2a1 is not a root of C2"),
+        ("sp4", "a1,a1+a2", "condition 1 fails: a1 minus a1+a2 is a root"),
+        ("sp4", "a1", "condition 3 fails: component [a1] has 0 noncompact roots "
+                      "(expected exactly 1)"),
+        ("su21", "a1,a2", "rank-two subalgebra must split as two orthogonal sl2 blocks"),
+    ],
+)
+def test_subalgebra_errors_name_roots_in_the_selector_grammar(capsys, algebra, sub, message):
+    code, out, err = run(
+        capsys, "branch", "--algebra", algebra, "--weight", "1,1", "--sub", sub
+    )
+    assert code == VALIDATION_ERROR and out == ""
+    assert err == f"validation error: {message}\n"
+
+
 def test_out_writes_file(tmp_path, capsys):
     target = tmp_path / "report.json"
     code, out, _ = run(

@@ -9,12 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tightmaps.errors import VerificationError
 from tightmaps.rootsys import (
+    _KIND_DATA,
     WeightVector,
+    _build_cached,
     _multiplicity_table,
     build_root_system,
     dimension,
-    dot,
     eval_on_coroot,
     multiplicity,
     weight,
@@ -33,6 +35,64 @@ def vsum(*vecs):
     return tuple(sum(parts) for parts in zip(*vecs))
 
 
+# The oracle: a Euclidean realisation over the rationals, with the standard
+# dot product, as (simple roots, fundamental weights) per kind.
+#   A1:  alpha = (1, -1) in Q^2
+#   A2:  alpha_1 = e1 - e2, alpha_2 = e2 - e3 in the sum-zero subspace of Q^3
+#   C2:  alpha_1 = (1, -1), alpha_2 = (0, 2) in Q^2  (alpha_2 is the long root)
+# A product concatenates coordinate blocks.
+EUCLID = {
+    "A1": ([(1, -1)], [(Fraction(1, 2), Fraction(-1, 2))]),
+    "A2": (
+        [(1, -1, 0), (0, 1, -1)],
+        [(Fraction(2, 3), Fraction(-1, 3), Fraction(-1, 3)),
+         (Fraction(1, 3), Fraction(1, 3), Fraction(-2, 3))],
+    ),
+    "C2": ([(1, -1), (0, 2)], [(1, 0), (1, 1)]),
+}
+
+
+def _realised(system, part):
+    """Simple roots (part 0) or fundamental weights (part 1), blocks padded."""
+    dims = [len(EUCLID[kind][0][0]) for kind in system.kinds]
+    zero = (Fraction(0),)
+    return tuple(
+        zero * sum(dims[:b]) + tuple(map(Fraction, v)) + zero * sum(dims[b + 1:])
+        for b, kind in enumerate(system.kinds)
+        for v in EUCLID[kind][part]
+    )
+
+
+def simple_vectors(system):
+    return _realised(system, 0)
+
+
+def fundamental_vectors(system):
+    return _realised(system, 1)
+
+
+def dot(x, y):
+    return sum((a * b for a, b in zip(x, y)), Fraction(0))
+
+
+def combine(coeffs, vectors):
+    """sum_i c_i v_i."""
+    out = (Fraction(0),) * len(vectors[0])
+    for c, v in zip(coeffs, vectors):
+        out = tuple(o + c * x for o, x in zip(out, v))
+    return out
+
+
+def euclid(w):
+    """A weight as a Euclidean vector, from its fundamental coordinates."""
+    return combine(w.coords, fundamental_vectors(w.system))
+
+
+def root_vector(system, root):
+    """A root as a Euclidean vector, from its simple-root coefficients."""
+    return combine(root, simple_vectors(system))
+
+
 def test_unsupported_kind_rejected():
     with pytest.raises(ValueError):
         build_root_system("B2")
@@ -42,15 +102,15 @@ def test_unsupported_kind_rejected():
 
 @pytest.mark.parametrize("system", SYSTEMS, ids=lambda s: s.kind)
 def test_dual_basis_property(system):
-    for i, w in enumerate(system.fundamental_weights):
-        for j, a in enumerate(system.simple_roots):
+    for i, w in enumerate(fundamental_vectors(system)):
+        for j, a in enumerate(simple_vectors(system)):
             assert 2 * dot(w, a) / dot(a, a) == (1 if i == j else 0)
 
 
 @pytest.mark.parametrize("system", SYSTEMS, ids=lambda s: s.kind)
 def test_cartan_matrix_matches_realisation(system):
-    for i, ai in enumerate(system.simple_roots):
-        for j, aj in enumerate(system.simple_roots):
+    for i, ai in enumerate(simple_vectors(system)):
+        for j, aj in enumerate(simple_vectors(system)):
             assert system.cartan_matrix[i][j] == 2 * dot(aj, ai) / dot(ai, ai)
 
 
@@ -61,22 +121,72 @@ def test_standard_cartan_matrices():
 
 
 def test_c2_long_root_convention():
-    a1, a2 = C2.simple_roots
+    a1, a2 = simple_vectors(C2)
     assert dot(a2, a2) > dot(a1, a1)
-    assert C2.is_noncompact_root(a2)
-    assert not C2.is_noncompact_root(a1)
+    s1, s2 = C2.simple_roots
+    assert C2.root_table[s2].half_norm > C2.root_table[s1].half_norm
+    assert C2.is_noncompact_root(s2)
+    assert not C2.is_noncompact_root(s1)
 
 
 def test_fundamental_weight_relations():
-    a1, a2 = C2.simple_roots
-    assert C2.fundamental_weights[0] == tuple(x / 2 for x in vsum(a1, a1, a2))
-    assert C2.fundamental_weights[1] == vsum(a1, a2)
-    b1, b2 = A2.simple_roots
-    assert A2.fundamental_weights[0] == tuple(x / 3 for x in vsum(b1, b1, b2))
-    assert A2.fundamental_weights[1] == tuple(x / 3 for x in vsum(b1, b2, b2))
-    (alpha,) = A1.simple_roots
-    assert A1.fundamental_weights[0] == tuple(x / 2 for x in alpha)
-    assert A1.roots() == (alpha, tuple(-x for x in alpha))
+    a1, a2 = simple_vectors(C2)
+    assert fundamental_vectors(C2)[0] == tuple(x / 2 for x in vsum(a1, a1, a2))
+    assert fundamental_vectors(C2)[1] == vsum(a1, a2)
+    b1, b2 = simple_vectors(A2)
+    assert fundamental_vectors(A2)[0] == tuple(x / 3 for x in vsum(b1, b1, b2))
+    assert fundamental_vectors(A2)[1] == tuple(x / 3 for x in vsum(b1, b2, b2))
+    (alpha,) = simple_vectors(A1)
+    assert fundamental_vectors(A1)[0] == tuple(x / 2 for x in alpha)
+    assert A1.roots() == ((1,), (-1,))
+
+
+def _reflection_closure(vectors):
+    """The orbit of ``vectors`` under the reflections in their own members."""
+    found, frontier = set(vectors), list(vectors)
+    for v in frontier:
+        for a in vectors:
+            image = tuple(x - 2 * dot(v, a) / dot(a, a) * y for x, y in zip(v, a))
+            if image not in found:
+                found.add(image)
+                frontier.append(image)
+    return found
+
+
+@pytest.mark.parametrize("system", SYSTEMS, ids=lambda s: s.kind)
+def test_root_table_matches_euclidean_oracle(system):
+    # the table derived from Cartan data alone, negative roots included,
+    # against the Euclidean formulas; its keys realise the whole root set,
+    # which for a reduced system is the Weyl orbit of the simple roots
+    simple, fundamental = simple_vectors(system), fundamental_vectors(system)
+    assert len(system.root_table) == 2 * len(system.positive_roots)
+    vectors = {root: root_vector(system, root) for root in system.root_table}
+    assert set(vectors.values()) == _reflection_closure(simple)
+    for root, entry in system.root_table.items():
+        beta = vectors[root]
+        norm = dot(beta, beta)
+        assert all(type(x) is int for x in (*entry.coroot, *entry.fundamental, entry.half_norm))
+        assert entry.coroot == tuple(2 * dot(w, beta) / norm for w in fundamental), root
+        assert entry.fundamental == tuple(2 * dot(beta, a) / dot(a, a) for a in simple), root
+        assert entry.half_norm == norm / 2, root
+
+
+def test_swapped_c2_half_norms_fail_the_build(monkeypatch):
+    # a planted fault in the Cartan data: with alpha_1 taken as the long root,
+    # (a1+a2, a1+a2) = 1 and the half norm is not an integer.  The uncached
+    # build runs, so the interned C2 stays as it is.
+    assert _build_cached.__wrapped__(("C2",)).root_table == C2.root_table
+    monkeypatch.setitem(_KIND_DATA, "C2", _KIND_DATA["C2"]._replace(half_norms=(2, 1)))
+    with pytest.raises(VerificationError, match="non-integral"):
+        _build_cached.__wrapped__(("C2",))
+    assert build_root_system("C2") is C2
+
+
+def test_weight_rejects_non_integral_coordinates():
+    with pytest.raises(ValueError, match=r"weight \(1/2, 0\) is not integral"):
+        weight(A2, (Fraction(1, 2), 0))
+    w = weight(A2, (Fraction(4, 2), 1))
+    assert w.coords == (2, 1) and all(type(c) is int for c in w.coords)
 
 
 def test_eval_on_coroot_examples():
@@ -88,7 +198,7 @@ def test_eval_on_coroot_examples():
 
 def test_eval_on_coroot_rejects_non_roots():
     with pytest.raises(ValueError):
-        eval_on_coroot(weight(C2, (1, 0)), (Fraction(3), Fraction(0)))
+        eval_on_coroot(weight(C2, (1, 0)), (3, 0))
 
 
 @given(k=st.integers(0, 8), l=st.integers(0, 8))
@@ -100,36 +210,35 @@ def test_c2_coroot_identities(k, l):
     assert eval_on_coroot(w, vsum(a1, a1, a2)) == k + l
 
 
-ORACLE_COORDS = tuple(range(-3, 4)) + (Fraction(1, 2), Fraction(-3, 2))
-
-
 @pytest.mark.parametrize("system", SYSTEMS, ids=lambda s: s.kind)
 def test_eval_on_coroot_matches_euclidean_oracle(system):
     roots = system.roots()
     assert len(roots) == 2 * len(system.positive_roots)
-    for coords in itertools.product(ORACLE_COORDS, repeat=system.rank):
+    for coords in itertools.product(range(-3, 4), repeat=system.rank):
         w = weight(system, coords)
-        e = w.euclid()
+        e = euclid(w)
         for r in roots:
-            assert eval_on_coroot(w, r) == 2 * dot(e, r) / dot(r, r), (coords, r)
+            v = root_vector(system, r)
+            assert eval_on_coroot(w, r) == 2 * dot(e, v) / dot(v, v), (coords, r)
 
 
 @pytest.mark.parametrize("system", SYSTEMS, ids=lambda s: s.kind)
 def test_dimension_matches_euclidean_weyl_product(system):
-    rho = tuple(sum(parts) for parts in zip(*system.fundamental_weights))
+    rho = combine((1,) * system.rank, fundamental_vectors(system))
     for top in itertools.product(range(7), repeat=system.rank):
         if sum(top) > 6:
             continue
-        lam_rho = tuple(a + b for a, b in zip(weight(system, top).euclid(), rho))
+        lam_rho = tuple(a + b for a, b in zip(euclid(weight(system, top)), rho))
         expected = Fraction(1)
-        for alpha in system.positive_roots:
+        for root in system.positive_roots:
+            alpha = root_vector(system, root)
             expected *= dot(lam_rho, alpha) / dot(rho, alpha)
         assert dimension(weight(system, top)) == expected, top
 
 
 def test_weyl_orbit_examples():
     orbit = weyl_orbit(weight(A2, (1, 0)))
-    assert {tuple(int(c) for c in w.coords) for w in orbit} == {
+    assert {w.coords for w in orbit} == {
         (1, 0),
         (-1, 1),
         (0, -1),
@@ -150,7 +259,7 @@ def test_a2_weyl_images_derived_from_reflections():
         (-k - l, k),
         (-l, -k),
     }
-    assert {tuple(int(c) for c in w.coords) for w in orbit} == expected
+    assert {w.coords for w in orbit} == expected
 
 
 @given(
@@ -175,7 +284,7 @@ def test_integral_weights_evaluate_integrally(kind, coords, root_index):
     w = weight(system, coords[: system.rank])
     roots = system.roots()
     value = eval_on_coroot(w, roots[root_index % len(roots)])
-    assert value.denominator == 1
+    assert type(value) is int
 
 
 def reflect_simple(w, i):
@@ -186,13 +295,12 @@ def reflect_simple(w, i):
 
 
 def weight_from_euclid(system, vec):
-    """Inverse of ``WeightVector.euclid`` on the weight span.
+    """Inverse of ``euclid`` on the weight lattice.
 
     Coordinates are read off by evaluating against the simple coroots, so
     converting a weight to Euclidean coordinates and back is the identity.
     """
-    v = tuple(Fraction(x) for x in vec)
-    return WeightVector(tuple(2 * dot(v, a) / dot(a, a) for a in system.simple_roots), system)
+    return weight(system, (2 * dot(vec, a) / dot(a, a) for a in simple_vectors(system)))
 
 
 def test_weight_support_examples():
@@ -418,7 +526,7 @@ def _partition_counts(system, size):
     counts = dict.fromkeys(itertools.product(range(size + 1), repeat=rank), 0)
     counts[(0,) * rank] = 1
     for root in system.positive_roots:
-        coin = system.root_table[root].coefficients
+        coin = root
         for c in sorted(counts):  # c - coin sorts before c
             prev = tuple(x - y for x, y in zip(c, coin))
             if min(prev) >= 0:
@@ -436,7 +544,7 @@ def test_multiplicities_match_the_kostant_formula(system):
     columns = list(zip(*system.cartan_matrix))
     for top in _tops(8):
         mults = {
-            tuple(int(c) for c in w.coords): m
+            w.coords: m
             for w, m in weight_multiplicities(weight(system, top)).items()
         }
         images = _orbit_signs(system, tuple(t + 1 for t in top))
@@ -504,7 +612,7 @@ def test_multiplicity_reflects_into_the_dominant_table(system):
     for top in _tops(6):
         assert all(min(mu) >= 0 for mu in _multiplicity_table(system, top)), top
         highest = weight(system, top)
-        mults = {tuple(int(c) for c in w.coords): m
+        mults = {w.coords: m
                  for w, m in weight_multiplicities(highest).items()}
         low = min(min(mu) for mu in mults) - 1
         high = max(max(mu) for mu in mults) + 1
@@ -519,12 +627,10 @@ def test_support_equals_multiplicity_support():
 
 @given(
     kind=st.sampled_from(["A1", "A2", "C2"]),
-    coords=st.lists(
-        st.fractions(min_value=-4, max_value=4), min_size=2, max_size=2
-    ),
+    coords=st.lists(st.integers(-4, 4), min_size=2, max_size=2),
 )
 @settings(deadline=None, max_examples=40)
 def test_euclid_round_trip(kind, coords):
     system = build_root_system(kind)
     w = weight(system, coords[: system.rank])
-    assert weight_from_euclid(system, w.euclid()) == w
+    assert weight_from_euclid(system, euclid(w)) == w

@@ -69,18 +69,30 @@ def test_one_copy_of_the_disc_criterion():
     assert len(found) == 1, found
 
 
+def _imports_of(module, files=None):
+    """Where package modules (or just ``files``) import ``module`` or from it."""
+    return [
+        f"{path.name}:{n.lineno}"
+        for path, tree in _package_trees()
+        if files is None or path.name in files
+        for n in ast.walk(tree)
+        if (isinstance(n, ast.Import) and any(a.name == module for a in n.names))
+        or (isinstance(n, ast.ImportFrom) and n.module == module)
+    ]
+
+
 def test_no_package_module_imports_dataclasses():
     # records are NamedTuples: importing dataclasses (and the inspect module
     # it pulls in) and exec-ing each decorated class's generated methods are
     # start-up costs that every fresh command would pay
-    found = [
-        f"{path.name}:{n.lineno}"
-        for path, tree in _package_trees()
-        for n in ast.walk(tree)
-        if (isinstance(n, ast.Import) and any(a.name == "dataclasses" for a in n.names))
-        or (isinstance(n, ast.ImportFrom) and n.module == "dataclasses")
-    ]
-    assert found == []
+    assert _imports_of("dataclasses") == []
+
+
+def test_rootsys_and_branching_import_nothing_from_fractions():
+    # roots and weights are integer tuples there; a rational in the kernel
+    # would be a second arithmetic representation
+    assert _imports_of("fractions", ("rootsys.py", "branching.py")) == []
+    assert _imports_of("fractions", ("classify.py",)) != []  # the check can see one
 
 
 def test_fresh_cli_import_loads_neither_dataclasses_nor_inspect():
