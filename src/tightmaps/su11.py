@@ -128,11 +128,10 @@ def sym_power_rep(k: int) -> ExplicitRep:
     even, then m odd; the Z-eigenvalue on e1^(k-m) e2^m is (k-2m)/2, stored
     doubled as k-2m.
     """
-    order = [*range(0, k + 1, 2), *range(1, k + 1, 2)]
     return ExplicitRep(
         dim=k + 1,
         signature=sym_power_signature(k),  # raises for k < 0
-        z_doubled=tuple([k - 2 * m for m in order]),
+        z_doubled=(*range(k, -k - 1, -4), *range(k - 2, -k - 1, -4)),
         degrees=(k,),
     )
 

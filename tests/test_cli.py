@@ -6,6 +6,7 @@ import pytest
 
 import tightmaps.branching
 import tightmaps.classify
+import tightmaps.kahler
 from tightmaps.cli import (
     OK,
     USAGE_ERROR,
@@ -138,6 +139,17 @@ def test_verify_kahler_lemmas(capsys):
         "strict-positive",
     }
     assert all(r["passed"] == r["cases"] for r in doc["rows"])
+
+
+@pytest.mark.parametrize("keep", [(), ("middle-factor", "product-target")])
+def test_verify_kahler_lemmas_fails_when_a_lemma_checked_nothing(monkeypatch, capsys, keep):
+    results = tightmaps.kahler.run_lemma_fixtures(count=2)
+    monkeypatch.setattr(tightmaps.kahler, "run_lemma_fixtures",
+                        lambda: [r for r in results if r["lemma"] in keep])
+    code, doc, _ = run_json(capsys, "verify", "kahler-lemmas")
+    assert code == VERIFICATION_FAILURE
+    assert doc["agreement"] is False
+    assert [r["cases"] for r in doc["rows"]] == ([8, 12, 0] if keep else [0, 0, 0])
 
 
 def test_json_round_trip(capsys):

@@ -27,9 +27,12 @@ INVALID = [
     (lambda: StructureChoice(()), "signs"),
     (lambda: StructureChoice((1, 2)), "signs"),
     (lambda: WeightVector((Fraction(1),), C2), "expected 2 coordinates"),
-    (lambda: kahler.KahlerClass((SU21,), ()), "one coefficient"),
-    (lambda: kahler.HomClassMap((SU21,), (SU21,), ()), "shape"),
-    (lambda: kahler.HomClassMap((SU21,), (SU21,), ((Fraction(2),),)), "norm 2 > rank 1"),
+    (lambda: kahler.KahlerClass((SU21,), (), 1), "one coefficient"),
+    (lambda: kahler.KahlerClass((SU21,), (1,), -2), "denominator -2 is not positive"),
+    (lambda: kahler.HomClassMap((SU21,), (SU21,), (), 1), "shape"),
+    (lambda: kahler.HomClassMap((SU21,), (SU21,), ((4,),), 2), "norm 2 > rank 1"),
+    (lambda: kahler.HomClassMap((SU21,), (SU21,), ((3,),), 2), "norm 3/2 > rank 1"),
+    (lambda: kahler.HomClassMap((SU21,), (SU21,), ((0,),), 0), "denominator 0 is not positive"),
 ]
 
 

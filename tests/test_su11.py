@@ -81,6 +81,12 @@ def test_sym_power_signature_split():
             build(-1)
 
 
+def test_sym_power_diagonal_matches_the_monomial_order():
+    for k in range(61):
+        order = [*range(0, k + 1, 2), *range(1, k + 1, 2)]
+        assert sym_power_rep(k).z_doubled == tuple(k - 2 * m for m in order)
+
+
 def test_sym_power_basis_labels_track_monomials():
     rep = sym_power_rep(4)
     assert rep.basis_labels[0] == "e1^4 e2^0"
