@@ -15,12 +15,15 @@ bundled holomorphic classification table.
 
 from __future__ import annotations
 
+import itertools
+import operator
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
 from . import kahler
 from .branching import (
+    _WITNESS_STEPS,
     SL2,
     SubalgebraSpec,
     even_witness,
@@ -195,33 +198,34 @@ def _constructive_su11xsu11(k: int, l: int) -> tuple[bool, Witness]:
     return _pairing_verdict(*best_tensor_pairing(k, l))
 
 
-def _check_membership(algebra: str, w: tuple[int, ...], coords) -> None:
-    if not multiplicity(_rank2_weight(algebra, w), coords):
-        raise VerificationError(f"witness weight {coords} is not a weight of {w[:2]}")
+def _sp4_split_witness(algebra: str, w: tuple[int, ...]) -> Witness | None:
+    """Witness of the two-case split on the sp4 factor (i, j), or None at (1, 0).
 
-
-def _long_pair_witness(algebra: str, w: tuple[int, ...]) -> Witness:
-    """Witness for the second branching case, on the orthogonal long pair.
-
-    Prefers the highest weight (i, j) itself when its long-coroot value
-    i + j is even; otherwise steps down the short dominant string to
-    (i, j - 1), whose evaluation i + j - 1 is then even and nonzero.
+    First case, i = 0: the short-root disc, value 2j on the top.  Second
+    case: the orthogonal long pair, whose value i + j on the top is taken
+    when even; otherwise the C2 proof-chain step leads to (i, j - 1), whose
+    value i + j - 1 is then even and nonzero.
     """
     i, j = w[:2]
-    coords, value = ((i, j), i + j) if (i + j) % 2 == 0 else ((i, j - 1), i + j - 1)
-    _check_membership(algebra, w, coords)
+    if i == 0:
+        return Witness("even_branch_witness", "a1+a2", (0, j), 2 * j)
+    if (i, j) == (1, 0):
+        return None
+    coords, value = (i, j), i + j
+    if value % 2:
+        (step,) = _WITNESS_STEPS["C2"]
+        coords, value = tuple(map(operator.sub, coords, step)), value - 1
+    if not multiplicity(_rank2_weight(algebra, w), coords):
+        raise VerificationError(f"witness weight {coords} is not a weight of {w[:2]}")
     return Witness("even_branch_witness", "a2,2a1+a2", coords, value)
 
 
 def _constructive_sp4(i: int, j: int) -> tuple[bool, Witness]:
     if (i, j) == (0, 0):
         return False, Witness("zero_class")
-    if i == 0:
-        # first case: restrict to the short-root disc, value 2j on the top
-        return False, Witness("even_branch_witness", "a1+a2", (i, j), 2 * j)
-    if (i, j) != (1, 0):
-        # second case: the orthogonal long pair; value i+j or i+j-1
-        return False, _long_pair_witness("sp4", (i, j))
+    witness = _sp4_split_witness("sp4", (i, j))
+    if witness is not None:
+        return False, witness
     # (1, 0): exhaustive search of both tight subalgebras finds nothing even
     top = _rank2_weight("sp4", (i, j))
     for selector in TIGHT_SUBALGEBRA_SELECTORS["sp4"]:
@@ -230,41 +234,15 @@ def _constructive_sp4(i: int, j: int) -> tuple[bool, Witness]:
     return True, Witness("reference_classification")
 
 
-def _su21_chain_witness(k: int, l: int) -> tuple[tuple[int, int], int] | None:
-    """Witness candidates along the two proof chains, with their values.
-
-    The first chain steps down the sum of the simple roots (values k, k-1,
-    k-2, ...), the second steps down the compact simple root (value k+1).
-    Returns the first candidate whose value is even and nonzero.
-    """
-    candidates = [
-        ((k, l), k),
-        ((k - 1, l - 1), k - 1),
-        ((k - 2, l - 2), k - 2),
-        ((k + 1, l - 2), k + 1),
-    ]
-    for coords, value in candidates:
-        if value != 0 and value % 2 == 0:
-            return coords, value
-    return None
-
-
 def _constructive_su21(k: int, l: int) -> tuple[bool, Witness]:
     if (k, l) == (0, 0):
         return False, Witness("zero_class")
-    sub = _subalgebra("su21", "a1")
-    if (k, l) in ((1, 0), (0, 1)):
-        if even_witness(_rank2_weight("su21", (k, l)), sub) is not None:
-            raise RouteDisagreement(f"unexpected even witness for su21 weight {(k, l)}")
-        return True, Witness("reference_classification")
-    found = _su21_chain_witness(k, l)
+    # the proof chains, then the full support, searched on the tight a1 disc
+    found = even_witness(_rank2_weight("su21", (k, l)), _subalgebra("su21", "a1"))
     if found is None:
-        raise RouteDisagreement(f"no chain witness for su21 weight {(k, l)}")
+        return True, Witness("reference_classification")
     coords, value = found
-    _check_membership("su21", (k, l), coords)
-    if sub.evaluate(coords) != [value]:
-        raise VerificationError(f"su21 chain witness {coords} does not evaluate to {value}")
-    return False, Witness("even_branch_witness", "a1", coords, value)
+    return False, Witness("even_branch_witness", "a1", coords.coords, value)
 
 
 def _sp4su11_expansion(i: int, j: int, k: int) -> list[tuple[int, int]]:
@@ -300,29 +278,28 @@ def _constructive_sp4su11(i: int, j: int, k: int) -> tuple[bool, Witness]:
                 f"unexpected tight expansion for sp4su11 weight {(i, j, k)}"
             )
         return True, Witness("reference_classification")
-    if i == 0:
-        # first case of the split: short-root witness on the rank-two factor
-        return False, Witness("even_branch_witness", "a1+a2", (0, j), 2 * j)
-    if (i, j) == (1, 0):
-        value = k if k % 2 == 0 else k + 1
-        if not any(value in f for f in factors):
-            raise VerificationError(f"no factor of sp4su11 {(i, j, k)} has value {value}")
-        return False, Witness("even_tensor_factor", "a2,2a1+a2", evaluation=value)
-    return False, _long_pair_witness("sp4su11", (i, j, k))
+    witness = _sp4_split_witness("sp4su11", (i, j, k))
+    if witness is not None:
+        return False, witness
+    # (1, 0, k): an even factor of the tensor expansion
+    value = k if k % 2 == 0 else k + 1
+    if not any(value in f for f in factors):
+        raise VerificationError(f"no factor of sp4su11 {(i, j, k)} has value {value}")
+    return False, Witness("even_tensor_factor", "a2,2a1+a2", evaluation=value)
 
 
 _CONSTRUCTIVE = {
-    "su11": lambda w: _constructive_su11(*w),
-    "su11xsu11": lambda w: _constructive_su11xsu11(*w),
-    "sp4": lambda w: _constructive_sp4(*w),
-    "su21": lambda w: _constructive_su21(*w),
-    "sp4su11": lambda w: _constructive_sp4su11(*w),
+    "su11": _constructive_su11,
+    "su11xsu11": _constructive_su11xsu11,
+    "sp4": _constructive_sp4,
+    "su21": _constructive_su21,
+    "sp4su11": _constructive_sp4su11,
 }
 
 
 def constructive_verdict(algebra: str, w: tuple[int, ...]) -> tuple[bool, Witness]:
     """Re-run the computation behind the theorems for one weight."""
-    return _CONSTRUCTIVE[algebra](validate_weight(algebra, w))
+    return _CONSTRUCTIVE[algebra](*validate_weight(algebra, w))
 
 
 def holomorphic_flag(algebra: str, w: tuple[int, ...]) -> bool | None:
@@ -372,14 +349,11 @@ def _replay_even_branch(verdict: TightnessVerdict) -> bool:
         return False
     # the recorded value certifies a factor of even nonzero highest weight
     # in the matching coordinate
-    branch = restrict_rep(top, sub)
-    if sub.target_kind == SL2:
-        return any(m % 2 == 0 and m != 0 and m >= abs(value) for m in branch.factors)
-    idx = values.index(value)
-    return any(
-        f[idx] % 2 == 0 and f[idx] != 0 and f[idx] >= abs(value)
-        for f in branch.factors
-    )
+    factors = restrict_rep(top, sub).factors
+    if sub.target_kind != SL2:
+        idx = values.index(value)
+        factors = [f[idx] for f in factors]
+    return any(m % 2 == 0 and m != 0 and m >= abs(value) for m in factors)
 
 
 def _replay_pairing(verdict: TightnessVerdict) -> bool:
@@ -446,20 +420,18 @@ def replay_witness(verdict: TightnessVerdict) -> bool:
 
 def cross_check(algebra: str, w) -> dict:
     """Run both routes, demand agreement, and verify witness replay."""
-    coords = validate_weight(algebra, w)
-    verdict = classify(algebra, coords)  # raises RouteDisagreement on mismatch
-    replay_ok = replay_witness(verdict)
-    if not replay_ok:
+    verdict = classify(algebra, w)  # raises RouteDisagreement on mismatch
+    if not replay_witness(verdict):
         raise RouteDisagreement(
-            f"{algebra} {coords}: witness failed replay: {verdict.witness}"
+            f"{algebra} {verdict.weight}: witness failed replay: {verdict.witness}"
         )
     return {
         "algebra": algebra,
-        "weight": coords,
-        "theorem_tight": theorem_tight(algebra, coords),
+        "weight": verdict.weight,
+        "theorem_tight": verdict.tight,
         "constructive_tight": verdict.tight,
         "agree": True,
-        "replay_ok": replay_ok,
+        "replay_ok": True,
         "verdict": verdict,
     }
 
@@ -467,18 +439,7 @@ def cross_check(algebra: str, w) -> dict:
 def dominant_weights(algebra: str, bound: int) -> list[tuple[int, ...]]:
     """All dominant integral weights with coordinate sum at most ``bound``."""
     rank = root_system_for(algebra).rank
-    out = []
-
-    def rec(prefix, remaining):
-        if len(prefix) == rank - 1:
-            for last in range(remaining + 1):
-                out.append(prefix + (last,))
-            return
-        for c in range(remaining + 1):
-            rec(prefix + (c,), remaining - c)
-
-    rec((), bound)
-    return sorted(out)
+    return [w for w in itertools.product(range(bound + 1), repeat=rank) if sum(w) <= bound]
 
 
 def sweep(algebra: str, bound: int) -> dict:
@@ -548,108 +509,53 @@ class EmbeddingRow(NamedTuple):
     tube_target: kahler.HermitianFactor
 
 
-def _probe_for_rank(rank: int) -> str:
-    if rank == 1:
-        return "su21"
-    return "sp4" if rank % 2 == 0 else "sp4+su11"
-
-
-def _tube_target(factor: kahler.HermitianFactor, family: str, n: int) -> kahler.HermitianFactor:
-    if family == "su":
-        return factor
-    if family == "sp":
-        return kahler.su(n, n)
-    if family == "so_star":
-        return kahler.su(n, n)
-    if family == "so2":
-        size = 2 ** ((n - 1) // 2)
-        return kahler.su(size, size)
-    raise ValueError(family)
-
-
-def embedding_row_su(p: int, q: int) -> EmbeddingRow:
-    alg = kahler.su(p, q)
-    if alg.rank == 1 and alg.tube_type:
-        raise ValueError("the rank-one tube algebra has no row")
-    sub = kahler.su(min(p, q), min(p, q))
-    return EmbeddingRow(alg, _probe_for_rank(alg.rank), sub, _tube_target(sub, "su", 0))
-
-
-def embedding_row_sp(two_n: int) -> EmbeddingRow:
-    alg = kahler.sp(two_n)
-    return EmbeddingRow(
-        alg, _probe_for_rank(alg.rank), alg, _tube_target(alg, "sp", two_n // 2)
-    )
-
-
-def embedding_row_so_star(two_n: int) -> EmbeddingRow:
-    alg = kahler.so_star(two_n)
-    n = two_n // 2
-    sub = alg if n % 2 == 0 else kahler.so_star(2 * (n - 1))
-    sub_n = n if n % 2 == 0 else n - 1
-    return EmbeddingRow(
-        alg, _probe_for_rank(alg.rank), sub, _tube_target(sub, "so_star", sub_n)
-    )
-
-
-def embedding_row_so2(n: int) -> EmbeddingRow:
-    alg = kahler.so2n(n)
-    return EmbeddingRow(alg, _probe_for_rank(alg.rank), alg, _tube_target(alg, "so2", n))
-
-
 def embedding_table() -> tuple[EmbeddingRow, ...]:
-    """Reference rows for a sample of every classical family."""
-    rows: list[EmbeddingRow] = []
-    for q in range(1, 5):
-        for p in range(q, 6):
-            if (p, q) == (1, 1):
-                continue
-            rows.append(embedding_row_su(p, q))
-    for two_n in range(4, 13, 2):
-        rows.append(embedding_row_sp(two_n))
-    for two_n in range(8, 21, 2):
-        rows.append(embedding_row_so_star(two_n))
-    for n in range(3, 11):
-        rows.append(embedding_row_so2(n))
+    """Reference rows for a sample of every classical family.
+
+    The tube target of every row is su(m, m), m read off the family.
+    """
+
+    def row(alg, sub, m):
+        probe = "su21" if alg.rank == 1 else "sp4" if alg.rank % 2 == 0 else "sp4+su11"
+        return EmbeddingRow(alg, probe, sub, kahler.su(m, m))
+
+    su = kahler.su
+    rows = [row(su(p, q), su(q, q), q) for q in range(1, 5) for p in range(max(q, 2), 6)]
+    rows += [row(kahler.sp(2 * n), kahler.sp(2 * n), n) for n in range(2, 7)]
+    # so*(2n) for odd n has the tube subalgebra so*(2(n-1))
+    rows += [
+        row(kahler.so_star(2 * n), kahler.so_star(2 * (n - n % 2)), n - n % 2)
+        for n in range(4, 11)
+    ]
+    rows += [row(kahler.so2n(n), kahler.so2n(n), 2 ** ((n - 1) // 2)) for n in range(3, 11)]
     return tuple(rows)
 
 
 # -- conversion of verdicts into class-map bookkeeping ------------------------
 
 
-def _sl2_route_map(factors) -> kahler.HomClassMap:
-    """Class map of a one-factor domain through its sl2-string decomposition."""
-    source = (kahler.su(1, 1),)
-    targets = []
-    coeffs = []
-    for m in factors:
-        if m == 0:
-            continue
-        sig = sym_power_signature(m)
-        targets.append(kahler.su(sig.p, sig.q))
-        coeffs.append(2 * sym_power_pairing(m)[0])
-    if not targets:
-        return kahler.class_map(source, source, [[0]])
-    return kahler.class_map(source, targets, [coeffs])
+def _route_map(rank: int, factors) -> kahler.HomClassMap:
+    """Class map of a domain of ``rank`` su(1,1) factors through its decomposition.
 
-
-def _pair_route_map(factors) -> kahler.HomClassMap:
-    """Class map of a two-factor domain through its (u, v) decomposition."""
-    source = (kahler.su(1, 1), kahler.su(1, 1))
+    ``factors`` are tuples of su(1,1) degrees, one per domain factor; each
+    nonzero one adds a target su(p, q) whose column is twice the factors'
+    pairings.
+    """
+    source = (kahler.su(1, 1),) * rank
     targets = []
-    row1 = []
-    row2 = []
-    for u, v in factors:
-        if (u, v) == (0, 0):
+    columns = []
+    for degrees in factors:
+        if not any(degrees):
             continue
-        sig = tensor_signature(u, v)
-        p1, p2 = tensor_factor_pairings(u, v)
+        if rank == 1:
+            sig, pairings = sym_power_signature(*degrees), sym_power_pairing(*degrees)[:1]
+        else:
+            sig, pairings = tensor_signature(*degrees), tensor_factor_pairings(*degrees)
         targets.append(kahler.su(sig.p, sig.q))
-        row1.append(2 * p1)
-        row2.append(2 * p2)
+        columns.append([2 * x for x in pairings])
     if not targets:
-        return kahler.class_map(source, (kahler.su(1, 1),), [[0], [0]])
-    return kahler.class_map(source, targets, [row1, row2])
+        return kahler.class_map(source, source[:1], [[0]] * rank)
+    return kahler.class_map(source, targets, list(zip(*columns)))
 
 
 def verdict_class_map(verdict: TightnessVerdict) -> kahler.HomClassMap:
@@ -660,23 +566,16 @@ def verdict_class_map(verdict: TightnessVerdict) -> kahler.HomClassMap:
     """
     algebra = verdict.algebra
     w = verdict.weight
-    if algebra == "su11":
-        return _sl2_route_map([w[0]])
-    if algebra == "su11xsu11":
-        return _pair_route_map([w])
-    if algebra == "su21":
-        branch = restrict_rep(_rank2_weight(algebra, w), _subalgebra(algebra, "a1"))
-        return _sl2_route_map(branch.factors)
-    if algebra == "sp4":
-        if w[0] == 0:
-            sub = _subalgebra(algebra, "a1+a2")
-            return _sl2_route_map(restrict_rep(_rank2_weight(algebra, w), sub).factors)
-        pair = _subalgebra(algebra, "a2,2a1+a2")
-        branch = restrict_rep(_rank2_weight(algebra, w), pair)
-        return _pair_route_map([(a, b) for b, a in branch.factors])
+    if algebra in ("su11", "su11xsu11"):
+        return _route_map(len(w), [w])
     if algebra == "sp4su11":
-        i, j, k = w
-        if (i, j) == (0, 0):
-            return _pair_route_map([(0, k)])
-        return _pair_route_map(_sp4su11_expansion(i, j, k))
-    raise ValueError(f"unknown algebra {algebra!r}")
+        return _route_map(2, _sp4su11_expansion(*w))
+    if algebra not in _RANK2_FACTOR:
+        raise ValueError(f"unknown algebra {algebra!r}")
+    # su21 on its a1 disc; sp4 on the short-root disc when i = 0, else the long pair
+    selector = "a1" if algebra == "su21" else "a1+a2" if w[0] == 0 else "a2,2a1+a2"
+    sub = _subalgebra(algebra, selector)
+    factors = restrict_rep(_rank2_weight(algebra, w), sub).factors
+    if sub.target_kind == SL2:
+        return _route_map(1, [(m,) for m in factors])
+    return _route_map(2, [(a, b) for b, a in factors])

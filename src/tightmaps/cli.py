@@ -226,6 +226,9 @@ def _verify_lemma_bla(args, started: float) -> int:
             f"p-range {args.p_range} includes p < 4, which lemma-bla does not check: "
             "p = 1, 2 are not Hermitian and p = 3 is left to the unitary classification"
         )
+    if (lo | 1) > hi:
+        # even p only reduce to odd p + 1, so a range with no odd p checks nothing
+        raise ValueError(f"p-range {args.p_range} has no odd p >= 5 for lemma-bla to check")
     rows = []
     failed = False
     for p in range(lo, hi + 1):

@@ -105,11 +105,6 @@ class KahlerClass(_KahlerClass):
         return _fractions((self.numerators,), self.denominator)[0]
 
 
-def kahler_class(factors, coefficients) -> KahlerClass:
-    (numerators,), d = _integral([coefficients])
-    return KahlerClass(tuple(factors), numerators, d)
-
-
 def distinguished_class(factors) -> KahlerClass:
     """The class of the product's own Kahler form: all coefficients one."""
     return KahlerClass(tuple(factors), (1,) * len(tuple(factors)), 1)

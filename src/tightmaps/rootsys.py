@@ -237,11 +237,6 @@ def _require_dominant(w: WeightVector) -> None:
         raise ValueError(f"weight {w.coords} is not dominant")
 
 
-def weight_support(highest: WeightVector) -> frozenset[WeightVector]:
-    """All weights of the irreducible representation with this highest weight."""
-    return frozenset(weight_multiplicities(highest))
-
-
 def _orbit(system: RootSystemData, weights: tuple[tuple, ...]) -> list[tuple]:
     """Closure of a tuple of weights under simultaneous simple reflections, itself first.
 

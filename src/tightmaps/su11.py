@@ -76,19 +76,6 @@ class ExplicitRep(_ExplicitRep):
             raise ValueError("Z-image must be trace free")
         return super().__new__(cls, dim, signature, z_doubled, degrees)
 
-    @property
-    def basis_labels(self) -> tuple[str, ...]:
-        """Names of the basis vectors, in the order of ``z_doubled``.
-
-        The degree-k model's entry d names e1^((k+d)/2) e2^((k-d)/2).
-        """
-        if len(self.degrees) == 1:
-            k = self.degrees[0]
-            return tuple(f"e1^{(k + d) // 2} e2^{(k - d) // 2}" for d in self.z_doubled)
-        one, two = (sym_power_rep(k) for k in self.degrees)
-        labels = one.basis_labels, two.basis_labels, one.signature.p, two.signature.p
-        return tuple(f"({a}) (x) ({b})" for a, b in _tensor_order(*labels))
-
 
 class _StructureChoice(NamedTuple):
     signs: tuple[int, ...]
@@ -103,9 +90,6 @@ class StructureChoice(_StructureChoice):
         if not signs or any(s not in (1, -1) for s in signs):
             raise ValueError("signs must be +1 or -1")
         return super().__new__(cls, signs)
-
-    def flipped(self) -> "StructureChoice":
-        return StructureChoice(tuple(-s for s in self.signs))
 
 
 def structure_representatives(n_factors: int = 2) -> tuple[StructureChoice, ...]:

@@ -4,13 +4,16 @@ from fractions import Fraction
 
 import pytest
 
+from tightmaps import classify as classify_module
 from tightmaps import kahler
+from tightmaps.branching import SubalgebraSpec
 from tightmaps.classify import (
     ALGEBRAS,
     HOLOMORPHIC_WEIGHTS,
     LemmaReduction,
     Witness,
     classify,
+    constructive_verdict,
     cross_check,
     dominant_weights,
     embedding_table,
@@ -118,6 +121,24 @@ def test_rank_two_sweeps_beyond_the_acceptance_bounds(algebra, bound, expected):
     result = sweep(algebra, bound)
     assert result["agreement"]
     assert {r["weight"] for r in result["rows"] if r["verdict"].tight} == expected
+
+
+def test_su21_verdict_follows_the_branching_search(monkeypatch):
+    # with every a1 coroot row doubled, (1,0) evaluates to 2 on the a1 disc:
+    # the constructive route must report what the search finds, not a table
+    spec = classify_module._subalgebra("su21", "a1")
+    doubled = tuple(tuple(tuple(2 * c for c in row) for row in rows)
+                    for rows in spec.coroot_images)
+    patched = SubalgebraSpec(*spec[:4], doubled)
+    real = classify_module._subalgebra
+    monkeypatch.setattr(
+        classify_module, "_subalgebra",
+        lambda algebra, selector: patched if (algebra, selector) == ("su21", "a1")
+        else real(algebra, selector),
+    )
+    assert constructive_verdict("su21", (1, 0)) == (
+        False, Witness("even_branch_witness", "a1", (1, 0), 2)
+    )
 
 
 def test_replay_rejects_tampered_witness():
@@ -353,6 +374,52 @@ def test_embedding_table_known_rows():
     assert rows["so*(10)"].tube_subalgebra.name == "so*(8)"
     assert rows["so*(10)"].tube_target.name == "su(4,4)"
     assert rows["so(2,3)"].tube_target.name == "su(2,2)"
+
+
+# (algebra, probe, tube subalgebra, tube target) of every row, in order
+EMBEDDING_ROWS = [
+    ("su(2,1)", "su21", "su(1,1)", "su(1,1)"),
+    ("su(3,1)", "su21", "su(1,1)", "su(1,1)"),
+    ("su(4,1)", "su21", "su(1,1)", "su(1,1)"),
+    ("su(5,1)", "su21", "su(1,1)", "su(1,1)"),
+    ("su(2,2)", "sp4", "su(2,2)", "su(2,2)"),
+    ("su(3,2)", "sp4", "su(2,2)", "su(2,2)"),
+    ("su(4,2)", "sp4", "su(2,2)", "su(2,2)"),
+    ("su(5,2)", "sp4", "su(2,2)", "su(2,2)"),
+    ("su(3,3)", "sp4+su11", "su(3,3)", "su(3,3)"),
+    ("su(4,3)", "sp4+su11", "su(3,3)", "su(3,3)"),
+    ("su(5,3)", "sp4+su11", "su(3,3)", "su(3,3)"),
+    ("su(4,4)", "sp4", "su(4,4)", "su(4,4)"),
+    ("su(5,4)", "sp4", "su(4,4)", "su(4,4)"),
+    ("sp(4,R)", "sp4", "sp(4,R)", "su(2,2)"),
+    ("sp(6,R)", "sp4+su11", "sp(6,R)", "su(3,3)"),
+    ("sp(8,R)", "sp4", "sp(8,R)", "su(4,4)"),
+    ("sp(10,R)", "sp4+su11", "sp(10,R)", "su(5,5)"),
+    ("sp(12,R)", "sp4", "sp(12,R)", "su(6,6)"),
+    ("so*(8)", "sp4", "so*(8)", "su(4,4)"),
+    ("so*(10)", "sp4", "so*(8)", "su(4,4)"),
+    ("so*(12)", "sp4+su11", "so*(12)", "su(6,6)"),
+    ("so*(14)", "sp4+su11", "so*(12)", "su(6,6)"),
+    ("so*(16)", "sp4", "so*(16)", "su(8,8)"),
+    ("so*(18)", "sp4", "so*(16)", "su(8,8)"),
+    ("so*(20)", "sp4+su11", "so*(20)", "su(10,10)"),
+    ("so(2,3)", "sp4", "so(2,3)", "su(2,2)"),
+    ("so(2,4)", "sp4", "so(2,4)", "su(2,2)"),
+    ("so(2,5)", "sp4", "so(2,5)", "su(4,4)"),
+    ("so(2,6)", "sp4", "so(2,6)", "su(4,4)"),
+    ("so(2,7)", "sp4", "so(2,7)", "su(8,8)"),
+    ("so(2,8)", "sp4", "so(2,8)", "su(8,8)"),
+    ("so(2,9)", "sp4", "so(2,9)", "su(16,16)"),
+    ("so(2,10)", "sp4", "so(2,10)", "su(16,16)"),
+]
+
+
+def test_embedding_table_pinned_row_by_row():
+    names = [
+        (r.algebra.name, r.probe, r.tube_subalgebra.name, r.tube_target.name)
+        for r in embedding_table()
+    ]
+    assert names == EMBEDDING_ROWS
 
 
 def test_verdict_class_maps_are_norm_consistent():

@@ -124,9 +124,9 @@ def test_verify_lemma_bla(capsys):
 
 
 def test_verify_lemma_bla_even_p_reduced(capsys):
-    code, doc, _ = run_json(capsys, "verify", "lemma-bla", "--p-range", "4:4")
+    code, doc, _ = run_json(capsys, "verify", "lemma-bla", "--p-range", "4:5")
     assert code == OK
-    assert doc["rows"][0]["status"] == "reduced"
+    assert [r["status"] for r in doc["rows"]] == ["reduced", "infeasible"]
 
 
 def test_verify_kahler_lemmas(capsys):
@@ -186,6 +186,13 @@ def test_exit_codes(capsys):
 
     code, _, err = run(capsys, "verify", "lemma-bla", "--p-range", "9:5")
     assert code == VALIDATION_ERROR
+
+
+@pytest.mark.parametrize("text", ["4:4", "6:6"])
+def test_lemma_bla_range_without_an_odd_p_is_a_validation_error(capsys, text):
+    # even p only reduce to odd p + 1, so such a range checks nothing itself
+    code, out, err = run(capsys, "verify", "lemma-bla", "--p-range", text)
+    assert code == VALIDATION_ERROR and text in err and out == ""
 
 
 def test_lemma_bla_range_below_the_battery_is_a_validation_error(capsys):

@@ -26,7 +26,6 @@ from tightmaps.kahler import (
     is_strictly_positive,
     is_strictly_positive_map,
     is_tight,
-    kahler_class,
     middle_factor_fixture,
     norm,
     product_target_fixture,
@@ -41,6 +40,12 @@ from tightmaps.kahler import (
 )
 
 F = Fraction
+
+
+def kahler_class(factors, coefficients) -> kahler.KahlerClass:
+    """The class with these int or Fraction coefficients, over their common denominator."""
+    (numerators,), d = kahler._integral([coefficients])
+    return kahler.KahlerClass(tuple(factors), numerators, d)
 
 
 # -- the Fraction oracle -------------------------------------------------------

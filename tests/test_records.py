@@ -8,7 +8,7 @@ import pytest
 
 from tightmaps import kahler
 from tightmaps.branching import restrict_rep
-from tightmaps.classify import _rank2_weight, _subalgebra, classify, embedding_row_su
+from tightmaps.classify import _rank2_weight, _subalgebra, classify, embedding_table
 from tightmaps.rootsys import RootSystemData, WeightVector, build_root_system, weight
 from tightmaps.su11 import ExplicitRep, SignaturePair, StructureChoice, sym_power_rep
 
@@ -55,7 +55,7 @@ def _records():
         restrict_rep(_rank2_weight("sp4", (1, 0)), sub),
         verdict.witness,
         verdict,
-        embedding_row_su(2, 1),
+        embedding_table()[0],  # su(2,1)
         SU21,
         kahler.distinguished_class((SU21,)),
         kahler.class_map((SU21,), (SU21,), ((1,),)),

@@ -3,6 +3,7 @@
 import ast
 import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,9 @@ from pathlib import Path
 import tightmaps
 
 PACKAGE = Path(tightmaps.__file__).parent
-TRACE_CHILD = Path(__file__).resolve().parents[1] / "benchmarks" / "trace_child.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACE_CHILD = ROOT / "benchmarks" / "trace_child.py"
+README = ROOT / "README.md"
 
 
 def _package_trees():
@@ -32,9 +35,8 @@ def test_submodule_import_yields_the_module():
     assert module.__name__ == "tightmaps.classify"
 
 
-def test_traced_layer_functions_exist():
-    # the bench harness wraps these names by getattr; a missing one would
-    # only surface in a traced bench run
+def _layer_functions():
+    """The bench harness's wrapped names, ``{module: (name, ...)}``."""
     tree = ast.parse(TRACE_CHILD.read_text(), filename=str(TRACE_CHILD))
     (layers,) = [
         ast.literal_eval(node.value)
@@ -42,6 +44,13 @@ def test_traced_layer_functions_exist():
         if isinstance(node, ast.Assign)
         and [getattr(t, "id", None) for t in node.targets] == ["LAYER_FUNCTIONS"]
     ]
+    return layers
+
+
+def test_traced_layer_functions_exist():
+    # the bench harness wraps these names by getattr; a missing one would
+    # only surface in a traced bench run
+    layers = _layer_functions()
     missing = [
         f"{layer}.{name}"
         for layer, names in layers.items()
@@ -119,3 +128,45 @@ def test_no_record_is_rebuilt_past_its_validation():
         if isinstance(n, ast.Attribute) and n.attr in ("_replace", "_make")
     ]
     assert found == []
+
+
+def _public_api():
+    """``module.name`` entries of the README's public-API list."""
+    section = README.read_text().split("### Public API", 1)[1].split("\n#", 1)[0]
+    return set(re.findall(r"^- `(\w+\.\w+)`", section, re.MULTILINE))
+
+
+def _referenced_names(node):
+    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)} | {
+        n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)
+    }
+
+
+def _uncalled_functions(trees, public, layers):
+    """Module-level functions that no other top-level statement of the
+    package names, and that neither the public-API list nor the bench
+    harness's wrapped names account for."""
+    statements = [(node, _referenced_names(node)) for _, tree in trees for node in tree.body]
+    return [
+        f"{path.stem}.{node.name}"
+        for path, tree in trees
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef)
+        and not any(node.name in names for other, names in statements if other is not node)
+        and f"{path.stem}.{node.name}" not in public
+        and node.name not in layers.get(path.stem, ())
+    ]
+
+
+def test_every_module_function_has_a_caller_or_is_public():
+    # library code that nothing calls, the bench does not wrap and the
+    # README does not offer is dead weight that every command compiles
+    public = _public_api()
+    assert public
+    assert _uncalled_functions(list(_package_trees()), public, _layer_functions()) == []
+    missing = [
+        entry for entry in public
+        if not hasattr(importlib.import_module(f"tightmaps.{entry.split('.')[0]}"),
+                       entry.split(".")[1])
+    ]
+    assert missing == []
