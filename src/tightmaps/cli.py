@@ -156,7 +156,7 @@ def cmd_classify(args) -> int:
         "classify",
         {"algebra": args.algebra, "weight": list(coords)},
         [verdict_row(check["verdict"])],
-        check["agree"] and check["replay_ok"],
+        True,  # cross_check raises on a disagreement or a failed replay
         started,
     )
     _emit(report, args.format, args.out)
@@ -171,12 +171,12 @@ def cmd_sweep(args) -> int:
         "sweep",
         {"algebra": args.algebra, "max": args.max},
         rows,
-        result["agreement"],
+        True,  # sweep raises on a disagreement or a failed replay
         started,
         extra={"counts": result["counts"]},
     )
     _emit(report, args.format, args.out)
-    return OK if result["agreement"] else VERIFICATION_FAILURE
+    return OK
 
 
 def cmd_branch(args) -> int:

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import tightmaps.branching
 from tightmaps import classify as classify_module
 from tightmaps import kahler
 from tightmaps.branching import SubalgebraSpec
@@ -24,6 +25,7 @@ from tightmaps.classify import (
     verdict_class_map,
     verify_su_n1_to_sostar,
 )
+from tightmaps.errors import VerificationError
 
 
 def test_classify_examples():
@@ -57,7 +59,7 @@ def test_validate_weight_errors():
 
 def test_cross_check_examples():
     report = cross_check("sp4", (1, 0))
-    assert report["agree"] and report["verdict"].tight
+    assert report["verdict"].tight
 
     report = cross_check("su21", (2, 0))
     assert not report["verdict"].tight
@@ -104,9 +106,11 @@ def test_replay_witness_over_sweeps():
 
 
 def test_route_agreement_to_bound_ten():
-    # classify raises RouteDisagreement if the two routes ever split
+    # cross_check raises RouteDisagreement if the two routes ever split or a
+    # witness fails replay, so a returned sweep has checked every weight
     for algebra in ALGEBRAS:
-        assert sweep(algebra, 10)["agreement"]
+        rows = sweep(algebra, 10)["rows"]
+        assert [r["weight"] for r in rows] == dominant_weights(algebra, 10)
 
 
 @pytest.mark.parametrize(
@@ -119,17 +123,22 @@ def test_route_agreement_to_bound_ten():
 )
 def test_rank_two_sweeps_beyond_the_acceptance_bounds(algebra, bound, expected):
     result = sweep(algebra, bound)
-    assert result["agreement"]
+    assert len(result["rows"]) == len(dominant_weights(algebra, bound))
     assert {r["weight"] for r in result["rows"] if r["verdict"].tight} == expected
+
+
+def _doubled_su21_a1() -> SubalgebraSpec:
+    """The su21 ``a1`` spec with every coroot row doubled."""
+    spec = classify_module._subalgebra("su21", "a1")
+    doubled = tuple(tuple(tuple(2 * c for c in row) for row in rows)
+                    for rows in spec.coroot_images)
+    return SubalgebraSpec(*spec[:4], doubled)
 
 
 def test_su21_verdict_follows_the_branching_search(monkeypatch):
     # with every a1 coroot row doubled, (1,0) evaluates to 2 on the a1 disc:
     # the constructive route must report what the search finds, not a table
-    spec = classify_module._subalgebra("su21", "a1")
-    doubled = tuple(tuple(tuple(2 * c for c in row) for row in rows)
-                    for rows in spec.coroot_images)
-    patched = SubalgebraSpec(*spec[:4], doubled)
+    patched = _doubled_su21_a1()
     real = classify_module._subalgebra
     monkeypatch.setattr(
         classify_module, "_subalgebra",
@@ -139,6 +148,51 @@ def test_su21_verdict_follows_the_branching_search(monkeypatch):
     assert constructive_verdict("su21", (1, 0)) == (
         False, Witness("even_branch_witness", "a1", (1, 0), 2)
     )
+
+
+def _count_restrict_rep(monkeypatch) -> list:
+    """Record every call of ``restrict_rep`` that ``classify`` makes."""
+    calls = []
+    real = classify_module.restrict_rep
+
+    def counted(top, sub):
+        calls.append((top, sub))
+        return real(top, sub)
+
+    monkeypatch.setattr(classify_module, "restrict_rep", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "algebra,bound,expected",
+    # sp4su11 to 6: 27 sp4 tops on the long pair, and 6 with i = 0 on a1+a2
+    [("sp4su11", 6, 33), ("sp4", 8, 43), ("su21", 9, 52)],
+)
+def test_sweep_branches_each_top_and_subalgebra_once(monkeypatch, algebra, bound, expected):
+    classify_module._branching.cache_clear()
+    calls = _count_restrict_rep(monkeypatch)
+    sweep(algebra, bound)
+    assert len(calls) == expected
+    assert len(set(calls)) == expected
+
+
+def test_branching_memo_keys_on_the_subalgebra_value(monkeypatch):
+    # a spec patched after a branching was memoised is branched afresh
+    spec, patched = classify_module._subalgebra("su21", "a1"), _doubled_su21_a1()
+    top = classify_module._rank2_weight("su21", (1, 0))
+    classify_module._branching.cache_clear()
+    calls = _count_restrict_rep(monkeypatch)
+    assert classify_module._branching(top, spec).factors == (1, 0)
+    assert classify_module._branching(top, spec).factors == (1, 0)
+    assert classify_module._branching(top, patched).factors == (2,)
+    assert calls == [(top, spec), (top, patched)]
+
+
+def test_memoised_branching_runs_the_dimension_check(monkeypatch):
+    classify_module._branching.cache_clear()
+    monkeypatch.setattr(tightmaps.branching, "dimension", lambda highest: 0)
+    with pytest.raises(VerificationError, match="branching lost dimensions"):
+        cross_check("sp4su11", (1, 1, 2))
 
 
 def test_replay_rejects_tampered_witness():

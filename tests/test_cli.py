@@ -280,6 +280,23 @@ def test_failed_exactness_check_is_a_verification_failure(monkeypatch, capsys):
     assert "branching lost dimensions" in err
 
 
+def test_branch_checks_dimensions_after_a_sweep_branched_the_same_top(monkeypatch, capsys):
+    # the sp4 sweep to 1 branches (0,1) on a1+a2 while replaying its witness;
+    # the branch command must still compute, and check, its own branching
+    code, _, _ = run(capsys, "sweep", "--algebra", "sp4", "--max", "1")
+    assert code == OK
+    test_failed_exactness_check_is_a_verification_failure(monkeypatch, capsys)
+
+
+def test_sweep_disagreement_exits_3_without_a_report(monkeypatch, capsys):
+    real = tightmaps.classify.theorem_tight
+    monkeypatch.setattr(tightmaps.classify, "theorem_tight",
+                        lambda algebra, w: w == (0, 1) or real(algebra, w))
+    code, out, err = run(capsys, "sweep", "--algebra", "sp4", "--max", "2")
+    assert code == VERIFICATION_FAILURE and out == ""
+    assert err.startswith("verification failure: sp4 (0, 1): theorem says tight=True")
+
+
 def test_failed_replay_names_the_row_and_prints_the_wire_witness(monkeypatch, capsys):
     monkeypatch.setattr(tightmaps.classify, "replay_witness", lambda verdict: False)
     code, _, err = run(capsys, "classify", "--algebra", "su11", "--weight", "4")
