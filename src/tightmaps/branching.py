@@ -7,13 +7,13 @@ B-elements are not roots, B is linearly independent, and each Dynkin
 component of B contains exactly one noncompact root.  Branching evaluates
 each dominant weight, for its whole orbit, on the Weyl images of the chosen
 coroots and peels the resulting multiset into strings, giving the
-decomposition into irreducible factors together with the signatures of the
-explicit models carrying them.
+decomposition into irreducible factors.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 import re
 from collections import Counter
@@ -30,10 +30,6 @@ from .rootsys import (
     orbit_size,
     weight_multiplicities,
 )
-from .su11 import SignaturePair, sym_power_signature, tensor_signature
-
-SL2 = "sl2"
-SL2_X_SL2 = "sl2xsl2"
 
 
 class SubalgebraError(ValueError):
@@ -46,8 +42,6 @@ Root = tuple[int, ...]  # simple-root coefficients
 class SubalgebraSpec(NamedTuple):
     system: RootSystemData
     roots_b: tuple[Root, ...]
-    generated_roots_c: tuple[Root, ...]
-    target_kind: str
     # coroot rows of the distinct Weyl images of B, B's own rows first
     coroot_images: tuple[tuple[tuple[int, ...], ...], ...]
 
@@ -61,14 +55,10 @@ class SubalgebraSpec(NamedTuple):
 
 
 def _span_roots(system: RootSystemData, roots: tuple[Root, ...]) -> tuple[Root, ...]:
-    """ZB intersected with the root set, for |B| <= 2.
-
-    The systems are reduced, so one root spans only itself and its negative.
-    Two independent roots of a rank-two system are tested by Cramer's rule
-    over their simple-root coefficients.
+    """ZB intersected with the root set, for two independent roots of a
+    rank-two system, tested by Cramer's rule over their simple-root
+    coefficients.
     """
-    if len(roots) == 1:
-        return roots + (tuple(-c for c in roots[0]),)
     (x0, x1), (y0, y1) = roots
     det = x0 * y1 - x1 * y0
 
@@ -128,15 +118,12 @@ def make_subalgebra(system: RootSystemData, roots) -> SubalgebraSpec:
                 f"has {noncompact} noncompact roots (expected exactly 1)"
             )
 
-    span = _span_roots(system, b)
-    if len(b) == 1:
-        kind = SL2
-    else:
+    if len(b) == 2:
         x, y = b
-        if form(x, y) != 0 or set(span) != set(b) | {tuple(-c for c in r) for r in b}:
+        split = set(b) | {tuple(-c for c in r) for r in b}
+        if form(x, y) != 0 or set(_span_roots(system, b)) != split:
             raise SubalgebraError("rank-two subalgebra must split as two orthogonal sl2 blocks")
-        kind = SL2_X_SL2
-    return SubalgebraSpec(system, b, span, kind, coroot_images(system, b))
+    return SubalgebraSpec(system, b, coroot_images(system, b))
 
 
 _TERM_RE = re.compile(r"^(\d*)a([12])$")
@@ -180,16 +167,13 @@ def selector_of(roots: tuple[Root, ...]) -> str:
 
 
 class BranchingResult(NamedTuple):
-    target_kind: str
-    # descending multiset of sl2 highest weights, or of pairs for sl2xsl2
-    factors: tuple
-    signatures: tuple[SignaturePair, ...]
+    # descending multiset of factors, each one sl2 highest weight per root of
+    # B, in B's order: (m,) on one root, (a2 value, 2a1+a2 value) on the long pair
+    factors: tuple[tuple[int, ...], ...]
 
     @property
     def factor_dimension(self) -> int:
-        if self.target_kind == SL2:
-            return sum(m + 1 for m in self.factors)
-        return sum((m + 1) * (n + 1) for m, n in self.factors)
+        return sum(math.prod(m + 1 for m in factor) for factor in self.factors)
 
 
 def evaluation_multiset(highest: WeightVector, sub: SubalgebraSpec) -> Counter:
@@ -227,7 +211,7 @@ def _peel_strings(values: Counter) -> list[tuple[int, ...]]:
     for key, count in values.items():
         for i, v in enumerate(key):
             if v and values[key[:i] + (-v,) + key[i + 1:]] != count:
-                raise ValueError(f"evaluation multiset is not symmetric at {key}")
+                raise VerificationError(f"evaluation multiset is not symmetric at {key}")
     rank = len(next(iter(values), ()))
     shifts = [(s, (-1) ** (sum(s) // 2)) for s in itertools.product((0, 2), repeat=rank)]
     counts: Counter = Counter()
@@ -240,27 +224,20 @@ def _peel_strings(values: Counter) -> list[tuple[int, ...]]:
                     counts[m] += sign * count
     for m, count in counts.items():
         if count < 0:
-            raise ValueError(f"string peeling failed at value {m}")
+            raise VerificationError(f"string peeling failed at value {m}")
     return list(counts.elements())
 
 
 def restrict_rep(highest: WeightVector, sub: SubalgebraSpec) -> BranchingResult:
     """Decompose the restriction of an irreducible into sl2 strings.
 
-    Peels the evaluation multiset by second differences; the result is
-    checked for dimension conservation against the ambient irreducible.
+    Peels the evaluation multiset by second differences into factors, one
+    highest weight per root of B in B's order, listed in descending order
+    with one entry per copy.  The result is checked for dimension
+    conservation against the ambient irreducible.
     """
-    factors = sorted(_peel_strings(evaluation_multiset(highest, sub)), reverse=True)
-    if sub.target_kind == SL2:
-        factors = [m for (m,) in factors]
-        signatures = tuple(sym_power_signature(m) for m in factors)
-    else:
-        signatures = tuple(tensor_signature(m, n) for m, n in factors)
-    result = BranchingResult(
-        target_kind=sub.target_kind,
-        factors=tuple(factors),
-        signatures=signatures,
-    )
+    factors = _peel_strings(evaluation_multiset(highest, sub))
+    result = BranchingResult(tuple(sorted(factors, reverse=True)))
     if result.factor_dimension != dimension(highest):
         raise VerificationError(
             "branching lost dimensions: "
@@ -274,16 +251,19 @@ def restrict_rep(highest: WeightVector, sub: SubalgebraSpec) -> BranchingResult:
 _WITNESS_STEPS = {"A2": ((1, 1), (2, 2), (-1, 2)), "C2": ((0, 1),)}
 
 
-def even_witness(highest: WeightVector, sub: SubalgebraSpec) -> tuple[WeightVector, int] | None:
-    """A weight with an even nonzero coroot evaluation and that value, or None.
+def even_witness(
+    highest: WeightVector, sub: SubalgebraSpec
+) -> tuple[tuple[int, ...], int] | None:
+    """Fundamental coordinates of a weight with an even nonzero coroot
+    evaluation, and that value, or None.
 
     Such a weight certifies a branching factor of even nonzero highest
     weight in the matching coordinate, hence a nontight factor.  Preference
     goes to the highest weight and then the proof-chain candidates; a
     deterministic scan of the full support is the fallback.
     """
-    system, top = highest.system, highest.coords
-    steps = _WITNESS_STEPS.get(system.kind, ())
+    top = highest.coords
+    steps = _WITNESS_STEPS.get(highest.system.kind, ())
     chain = [top] + [tuple(map(operator.sub, top, step)) for step in steps]
 
     def candidates():
@@ -293,5 +273,5 @@ def even_witness(highest: WeightVector, sub: SubalgebraSpec) -> tuple[WeightVect
     for coords in candidates():
         for value in sub.evaluate(coords):
             if value != 0 and value % 2 == 0:
-                return WeightVector(coords, system), value
+                return coords, value
     return None

@@ -24,7 +24,6 @@ from typing import NamedTuple
 from . import kahler
 from .branching import (
     _WITNESS_STEPS,
-    SL2,
     BranchingResult,
     SubalgebraSpec,
     even_witness,
@@ -255,8 +254,7 @@ def _constructive_su21(k: int, l: int) -> tuple[bool, Witness]:
     found = even_witness(_rank2_weight("su21", (k, l)), _subalgebra("su21", "a1"))
     if found is None:
         return True, Witness("reference_classification")
-    coords, value = found
-    return False, Witness("even_branch_witness", "a1", coords.coords, value)
+    return False, Witness("even_branch_witness", "a1", *found)
 
 
 def _sp4su11_expansion(i: int, j: int, k: int) -> list[tuple[int, int]]:
@@ -363,11 +361,9 @@ def _replay_even_branch(verdict: TightnessVerdict) -> bool:
         return False
     # the recorded value certifies a factor of even nonzero highest weight
     # in the matching coordinate
-    factors = _branching(top, sub).factors
-    if sub.target_kind != SL2:
-        idx = values.index(value)
-        factors = [f[idx] for f in factors]
-    return any(m % 2 == 0 and m != 0 and m >= abs(value) for m in factors)
+    idx = values.index(value)
+    heights = [f[idx] for f in _branching(top, sub).factors]
+    return any(m % 2 == 0 and m != 0 and m >= abs(value) for m in heights)
 
 
 def _replay_pairing(verdict: TightnessVerdict) -> bool:
@@ -437,20 +433,15 @@ def replay_witness(verdict: TightnessVerdict) -> bool:
     )
 
 
-def cross_check(algebra: str, w) -> dict:
-    """Run both routes, demand agreement, and verify witness replay."""
+def cross_check(algebra: str, w) -> TightnessVerdict:
+    """Run both routes, demand agreement, verify witness replay, and return
+    the replayed verdict."""
     verdict = classify(algebra, w)  # raises RouteDisagreement on mismatch
     if not replay_witness(verdict):
         raise RouteDisagreement(
             f"{algebra} {verdict.weight}: witness failed replay: {verdict.witness}"
         )
-    return {
-        "algebra": algebra,
-        "weight": verdict.weight,
-        "theorem_tight": verdict.tight,
-        "constructive_tight": verdict.tight,
-        "verdict": verdict,
-    }
+    return verdict
 
 
 def dominant_weights(algebra: str, bound: int) -> list[tuple[int, ...]]:
@@ -460,18 +451,14 @@ def dominant_weights(algebra: str, bound: int) -> list[tuple[int, ...]]:
 
 
 def sweep(algebra: str, bound: int) -> dict:
-    """Classify and cross-check every dominant weight up to ``bound``; a
-    disagreement or a failed replay raises ``RouteDisagreement``."""
+    """Cross-checked verdicts (``rows``) of every dominant weight up to
+    ``bound``, with tight/nontight ``counts``; a disagreement or a failed
+    replay raises ``RouteDisagreement``."""
     if bound < 1:
         raise ValueError("bound must be at least 1")
     rows = [cross_check(algebra, w) for w in dominant_weights(algebra, bound)]
-    tight = sum(1 for r in rows if r["verdict"].tight)
-    return {
-        "algebra": algebra,
-        "bound": bound,
-        "rows": rows,
-        "counts": {"tight": tight, "nontight": len(rows) - tight},
-    }
+    tight = sum(1 for r in rows if r.tight)
+    return {"rows": rows, "counts": {"tight": tight, "nontight": len(rows) - tight}}
 
 
 # -- constraint infeasibility for rank-one into so*(2p) ----------------------
@@ -593,6 +580,6 @@ def verdict_class_map(verdict: TightnessVerdict) -> kahler.HomClassMap:
     selector = "a1" if algebra == "su21" else "a1+a2" if w[0] == 0 else "a2,2a1+a2"
     sub = _subalgebra(algebra, selector)
     factors = _branching(_rank2_weight(algebra, w), sub).factors
-    if sub.target_kind == SL2:
-        return _route_map(1, [(m,) for m in factors])
-    return _route_map(2, [(a, b) for b, a in factors])
+    # the long pair's (a2, 2a1+a2) values reversed are the (a, b) degrees of
+    # _sp4su11_expansion; a rank-one factor is its own reverse
+    return _route_map(sub.rank, [f[::-1] for f in factors])

@@ -33,6 +33,7 @@ from .classify import (
 )
 from .errors import VerificationError
 from .rootsys import weight
+from .su11 import sym_power_signature, tensor_signature
 
 OK = 0
 USAGE_ERROR = 1
@@ -151,11 +152,10 @@ def _parse_p_range(text: str) -> tuple[int, int]:
 def cmd_classify(args) -> int:
     started = time.perf_counter()
     coords = _parse_weight(args.weight)
-    check = cross_check(args.algebra, coords)
     report = build_report(
         "classify",
         {"algebra": args.algebra, "weight": list(coords)},
-        [verdict_row(check["verdict"])],
+        [verdict_row(cross_check(args.algebra, coords))],
         True,  # cross_check raises on a disagreement or a failed replay
         started,
     )
@@ -166,7 +166,7 @@ def cmd_classify(args) -> int:
 def cmd_sweep(args) -> int:
     started = time.perf_counter()
     result = sweep(args.algebra, args.max)
-    rows = [verdict_row(r["verdict"]) for r in result["rows"]]
+    rows = [verdict_row(v) for v in result["rows"]]
     report = build_report(
         "sweep",
         {"algebra": args.algebra, "max": args.max},
@@ -191,20 +191,20 @@ def cmd_branch(args) -> int:
     if not top.is_dominant:
         raise ValueError(f"weight {coords} is not dominant integral")
     sub = make_subalgebra(system, parse_subalgebra_selector(system, args.sub))
-    branch = restrict_rep(top, sub)
-    witness = even_witness(top, sub)
-    if witness is None:
-        wire = None
-    else:
-        found, value = witness
-        wire = {"weight": list(found.coords), "evaluation": value}
+    factors = restrict_rep(top, sub).factors
+    found = even_witness(top, sub)
+    witness = None if found is None else {"weight": list(found[0]), "evaluation": found[1]}
+    # each distinct factor's signature (p, q) is read once, and its copies
+    # share one wire value; rank-one factors are written as bare ints
+    signature = sym_power_signature if sub.rank == 1 else tensor_signature
+    wire = {f: (f[0] if sub.rank == 1 else list(f), list(signature(*f))) for f in set(factors)}
     row = {
         "weight": list(coords),
         "subalgebra": args.sub,
-        "target": branch.target_kind,
-        "factors": encode(list(branch.factors)),
-        "signatures": [[s.p, s.q] for s in branch.signatures],
-        "even_witness": wire,
+        "target": "x".join(["sl2"] * sub.rank),
+        "factors": [wire[f][0] for f in factors],
+        "signatures": [wire[f][1] for f in factors],
+        "even_witness": witness,
     }
     report = build_report(
         "branch",

@@ -79,10 +79,9 @@ def test_criterion_2_two_factor_rule_and_proof_values():
 
 def test_criterion_3_sp4_sweep():
     result = sweep("sp4", 10)
-    tight_rows = [r["weight"] for r in result["rows"] if r["verdict"].tight]
+    tight_rows = [r.weight for r in result["rows"] if r.tight]
     ok = tight_rows == [(1, 0)]
-    for row in result["rows"]:
-        verdict = row["verdict"]
+    for verdict in result["rows"]:
         if verdict.tight:
             continue
         if verdict.weight == (0, 0):
@@ -103,10 +102,9 @@ def test_criterion_3_sp4_sweep():
 
 def test_criterion_4_su21_sweep():
     result = sweep("su21", 10)
-    tight_rows = sorted(r["weight"] for r in result["rows"] if r["verdict"].tight)
+    tight_rows = sorted(r.weight for r in result["rows"] if r.tight)
     ok = tight_rows == [(0, 1), (1, 0)]
-    for row in result["rows"]:
-        verdict = row["verdict"]
+    for verdict in result["rows"]:
         if verdict.tight:
             continue
         if verdict.weight == (0, 0):
@@ -131,7 +129,7 @@ def test_criterion_4_su21_sweep():
 
 def test_criterion_5_sp4su11_sweep():
     result = sweep("sp4su11", 8)
-    tight_rows = sorted(r["weight"] for r in result["rows"] if r["verdict"].tight)
+    tight_rows = sorted(r.weight for r in result["rows"] if r.tight)
     expected = sorted([(1, 0, 0)] + [(0, 0, k) for k in range(1, 9, 2)])
     _report(5, "sp(4,R)+su(1,1) sweep tight set", tight_rows == expected)
 

@@ -1,10 +1,12 @@
 """Classification engine: routes, witnesses, sweeps, conversions."""
 
+import sys
 from fractions import Fraction
 
 import pytest
 
 import tightmaps.branching
+import tightmaps.su11
 from tightmaps import classify as classify_module
 from tightmaps import kahler
 from tightmaps.branching import SubalgebraSpec
@@ -58,26 +60,26 @@ def test_validate_weight_errors():
 
 
 def test_cross_check_examples():
-    report = cross_check("sp4", (1, 0))
-    assert report["verdict"].tight
+    verdict = cross_check("sp4", (1, 0))
+    assert verdict.tight
 
-    report = cross_check("su21", (2, 0))
-    assert not report["verdict"].tight
-    assert report["verdict"].witness.weight == (2, 0)
-    assert report["verdict"].witness.evaluation == 2
+    verdict = cross_check("su21", (2, 0))
+    assert not verdict.tight
+    assert verdict.witness.weight == (2, 0)
+    assert verdict.witness.evaluation == 2
 
-    report = cross_check("su11xsu11", (1, 1))
-    assert not report["verdict"].tight
-    assert report["verdict"].witness.kind == "clebsch_gordan_even"
-    assert report["verdict"].witness.evaluation == 2
+    verdict = cross_check("su11xsu11", (1, 1))
+    assert not verdict.tight
+    assert verdict.witness.kind == "clebsch_gordan_even"
+    assert verdict.witness.evaluation == 2
 
 
 def test_sweep_counts():
     assert sweep("su11", 20)["counts"]["tight"] == 10
     result = sweep("sp4", 8)
-    assert [r["weight"] for r in result["rows"] if r["verdict"].tight] == [(1, 0)]
+    assert [r.weight for r in result["rows"] if r.tight] == [(1, 0)]
     result = sweep("su21", 8)
-    assert [r["weight"] for r in result["rows"] if r["verdict"].tight] == [
+    assert [r.weight for r in result["rows"] if r.tight] == [
         (0, 1),
         (1, 0),
     ]
@@ -87,7 +89,7 @@ def test_sweep_counts():
 
 def test_sweep_rows_sorted_and_complete():
     result = sweep("su11xsu11", 5)
-    weights = [r["weight"] for r in result["rows"]]
+    weights = [r.weight for r in result["rows"]]
     assert weights == sorted(weights)
     assert len(weights) == 21
 
@@ -110,7 +112,7 @@ def test_route_agreement_to_bound_ten():
     # witness fails replay, so a returned sweep has checked every weight
     for algebra in ALGEBRAS:
         rows = sweep(algebra, 10)["rows"]
-        assert [r["weight"] for r in rows] == dominant_weights(algebra, 10)
+        assert [r.weight for r in rows] == dominant_weights(algebra, 10)
 
 
 @pytest.mark.parametrize(
@@ -124,7 +126,7 @@ def test_route_agreement_to_bound_ten():
 def test_rank_two_sweeps_beyond_the_acceptance_bounds(algebra, bound, expected):
     result = sweep(algebra, bound)
     assert len(result["rows"]) == len(dominant_weights(algebra, bound))
-    assert {r["weight"] for r in result["rows"] if r["verdict"].tight} == expected
+    assert {r.weight for r in result["rows"] if r.tight} == expected
 
 
 def _doubled_su21_a1() -> SubalgebraSpec:
@@ -132,7 +134,7 @@ def _doubled_su21_a1() -> SubalgebraSpec:
     spec = classify_module._subalgebra("su21", "a1")
     doubled = tuple(tuple(tuple(2 * c for c in row) for row in rows)
                     for rows in spec.coroot_images)
-    return SubalgebraSpec(*spec[:4], doubled)
+    return spec._replace(coroot_images=doubled)
 
 
 def test_su21_verdict_follows_the_branching_search(monkeypatch):
@@ -176,15 +178,45 @@ def test_sweep_branches_each_top_and_subalgebra_once(monkeypatch, algebra, bound
     assert len(set(calls)) == expected
 
 
+def test_sweep_builds_no_signatures_inside_branching(monkeypatch):
+    # signatures are read where a report writes them, never by a branching
+    classify_module._branching.cache_clear()
+    branchings, running, inside = [], [], []
+    real = classify_module.restrict_rep
+
+    def counted(top, sub):
+        branchings.append(sub)
+        running.append(sub)
+        try:
+            return real(top, sub)
+        finally:
+            running.pop()
+
+    monkeypatch.setattr(classify_module, "restrict_rep", counted)
+    for name in ("sym_power_signature", "tensor_signature"):
+        original = getattr(tightmaps.su11, name)
+
+        def watched(*degrees, original=original):
+            if running:
+                inside.append(degrees)
+            return original(*degrees)
+
+        for module_name, module in list(sys.modules.items()):
+            if module_name.startswith("tightmaps") and vars(module).get(name) is original:
+                monkeypatch.setattr(module, name, watched)
+    sweep("sp4su11", 6)
+    assert len(branchings) == 33 and inside == []
+
+
 def test_branching_memo_keys_on_the_subalgebra_value(monkeypatch):
     # a spec patched after a branching was memoised is branched afresh
     spec, patched = classify_module._subalgebra("su21", "a1"), _doubled_su21_a1()
     top = classify_module._rank2_weight("su21", (1, 0))
     classify_module._branching.cache_clear()
     calls = _count_restrict_rep(monkeypatch)
-    assert classify_module._branching(top, spec).factors == (1, 0)
-    assert classify_module._branching(top, spec).factors == (1, 0)
-    assert classify_module._branching(top, patched).factors == (2,)
+    assert classify_module._branching(top, spec).factors == ((1,), (0,))
+    assert classify_module._branching(top, spec).factors == ((1,), (0,))
+    assert classify_module._branching(top, patched).factors == ((2,),)
     assert calls == [(top, spec), (top, patched)]
 
 

@@ -1,5 +1,6 @@
 """CLI surface: parsing, report formats, exit codes."""
 
+import hashlib
 import json
 
 import pytest
@@ -92,6 +93,7 @@ def test_branch_examples(capsys):
     )
     assert code == OK
     assert doc["rows"][0]["factors"] == [2, 0, 0]
+    assert doc["rows"][0]["signatures"] == [[2, 1], [1, 0], [1, 0]]
 
     code, doc, _ = run_json(
         capsys, "branch", "--algebra", "su21", "--weight", "1,0", "--sub", "a1"
@@ -105,6 +107,67 @@ def test_branch_examples(capsys):
     )
     assert code == OK
     assert doc["rows"][0]["factors"] == [[1, 0], [0, 1]]
+    assert doc["rows"][0]["signatures"] == [[1, 1], [1, 1]]
+
+
+# sha256 of whole branch reports, each without its timing_ms line: the
+# factor, target and signature encodings are pinned byte for byte
+BRANCH_REPORT_SHA256 = {
+    ("sp4", "0,1", "a1+a2", "json"):
+        "42b39eb347786e770afd1e9339cc11bfc203a73a5625ac906e6cb9fb44c7740f",
+    ("sp4", "0,1", "a1+a2", "md"):
+        "393cdf8de7869476c48103e09a7c107469ceaaf41d5a2c479f5c8427143678e6",
+    ("sp4", "2,3", "a1+a2", "json"):
+        "17cadeb05613409289cb92fd190eeb3478ed3186f770d41f00e8e389ae2de88d",
+    ("sp4", "2,3", "a1+a2", "md"):
+        "d68b72c454769eee03edc6d8f68c91a14316406f08583a1b9230b4980c645b31",
+    ("sp4", "1,0", "a2,2a1+a2", "json"):
+        "1d4c9bd6c7a42dd59a10a6a36a89c4b3b0b4056de1c343ba8c0c21856b1668ac",
+    ("sp4", "1,0", "a2,2a1+a2", "md"):
+        "7989b61fc0ad5aa2ead37c245053fcd392c968b33dc93dbd61a30cb6891e6b78",
+    ("sp4", "2,1", "a2,2a1+a2", "json"):
+        "7e1bf4864c9e3e0e9e6655f0d21a93467a8fa15e4007ea9767b9ccdc0d2a3c22",
+    ("sp4", "2,1", "a2,2a1+a2", "md"):
+        "a523057cf076b317c9affc1d0f02416501fbbde7ae52ef09acbf9066baa16114",
+    ("su21", "1,0", "a1", "json"):
+        "ead80216e1e55412f0962abb6cc53b27c55aec018353ae673140ac52d0c40e16",
+    ("su21", "1,0", "a1", "md"):
+        "3d260a90740c6017d41aaf3951a849e2e29877db21bff1bceb33037bc5dd87d8",
+    ("su21", "2,3", "a1", "json"):
+        "947308331d994800a3dbe4df187641f34cc6b5d1e90c2dbe25745f4e573045d5",
+    ("su21", "2,3", "a1", "md"):
+        "a86c6057140befa469c8e4aff5c231e4f3f3d31bd452057241fdbb99c84c5fef",
+    ("su11", "4", "a1", "json"):
+        "88cbc0d0bffeba0c231fe052be266d159fc999b4a6fd8332c05867b56ec4ca27",
+    ("su11", "4", "a1", "md"):
+        "7b4933fdb7584c55f25738e2331692c9bb688e5c275e2c264d7af54b7952fce1",
+}
+
+
+@pytest.mark.parametrize("algebra,weight,sub,fmt", list(BRANCH_REPORT_SHA256))
+def test_branch_reports_are_pinned(capsys, algebra, weight, sub, fmt):
+    code, out, _ = run(
+        capsys, "branch", "--algebra", algebra, "--weight", weight, "--sub", sub,
+        "--format", fmt,
+    )
+    assert code == OK
+    text = "".join(line for line in out.splitlines(keepends=True) if "timing_ms" not in line)
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == BRANCH_REPORT_SHA256[algebra, weight, sub, fmt]
+
+
+@pytest.mark.parametrize(
+    "sub,signature", [("a1+a2", "sym_power_signature"), ("a2,2a1+a2", "tensor_signature")]
+)
+def test_branch_reads_one_signature_per_distinct_factor(monkeypatch, capsys, sub, signature):
+    calls = []
+    real = getattr(tightmaps.cli, signature)
+    monkeypatch.setattr(tightmaps.cli, signature, lambda *f: calls.append(f) or real(*f))
+    code, doc, _ = run_json(capsys, "branch", "--algebra", "sp4", "--weight", "2,3", "--sub", sub)
+    assert code == OK
+    # on a1+a2 the 34 factors of (2,3) take 5 values; on the long pair none repeats
+    factors = [tuple(f) if isinstance(f, list) else (f,) for f in doc["rows"][0]["factors"]]
+    assert sorted(calls) == sorted(set(factors))
 
 
 def test_branch_invalid_subalgebra(capsys):
@@ -278,6 +341,28 @@ def test_failed_exactness_check_is_a_verification_failure(monkeypatch, capsys):
     assert code == VERIFICATION_FAILURE
     assert err.startswith("verification failure: ")
     assert "branching lost dimensions" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("branch", "--algebra", "sp4", "--weight", "1,1", "--sub", "a1+a2"),
+        ("sweep", "--algebra", "sp4", "--max", "2"),
+    ],
+)
+def test_corrupted_evaluation_multiset_is_a_verification_failure(monkeypatch, capsys, argv):
+    real = tightmaps.branching.evaluation_multiset
+
+    def corrupted(highest, sub):
+        values = real(highest, sub)
+        values[max(values)] += 1
+        return values
+
+    tightmaps.classify._branching.cache_clear()
+    monkeypatch.setattr(tightmaps.branching, "evaluation_multiset", corrupted)
+    code, out, err = run(capsys, *argv)
+    assert code == VERIFICATION_FAILURE and out == ""
+    assert err.startswith("verification failure: ")
 
 
 def test_branch_checks_dimensions_after_a_sweep_branched_the_same_top(monkeypatch, capsys):

@@ -344,4 +344,4 @@ def test_each_factor_model_is_built_once(model_builds):
     for selector in TIGHT_SUBALGEBRA_SELECTORS["sp4"]:
         model_builds.clear()
         branch = restrict_rep(_rank2_weight("sp4", (3, 2)), _subalgebra("sp4", selector))
-        assert branch.signatures and model_builds == [], selector
+        assert branch.factors and model_builds == [], selector
