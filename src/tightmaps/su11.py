@@ -3,13 +3,21 @@
 The degree-k model lives on the symmetric power of the standard
 representation, carries an invariant indefinite Hermitian form, and is
 stored by its doubled central element: every Z-image is ``i*diag(d/2)``
-with ``d`` a trace-zero tuple of integers, basis ordered positive vectors
-first.  Signatures depend on k alone and are read without a model.
-Pairing ``d`` against the integer element ``(p+q) Z`` of su(p,q), divided
-once by ``2(p+q)``, gives the values that the diagonal-disc criterion in
-``classify`` compares.  Pairing is linear, so one walk of a tensor basis
-gives per-factor values P1 and P2, and structure signs (s1, s2) pair to
-``s1*P1 + s2*P2``.
+with ``d`` a trace-zero sequence of integers, basis ordered positive vectors
+first.  A model keeps ``d`` as two blocks, the entries on the positive
+vectors and those on the negative ones; for the degree-k model these are
+``range(k, -k-1, -4)`` and ``range(k-2, -k-1, -4)``, so no entry is stored.
+Signatures depend on k alone and are read without a model.
+
+The integer element ``(p+q) Z`` of su(p,q) is ``q`` on every positive vector
+and ``-p`` on every negative one, so ``d`` pairs with it through its block
+sums alone: ``q*sum(pos) - p*sum(neg)``, divided once by ``2(p+q)``.  Each
+block sum adds every entry of the model (``sum`` over a range, in C); the
+diagonal disc is constant on its runs and pairs the same way.  Pairing is
+linear, so each factor of a tensor product pairs on its own, giving P1 and
+P2, and structure signs (s1, s2) pair to ``s1*P1 + s2*P2``.  A factor's
+block sums over the tensor basis follow from its own block sums and the
+other factor's signature, in O(k + l) for the degree-(k, l) product.
 """
 
 from __future__ import annotations
@@ -17,10 +25,12 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+from collections.abc import Sequence
 from fractions import Fraction
 from typing import NamedTuple
 
-Diagonal = tuple[int, ...]  # doubled: d for the Z-image i*diag(d/2)
+Block = Sequence[int]  # doubled Z-entries of one block: d for i*diag(d/2)
+BlockSums = tuple[int, int]  # (sum over the positive block, over the negative)
 Exact = int | Fraction
 
 
@@ -51,30 +61,45 @@ class SignaturePair(_SignaturePair):
 class _ExplicitRep(NamedTuple):
     dim: int
     signature: SignaturePair
-    z_doubled: Diagonal
+    z_pos: Block
+    z_neg: Block
     degrees: tuple[int, ...]
+    block_sums: BlockSums
 
 
 class ExplicitRep(_ExplicitRep):
     """A representation given by its form signature and doubled Z-image.
 
-    ``degrees`` is (k,) for the degree-k model and (k, l) for the tensor
-    product of the degree-k and degree-l models.
+    The doubled Z-image is kept as its two blocks: ``z_pos`` on the
+    positive basis vectors, ``z_neg`` on the negative ones.  ``degrees`` is
+    (k,) for the degree-k model and (k, l) for the tensor product of the
+    degree-k and degree-l models.  ``block_sums``, derived and not passed,
+    is taken entry by entry by the trace check; it is all a pairing reads.
     """
 
     __slots__ = ()
 
-    def __new__(cls, dim: int, signature: SignaturePair, z_doubled: Diagonal,
+    def __new__(cls, dim: int, signature: SignaturePair, z_pos: Block, z_neg: Block,
                 degrees: tuple[int, ...]):
         if signature.dim != dim:
             raise ValueError("signature does not sum to the dimension")
-        if len(z_doubled) != dim:
+        if (len(z_pos), len(z_neg)) != signature:
             raise ValueError("diagonal/basis length mismatch")
         if math.prod(d + 1 for d in degrees) != dim:
             raise ValueError("degrees do not match the dimension")
-        if sum(z_doubled) != 0:
+        sums = sum(z_pos), sum(z_neg)
+        if sum(sums) != 0:
             raise ValueError("Z-image must be trace free")
-        return super().__new__(cls, dim, signature, z_doubled, degrees)
+        return super().__new__(cls, dim, signature, z_pos, z_neg, degrees, sums)
+
+    def __getnewargs__(self):
+        # pickling and copying rebuild through __new__, which derives the sums
+        return tuple(self)[:-1]
+
+    @property
+    def z_doubled(self) -> tuple[int, ...]:
+        """The whole doubled diagonal, positive block first, built on request."""
+        return (*self.z_pos, *self.z_neg)
 
 
 class _StructureChoice(NamedTuple):
@@ -110,34 +135,37 @@ def sym_power_rep(k: int) -> ExplicitRep:
 
     Basis ordered positive vectors first: monomials e1^(k-m) e2^m with m
     even, then m odd; the Z-eigenvalue on e1^(k-m) e2^m is (k-2m)/2, stored
-    doubled as k-2m.
+    doubled as k-2m.  Both blocks are ranges.
     """
     return ExplicitRep(
         dim=k + 1,
         signature=sym_power_signature(k),  # raises for k < 0
-        z_doubled=(*range(k, -k - 1, -4), *range(k - 2, -k - 1, -4)),
+        z_pos=range(k, -k - 1, -4),
+        z_neg=range(k - 2, -k - 1, -4),
         degrees=(k,),
     )
 
 
-def _scaled_z_element(p: int, q: int) -> tuple[int, ...]:
-    """(p+q) times the central element of su(p,q): q, ..., -p, ..."""
+def _scaled_z_element(p: int, q: int) -> BlockSums:
+    """(p+q) times the central element of su(p,q), by block: the value q
+    on each of the p positive vectors and -p on each of the q negative ones."""
     if p < q or q < 0:
         raise ValueError("expected p >= q >= 0")
     if p + q < 2:
         raise ValueError("su(p,q) needs p+q >= 2")
-    return (q,) * p + (-p,) * q
+    return q, -p
 
 
-def diagonal_disc_z(p: int, q: int) -> Diagonal:
-    """Doubled Z-image of the diagonal disc of su(p,q).
+def diagonal_disc_z(p: int, q: int) -> BlockSums:
+    """Block sums of the doubled Z-image of the diagonal disc of su(p,q).
 
     Explicit block-diagonal embedding: min(p,q) blocks pair one positive
     with one negative basis vector and carry eigenvalues +-1/2 (doubled
-    +-1); leftover positive directions are untouched.
+    +-1); leftover positive directions are untouched.  So the positive
+    block holds min(p,q) ones and then zeros, and the negative block q
+    minus ones.
     """
-    r = min(p, q)
-    return (1,) * r + (0,) * (p - r) + (-1,) * q
+    return min(p, q), -q
 
 
 def pairing(x: tuple[Exact, ...], y: tuple[Exact, ...]) -> Exact:
@@ -147,9 +175,10 @@ def pairing(x: tuple[Exact, ...], y: tuple[Exact, ...]) -> Exact:
     return sum(map(operator.mul, x, y))
 
 
-def _pair_with_z(doubled: Diagonal, p: int, q: int) -> Fraction:
-    """Pairing of a doubled diagonal with the central element of su(p,q)."""
-    return Fraction(pairing(doubled, _scaled_z_element(p, q)), 2 * (p + q))
+def _pair_with_z(sums: BlockSums, p: int, q: int) -> Fraction:
+    """Pairing of a doubled diagonal, given by its block sums, with the
+    central element of su(p,q)."""
+    return Fraction(pairing(sums, _scaled_z_element(p, q)), 2 * (p + q))
 
 
 def disc_pairing_value(p: int, q: int) -> Fraction:
@@ -164,7 +193,7 @@ def sym_power_pairing(k: int) -> tuple[Fraction, Fraction]:
     """
     rep = sym_power_rep(k)
     sig = rep.signature
-    return _pair_with_z(rep.z_doubled, sig.p, sig.q), disc_pairing_value(sig.p, sig.q)
+    return _pair_with_z(rep.block_sums, sig.p, sig.q), disc_pairing_value(sig.p, sig.q)
 
 
 def clebsch_gordan(k: int, l: int) -> tuple[int, ...]:
@@ -174,24 +203,6 @@ def clebsch_gordan(k: int, l: int) -> tuple[int, ...]:
     return tuple(range(k + l, abs(k - l) - 1, -2))
 
 
-def _tensor_order(one: list, two: list, p1: int, p2: int) -> list[tuple]:
-    """Pairs of basis entries of two models in tensor basis order.
-
-    ``p1`` and ``p2`` are the positive block sizes.  Block order (positive
-    vectors first): pos(x)pos, neg(x)neg, pos(x)neg, neg(x)pos, each block
-    first-factor major.
-    """
-    pos1, neg1, pos2, neg2 = one[:p1], one[p1:], two[:p2], two[p2:]
-    blocks = ((pos1, pos2), (neg1, neg2), (pos1, neg2), (neg1, pos2))
-    return [(a, b) for xs, ys in blocks for a in xs for b in ys]
-
-
-def _tensor_columns(k: int, l: int) -> list[tuple[int, int]]:
-    """Doubled Z-entries of both factor models, in tensor basis order."""
-    rep1, rep2 = sym_power_rep(k), sym_power_rep(l)
-    return _tensor_order(rep1.z_doubled, rep2.z_doubled, rep1.signature.p, rep2.signature.p)
-
-
 def _two_signs(structure: StructureChoice) -> tuple[int, int]:
     if len(structure.signs) != 2:
         raise ValueError("two-factor structure choice expected")
@@ -199,16 +210,23 @@ def _two_signs(structure: StructureChoice) -> tuple[int, int]:
 
 
 def tensor_rep(k: int, l: int, structure: StructureChoice) -> ExplicitRep:
-    """Tensor product of the degree-k and degree-l models.
+    """Tensor product of the degree-k and degree-l models, every entry stored.
 
-    The basis follows :func:`_tensor_order`.  The structure signs flip the
+    Positive block: pos(x)pos, then neg(x)neg; negative block: pos(x)neg,
+    then neg(x)pos; each first-factor major.  The structure signs flip the
     Z-contribution of the corresponding factor.
     """
     s1, s2 = _two_signs(structure)
+    one, two = sym_power_rep(k), sym_power_rep(l)
+
+    def block(*parts: tuple[Block, Block]) -> tuple[int, ...]:
+        return tuple([s1 * a + s2 * b for xs, ys in parts for a in xs for b in ys])
+
     return ExplicitRep(
         dim=(k + 1) * (l + 1),
         signature=tensor_signature(k, l),
-        z_doubled=tuple([s1 * a + s2 * b for a, b in _tensor_columns(k, l)]),
+        z_pos=block((one.z_pos, two.z_pos), (one.z_neg, two.z_neg)),
+        z_neg=block((one.z_pos, two.z_neg), (one.z_neg, two.z_pos)),
         degrees=(k, l),
     )
 
@@ -218,6 +236,15 @@ def tensor_signature(k: int, l: int) -> SignaturePair:
     return SignaturePair(one.p * two.p + one.q * two.q, one.p * two.q + one.q * two.p)
 
 
+def _in_tensor_basis(sums: BlockSums, other: SignaturePair) -> BlockSums:
+    """Block sums of one factor's Z-contribution laid out in the tensor basis
+    of :func:`tensor_rep`, where each positive entry meets the ``other``
+    factor's p positive vectors in the positive block and its q negative
+    ones in the negative block, and each negative entry the other way round."""
+    pos, neg = sums
+    return other.p * pos + other.q * neg, other.q * pos + other.p * neg
+
+
 def tensor_factor_pairings(k: int, l: int) -> tuple[Fraction, Fraction]:
     """Per-factor contributions (P1, P2) to the diagonal-disc pairing.
 
@@ -225,8 +252,13 @@ def tensor_factor_pairings(k: int, l: int) -> tuple[Fraction, Fraction]:
     basis, against the ambient central element; the pairing under structure
     signs (s1, s2) is s1*P1 + s2*P2.  Needs (k, l) != (0, 0).
     """
+    one, two = sym_power_rep(k), sym_power_rep(l)
     sig = tensor_signature(k, l)
-    return tuple(_pair_with_z(col, sig.p, sig.q) for col in zip(*_tensor_columns(k, l)))
+    columns = (
+        _in_tensor_basis(one.block_sums, two.signature),
+        _in_tensor_basis(two.block_sums, one.signature),
+    )
+    return tuple(_pair_with_z(col, sig.p, sig.q) for col in columns)
 
 
 def tensor_pairing(k: int, l: int, structure: StructureChoice) -> Fraction:

@@ -19,10 +19,10 @@ SU21 = kahler.su(2, 1)
 INVALID = [
     (lambda: SignaturePair(-1, 0), "nonnegative"),
     (lambda: SignaturePair(p=0, q=-1), "nonnegative"),
-    (lambda: ExplicitRep(2, SignaturePair(1, 0), (1, -1), (1,)), "sum to the dimension"),
-    (lambda: ExplicitRep(2, SignaturePair(1, 1), (1,), (1,)), "length mismatch"),
-    (lambda: ExplicitRep(2, SignaturePair(1, 1), (1, -1), (2,)), "degrees"),
-    (lambda: ExplicitRep(dim=2, signature=SignaturePair(1, 1), z_doubled=(1, 1),
+    (lambda: ExplicitRep(2, SignaturePair(1, 0), (1,), (-1,), (1,)), "sum to the dimension"),
+    (lambda: ExplicitRep(2, SignaturePair(1, 1), (1, -1), (), (1,)), "length mismatch"),
+    (lambda: ExplicitRep(2, SignaturePair(1, 1), (1,), (-1,), (2,)), "degrees"),
+    (lambda: ExplicitRep(dim=2, signature=SignaturePair(1, 1), z_pos=(1,), z_neg=(1,),
                          degrees=(1,)), "trace free"),
     (lambda: StructureChoice(()), "signs"),
     (lambda: StructureChoice((1, 2)), "signs"),

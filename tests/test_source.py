@@ -78,6 +78,20 @@ def test_one_copy_of_the_disc_criterion():
     assert len(found) == 1, found
 
 
+def _imported_modules(node):
+    """Modules an import statement names; a package module by its bare name
+    however it is spelled (``.su11``, ``tightmaps.su11``, ``from . import su11``)."""
+    if isinstance(node, ast.Import):
+        names = [a.name for a in node.names]
+    elif isinstance(node, ast.ImportFrom) and node.module in (None, "tightmaps"):
+        names = [a.name for a in node.names]
+    elif isinstance(node, ast.ImportFrom):
+        names = [node.module]
+    else:
+        return []
+    return [name.removeprefix("tightmaps.") for name in names]
+
+
 def _imports_of(module, files=None):
     """Where package modules (or just ``files``) import ``module`` or from it."""
     return [
@@ -85,8 +99,7 @@ def _imports_of(module, files=None):
         for path, tree in _package_trees()
         if files is None or path.name in files
         for n in ast.walk(tree)
-        if (isinstance(n, ast.Import) and any(a.name == module for a in n.names))
-        or (isinstance(n, ast.ImportFrom) and n.module == module)
+        if module in _imported_modules(n)
     ]
 
 
@@ -102,6 +115,13 @@ def test_rootsys_and_branching_import_nothing_from_fractions():
     # would be a second arithmetic representation
     assert _imports_of("fractions", ("rootsys.py", "branching.py")) == []
     assert _imports_of("fractions", ("classify.py",)) != []  # the check can see one
+
+
+def test_branching_imports_nothing_from_su11():
+    # a branching holds sl2 highest weights only; the signatures of its
+    # factors are read from su11 by the branch command, when it writes them
+    assert _imports_of("su11", ("branching.py",)) == []
+    assert _imports_of("su11", ("classify.py", "cli.py")) != []  # the check can see one
 
 
 def test_fresh_cli_import_loads_neither_dataclasses_nor_inspect():

@@ -1,26 +1,19 @@
 """Symmetric-power models, pairings, and the diagonal-disc criterion."""
 
+import operator
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tightmaps.branching import restrict_rep
-from tightmaps.classify import (
-    TIGHT_SUBALGEBRA_SELECTORS,
-    Witness,
-    _pairing_verdict,
-    _rank2_weight,
-    _subalgebra,
-    constructive_verdict,
-)
+from tightmaps.classify import Witness, _pairing_verdict, constructive_verdict, cross_check
 from tightmaps.rootsys import build_root_system, weight, weight_multiplicities
 from tightmaps.su11 import (
     StructureChoice,
     _scaled_z_element,
-    _tensor_order,
     best_tensor_pairing,
     clebsch_gordan,
     diagonal_disc_z,
@@ -43,9 +36,11 @@ def z_element(p, q):
     """Diagonal of the central element of su(p,q), positive block first.
 
     i*diag(q/(p+q), ..., -p/(p+q), ...); the restriction to any 2x2 block of
-    a diagonal disc has eigenvalues +-1/2.
+    a diagonal disc has eigenvalues +-1/2.  Expanded from the per-block
+    values of ``_scaled_z_element``, which rejects an invalid (p, q).
     """
-    return tuple(F(v, p + q) for v in _scaled_z_element(p, q))
+    pos, neg = _scaled_z_element(p, q)
+    return (F(pos, p + q),) * p + (F(neg, p + q),) * q
 
 
 def z_diagonal(rep):
@@ -86,6 +81,41 @@ def test_sym_power_diagonal_matches_the_monomial_order():
     for k in range(61):
         order = [*range(0, k + 1, 2), *range(1, k + 1, 2)]
         assert sym_power_rep(k).z_doubled == tuple(k - 2 * m for m in order)
+
+
+def _tensor_order(one, two, p1, p2):
+    """Pairs of basis entries of two models in tensor basis order.
+
+    ``p1`` and ``p2`` are the positive block sizes.  Block order (positive
+    vectors first): pos(x)pos, neg(x)neg, pos(x)neg, neg(x)pos, each block
+    first-factor major.
+    """
+    pos1, neg1, pos2, neg2 = one[:p1], one[p1:], two[:p2], two[p2:]
+    blocks = ((pos1, pos2), (neg1, neg2), (pos1, neg2), (neg1, pos2))
+    return [(a, b) for xs, ys in blocks for a in xs for b in ys]
+
+
+def tensor_columns(k, l):
+    """Doubled Z-entries of both factor models, in tensor basis order.
+
+    The oracle walk over all (k+1)(l+1) tensor basis vectors.
+    """
+    one, two = sym_power_rep(k), sym_power_rep(l)
+    return _tensor_order(one.z_doubled, two.z_doubled, one.signature.p, two.signature.p)
+
+
+def entrywise_pairing(doubled, p, q):
+    """Oracle: a whole doubled diagonal paired entry by entry with the
+    integer element (p+q) Z, divided once by 2(p+q)."""
+    scaled = (q,) * p + (-p,) * q
+    assert len(doubled) == len(scaled)
+    return F(sum(map(operator.mul, doubled, scaled)), 2 * (p + q))
+
+
+def disc_diagonal(p, q):
+    """The diagonal disc's doubled Z-image, every entry written out."""
+    r = min(p, q)
+    return (1,) * r + (0,) * (p - r) + (-1,) * q
 
 
 def basis_labels(rep):
@@ -159,8 +189,8 @@ def test_diagonal_disc_value_is_half_the_rank():
     for p in range(1, 7):
         for q in range(1, p + 1):
             assert disc_pairing_value(p, q) == F(min(p, q), 2)
-            disc = diagonal_disc_z(p, q)
-            assert len(disc) == p + q and sum(disc) == 0
+            disc, entries = diagonal_disc_z(p, q), disc_diagonal(p, q)
+            assert disc == (sum(entries[:p]), sum(entries[p:])) and sum(disc) == 0
 
 
 # Acceptance criteria 1 and 2 run these two criteria over k <= 50 and
@@ -299,6 +329,55 @@ def test_integer_pairings_match_the_fraction_oracle():
             assert _exactly(disc_pairing_value(p, q), oracle), (p, q)
 
 
+def test_block_pairings_match_the_entrywise_oracle():
+    for k in range(1, 400):
+        rep = sym_power_rep(k)
+        p, q = rep.signature
+        lhs, disc = sym_power_pairing(k)
+        assert _exactly(lhs, entrywise_pairing(rep.z_doubled, p, q)), k
+        assert _exactly(disc, entrywise_pairing(disc_diagonal(p, q), p, q)), k
+    with pytest.raises(ValueError):
+        sym_power_pairing(0)
+    for k in range(60):
+        for l in range(60):
+            if (k, l) == (0, 0):
+                continue
+            sig = tensor_signature(k, l)
+            columns = tensor_columns(k, l)
+            factors = [entrywise_pairing(col, *sig) for col in zip(*columns)]
+            assert all(map(_exactly, tensor_factor_pairings(k, l), factors)), (k, l)
+            for s in structure_representatives(2):
+                s1, s2 = s.signs
+                oracle = entrywise_pairing([s1 * a + s2 * b for a, b in columns], *sig)
+                assert _exactly(tensor_pairing(k, l, s), oracle), (k, l, s)
+    for p in range(1, 60):
+        for q in range(1, p + 1):
+            oracle = entrywise_pairing(disc_diagonal(p, q), p, q)
+            assert _exactly(disc_pairing_value(p, q), oracle), (p, q)
+
+
+def test_tensor_rep_walks_the_tensor_basis():
+    for k in range(9):
+        for l in range(9):
+            for s in structure_representatives(2):
+                s1, s2 = s.signs
+                expected = tuple(s1 * a + s2 * b for a, b in tensor_columns(k, l))
+                assert tensor_rep(k, l, s).z_doubled == expected, (k, l, s)
+
+
+@pytest.mark.parametrize("algebra,w", [("su11", (2000001,)), ("su11xsu11", (2001, 2000))])
+def test_large_models_cross_check_in_constant_memory(algebra, w):
+    # a degree-2000001 model, or the 4004002-dimensional tensor product,
+    # pairs through its block sums: no diagonal is ever stored
+    tracemalloc.start()
+    try:
+        cross_check(algebra, w)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
+
+
 def test_no_structure_pairing_exceeds_the_disc_value():
     # best_tensor_pairing reports only the largest pairing for the criterion
     for k in range(25):
@@ -341,7 +420,3 @@ def test_each_factor_model_is_built_once(model_builds):
             model_builds.clear()
             compute(k, l)
             assert len(model_builds) == expected, (compute.__name__, k, l)
-    for selector in TIGHT_SUBALGEBRA_SELECTORS["sp4"]:
-        model_builds.clear()
-        branch = restrict_rep(_rank2_weight("sp4", (3, 2)), _subalgebra("sp4", selector))
-        assert branch.factors and model_builds == [], selector
