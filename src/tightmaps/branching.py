@@ -71,8 +71,6 @@ def _span_roots(system: RootSystemData, roots: tuple[Root, ...]) -> tuple[Root, 
 
 def make_subalgebra(system: RootSystemData, roots) -> SubalgebraSpec:
     """Validate a root subset B and build the regular subalgebra it spans."""
-    if system.is_product:
-        raise SubalgebraError("regular subalgebras are built inside simple systems")
     b = tuple(map(tuple, roots))
     if not b:
         raise SubalgebraError("B must be nonempty")

@@ -50,12 +50,13 @@ from .su11 import (
 
 ALGEBRAS = ("su11", "su11xsu11", "sp4", "sp4su11", "su21")
 
-_SYSTEM_KIND = {
-    "su11": "A1",
-    "su11xsu11": "A1+A1",
-    "sp4": "C2",
-    "sp4su11": "C2+A1",
-    "su21": "A2",
+# The simple factor kinds of each algebra, in weight-coordinate order.
+_FACTOR_KINDS = {
+    "su11": ("A1",),
+    "su11xsu11": ("A1", "A1"),
+    "sp4": ("C2",),
+    "sp4su11": ("C2", "A1"),
+    "su21": ("A2",),
 }
 
 # The rank-two factor of each algebra that the constructive route branches;
@@ -97,19 +98,30 @@ class RouteDisagreement(VerificationError):
     """Theorem route and constructive route disagreed: an implementation bug."""
 
 
-def root_system_for(algebra: str) -> RootSystemData:
+def _factor_kinds(algebra: str) -> tuple[str, ...]:
     if algebra not in ALGEBRAS:
         raise ValueError(f"unknown algebra {algebra!r}; expected one of {ALGEBRAS}")
-    return build_root_system(_SYSTEM_KIND[algebra])
+    return _FACTOR_KINDS[algebra]
+
+
+def _rank(algebra: str) -> int:
+    """The number of weight coordinates: the sum of the factors' ranks."""
+    return sum(build_root_system(kind).rank for kind in _factor_kinds(algebra))
+
+
+def root_system_for(algebra: str) -> RootSystemData:
+    """The root system of a single-factor algebra."""
+    kinds = _factor_kinds(algebra)
+    if len(kinds) > 1:
+        raise ValueError(f"{algebra} has the factors {' x '.join(kinds)}, not one root system")
+    return build_root_system(kinds[0])
 
 
 def validate_weight(algebra: str, w) -> tuple[int, ...]:
-    system = root_system_for(algebra)
+    rank = _rank(algebra)
     coords = tuple(w)
-    if len(coords) != system.rank:
-        raise ValueError(
-            f"{algebra} expects {system.rank} weight coordinates, got {len(coords)}"
-        )
+    if len(coords) != rank:
+        raise ValueError(f"{algebra} expects {rank} weight coordinates, got {len(coords)}")
     if any((not isinstance(c, int) and int(c) != c) or c < 0 for c in coords):
         raise ValueError(f"weight {coords} is not dominant integral")
     return tuple(int(c) for c in coords)
@@ -446,7 +458,7 @@ def cross_check(algebra: str, w) -> TightnessVerdict:
 
 def dominant_weights(algebra: str, bound: int) -> list[tuple[int, ...]]:
     """All dominant integral weights with coordinate sum at most ``bound``."""
-    rank = root_system_for(algebra).rank
+    rank = _rank(algebra)
     return [w for w in itertools.product(range(bound + 1), repeat=rank) if sum(w) <= bound]
 
 
@@ -475,7 +487,8 @@ def verify_su_n1_to_sostar(p: int) -> dict:
     so*(2(p-1)) inside su(p-1,p-1) as k*(1,0) + (n-k)*(0,1) + l*(0,0)
     pieces; tightness forces the degree-one multiplicity n = p - 1 while
     the dimension count gives 3n + l = 2p.  Together: p - 3 + l = 0, which
-    contradicts l >= 0.
+    contradicts l >= 0.  The verdict is a search of every pair (n, l) with
+    0 <= n, l <= 2p, the range 3n + l = 2p allows, for one meeting both.
     """
     if p % 2 == 0:
         raise LemmaReduction(
@@ -489,17 +502,21 @@ def verify_su_n1_to_sostar(p: int) -> dict:
         )
     if p < 3:
         raise LemmaReduction(f"so*({2 * p}) is outside the Hermitian range")
+    candidates, feasible = 0, False
+    for n, l in itertools.product(range(2 * p + 1), repeat=2):
+        candidates += 1
+        feasible = feasible or (n == p - 1 and 3 * n + l == 2 * p)
+    if not candidates:
+        raise VerificationError(f"p={p}: the search examined no candidate (n, l)")
     n = p - 1  # tightness pins the degree-one multiplicity
-    l = 2 * p - 3 * n  # dimension count 3n + l = 2p
-    if p - 3 + l != 0:
-        raise VerificationError(f"p={p}: the residual p - 3 + l is {p - 3 + l}, not 0")
     return {
         "p": p,
         "n": n,
-        "l": l,
+        "l": 2 * p - 3 * n,  # dimension count 3n + l = 2p
         "constraints": ["n = p - 1", "3n + l = 2p", "l >= 0"],
         "residual": "p - 3 + l = 0",
-        "infeasible": l < 0,
+        "candidates": candidates,
+        "infeasible": not feasible,
     }
 
 

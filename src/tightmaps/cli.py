@@ -181,10 +181,6 @@ def cmd_sweep(args) -> int:
 
 def cmd_branch(args) -> int:
     started = time.perf_counter()
-    if args.algebra not in _BRANCH_ALGEBRAS:
-        raise ValueError(
-            f"branch supports algebras {list(_BRANCH_ALGEBRAS)}, got {args.algebra!r}"
-        )
     system = root_system_for(args.algebra)
     coords = _parse_weight(args.weight)
     top = weight(system, coords)

@@ -1,4 +1,4 @@
-"""Exact root-system data for A1, A2, C2 and their finite direct sums.
+"""Exact root-system data for the simple kinds A1, A2 and C2.
 
 Each system is derived from its Cartan data alone: the Cartan matrix,
 cartan[i][j] = <alpha_j, alpha_i^vee>, and the half squared lengths
@@ -18,14 +18,11 @@ roots is the oracle the tests check the table against.
 
 from __future__ import annotations
 
-import math
 import operator
 from functools import lru_cache
 from typing import Iterable, NamedTuple
 
 from .errors import VerificationError
-
-SIMPLE_KINDS = ("A1", "A2", "C2")
 
 
 class _CartanData(NamedTuple):
@@ -60,7 +57,7 @@ class RootSystemData:
     is therefore the intended notion of equality.
     """
 
-    kinds: tuple[str, ...]
+    kind: str
     simple_roots: tuple[tuple[int, ...], ...]  # the unit coefficient tuples
     positive_roots: tuple[tuple[int, ...], ...]
     cartan_matrix: tuple[tuple[int, ...], ...]
@@ -78,19 +75,11 @@ class RootSystemData:
         raise AttributeError(f"cannot assign to field {name!r}")
 
     def __reduce__(self):  # a copy or unpickled system is the interned one
-        return build_root_system, (self.kinds,)
+        return build_root_system, (self.kind,)
 
     @property
     def rank(self) -> int:
         return len(self.simple_roots)
-
-    @property
-    def is_product(self) -> bool:
-        return len(self.kinds) > 1
-
-    @property
-    def kind(self) -> str:
-        return "+".join(self.kinds)
 
     def roots(self) -> tuple[tuple[int, ...], ...]:
         return tuple(self.root_table)
@@ -106,35 +95,13 @@ class RootSystemData:
         return sum(root[i] for i in self.noncompact_marking) % 2 == 1
 
 
-def _normalize_kind(kind) -> tuple[str, ...]:
-    if isinstance(kind, str):
-        parts = tuple(p.strip().upper() for p in kind.split("+"))
-    else:
-        parts = tuple(str(p).strip().upper() for p in kind)
-    for p in parts:
-        if p not in SIMPLE_KINDS:
-            raise ValueError(f"unsupported root-system kind: {p!r}")
-    if not parts:
-        raise ValueError("empty root-system kind")
-    return parts
-
-
 @lru_cache(maxsize=None)
-def _build_cached(kinds: tuple[str, ...]) -> RootSystemData:
-    blocks = [_KIND_DATA[k] for k in kinds]
-    ranks = [len(data.cartan) for data in blocks]
-    rank = sum(ranks)
-
-    def pad(v, b: int) -> tuple:
-        """Block ``b`` of a direct sum of the blocks."""
-        return (0,) * sum(ranks[:b]) + tuple(v) + (0,) * sum(ranks[b + 1:])
-
-    positive, cartan, half = [], [], []
-    for b, data in enumerate(blocks):
-        positive += [pad(c, b) for c in data.positive]
-        cartan += [pad(row, b) for row in data.cartan]
-        half += data.half_norms
-    kind = "+".join(kinds)
+def build_root_system(kind: str) -> RootSystemData:
+    """Build (and intern) the root system of ``kind``: ``"A1"``, ``"A2"`` or ``"C2"``."""
+    if kind not in _KIND_DATA:
+        raise ValueError(f"unsupported root-system kind: {kind!r}")
+    data = _KIND_DATA[kind]
+    rank = len(data.cartan)
 
     def integer(num: int, den: int, root: tuple[int, ...]) -> int:
         if num % den:
@@ -146,11 +113,11 @@ def _build_cached(kinds: tuple[str, ...]) -> RootSystemData:
     # the integer root table: with beta = sum_i c_i alpha_i, (alpha_i, beta)
     # = D_i <beta, alpha_i^vee> and (omega_i, alpha_j) = D_i delta_ij
     table = {}
-    for root in positive:
-        fundamental = tuple(sum(map(operator.mul, root, row)) for row in cartan)
-        norm = sum(c * d * f for c, d, f in zip(root, half, fundamental))
+    for root in data.positive:
+        fundamental = tuple(sum(map(operator.mul, root, row)) for row in data.cartan)
+        norm = sum(c * d * f for c, d, f in zip(root, data.half_norms, fundamental))
         table[root] = RootEntry(
-            tuple(integer(2 * c * d, norm, root) for c, d in zip(root, half)),
+            tuple(integer(2 * c * d, norm, root) for c, d in zip(root, data.half_norms)),
             fundamental,
             integer(norm, 2, root),
         )
@@ -159,25 +126,14 @@ def _build_cached(kinds: tuple[str, ...]) -> RootSystemData:
         table[negated[0]] = RootEntry(*negated[1:], entry.half_norm)
 
     return RootSystemData(
-        kinds=kinds,
+        kind=kind,
         simple_roots=tuple(tuple(int(i == j) for j in range(rank)) for i in range(rank)),
-        positive_roots=tuple(positive),
-        cartan_matrix=tuple(cartan),
-        noncompact_marking=frozenset(
-            sum(ranks[:b]) + i for b, data in enumerate(blocks) for i in data.noncompact
-        ),
-        weyl_order=math.prod(data.weyl_order for data in blocks),
+        positive_roots=data.positive,
+        cartan_matrix=data.cartan,
+        noncompact_marking=frozenset(data.noncompact),
+        weyl_order=data.weyl_order,
         root_table=table,
     )
-
-
-def build_root_system(kind) -> RootSystemData:
-    """Build (and intern) the root system named by ``kind``.
-
-    ``kind`` is one of ``"A1"``, ``"A2"``, ``"C2"`` or a product, given
-    either as ``"C2+A1"`` or as a sequence of simple kinds.
-    """
-    return _build_cached(_normalize_kind(kind))
 
 
 class _WeightVector(NamedTuple):
@@ -274,17 +230,12 @@ def _to_dominant(columns: list[tuple[int, ...]], mu: tuple, beta: tuple) -> tupl
 def orbit_size(system: RootSystemData, mu: tuple[int, ...]) -> int:
     """|W| / |W_mu| for a dominant ``mu``.
 
-    W_mu is the parabolic subgroup on the zero coordinates of mu, per simple
-    block: the block's whole Weyl group, or else one reflection per zero.
+    W_mu is the parabolic subgroup on the zero coordinates of mu: all of W
+    when mu is 0, and otherwise, in rank at most two, one reflection per zero.
     """
-    stabiliser, start = 1, 0
-    for kind in system.kinds:
-        data = _KIND_DATA[kind]
-        rank = len(data.cartan)
-        zeros = mu[start:start + rank].count(0)
-        stabiliser *= data.weyl_order if zeros == rank else 2 ** zeros
-        start += rank
-    return system.weyl_order // stabiliser
+    if not any(mu):
+        return 1
+    return system.weyl_order // 2 ** mu.count(0)
 
 
 @lru_cache(maxsize=None)

@@ -21,6 +21,7 @@ from tightmaps.classify import (
     dominant_weights,
     embedding_table,
     replay_witness,
+    root_system_for,
     sweep,
     theorem_tight,
     validate_weight,
@@ -57,6 +58,20 @@ def test_validate_weight_errors():
     with pytest.raises(ValueError):
         classify("so8", (1, 0))
     assert validate_weight("sp4su11", [0, 0, 3]) == (0, 0, 3)
+    # the coordinate count is the sum of the factors' ranks
+    counts = {"su11": 1, "su11xsu11": 2, "sp4": 2, "sp4su11": 3, "su21": 2}
+    assert set(counts) == set(ALGEBRAS)
+    for algebra, n in counts.items():
+        assert len(validate_weight(algebra, (0,) * n)) == n
+        message = f"{algebra} expects {n} weight coordinates, got {n + 1}"
+        with pytest.raises(ValueError, match=message):
+            validate_weight(algebra, (0,) * (n + 1))
+
+
+@pytest.mark.parametrize("algebra", ["sp4su11", "su11xsu11"])
+def test_product_algebras_have_no_single_root_system(algebra):
+    with pytest.raises(ValueError, match="has the factors"):
+        root_system_for(algebra)
 
 
 def test_cross_check_examples():
@@ -440,6 +455,14 @@ def test_lemma_infeasibility():
         verify_su_n1_to_sostar(4)
     with pytest.raises(LemmaReduction):
         verify_su_n1_to_sostar(3)
+
+
+def test_lemma_search_examines_every_candidate():
+    # the verdict comes from searching all (n, l) with 0 <= n, l <= 2p
+    for p in range(5, 22, 2):
+        report = verify_su_n1_to_sostar(p)
+        assert report["candidates"] == (2 * p + 1) ** 2
+        assert report["infeasible"]
 
 
 def test_embedding_table_rank_identity():

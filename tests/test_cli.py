@@ -247,6 +247,12 @@ def test_exit_codes(capsys):
     code, _, _ = run(capsys, "nonsense")
     assert code == USAGE_ERROR
 
+    # branch takes the single-factor algebras only, through argparse's choices
+    code, out, _ = run(
+        capsys, "branch", "--algebra", "sp4su11", "--weight", "1,0,0", "--sub", "a1+a2"
+    )
+    assert code == USAGE_ERROR and out == ""
+
     code, _, err = run(capsys, "verify", "lemma-bla", "--p-range", "9:5")
     assert code == VALIDATION_ERROR
 
