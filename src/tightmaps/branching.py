@@ -7,7 +7,7 @@ B-elements are not roots, B is linearly independent, and each Dynkin
 component of B contains exactly one noncompact root.  Branching evaluates
 each dominant weight, for its whole orbit, on the Weyl images of the chosen
 coroots and peels the resulting multiset into strings, giving the
-decomposition into irreducible factors.
+decomposition into irreducible factors with their numbers of copies.
 """
 
 from __future__ import annotations
@@ -117,9 +117,9 @@ def make_subalgebra(system: RootSystemData, roots) -> SubalgebraSpec:
             )
 
     if len(b) == 2:
-        x, y = b
+        # ZB holding no root but +-B leaves x + y and x - y out, so (x, y) = 0
         split = set(b) | {tuple(-c for c in r) for r in b}
-        if form(x, y) != 0 or set(_span_roots(system, b)) != split:
+        if set(_span_roots(system, b)) != split:
             raise SubalgebraError("rank-two subalgebra must split as two orthogonal sl2 blocks")
     return SubalgebraSpec(system, b, coroot_images(system, b))
 
@@ -165,13 +165,13 @@ def selector_of(roots: tuple[Root, ...]) -> str:
 
 
 class BranchingResult(NamedTuple):
-    # descending multiset of factors, each one sl2 highest weight per root of
-    # B, in B's order: (m,) on one root, (a2 value, 2a1+a2 value) on the long pair
-    factors: tuple[tuple[int, ...], ...]
+    # (factor, copies) pairs, factors descending; a factor is one sl2 highest weight
+    # per root of B, in B's order: (m,) on one root, (a2 value, 2a1+a2 value) on the long pair
+    factors: tuple[tuple[tuple[int, ...], int], ...]
 
     @property
     def factor_dimension(self) -> int:
-        return sum(math.prod(m + 1 for m in factor) for factor in self.factors)
+        return sum(n * math.prod(m + 1 for m in factor) for factor, n in self.factors)
 
 
 def evaluation_multiset(highest: WeightVector, sub: SubalgebraSpec) -> Counter:
@@ -197,8 +197,8 @@ def evaluation_multiset(highest: WeightVector, sub: SubalgebraSpec) -> Counter:
     return out
 
 
-def _peel_strings(values: Counter) -> list[tuple[int, ...]]:
-    """Highest weights of the sl2 or sl2xsl2 strings making up ``values``.
+def _peel_strings(values: Counter) -> Counter:
+    """Highest weights, with their copies, of the sl2 or sl2xsl2 strings in ``values``.
 
     A multiset N that each sign flip of a coordinate preserves is a unique
     virtual sum of strings, with sum_s (-1)^(|s|/2) N(m + s), s over
@@ -223,19 +223,19 @@ def _peel_strings(values: Counter) -> list[tuple[int, ...]]:
     for m, count in counts.items():
         if count < 0:
             raise VerificationError(f"string peeling failed at value {m}")
-    return list(counts.elements())
+    return +counts
 
 
 def restrict_rep(highest: WeightVector, sub: SubalgebraSpec) -> BranchingResult:
     """Decompose the restriction of an irreducible into sl2 strings.
 
     Peels the evaluation multiset by second differences into factors, one
-    highest weight per root of B in B's order, listed in descending order
-    with one entry per copy.  The result is checked for dimension
-    conservation against the ambient irreducible.
+    highest weight per root of B in B's order, each paired with its number
+    of copies and listed in descending order.  The result is checked for
+    dimension conservation against the ambient irreducible.
     """
-    factors = _peel_strings(evaluation_multiset(highest, sub))
-    result = BranchingResult(tuple(sorted(factors, reverse=True)))
+    counts = _peel_strings(evaluation_multiset(highest, sub))
+    result = BranchingResult(tuple(sorted(counts.items(), reverse=True)))
     if result.factor_dimension != dimension(highest):
         raise VerificationError(
             "branching lost dimensions: "

@@ -269,8 +269,8 @@ def _constructive_su21(k: int, l: int) -> tuple[bool, Witness]:
     return False, Witness("even_branch_witness", "a1", *found)
 
 
-def _sp4su11_expansion(i: int, j: int, k: int) -> list[tuple[int, int]]:
-    """Two-factor content of the composite with the long-pair subalgebra.
+def _sp4su11_expansion(i: int, j: int, k: int) -> dict[tuple[int, int], int]:
+    """Copies of each two-factor piece (a, c) of the composite with the long pair.
 
     The rank-two factor branches over the orthogonal long pair into factors
     (a, b), a along the doubled short direction, b along the long simple
@@ -280,10 +280,10 @@ def _sp4su11_expansion(i: int, j: int, k: int) -> list[tuple[int, int]]:
     """
     pair = _subalgebra("sp4su11", "a2,2a1+a2")
     branch = _branching(_rank2_weight("sp4su11", (i, j)), pair)
-    out = []
-    for b, a in branch.factors:  # stored as (a2 value, 2a1+a2 value)
+    out: dict[tuple[int, int], int] = {}
+    for (b, a), copies in branch.factors:  # stored as (a2 value, 2a1+a2 value)
         for c in clebsch_gordan(b, k):
-            out.append((a, c))
+            out[a, c] = out.get((a, c), 0) + copies
     return out
 
 
@@ -374,7 +374,7 @@ def _replay_even_branch(verdict: TightnessVerdict) -> bool:
     # the recorded value certifies a factor of even nonzero highest weight
     # in the matching coordinate
     idx = values.index(value)
-    heights = [f[idx] for f in _branching(top, sub).factors]
+    heights = [f[idx] for f, _ in _branching(top, sub).factors]
     return any(m % 2 == 0 and m != 0 and m >= abs(value) for m in heights)
 
 
@@ -487,8 +487,8 @@ def verify_su_n1_to_sostar(p: int) -> dict:
     so*(2(p-1)) inside su(p-1,p-1) as k*(1,0) + (n-k)*(0,1) + l*(0,0)
     pieces; tightness forces the degree-one multiplicity n = p - 1 while
     the dimension count gives 3n + l = 2p.  Together: p - 3 + l = 0, which
-    contradicts l >= 0.  The verdict is a search of every pair (n, l) with
-    0 <= n, l <= 2p, the range 3n + l = 2p allows, for one meeting both.
+    contradicts l >= 0.  The verdict is a search of the line 3n + l = 2p,
+    n from 0 to floor(2p/3) so that l >= 0, for the point with n = p - 1.
     """
     if p % 2 == 0:
         raise LemmaReduction(
@@ -502,10 +502,8 @@ def verify_su_n1_to_sostar(p: int) -> dict:
         )
     if p < 3:
         raise LemmaReduction(f"so*({2 * p}) is outside the Hermitian range")
-    candidates, feasible = 0, False
-    for n, l in itertools.product(range(2 * p + 1), repeat=2):
-        candidates += 1
-        feasible = feasible or (n == p - 1 and 3 * n + l == 2 * p)
+    line = range(2 * p // 3 + 1)  # the n with l = 2p - 3n >= 0
+    candidates, feasible = len(line), any(n == p - 1 for n in line)
     if not candidates:
         raise VerificationError(f"p={p}: the search examined no candidate (n, l)")
     n = p - 1  # tightness pins the degree-one multiplicity
@@ -558,22 +556,22 @@ def embedding_table() -> tuple[EmbeddingRow, ...]:
 def _route_map(rank: int, factors) -> kahler.HomClassMap:
     """Class map of a domain of ``rank`` su(1,1) factors through its decomposition.
 
-    ``factors`` are tuples of su(1,1) degrees, one per domain factor; each
-    nonzero one adds a target su(p, q) whose column is twice the factors'
-    pairings.
+    ``factors`` are (degrees, copies) pairs, one su(1,1) degree per domain
+    factor; n copies of a nonzero su(p, q) factor add one target su(np, nq)
+    whose column is 2n times the factor's pairings.
     """
     source = (kahler.su(1, 1),) * rank
     targets = []
     columns = []
-    for degrees in factors:
+    for degrees, n in factors:
         if not any(degrees):
             continue
         if rank == 1:
             sig, pairings = sym_power_signature(*degrees), sym_power_pairing(*degrees)[:1]
         else:
             sig, pairings = tensor_signature(*degrees), tensor_factor_pairings(*degrees)
-        targets.append(kahler.su(sig.p, sig.q))
-        columns.append([2 * x for x in pairings])
+        targets.append(kahler.su(n * sig.p, n * sig.q))
+        columns.append([2 * n * x for x in pairings])
     if not targets:
         return kahler.class_map(source, source[:1], [[0]] * rank)
     return kahler.class_map(source, targets, list(zip(*columns)))
@@ -588,9 +586,9 @@ def verdict_class_map(verdict: TightnessVerdict) -> kahler.HomClassMap:
     algebra = verdict.algebra
     w = verdict.weight
     if algebra in ("su11", "su11xsu11"):
-        return _route_map(len(w), [w])
+        return _route_map(len(w), [(w, 1)])
     if algebra == "sp4su11":
-        return _route_map(2, _sp4su11_expansion(*w))
+        return _route_map(2, _sp4su11_expansion(*w).items())
     if algebra not in _RANK2_FACTOR:
         raise ValueError(f"unknown algebra {algebra!r}")
     # su21 on its a1 disc; sp4 on the short-root disc when i = 0, else the long pair
@@ -599,4 +597,4 @@ def verdict_class_map(verdict: TightnessVerdict) -> kahler.HomClassMap:
     factors = _branching(_rank2_weight(algebra, w), sub).factors
     # the long pair's (a2, 2a1+a2) values reversed are the (a, b) degrees of
     # _sp4su11_expansion; a rank-one factor is its own reverse
-    return _route_map(sub.rank, [f[::-1] for f in factors])
+    return _route_map(sub.rank, [(f[::-1], n) for f, n in factors])

@@ -187,19 +187,19 @@ def cmd_branch(args) -> int:
     if not top.is_dominant:
         raise ValueError(f"weight {coords} is not dominant integral")
     sub = make_subalgebra(system, parse_subalgebra_selector(system, args.sub))
-    factors = restrict_rep(top, sub).factors
+    # each distinct factor's signature (p, q) is read once, and its wire value
+    # is repeated once per copy; rank-one factors are written as bare ints
+    signature = sym_power_signature if sub.rank == 1 else tensor_signature
+    wire = [(f[0] if sub.rank == 1 else list(f), list(signature(*f)), n)
+            for f, n in restrict_rep(top, sub).factors]
     found = even_witness(top, sub)
     witness = None if found is None else {"weight": list(found[0]), "evaluation": found[1]}
-    # each distinct factor's signature (p, q) is read once, and its copies
-    # share one wire value; rank-one factors are written as bare ints
-    signature = sym_power_signature if sub.rank == 1 else tensor_signature
-    wire = {f: (f[0] if sub.rank == 1 else list(f), list(signature(*f))) for f in set(factors)}
     row = {
         "weight": list(coords),
         "subalgebra": args.sub,
         "target": "x".join(["sl2"] * sub.rank),
-        "factors": [wire[f][0] for f in factors],
-        "signatures": [wire[f][1] for f in factors],
+        "factors": [value for value, _, n in wire for _ in range(n)],
+        "signatures": [sig for _, sig, n in wire for _ in range(n)],
         "even_witness": witness,
     }
     report = build_report(

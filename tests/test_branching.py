@@ -106,9 +106,10 @@ def test_selector_grammar():
 
 
 def test_restrict_examples():
-    assert restrict_rep(weight(C2, (0, 1)), sub_c2_short()).factors == ((2,), (0,), (0,))
-    assert restrict_rep(weight(C2, (1, 0)), sub_c2_pair()).factors == ((1, 0), (0, 1))
-    assert restrict_rep(weight(A2, (1, 0)), sub_a2()).factors == ((1,), (0,))
+    # (factor, copies) pairs in descending order of factor
+    assert restrict_rep(weight(C2, (0, 1)), sub_c2_short()).factors == (((2,), 1), ((0,), 2))
+    assert restrict_rep(weight(C2, (1, 0)), sub_c2_pair()).factors == (((1, 0), 1), ((0, 1), 1))
+    assert restrict_rep(weight(A2, (1, 0)), sub_a2()).factors == (((1,), 1), ((0,), 1))
 
 
 def test_dimension_conservation_sweep():
@@ -130,9 +131,9 @@ def test_peeling_is_involution_consistent():
             original = evaluation_multiset(w, sub)
             rebuilt = Counter()
             result = restrict_rep(w, sub)
-            for factor in result.factors:
+            for factor, copies in result.factors:
                 for key in itertools.product(*(range(m, -m - 1, -2) for m in factor)):
-                    rebuilt[key] += 1
+                    rebuilt[key] += copies
             assert rebuilt == original
 
 
@@ -157,44 +158,27 @@ def test_evaluation_multiset_matches_the_weight_by_weight_oracle():
         evaluation_multiset(weight(C2, (1, 0)), forged)
 
 
-def _greedy_sl2(values):
-    """Peel strings off the top, one at a time.
+def _greedy_peel(values):
+    """Peel strings off the top, in descending order of key: a key still
+    counted once every higher string is off is the highest weight of all
+    the strings through it, so all its copies come off at once.
 
-    This is the peel the second-difference counts replaced, kept with its
-    two-factor twin as their oracle.
+    This is the peel the second-difference counts replaced, kept as their
+    oracle for one factor and for two; it gives the factor multiset.
     """
     remaining = Counter(values)
-    factors = []
-    while remaining:
-        top = max(remaining)
-        m = top[0]
-        if m < 0:
+    factors = Counter()
+    for top in sorted(values, reverse=True):
+        copies = remaining[top]
+        if copies == 0:
+            continue
+        if min(top) < 0:
             raise ValueError("evaluation multiset is not symmetric")
-        for v in range(m, -m - 1, -2):
-            if remaining[(v,)] <= 0:
-                raise ValueError(f"string peeling failed at value {v}")
-            remaining[(v,)] -= 1
-            if remaining[(v,)] == 0:
-                del remaining[(v,)]
-        factors.append(m)
-    return factors
-
-
-def _greedy_sl2xsl2(values):
-    remaining = Counter(values)
-    factors = []
-    while remaining:
-        m, n = max(remaining)
-        if m < 0 or n < 0:
-            raise ValueError("evaluation multiset is not bi-symmetric")
-        for v in range(m, -m - 1, -2):
-            for w in range(n, -n - 1, -2):
-                if remaining[(v, w)] <= 0:
-                    raise ValueError(f"string peeling failed at value {(v, w)}")
-                remaining[(v, w)] -= 1
-                if remaining[(v, w)] == 0:
-                    del remaining[(v, w)]
-        factors.append((m, n))
+        for key in itertools.product(*(range(m, -m - 1, -2) for m in top)):
+            if remaining[key] < copies:
+                raise ValueError(f"string peeling failed at value {key}")
+            remaining[key] -= copies
+        factors[top] = copies
     return factors
 
 
@@ -228,21 +212,44 @@ def _perturbed(values):
 )
 def test_second_difference_peel_matches_greedy_oracle(system, sub):
     sub = sub()
-    oracle = _greedy_sl2 if sub.rank == 1 else _greedy_sl2xsl2
     for k in range(13):
         for l in range(13 - k):
             values = evaluation_multiset(weight(system, (k, l)), sub)
             peeled = _peel_strings(values)
-            if sub.rank == 1:
-                peeled = [m for (m,) in peeled]
-            assert sorted(peeled) == sorted(oracle(values)), (k, l)
+            assert peeled == _greedy_peel(values), (k, l)
+            assert min(peeled.values()) >= 1, (k, l)  # only positive counts
             if max(values) == (0,) * sub.rank:
                 continue  # the trivial multiset has no nonzero top to move
             for bad in _perturbed(values):
                 with pytest.raises(VerificationError):
                     _peel_strings(bad)
                 with pytest.raises(ValueError):
-                    oracle(bad)
+                    _greedy_peel(bad)
+
+
+@pytest.mark.parametrize(
+    "system,sub", [(C2, sub_c2_short), (C2, sub_c2_pair), (A2, sub_a2)],
+    ids=["c2-a1+a2", "c2-a2,2a1+a2", "a2-a1"],
+)
+def test_restrict_rep_is_the_greedy_peel_multiset(system, sub):
+    # each distinct factor once, descending, with the greedy peel's count; the
+    # oracle walks every string entry, 13.8 million for (60, 60) on the long pair
+    sub = sub()
+    tops = [(k, l) for k in range(15) for l in range(15 - k)] + [(60, 60)] * (sub.rank == 1)
+    for coords in tops:
+        w = weight(system, coords)
+        factors = restrict_rep(w, sub).factors
+        assert dict(factors) == _greedy_peel(evaluation_multiset(w, sub)), coords
+        distinct = [f for f, _ in factors]
+        assert distinct == sorted(set(distinct), reverse=True), coords
+        assert min(n for _, n in factors) >= 1, coords
+
+
+def test_large_branching_counts_copies():
+    # C2 (80, 80) on a1+a2: 398 601 factor copies of 121 distinct factors
+    factors = restrict_rep(weight(C2, (80, 80)), sub_c2_short()).factors
+    assert len(factors) == 121
+    assert sum(n for _, n in factors) == 398601
 
 
 def test_even_witness_examples():

@@ -29,6 +29,13 @@ from tightmaps.classify import (
     verify_su_n1_to_sostar,
 )
 from tightmaps.errors import VerificationError
+from tightmaps.su11 import (
+    clebsch_gordan,
+    sym_power_pairing,
+    sym_power_signature,
+    tensor_factor_pairings,
+    tensor_signature,
+)
 
 
 def test_classify_examples():
@@ -229,9 +236,9 @@ def test_branching_memo_keys_on_the_subalgebra_value(monkeypatch):
     top = classify_module._rank2_weight("su21", (1, 0))
     classify_module._branching.cache_clear()
     calls = _count_restrict_rep(monkeypatch)
-    assert classify_module._branching(top, spec).factors == ((1,), (0,))
-    assert classify_module._branching(top, spec).factors == ((1,), (0,))
-    assert classify_module._branching(top, patched).factors == ((2,),)
+    assert classify_module._branching(top, spec).factors == (((1,), 1), ((0,), 1))
+    assert classify_module._branching(top, spec).factors == (((1,), 1), ((0,), 1))
+    assert classify_module._branching(top, patched).factors == (((2,), 1),)
     assert calls == [(top, spec), (top, patched)]
 
 
@@ -458,10 +465,10 @@ def test_lemma_infeasibility():
 
 
 def test_lemma_search_examines_every_candidate():
-    # the verdict comes from searching all (n, l) with 0 <= n, l <= 2p
+    # the verdict comes from searching the line 3n + l = 2p for n = 0..2p/3
     for p in range(5, 22, 2):
         report = verify_su_n1_to_sostar(p)
-        assert report["candidates"] == (2 * p + 1) ** 2
+        assert report["candidates"] == 2 * p // 3 + 1
         assert report["infeasible"]
 
 
@@ -549,6 +556,64 @@ def test_verdict_class_maps_are_norm_consistent():
             assert kahler.is_tight(m) == verdict.tight
             if not verdict.tight:
                 assert pulled < total
+
+
+def _per_copy_degrees(verdict) -> tuple[int, list[tuple[int, ...]]]:
+    """Domain rank and the su(1,1) degrees of every factor copy that
+    ``verdict_class_map`` books, expanded copy by copy."""
+    w = verdict.weight
+    if verdict.algebra == "sp4su11":
+        pair = classify_module._subalgebra("sp4su11", "a2,2a1+a2")
+        branch = classify_module.restrict_rep(classify_module._rank2_weight("sp4su11", w), pair)
+        return 2, [(a, c) for (b, a), n in branch.factors for _ in range(n)
+                   for c in clebsch_gordan(b, w[2])]
+    selector = "a1" if verdict.algebra == "su21" else "a1+a2" if w[0] == 0 else "a2,2a1+a2"
+    sub = classify_module._subalgebra(verdict.algebra, selector)
+    branch = classify_module.restrict_rep(classify_module._rank2_weight(verdict.algebra, w), sub)
+    return sub.rank, [f[::-1] for f, n in branch.factors for _ in range(n)]
+
+
+def _per_copy_route_map(rank, factors) -> kahler.HomClassMap:
+    """One target su(p, q) per nonzero factor copy, its column twice the
+    copy's pairings: the map that booking n copies as su(np, nq) replaced."""
+    source = (kahler.su(1, 1),) * rank
+    targets, columns = [], []
+    for degrees in factors:
+        if not any(degrees):
+            continue
+        if rank == 1:
+            sig, pairings = sym_power_signature(*degrees), sym_power_pairing(*degrees)[:1]
+        else:
+            sig, pairings = tensor_signature(*degrees), tensor_factor_pairings(*degrees)
+        targets.append(kahler.su(sig.p, sig.q))
+        columns.append([2 * x for x in pairings])
+    if not targets:
+        return kahler.class_map(source, source[:1], [[0]] * rank)
+    return kahler.class_map(source, targets, list(zip(*columns)))
+
+
+def _pulled_share(m) -> Fraction:
+    kappa = kahler.distinguished_class(m.target)
+    return kahler.norm(kahler.pullback(m, kappa)) / kahler.norm(kappa)
+
+
+def test_grouped_class_map_matches_the_per_copy_map():
+    # n copies of a factor book as one target: tightness and the pulled share
+    # of the norm are those of the copy-by-copy map, from one target per
+    # distinct nonzero factor
+    cases = [(a, w) for a, bound in (("sp4", 8), ("su21", 8), ("sp4su11", 5))
+             for w in dominant_weights(a, bound)] + [("su21", (40, 40))]
+    for algebra, w in cases:
+        verdict = classify(algebra, w)
+        grouped = verdict_class_map(verdict)
+        rank, copies = _per_copy_degrees(verdict)
+        per_copy = _per_copy_route_map(rank, copies)
+        assert kahler.is_tight(grouped) == kahler.is_tight(per_copy) == verdict.tight, w
+        assert _pulled_share(grouped) == _pulled_share(per_copy), (algebra, w)
+        distinct = {d for d in copies if any(d)}
+        assert len(grouped.target) == max(len(distinct), 1), (algebra, w)
+    # su21 (40, 40) on a1: 1 680 nonzero factor copies, 80 distinct
+    assert len(distinct) == 80 and sum(1 for d in copies if any(d)) == 1680
 
 
 def test_all_algebras_have_routes():

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tightmaps.branching import SubalgebraError, make_subalgebra
 from tightmaps.errors import VerificationError
 from tightmaps.rootsys import (
     _KIND_DATA,
@@ -160,6 +161,28 @@ def test_root_table_matches_euclidean_oracle(system):
         assert entry.coroot == tuple(2 * dot(w, beta) / norm for w in fundamental), root
         assert entry.fundamental == tuple(2 * dot(beta, a) / dot(a, a) for a in simple), root
         assert entry.half_norm == norm / 2, root
+
+
+def test_rank_two_subalgebras_are_exactly_the_orthogonal_long_pairs():
+    # every ordered pair of distinct roots through make_subalgebra: A2 has no
+    # rank-two subalgebra here, C2 exactly +-a2 with +-(2a1+a2) in either
+    # order, and each accepted pair is orthogonal in the Euclidean oracle
+    accepted = {}
+    for system in (A2, C2):
+        accepted[system.kind] = []
+        for x, y in itertools.permutations(system.roots(), 2):
+            try:
+                make_subalgebra(system, [x, y])
+            except SubalgebraError:
+                continue
+            accepted[system.kind].append((x, y))
+    long_roots = [(0, 1), (2, 1), (0, -1), (-2, -1)]
+    expected = [(x, y) for x in long_roots for y in long_roots
+                if x != y and x != tuple(-c for c in y)]
+    assert accepted["A2"] == []
+    assert len(expected) == 8 and sorted(accepted["C2"]) == sorted(expected)
+    for x, y in accepted["C2"]:
+        assert dot(root_vector(C2, x), root_vector(C2, y)) == 0, (x, y)
 
 
 def test_swapped_c2_half_norms_fail_the_build(monkeypatch):

@@ -29,6 +29,18 @@ def test_no_assert_statements_in_the_package():
     assert found == []
 
 
+def test_no_package_module_expands_a_multiset():
+    # a branching is (factor, copies) pairs; Counter.elements() would write
+    # one entry per copy again
+    found = [
+        f"{path.name}:{n.lineno}"
+        for path, tree in _package_trees()
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Attribute) and n.attr == "elements"
+    ]
+    assert found == []
+
+
 def test_submodule_import_yields_the_module():
     import tightmaps.classify as module
 
