@@ -29,6 +29,7 @@ from .classify import (
     cross_check,
     root_system_for,
     sweep,
+    validate_weight,
     verify_su_n1_to_sostar,
 )
 from .errors import VerificationError
@@ -50,22 +51,11 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(USAGE_ERROR)
 
 
-def encode(value):
-    """JSON-ready copy: rationals become 'numerator/denominator' strings."""
-    if isinstance(value, Fraction):
-        if value.denominator == 1:
-            return str(value.numerator)
-        return f"{value.numerator}/{value.denominator}"
-    if isinstance(value, dict):
-        return {k: encode(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [encode(v) for v in value]
-    return value
-
-
 def witness_wire(witness: Witness) -> dict:
-    """The witness fields that are set, in field order."""
-    return {k: encode(v) for k, v in witness._asdict().items() if v is not None}
+    """The witness fields that are set, in field order; a rational as the
+    string 'p/q' ('p' when whole), which is what ``str`` writes."""
+    return {k: str(v) if isinstance(v, Fraction) else v
+            for k, v in witness._asdict().items() if v is not None}
 
 
 def verdict_row(verdict: TightnessVerdict) -> dict:
@@ -78,17 +68,15 @@ def verdict_row(verdict: TightnessVerdict) -> dict:
 
 
 def build_report(command: str, params: dict, rows: list, agreement: bool,
-                 started: float, extra: dict | None = None) -> dict:
-    report = {
+                 **extra) -> dict:
+    """A command's report; ``main`` appends ``timing_ms`` and writes it."""
+    return {
         "command": command,
-        "params": encode(params),
+        "params": params,
         "rows": rows,
         "agreement": agreement,
+        **extra,
     }
-    if extra:
-        report.update(extra)
-    report["timing_ms"] = round((time.perf_counter() - started) * 1000.0, 3)
-    return report
 
 
 def to_json(report: dict) -> str:
@@ -149,43 +137,31 @@ def _parse_p_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def cmd_classify(args) -> int:
-    started = time.perf_counter()
+def cmd_classify(args) -> dict:
     coords = _parse_weight(args.weight)
-    report = build_report(
+    return build_report(
         "classify",
         {"algebra": args.algebra, "weight": list(coords)},
         [verdict_row(cross_check(args.algebra, coords))],
         True,  # cross_check raises on a disagreement or a failed replay
-        started,
     )
-    _emit(report, args.format, args.out)
-    return OK
 
 
-def cmd_sweep(args) -> int:
-    started = time.perf_counter()
+def cmd_sweep(args) -> dict:
     result = sweep(args.algebra, args.max)
-    rows = [verdict_row(v) for v in result["rows"]]
-    report = build_report(
+    return build_report(
         "sweep",
         {"algebra": args.algebra, "max": args.max},
-        rows,
+        [verdict_row(v) for v in result["rows"]],
         True,  # sweep raises on a disagreement or a failed replay
-        started,
-        extra={"counts": result["counts"]},
+        counts=result["counts"],
     )
-    _emit(report, args.format, args.out)
-    return OK
 
 
-def cmd_branch(args) -> int:
-    started = time.perf_counter()
+def cmd_branch(args) -> dict:
+    coords = validate_weight(args.algebra, _parse_weight(args.weight))
     system = root_system_for(args.algebra)
-    coords = _parse_weight(args.weight)
     top = weight(system, coords)
-    if not top.is_dominant:
-        raise ValueError(f"weight {coords} is not dominant integral")
     sub = make_subalgebra(system, parse_subalgebra_selector(system, args.sub))
     # each distinct factor's signature (p, q) is read once, and its wire value
     # is repeated once per copy; rank-one factors are written as bare ints
@@ -202,18 +178,15 @@ def cmd_branch(args) -> int:
         "signatures": [sig for _, sig, n in wire for _ in range(n)],
         "even_witness": witness,
     }
-    report = build_report(
+    return build_report(
         "branch",
         {"algebra": args.algebra, "weight": list(coords), "sub": args.sub},
         [row],
         True,
-        started,
     )
-    _emit(report, args.format, args.out)
-    return OK
 
 
-def _verify_lemma_bla(args, started: float) -> int:
+def _verify_lemma_bla(args) -> dict:
     lo, hi = _parse_p_range(args.p_range)
     if lo < 4:
         # odd p >= 5 are checked and even p reduce to them, but nothing here
@@ -244,18 +217,15 @@ def _verify_lemma_bla(args, started: float) -> int:
                 "residual": result["residual"],
             }
         )
-    report = build_report(
+    return build_report(
         "verify",
         {"target": "lemma-bla", "p_range": [lo, hi]},
         rows,
         not failed,
-        started,
     )
-    _emit(report, args.format, args.out)
-    return VERIFICATION_FAILURE if failed else OK
 
 
-def _verify_kahler(args, started: float) -> int:
+def _verify_kahler(args) -> dict:
     results = kahler.run_lemma_fixtures()
     rows = []
     for lemma in ("middle-factor", "product-target", "strict-positive"):
@@ -269,24 +239,17 @@ def _verify_kahler(args, started: float) -> int:
         )
     # a lemma with no cases checked nothing, so it fails
     ok = all(r["ok"] for r in results) and all(row["cases"] for row in rows)
-    report = build_report(
+    return build_report(
         "verify",
         {"target": "kahler-lemmas"},
         rows,
         ok,
-        started,
     )
-    _emit(report, args.format, args.out)
-    return OK if ok else VERIFICATION_FAILURE
 
 
-def cmd_verify(args) -> int:
-    started = time.perf_counter()
-    if args.target == "lemma-bla":
-        return _verify_lemma_bla(args, started)
-    if args.target == "kahler-lemmas":
-        return _verify_kahler(args, started)
-    raise ValueError(f"unknown verify target {args.target!r}")
+def cmd_verify(args) -> dict:
+    # argparse's choices admit only the two targets
+    return _verify_lemma_bla(args) if args.target == "lemma-bla" else _verify_kahler(args)
 
 
 def _add_common(parser) -> None:
@@ -344,14 +307,19 @@ def main(argv=None) -> int:
         args = parser.parse_args(_join_negative_weight(argv))
     except SystemExit as exit_:
         return exit_.code if isinstance(exit_.code, int) else USAGE_ERROR
+    started = time.perf_counter()
     try:
-        return args.run(args)
+        report = args.run(args)
+        report["timing_ms"] = round((time.perf_counter() - started) * 1000.0, 3)
+        _emit(report, args.format, args.out)
     except ValueError as err:
         sys.stderr.write(f"validation error: {err}\n")
         return VALIDATION_ERROR
     except VerificationError as err:
         sys.stderr.write(f"verification failure: {err}\n")
         return VERIFICATION_FAILURE
+    # a report is written whatever its verdict; a disagreement exits 3
+    return OK if report["agreement"] else VERIFICATION_FAILURE
 
 
 if __name__ == "__main__":

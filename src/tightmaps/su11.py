@@ -22,7 +22,6 @@ other factor's signature, in O(k + l) for the degree-(k, l) product.
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 from collections.abc import Sequence
@@ -107,20 +106,19 @@ class _StructureChoice(NamedTuple):
 
 
 class StructureChoice(_StructureChoice):
-    """Signs of the complex structure on each su(1,1) factor of the domain."""
+    """Signs of the complex structure on the two su(1,1) factors of the domain."""
 
     __slots__ = ()
 
-    def __new__(cls, signs: tuple[int, ...]):
-        if not signs or any(s not in (1, -1) for s in signs):
-            raise ValueError("signs must be +1 or -1")
+    def __new__(cls, signs: tuple[int, int]):
+        if len(signs) != 2 or any(s not in (1, -1) for s in signs):
+            raise ValueError(f"signs {signs} must be two entries, each +1 or -1")
         return super().__new__(cls, signs)
 
 
-def structure_representatives(n_factors: int = 2) -> tuple[StructureChoice, ...]:
+def structure_representatives() -> tuple[StructureChoice, ...]:
     """One representative per {J, -J} pair: first sign pinned to +1."""
-    tails = itertools.product((1, -1), repeat=n_factors - 1)
-    return tuple(StructureChoice((1,) + tail) for tail in tails)
+    return StructureChoice((1, 1)), StructureChoice((1, -1))
 
 
 def sym_power_signature(k: int) -> SignaturePair:
@@ -203,12 +201,6 @@ def clebsch_gordan(k: int, l: int) -> tuple[int, ...]:
     return tuple(range(k + l, abs(k - l) - 1, -2))
 
 
-def _two_signs(structure: StructureChoice) -> tuple[int, int]:
-    if len(structure.signs) != 2:
-        raise ValueError("two-factor structure choice expected")
-    return structure.signs
-
-
 def tensor_rep(k: int, l: int, structure: StructureChoice) -> ExplicitRep:
     """Tensor product of the degree-k and degree-l models, every entry stored.
 
@@ -216,7 +208,7 @@ def tensor_rep(k: int, l: int, structure: StructureChoice) -> ExplicitRep:
     then neg(x)pos; each first-factor major.  The structure signs flip the
     Z-contribution of the corresponding factor.
     """
-    s1, s2 = _two_signs(structure)
+    s1, s2 = structure.signs
     one, two = sym_power_rep(k), sym_power_rep(l)
 
     def block(*parts: tuple[Block, Block]) -> tuple[int, ...]:
@@ -262,7 +254,7 @@ def tensor_factor_pairings(k: int, l: int) -> tuple[Fraction, Fraction]:
 
 
 def tensor_pairing(k: int, l: int, structure: StructureChoice) -> Fraction:
-    s1, s2 = _two_signs(structure)
+    s1, s2 = structure.signs
     p1, p2 = tensor_factor_pairings(k, l)
     return s1 * p1 + s2 * p2
 
@@ -279,6 +271,6 @@ def best_tensor_pairing(k: int, l: int) -> tuple[Fraction, Fraction]:
     # tests/test_su11.py checks the bound exactly for all k, l < 25.
     p1, p2 = tensor_factor_pairings(k, l)
     sig = tensor_signature(k, l)
-    signs = (s.signs for s in structure_representatives(2))
+    signs = (s.signs for s in structure_representatives())
     best = max((s1 * p1 + s2 * p2 for s1, s2 in signs), key=abs)
     return best, disc_pairing_value(sig.p, sig.q)

@@ -67,7 +67,7 @@ def test_criterion_2_two_factor_rule_and_proof_values():
         for q in range(0, 7):  # k = 2q <= 12
             k, l = 2 * q, 2 * p - 1
             pairings = {
-                tensor_pairing(k, l, s) for s in structure_representatives(2)
+                tensor_pairing(k, l, s) for s in structure_representatives()
             }
             sig = tensor_signature(k, l)
             values_ok = values_ok and pairings == {F(p, 2), F(-p, 2)}

@@ -14,6 +14,7 @@ from tightmaps.cli import (
     VALIDATION_ERROR,
     VERIFICATION_FAILURE,
     main,
+    make_parser,
     to_json,
     to_markdown,
 )
@@ -28,6 +29,12 @@ def run(capsys, *argv):
 def run_json(capsys, *argv):
     code, out, err = run(capsys, *argv, "--format", "json")
     return code, json.loads(out), err
+
+
+def untimed_sha256(out):
+    """sha256 of a report without its timing_ms line."""
+    text = "".join(line for line in out.splitlines(keepends=True) if "timing_ms" not in line)
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def test_classify_su21(capsys):
@@ -151,9 +158,55 @@ def test_branch_reports_are_pinned(capsys, algebra, weight, sub, fmt):
         "--format", fmt,
     )
     assert code == OK
-    text = "".join(line for line in out.splitlines(keepends=True) if "timing_ms" not in line)
-    digest = hashlib.sha256(text.encode()).hexdigest()
-    assert digest == BRANCH_REPORT_SHA256[algebra, weight, sub, fmt]
+    assert untimed_sha256(out) == BRANCH_REPORT_SHA256[algebra, weight, sub, fmt]
+
+
+# sha256 of whole reports of the other commands, each without its timing_ms
+# line: a rational witness, a sweep with counts and both verify targets
+REPORT_SHA256 = {
+    ("classify --algebra su11 --weight 2", "json"):
+        "0e2a44f03c06c24f548dd8af614decf363ae01e515cd1930874e86db47f974f9",
+    ("classify --algebra su11 --weight 2", "md"):
+        "6b223e3f10aa1985e8e553b68f20acf8960a71960e91d10c1d8c8dc09190466c",
+    ("sweep --algebra sp4su11 --max 4", "json"):
+        "7302368fc260382051fb0977078723caa8f051812fa387db69b8036803464191",
+    ("sweep --algebra sp4su11 --max 4", "md"):
+        "08afcaf9eb14a84137ae5cb9067e9954df0a861a40bf662d3478e623ecadb2af",
+    ("verify lemma-bla --p-range 4:21", "json"):
+        "815108e8b1b0f5db2db7500f2a1c2e2706a941957a3c3d5247af8b11f02a733e",
+    ("verify lemma-bla --p-range 4:21", "md"):
+        "d3d34be622809ea647037ad07661dd57642fef3c458d6fe3308a4996ae096c2e",
+    ("verify kahler-lemmas", "json"):
+        "0327fc29a18e3c232db60402c5856e29ff6acbfe148932ffc71217661ce5b70a",
+    ("verify kahler-lemmas", "md"):
+        "7eb2ba0e8437e154c5a3d6fed1ffb03858fe85daa77d0e16c229d804b5be42ba",
+}
+
+
+@pytest.mark.parametrize("command,fmt", list(REPORT_SHA256))
+def test_reports_are_pinned(capsys, command, fmt):
+    code, out, _ = run(capsys, *command.split(), "--format", fmt)
+    assert code == OK
+    assert untimed_sha256(out) == REPORT_SHA256[command, fmt]
+
+
+@pytest.mark.parametrize("command", [
+    "classify --algebra su11 --weight 2",
+    "sweep --algebra su11 --max 2",
+    "branch --algebra su11 --weight 4 --sub a1",
+    "verify lemma-bla --p-range 5:5",
+    "verify kahler-lemmas",
+])
+def test_handlers_return_the_report_and_main_finishes_it(capsys, command):
+    # a handler builds its report; main alone times it, writes it and picks
+    # the exit code, so timing_ms is the last key
+    args = make_parser().parse_args(command.split())
+    report = args.run(args)
+    assert capsys.readouterr().out == ""
+    assert isinstance(report, dict) and "timing_ms" not in report
+    code, doc, _ = run_json(capsys, *command.split())
+    assert code == OK and list(doc)[-1] == "timing_ms"
+    assert {k: v for k, v in doc.items() if k != "timing_ms"} == json.loads(to_json(report))
 
 
 @pytest.mark.parametrize(
@@ -184,6 +237,21 @@ def test_verify_lemma_bla(capsys):
     infeasible = [r for r in doc["rows"] if r["status"] == "infeasible"]
     assert [r["p"] for r in infeasible] == list(range(5, 22, 2))
     assert all(r["l"] == 3 - r["p"] for r in infeasible)
+
+
+def test_verify_lemma_bla_writes_the_report_of_a_feasible_row_and_exits_3(monkeypatch, capsys):
+    real = tightmaps.cli.verify_su_n1_to_sostar
+
+    def feasible_at_7(p):
+        result = real(p)
+        return dict(result, infeasible=False) if p == 7 else result
+
+    monkeypatch.setattr(tightmaps.cli, "verify_su_n1_to_sostar", feasible_at_7)
+    code, doc, err = run_json(capsys, "verify", "lemma-bla", "--p-range", "5:9")
+    assert code == VERIFICATION_FAILURE and err == ""
+    assert doc["agreement"] is False
+    assert [r["status"] for r in doc["rows"]] == ["infeasible", "reduced", "feasible",
+                                                  "reduced", "infeasible"]
 
 
 def test_verify_lemma_bla_even_p_reduced(capsys):
@@ -255,6 +323,13 @@ def test_exit_codes(capsys):
 
     code, _, err = run(capsys, "verify", "lemma-bla", "--p-range", "9:5")
     assert code == VALIDATION_ERROR
+
+    # branch validates its weight as classify does, naming the algebra
+    code, out, err = run(
+        capsys, "branch", "--algebra", "sp4", "--weight", "1,2,3", "--sub", "a1+a2"
+    )
+    assert code == VALIDATION_ERROR and out == ""
+    assert err == "validation error: sp4 expects 2 weight coordinates, got 3\n"
 
 
 @pytest.mark.parametrize("text", ["4:4", "6:6"])

@@ -26,6 +26,8 @@ INVALID = [
                          degrees=(1,)), "trace free"),
     (lambda: StructureChoice(()), "signs"),
     (lambda: StructureChoice((1, 2)), "signs"),
+    (lambda: StructureChoice((1,)), "two entries"),
+    (lambda: StructureChoice((1, 1, -1)), "two entries"),
     (lambda: WeightVector((Fraction(1),), C2), "expected 2 coordinates"),
     (lambda: kahler.KahlerClass((SU21,), (), 1), "one coefficient"),
     (lambda: kahler.KahlerClass((SU21,), (1,), -2), "denominator -2 is not positive"),

@@ -8,6 +8,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import tightmaps
 
 PACKAGE = Path(tightmaps.__file__).parent
@@ -168,26 +170,96 @@ def _public_api():
     return set(re.findall(r"^- `(\w+\.\w+)`", section, re.MULTILINE))
 
 
-def _referenced_names(node):
-    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)} | {
-        n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)
-    }
+def _loads(node):
+    return [n for n in ast.walk(node) if isinstance(getattr(n, "ctx", None), ast.Load)]
+
+
+def _dotted(node):
+    """``a.b.c`` for a chain of attributes on a name, else None."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        base = _dotted(node.value)
+        return base and f"{base}.{node.attr}"
+    return None
+
+
+def _module_handles(tree, module):
+    """How ``tree`` reaches the functions of the package module ``module``:
+    ``{local name: function}`` for the names it imports from the module, and
+    the dotted names bound to the module itself (``kahler``, an alias, or
+    ``tightmaps.kahler``)."""
+    names, handles = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module in (None, "tightmaps"):
+            handles |= {a.asname or a.name for a in node.names if a.name == module}
+        elif isinstance(node, ast.ImportFrom) and node.module.removeprefix("tightmaps.") == module:
+            names |= {a.asname or a.name: a.name for a in node.names}
+        elif isinstance(node, ast.Import):
+            handles |= {a.asname or a.name for a in node.names if a.name == f"tightmaps.{module}"}
+    return names, handles
+
+
+def _read_from_elsewhere(trees, path):
+    """Names of ``path``'s module that the other package modules read: by a
+    name imported from it, or as an attribute of the imported module."""
+    found = set()
+    for other_path, other in trees:
+        if other_path == path:
+            continue
+        names, handles = _module_handles(other, path.stem)
+        for n in _loads(other):
+            if isinstance(n, ast.Name) and n.id in names:
+                found.add(names[n.id])
+            elif isinstance(n, ast.Attribute) and _dotted(n.value) in handles:
+                found.add(n.attr)
+    return found
 
 
 def _uncalled_functions(trees, public, layers):
-    """Module-level functions that no other top-level statement of the
-    package names, and that neither the public-API list nor the bench
-    harness's wrapped names account for."""
-    statements = [(node, _referenced_names(node)) for _, tree in trees for node in tree.body]
-    return [
-        f"{path.stem}.{node.name}"
-        for path, tree in trees
-        for node in tree.body
-        if isinstance(node, ast.FunctionDef)
-        and not any(node.name in names for other, names in statements if other is not node)
-        and f"{path.stem}.{node.name}" not in public
-        and node.name not in layers.get(path.stem, ())
+    """Module-level functions that nothing in the package can reach: no other
+    top-level statement of their module reads the name, no other module reads
+    it through an import of it or of its module, and neither the public-API
+    list nor the bench harness's wrapped names account for it."""
+    uncalled = []
+    for path, tree in trees:
+        elsewhere = _read_from_elsewhere(trees, path)
+        for node in tree.body:
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            at_home = any(
+                isinstance(n, ast.Name) and n.id == node.name
+                for other in tree.body if other is not node
+                for n in _loads(other)
+            )
+            name = f"{path.stem}.{node.name}"
+            if not (at_home or node.name in elsewhere or name in public
+                    or node.name in layers.get(path.stem, ())):
+                uncalled.append(name)
+    return uncalled
+
+
+@pytest.mark.parametrize(
+    "home,user,uncalled",
+    [
+        ("", "def g():\n    f = 1\n    return f\n", ["a.f"]),  # a local of that name
+        ("", "def g(x):\n    return x.f()\n", ["a.f"]),  # an attribute of another value
+        ("", "import a\ndef g():\n    return a.f()\n", ["a.f"]),  # not the package's a
+        ("def h():\n    return f\n", "", []),
+        ("def h():\n    f = 1\n", "", ["a.f"]),  # a store is no read
+        ("", "from .a import f\ndef g():\n    return f()\n", []),
+        ("", "from tightmaps.a import f as k\ndef g():\n    return k()\n", []),
+        ("", "from . import a\ndef g():\n    return a.f()\n", []),
+        ("", "import tightmaps.a\ndef g():\n    return tightmaps.a.f()\n", []),
+    ],
+)
+def test_a_caller_counts_only_where_it_reaches_the_function(home, user, uncalled):
+    trees = [
+        (Path("a.py"), ast.parse("def f():\n    return f\n" + home)),
+        (Path("b.py"), ast.parse(user)),
     ]
+    found = _uncalled_functions(trees, set(), {})
+    assert [name for name in found if name == "a.f"] == uncalled
 
 
 def test_every_module_function_has_a_caller_or_is_public():
@@ -202,3 +274,27 @@ def test_every_module_function_has_a_caller_or_is_public():
                        entry.split(".")[1])
     ]
     assert missing == []
+
+
+def test_cli_finishes_every_report_in_main():
+    # one report path: main alone reads the clock, writes the report and
+    # picks the exit code, and a command handler only builds its report
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+
+    def sites(match):
+        return [
+            getattr(node, "name", node.lineno)
+            for node in tree.body
+            for n in ast.walk(node)
+            if match(n)
+        ]
+
+    codes = {"OK", "USAGE_ERROR", "VALIDATION_ERROR", "VERIFICATION_FAILURE"}
+    assert sites(lambda n: isinstance(n, ast.Call) and _dotted(n.func) == "_emit") == ["main"]
+    # one measurement: a clock read on each side of args.run(args)
+    assert sites(lambda n: "perf_counter" in (getattr(n, "id", None), getattr(n, "attr", None))) \
+        == ["main", "main"]
+    assert set(sites(
+        lambda n: isinstance(n, ast.Return) and n.value is not None
+        and any(isinstance(m, ast.Name) and m.id in codes for m in ast.walk(n.value))
+    )) == {"main"}

@@ -227,7 +227,7 @@ def test_clebsch_gordan_dimension_identity(k, l):
 
 
 def test_structure_representatives():
-    reps = structure_representatives(2)
+    reps = structure_representatives()
     assert tuple(s.signs for s in reps) == ((1, 1), (1, -1))
     with pytest.raises(ValueError):
         StructureChoice((1, 2))
@@ -260,7 +260,7 @@ def test_tensor_rep_block_structure():
 def test_structure_flip_negates_pairing(k, l):
     if (k, l) == (0, 0):
         return
-    for structure in structure_representatives(2):
+    for structure in structure_representatives():
         flipped = StructureChoice(tuple(-s for s in structure.signs))
         assert tensor_pairing(k, l, structure) == -tensor_pairing(k, l, flipped)
 
@@ -271,7 +271,7 @@ def test_factor_pairings_decompose_the_pairing(k, l):
     if (k, l) == (0, 0):
         return
     p1, p2 = tensor_factor_pairings(k, l)
-    for structure in structure_representatives(2):
+    for structure in structure_representatives():
         s1, s2 = structure.signs
         assert tensor_pairing(k, l, structure) == s1 * p1 + s2 * p2
 
@@ -290,7 +290,7 @@ def test_mixed_parity_pairing_values():
         for p in range(1, 6):
             k, l = 2 * q, 2 * p - 1
             values = {
-                tensor_pairing(k, l, s) for s in structure_representatives(2)
+                tensor_pairing(k, l, s) for s in structure_representatives()
             }
             assert values == {F(p, 2), F(-p, 2)}
             sig = tensor_signature(k, l)
@@ -320,7 +320,7 @@ def test_integer_pairings_match_the_fraction_oracle():
             if (k, l) == (0, 0):
                 continue
             sig = tensor_signature(k, l)
-            for s in structure_representatives(2):
+            for s in structure_representatives():
                 oracle = pairing(z_diagonal(tensor_rep(k, l, s)), z_element(sig.p, sig.q))
                 assert _exactly(tensor_pairing(k, l, s), oracle), (k, l, s)
     for p in range(1, 30):
@@ -346,7 +346,7 @@ def test_block_pairings_match_the_entrywise_oracle():
             columns = tensor_columns(k, l)
             factors = [entrywise_pairing(col, *sig) for col in zip(*columns)]
             assert all(map(_exactly, tensor_factor_pairings(k, l), factors)), (k, l)
-            for s in structure_representatives(2):
+            for s in structure_representatives():
                 s1, s2 = s.signs
                 oracle = entrywise_pairing([s1 * a + s2 * b for a, b in columns], *sig)
                 assert _exactly(tensor_pairing(k, l, s), oracle), (k, l, s)
@@ -359,7 +359,7 @@ def test_block_pairings_match_the_entrywise_oracle():
 def test_tensor_rep_walks_the_tensor_basis():
     for k in range(9):
         for l in range(9):
-            for s in structure_representatives(2):
+            for s in structure_representatives():
                 s1, s2 = s.signs
                 expected = tuple(s1 * a + s2 * b for a, b in tensor_columns(k, l))
                 assert tensor_rep(k, l, s).z_doubled == expected, (k, l, s)
@@ -386,7 +386,7 @@ def test_no_structure_pairing_exceeds_the_disc_value():
                 continue
             sig = tensor_signature(k, l)
             disc = disc_pairing_value(sig.p, sig.q)
-            for s in structure_representatives(2):
+            for s in structure_representatives():
                 assert abs(tensor_pairing(k, l, s)) <= disc, (k, l, s)
 
 
