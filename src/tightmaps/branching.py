@@ -1,18 +1,18 @@
-"""Restriction of A2/C2 irreducibles to regular rank-one and rank-two
+"""Restriction of A1/A2/C2 irreducibles to regular rank-one and rank-two
 subalgebras of Hermitian type.
 
 A subalgebra is specified by a subset B of the roots, each named by its
 simple-root coefficients, subject to three conditions: differences of
 B-elements are not roots, B is linearly independent, and each Dynkin
-component of B contains exactly one noncompact root.  Branching evaluates
-each dominant weight, for its whole orbit, on the Weyl images of the chosen
-coroots and peels the resulting multiset into strings, giving the
-decomposition into irreducible factors with their numbers of copies.
+component of B contains exactly one noncompact root.  Branching divides the
+Weyl numerator of the irreducible by 1 - e^-alpha for each positive root
+alpha outside B (Kostant's branching form of the Weyl character formula),
+which gives the decomposition into irreducible factors with their numbers of
+copies; even-witness candidates are tested for membership by dominance.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 import re
@@ -23,12 +23,13 @@ from .errors import VerificationError
 from .rootsys import (
     RootSystemData,
     WeightVector,
+    _dominant_depths,
+    _orbit,
     coroot_images,
     dimension,
     dominant_multiplicities,
-    multiplicity,
+    is_weight,
     orbit_size,
-    weight_multiplicities,
 )
 
 
@@ -175,7 +176,8 @@ class BranchingResult(NamedTuple):
 
 
 def evaluation_multiset(highest: WeightVector, sub: SubalgebraSpec) -> Counter:
-    """Coroot evaluations of every weight, with multiplicity.
+    """Coroot evaluations of every weight, with multiplicity: off the command
+    path, the input of the Freudenthal-and-peel oracle in the tests.
 
     No orbit is listed: <w mu, beta^vee> = <mu, (w^-1 beta)^vee>, so the
     orbit of a dominant mu evaluates as mu does against the n Weyl images of
@@ -197,44 +199,78 @@ def evaluation_multiset(highest: WeightVector, sub: SubalgebraSpec) -> Counter:
     return out
 
 
-def _peel_strings(values: Counter) -> Counter:
-    """Highest weights, with their copies, of the sl2 or sl2xsl2 strings in ``values``.
+def _weyl_numerator(system: RootSystemData, top: tuple[int, ...]) -> dict[tuple, int]:
+    """A(top + rho) as {w(top + rho): eps(w)}; eps(w) is -1 to the length of w,
+    the number of positive coroots negative on w(top + rho)."""
+    coroots = [system.root_table[r].coroot for r in system.positive_roots]
+    start = tuple(t + 1 for t in top)
+    return {x: (-1) ** sum(sum(map(operator.mul, x, c)) < 0 for c in coroots)
+            for (x,) in _orbit(system, (start,))}
 
-    A multiset N that each sign flip of a coordinate preserves is a unique
-    virtual sum of strings, with sum_s (-1)^(|s|/2) N(m + s), s over
-    {0, 2}^r, strings of highest weight m: N(m) - N(m+2) for one factor,
-    N(m,n) - N(m+2,n) - N(m,n+2) + N(m+2,n+2) for two.  It is a genuine
-    sum iff no count is negative.
-    """
-    for key, count in values.items():
-        for i, v in enumerate(key):
-            if v and values[key[:i] + (-v,) + key[i + 1:]] != count:
-                raise VerificationError(f"evaluation multiset is not symmetric at {key}")
-    rank = len(next(iter(values), ()))
-    shifts = [(s, (-1) ** (sum(s) // 2)) for s in itertools.product((0, 2), repeat=rank)]
-    counts: Counter = Counter()
-    for key, count in values.items():
-        if min(key) >= 0:
-            # N(key) enters the count of each m = key - s with m >= 0
-            for s, sign in shifts:
-                m = tuple(map(operator.sub, key, s))
-                if min(m) >= 0:
-                    counts[m] += sign * count
-    for m, count in counts.items():
-        if count < 0:
-            raise VerificationError(f"string peeling failed at value {m}")
-    return +counts
+
+def _divide(values: dict[tuple, int], alpha: tuple[int, int]) -> dict[tuple, int] | None:
+    """``values`` / (1 - e^-alpha) in rank two, or None when it is not exact.
+
+    Q(mu) = values(mu) + Q(mu + alpha) is a running sum down each alpha-line,
+    exact iff every line sums to 0.  A line is keyed by its point whose
+    coordinate i, one with alpha_i > 0, lies in [0, alpha_i)."""
+    a0, a1 = alpha
+    i = 0 if a0 >= a1 else 1
+    lines: dict[tuple, dict[int, int]] = {}
+    for x, c in values.items():
+        k = x[i] // alpha[i]
+        lines.setdefault((x[0] - k * a0, x[1] - k * a1), {})[k] = c
+    out = {}
+    for (y0, y1), line in lines.items():
+        total = 0
+        for k in range(max(line), min(line) - 1, -1):
+            total += line.get(k, 0)
+            if total:
+                out[y0 + k * a0, y1 + k * a1] = total
+        if total:
+            return None
+    return out
+
+
+def _same_length_simple(system: RootSystemData, beta: Root) -> Root:
+    """The simple root of beta's length; in A1, A2 and C2 it is W-conjugate to beta."""
+    half = system.root_table[beta].half_norm
+    return next(a for a in system.simple_roots if system.root_table[a].half_norm == half)
 
 
 def restrict_rep(highest: WeightVector, sub: SubalgebraSpec) -> BranchingResult:
-    """Decompose the restriction of an irreducible into sl2 strings.
+    """Decompose the restriction of an irreducible into sl2 factors.
 
-    Peels the evaluation multiset by second differences into factors, one
-    highest weight per root of B in B's order, each paired with its number
-    of copies and listed in descending order.  The result is checked for
-    dimension conservation against the ambient irreducible.
+    For B of G's rank with positive roots among G's, A(lam + rho) divided by
+    1 - e^-alpha for each alpha in Phi+ - Phi+_B is e^(rho - rho_B) sum_nu
+    m_nu A_B(nu + rho_B) (Kostant's branching form), so the copies m_nu of
+    the factor <nu, beta^vee>, beta in B in B's order, are the quotient's
+    coefficient at nu + rho for B-dominant nu.  A rank-one B = {beta} becomes
+    the Levi of the simple root of beta's length: the two are W-conjugate,
+    so the W-invariant character branches alike.  An inexact division, a
+    negative count and a lost dimension each raise.
     """
-    counts = _peel_strings(evaluation_multiset(highest, sub))
+    system, top = highest.system, highest.coords
+    roots_b = tuple(max(r, tuple(-c for c in r)) for r in sub.roots_b)  # the positive of +-beta
+    if sub.rank == 1:
+        roots_b = (_same_length_simple(system, roots_b[0]),)
+    where = f"branching {system.kind} {top} on {selector_of(sub.roots_b)}"
+    quotient = _weyl_numerator(system, top)
+    for root in system.positive_roots:
+        if root not in roots_b:
+            quotient = _divide(quotient, system.root_table[root].fundamental)
+            if quotient is None:
+                raise VerificationError(
+                    f"{where}: the Weyl numerator is not divisible by 1 - e^-({_root_name(root)})"
+                )
+    rows = [system.root_table[r].coroot for r in roots_b]
+    counts: dict[tuple[int, ...], int] = {}
+    for x, c in quotient.items():
+        factor = tuple([sum(map(operator.mul, x, row)) - sum(row) for row in rows])  # x - rho
+        if min(factor) >= 0:
+            if c < 0:
+                raise VerificationError(f"{where}: factor {factor} counts {c} copies")
+            counts[factor] = counts.get(factor, 0) + c
     result = BranchingResult(tuple(sorted(counts.items(), reverse=True)))
     if result.factor_dimension != dimension(highest):
         raise VerificationError(
@@ -260,13 +296,15 @@ def even_witness(
     goes to the highest weight and then the proof-chain candidates; a
     deterministic scan of the full support is the fallback.
     """
-    top = highest.coords
-    steps = _WITNESS_STEPS.get(highest.system.kind, ())
+    system, top = highest.system, highest.coords
+    steps = _WITNESS_STEPS.get(system.kind, ())
     chain = [top] + [tuple(map(operator.sub, top, step)) for step in steps]
 
     def candidates():
-        yield from (coords for coords in chain if multiplicity(highest, coords))
-        yield from sorted((w.coords for w in weight_multiplicities(highest)), reverse=True)
+        yield from (coords for coords in chain if is_weight(highest, coords))
+        # the support: the orbits of the dominant weights, found by descent
+        yield from sorted((nu for mu in _dominant_depths(system, top)
+                           for (nu,) in _orbit(system, (mu,))), reverse=True)
 
     for coords in candidates():
         for value in sub.evaluate(coords):

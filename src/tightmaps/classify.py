@@ -36,7 +36,7 @@ from .rootsys import (
     RootSystemData,
     WeightVector,
     build_root_system,
-    multiplicity,
+    is_weight,
     weight,
 )
 from .su11 import (
@@ -240,7 +240,7 @@ def _sp4_split_witness(algebra: str, w: tuple[int, ...]) -> Witness | None:
     if value % 2:
         (step,) = _WITNESS_STEPS["C2"]
         coords, value = tuple(map(operator.sub, coords, step)), value - 1
-    if not multiplicity(_rank2_weight(algebra, w), coords):
+    if not is_weight(_rank2_weight(algebra, w), coords):
         raise VerificationError(f"witness weight {coords} is not a weight of {w[:2]}")
     return Witness("even_branch_witness", "a2,2a1+a2", coords, value)
 
@@ -365,7 +365,7 @@ def _replay_even_branch(verdict: TightnessVerdict) -> bool:
         return False
     sub = _subalgebra(verdict.algebra, wit.subalgebra)
     top = _rank2_weight(verdict.algebra, verdict.weight)
-    if not multiplicity(top, wit.weight):
+    if not is_weight(top, wit.weight):
         return False
     values = sub.evaluate(wit.weight)
     value = wit.evaluation

@@ -9,7 +9,9 @@ Exit codes: 0 success/agreement, 1 usage error, 2 validation error,
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import sys
 import time
 from fractions import Fraction
@@ -118,6 +120,21 @@ def _emit(report: dict, fmt: str, out: str | None) -> None:
             raise ValueError(f"cannot write report to {out}: {err.strerror}") from err
     else:
         print(text)
+
+
+def _check_out(out: str) -> None:
+    """Refuse an ``--out`` path that cannot be written before the command
+    runs, creating nothing; ``_emit`` still reports a failed write."""
+    folder = os.path.dirname(out) or "."
+    if os.path.isdir(out):
+        code = errno.EISDIR
+    elif not os.path.isdir(folder):
+        code = errno.ENOENT
+    elif not os.access(out if os.path.exists(out) else folder, os.W_OK):
+        code = errno.EACCES
+    else:
+        return
+    raise ValueError(f"cannot write report to {out}: {os.strerror(code)}")
 
 
 def _parse_weight(text: str) -> tuple[int, ...]:
@@ -307,8 +324,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(_join_negative_weight(argv))
     except SystemExit as exit_:
         return exit_.code if isinstance(exit_.code, int) else USAGE_ERROR
-    started = time.perf_counter()
     try:
+        if args.out:
+            _check_out(args.out)
+        started = time.perf_counter()
         report = args.run(args)
         report["timing_ms"] = round((time.perf_counter() - started) * 1000.0, 3)
         _emit(report, args.format, args.out)

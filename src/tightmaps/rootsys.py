@@ -6,14 +6,11 @@ D_i = (alpha_i, alpha_i)/2 of the simple roots (C2's alpha_2 is the long
 root).  A root is named by its simple-root coefficients, and a weight by its
 coordinates in the fundamental-weight basis, both integer tuples.  Each
 system holds one integer table giving every root's coroot functional,
-fundamental coordinates and half squared length; coroot evaluation,
-Freudenthal multiplicities and the Weyl dimension formula all run on
-integers through that table.  The multiplicity table holds the dominant
-weights only, and Freudenthal's string sums run on them alone through
-tails memoised within one build.  Any other weight is reflected into the
-dominant chamber and looked up; the support is the union of the dominant
-weights' orbits, walked only on request.  A Euclidean realisation of the
-roots is the oracle the tests check the table against.
+fundamental coordinates and half squared length, and everything here runs
+on integers through it.  Membership of a weight is a dominance test, with
+no multiplicities; the Freudenthal table on the dominant weights is kept
+for multiplicity queries, off the commands' path.  A Euclidean realisation
+of the roots is the oracle the tests check the table against.
 """
 
 from __future__ import annotations
@@ -238,6 +235,38 @@ def orbit_size(system: RootSystemData, mu: tuple[int, ...]) -> int:
     return system.weyl_order // 2 ** mu.count(0)
 
 
+def _dominant_depths(system: RootSystemData, top: tuple[int, ...]) -> dict[tuple, tuple]:
+    """The dominant weights of V(top), each with its depth top - mu in simple
+    roots.  Dominant mu < nu are joined by a chain of dominant weights whose
+    steps are positive roots (Stembridge, 1998), so descent reaches them all."""
+    positive = [system.root_table[r].fundamental for r in system.positive_roots]
+    depths = {top: (0,) * system.rank}
+    found = [top]
+    for mu in found:
+        for root, fundamental in zip(system.positive_roots, positive):
+            cand = tuple(map(operator.sub, mu, fundamental))
+            if min(cand) >= 0 and cand not in depths:
+                depths[cand] = tuple(map(operator.add, depths[mu], root))
+                found.append(cand)
+    return depths
+
+
+def is_weight(highest: WeightVector, mu: tuple[int, ...]) -> bool:
+    """Whether the int coordinates ``mu`` are a weight of the irrep: reflected
+    to dominant, top - mu = C n (C the Cartan matrix, whose columns are the
+    simple roots) has n >= 0 integral (Humphreys, section 21.3)."""
+    _require_dominant(highest)
+    cartan = highest.system.cartan_matrix
+    mu, _ = _to_dominant(list(zip(*cartan)), tuple(mu), tuple(mu))
+    delta = tuple(map(operator.sub, highest.coords, mu))
+    if len(cartan) == 1:
+        return delta[0] >= 0 and delta[0] % cartan[0][0] == 0
+    (a, b), (c, d) = cartan
+    det = a * d - b * c
+    return all(n >= 0 and n % det == 0
+               for n in (d * delta[0] - b * delta[1], a * delta[1] - c * delta[0]))
+
+
 @lru_cache(maxsize=None)
 def _multiplicity_table(system: RootSystemData, top: tuple[int, ...]) -> dict[tuple, int]:
     """Freudenthal recursion on the dominant weights alone (Moody-Patera, 1982).
@@ -260,19 +289,8 @@ def _multiplicity_table(system: RootSystemData, top: tuple[int, ...]) -> dict[tu
     mu, so m(d') is known, and tails are memoised within the one build.  The
     multiplicities times the orbit sizes must sum to the Weyl dimension.
     """
-    # The dominant weights below the top, each with its depth (top - mu in
-    # simple roots).  Two dominant weights mu < nu are joined by a chain of
-    # dominant weights whose steps are positive roots (Stembridge, 1998), so
-    # descending by positive roots through dominant weights reaches them all.
+    depths = _dominant_depths(system, top)
     positive = [system.root_table[r] for r in system.positive_roots]
-    depths = {top: (0,) * system.rank}
-    found = [top]
-    for mu in found:
-        for root, entry in zip(system.positive_roots, positive):
-            cand = tuple(map(operator.sub, mu, entry.fundamental))
-            if min(cand) >= 0 and cand not in depths:
-                depths[cand] = tuple(map(operator.add, depths[mu], root))
-                found.append(cand)
     by_weight = {entry.fundamental: entry for entry in system.root_table.values()}
     columns = list(zip(*system.cartan_matrix))
     simple_half = [system.root_table[a].half_norm for a in system.simple_roots]
@@ -321,12 +339,6 @@ def dominant_multiplicities(highest: WeightVector) -> dict[tuple[int, ...], int]
     """The shared cached table, dominant int coordinates to multiplicity; do not mutate."""
     _require_dominant(highest)
     return _multiplicity_table(highest.system, highest.coords)
-
-
-def multiplicity(highest: WeightVector, mu: tuple[int, ...]) -> int:
-    """Multiplicity of the int coordinates ``mu``, reflected to dominant; 0 off the support."""
-    dominant, _ = _to_dominant(list(zip(*highest.system.cartan_matrix)), mu, mu)
-    return dominant_multiplicities(highest).get(dominant, 0)
 
 
 def weight_multiplicities(highest: WeightVector) -> dict[WeightVector, int]:

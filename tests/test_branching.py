@@ -1,14 +1,16 @@
 """Regular subalgebras, restriction, string peeling, even witnesses."""
 
 import itertools
+import operator
 from collections import Counter
 
 import pytest
 
+import tightmaps.branching
 from tightmaps.branching import (
     _WITNESS_STEPS,
     SubalgebraError,
-    _peel_strings,
+    _same_length_simple,
     _span_roots,
     evaluation_multiset,
     even_witness,
@@ -19,6 +21,7 @@ from tightmaps.branching import (
 )
 from tightmaps.errors import VerificationError
 from tightmaps.rootsys import (
+    _orbit,
     build_root_system,
     dimension,
     eval_on_coroot,
@@ -26,6 +29,7 @@ from tightmaps.rootsys import (
     weight_multiplicities,
 )
 
+A1 = build_root_system("A1")
 A2 = build_root_system("A2")
 C2 = build_root_system("C2")
 
@@ -156,6 +160,122 @@ def test_evaluation_multiset_matches_the_weight_by_weight_oracle():
     forged = short._replace(coroot_images=short.coroot_images[:3])
     with pytest.raises(VerificationError):
         evaluation_multiset(weight(C2, (1, 0)), forged)
+
+
+def _peel_strings(values: Counter) -> Counter:
+    """Highest weights, with their copies, of the sl2 or sl2xsl2 strings in ``values``.
+
+    A multiset N that each sign flip of a coordinate preserves is a unique
+    virtual sum of strings, with sum_s (-1)^(|s|/2) N(m + s), s over
+    {0, 2}^r, strings of highest weight m: N(m) - N(m+2) for one factor,
+    N(m,n) - N(m+2,n) - N(m,n+2) + N(m+2,n+2) for two.  It is a genuine
+    sum iff no count is negative.
+
+    This is the peel of the Freudenthal evaluation multiset that division of
+    the Weyl numerator replaced, kept with ``evaluation_multiset`` as its
+    oracle.
+    """
+    for key, count in values.items():
+        for i, v in enumerate(key):
+            if v and values[key[:i] + (-v,) + key[i + 1:]] != count:
+                raise VerificationError(f"evaluation multiset is not symmetric at {key}")
+    rank = len(next(iter(values), ()))
+    shifts = [(s, (-1) ** (sum(s) // 2)) for s in itertools.product((0, 2), repeat=rank)]
+    counts: Counter = Counter()
+    for key, count in values.items():
+        if min(key) >= 0:
+            # N(key) enters the count of each m = key - s with m >= 0
+            for s, sign in shifts:
+                m = tuple(map(operator.sub, key, s))
+                if min(m) >= 0:
+                    counts[m] += sign * count
+    for m, count in counts.items():
+        if count < 0:
+            raise VerificationError(f"string peeling failed at value {m}")
+    return +counts
+
+
+def _oracle_factors(w, sub):
+    """The Freudenthal-and-peel branching, as ``restrict_rep`` orders it."""
+    return tuple(sorted(_peel_strings(evaluation_multiset(w, sub)).items(), reverse=True))
+
+
+# every root subset make_subalgebra accepts from the selector grammar
+SELECTORS = [(C2, s) for s in ("a1+a2", "a2", "2a1+a2", "a2,2a1+a2", "2a1+a2,a2")] + [
+    (A2, s) for s in ("a1", "a1+a2")
+]
+
+
+def _spec(system, selector):
+    return make_subalgebra(system, parse_subalgebra_selector(system, selector))
+
+
+@pytest.mark.parametrize(
+    "system,selector", SELECTORS, ids=[f"{s.kind}-{sel}" for s, sel in SELECTORS]
+)
+def test_division_matches_the_freudenthal_and_peel_oracle(system, selector):
+    sub = _spec(system, selector)
+    for k in range(15):
+        for l in range(15 - k):
+            w = weight(system, (k, l))
+            assert restrict_rep(w, sub).factors == _oracle_factors(w, sub), (k, l)
+
+
+def test_a1_restriction_matches_the_oracle_up_to_40():
+    # B is all of A1, so nothing is divided: the one factor is the top
+    for root in ((1,), (-1,)):
+        sub = make_subalgebra(A1, [root])
+        for k in range(41):
+            w = weight(A1, (k,))
+            assert restrict_rep(w, sub).factors == _oracle_factors(w, sub) == (((k,), 1),)
+
+
+@pytest.mark.parametrize(
+    "system,selector",
+    [case for case in SELECTORS if "," not in case[1]],
+    ids=[f"{s.kind}-{sel}" for s, sel in SELECTORS if "," not in sel],
+)
+def test_rank_one_selectors_match_the_oracle_at_60_60(system, selector):
+    sub = _spec(system, selector)
+    w = weight(system, (60, 60))
+    assert restrict_rep(w, sub).factors == _oracle_factors(w, sub)
+
+
+def test_negative_roots_branch_as_their_positives():
+    # -beta spans beta's sl2, so the highest weights are the same
+    for system, roots in ((C2, [(0, -1), (2, 1)]), (C2, [(-1, -1)]), (A2, [(-1, 0)])):
+        sub = make_subalgebra(system, roots)
+        for top in ((0, 0), (1, 0), (2, 3), (5, 1)):
+            w = weight(system, top)
+            assert restrict_rep(w, sub).factors == _oracle_factors(w, sub), (roots, top)
+
+
+def test_same_length_conjugation_follows_the_cartan_data():
+    # each root is W-conjugate to the simple root of its half squared length,
+    # read off the Cartan data: the orbit of its fundamental coordinates holds it
+    for system in (A1, A2, C2):
+        for beta, entry in system.root_table.items():
+            simple = _same_length_simple(system, beta)
+            assert simple in system.simple_roots
+            assert system.root_table[simple].half_norm == entry.half_norm
+            orbit = {x for (x,) in _orbit(system, (entry.fundamental,))}
+            assert system.root_table[simple].fundamental in orbit, (system.kind, beta)
+    a1, a2 = C2.simple_roots
+    assert [_same_length_simple(C2, r) for r in C2.positive_roots] == [a1, a2, a1, a2]
+    assert {_same_length_simple(A2, r) for r in A2.root_table} == {A2.simple_roots[0]}
+
+
+def test_a_planted_numerator_fault_is_a_verification_error(monkeypatch):
+    real = tightmaps.branching._weyl_numerator
+    w = weight(C2, (2, 3))
+    for sub in (sub_c2_short(), sub_c2_pair()):
+        top_term = tuple(t + 1 for t in w.coords)
+        for fault in (lambda n: {**n, top_term: -1},
+                      lambda n: {x: c for x, c in n.items() if x != top_term}):
+            monkeypatch.setattr(tightmaps.branching, "_weyl_numerator",
+                                lambda system, top, fault=fault: fault(real(system, top)))
+            with pytest.raises(VerificationError, match=r"C2 \(2, 3\) on .*not divisible by"):
+                restrict_rep(w, sub)
 
 
 def _greedy_peel(values):

@@ -231,14 +231,16 @@ def test_sweep_builds_no_signatures_inside_branching(monkeypatch):
 
 
 def test_branching_memo_keys_on_the_subalgebra_value(monkeypatch):
-    # a spec patched after a branching was memoised is branched afresh
-    spec, patched = classify_module._subalgebra("su21", "a1"), _doubled_su21_a1()
-    top = classify_module._rank2_weight("su21", (1, 0))
+    # a spec patched after a branching was memoised is branched afresh: here
+    # the short root a1+a2 is patched to the long simple root a2
+    spec = classify_module._subalgebra("sp4", "a1+a2")
+    patched = spec._replace(roots_b=((0, 1),))
+    top = classify_module._rank2_weight("sp4", (0, 1))
     classify_module._branching.cache_clear()
     calls = _count_restrict_rep(monkeypatch)
-    assert classify_module._branching(top, spec).factors == (((1,), 1), ((0,), 1))
-    assert classify_module._branching(top, spec).factors == (((1,), 1), ((0,), 1))
-    assert classify_module._branching(top, patched).factors == (((2,), 1),)
+    assert classify_module._branching(top, spec).factors == (((2,), 1), ((0,), 2))
+    assert classify_module._branching(top, spec).factors == (((2,), 1), ((0,), 2))
+    assert classify_module._branching(top, patched).factors == (((1,), 2), ((0,), 1))
     assert calls == [(top, spec), (top, patched)]
 
 

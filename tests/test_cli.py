@@ -2,12 +2,15 @@
 
 import hashlib
 import json
+import re
 
 import pytest
 
 import tightmaps.branching
 import tightmaps.classify
 import tightmaps.kahler
+import tightmaps.rootsys
+from tightmaps.classify import cross_check, sweep
 from tightmaps.cli import (
     OK,
     USAGE_ERROR,
@@ -414,6 +417,45 @@ def test_out_to_unwritable_path_is_a_validation_error(tmp_path, capsys):
     assert "Traceback" not in err and out == ""
 
 
+def test_unwritable_out_is_refused_before_the_command_runs(monkeypatch, tmp_path, capsys):
+    def never(*args):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr(tightmaps.cli, "sweep", never)
+    for target in (tmp_path / "missing" / "r.json", tmp_path):
+        code, out, err = run(
+            capsys, "sweep", "--algebra", "sp4", "--max", "20", "--out", str(target)
+        )
+        assert code == VALIDATION_ERROR and out == ""
+        assert err.startswith(f"validation error: cannot write report to {target}: ")
+
+
+def test_a_failed_command_creates_no_out_file(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(tightmaps.classify, "theorem_tight", lambda algebra, w: w == (0, 1))
+    target = tmp_path / "r.json"
+    code, out, _ = run(capsys, "sweep", "--algebra", "sp4", "--max", "2", "--out", str(target))
+    assert code == VERIFICATION_FAILURE and out == ""
+    assert not target.exists()
+
+
+def test_the_command_path_builds_no_multiplicity_table(capsys):
+    # branchings divide the Weyl numerator and witnesses test weights by
+    # dominance, so no command builds a Freudenthal table
+    table = tightmaps.rootsys._multiplicity_table
+    table.cache_clear()
+    tightmaps.classify._branching.cache_clear()
+    sweep("sp4", 8)
+    sweep("su21", 9)
+    sweep("sp4su11", 6)
+    cross_check("sp4", (120, 120))
+    for algebra, weight, sub in (("sp4", "3,2", "a1+a2"), ("sp4", "1,0", "a2,2a1+a2"),
+                                 ("su21", "1,0", "a1"), ("su11", "4", "a1")):
+        code, _, _ = run(capsys, "branch", "--algebra", algebra, "--weight", weight,
+                         "--sub", sub, "--format", "json")
+        assert code == OK
+    assert table.cache_info().misses == 0
+
+
 def test_failed_exactness_check_is_a_verification_failure(monkeypatch, capsys):
     monkeypatch.setattr(tightmaps.branching, "dimension", lambda highest: 0)
     code, _, err = run(
@@ -432,18 +474,25 @@ def test_failed_exactness_check_is_a_verification_failure(monkeypatch, capsys):
     ],
 )
 def test_corrupted_evaluation_multiset_is_a_verification_failure(monkeypatch, capsys, argv):
-    real = tightmaps.branching.evaluation_multiset
+    # a fault planted in the Weyl numerator that branching divides: the top
+    # term's sign flipped, or that term dropped
+    real = tightmaps.branching._weyl_numerator
+    faults = (
+        lambda terms, top: {**terms, top: -terms[top]},
+        lambda terms, top: {x: c for x, c in terms.items() if x != top},
+    )
+    for fault in faults:
+        def corrupted(system, top, fault=fault):
+            return fault(real(system, top), tuple(t + 1 for t in top))
 
-    def corrupted(highest, sub):
-        values = real(highest, sub)
-        values[max(values)] += 1
-        return values
-
+        tightmaps.classify._branching.cache_clear()
+        monkeypatch.setattr(tightmaps.branching, "_weyl_numerator", corrupted)
+        code, out, err = run(capsys, *argv)
+        assert code == VERIFICATION_FAILURE and out == ""
+        # the kind, the top, B and the root
+        assert re.fullmatch(r"verification failure: branching C2 \(\d+, \d+\) on [a0-9+,]+: "
+                            r"the Weyl numerator is not divisible by 1 - e\^-\([a0-9+]+\)\n", err)
     tightmaps.classify._branching.cache_clear()
-    monkeypatch.setattr(tightmaps.branching, "evaluation_multiset", corrupted)
-    code, out, err = run(capsys, *argv)
-    assert code == VERIFICATION_FAILURE and out == ""
-    assert err.startswith("verification failure: ")
 
 
 def test_branch_checks_dimensions_after_a_sweep_branched_the_same_top(monkeypatch, capsys):

@@ -16,8 +16,9 @@ from tightmaps.rootsys import (
     _multiplicity_table,
     build_root_system,
     dimension,
+    dominant_multiplicities,
     eval_on_coroot,
-    multiplicity,
+    is_weight,
     weight,
     weight_multiplicities,
     weyl_orbit,
@@ -592,6 +593,43 @@ def test_support_size_matches_picks_theorem(system):
         twice_area = abs(sum(x0 * y1 - x1 * y0 for (x0, y0), (x1, y1) in edges))
         boundary = sum(math.gcd(x1 - x0, y1 - y0) for (x0, y0), (x1, y1) in edges)
         assert len(weight_support(weight(system, top))) == (twice_area + boundary) // 2 + 1, top
+
+
+def multiplicity(highest, mu):
+    """Multiplicity of the int coordinates ``mu``, reflected to dominant; 0 off the support.
+
+    The table lookup that ``is_weight`` replaced on the command path.
+    """
+    columns = list(zip(*highest.system.cartan_matrix))
+    while min(mu) < 0:
+        i = mu.index(min(mu))
+        mu = tuple(m - mu[i] * c for m, c in zip(mu, columns[i]))
+    return dominant_multiplicities(highest).get(mu, 0)
+
+
+@pytest.mark.parametrize("system", (A2, C2), ids=lambda s: s.kind)
+def test_is_weight_is_table_membership(system):
+    # every top with coordinates up to 20, against every dominant weight of
+    # a box past the top's dominant weights: the keys of the Freudenthal table
+    for top in itertools.product(range(21), repeat=2):
+        table = _multiplicity_table(system, top)
+        bound = max(max(mu) for mu in table) + 3
+        highest = weight(system, top)
+        found = {mu for mu in itertools.product(range(bound), repeat=2)
+                 if is_weight(highest, mu)}
+        assert found == set(table), top
+    for top in itertools.product(range(9), repeat=2):  # and every weight of a +-12 box
+        highest = weight(system, top)
+        for mu in itertools.product(range(-12, 13), repeat=2):
+            assert is_weight(highest, mu) == bool(multiplicity(highest, mu)), (top, mu)
+    _multiplicity_table.cache_clear()
+
+
+def test_is_weight_on_a1_and_bad_input():
+    highest = weight(A1, (5,))
+    assert [k for k in range(-7, 8) if is_weight(highest, (k,))] == [-5, -3, -1, 1, 3, 5]
+    with pytest.raises(ValueError, match="not dominant"):
+        is_weight(weight(A2, (-1, 0)), (0, 0))
 
 
 @pytest.mark.parametrize("system", (A2, C2), ids=lambda s: s.kind)

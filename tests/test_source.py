@@ -43,6 +43,18 @@ def test_no_package_module_expands_a_multiset():
     assert found == []
 
 
+def test_no_package_module_peels_strings():
+    # branching divides the Weyl numerator; the string peel of the Freudenthal
+    # evaluation multiset is only the oracle in tests/test_branching.py
+    found = [
+        f"{path.name}:{n.lineno}"
+        for path, tree in _package_trees()
+        for n in ast.walk(tree)
+        if isinstance(n, ast.FunctionDef) and n.name == "_peel_strings"
+    ]
+    assert found == []
+
+
 def test_submodule_import_yields_the_module():
     import tightmaps.classify as module
 
