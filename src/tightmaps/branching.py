@@ -13,7 +13,6 @@ copies; even-witness candidates are tested for membership by dominance.
 
 from __future__ import annotations
 
-import math
 import operator
 import re
 from collections import Counter
@@ -172,7 +171,12 @@ class BranchingResult(NamedTuple):
 
     @property
     def factor_dimension(self) -> int:
-        return sum(n * math.prod(m + 1 for m in factor) for factor, n in self.factors)
+        total = 0
+        for factor, n in self.factors:
+            for m in factor:
+                n *= m + 1
+            total += n
+        return total
 
 
 def evaluation_multiset(highest: WeightVector, sub: SubalgebraSpec) -> Counter:
@@ -200,35 +204,49 @@ def evaluation_multiset(highest: WeightVector, sub: SubalgebraSpec) -> Counter:
 
 
 def _weyl_numerator(system: RootSystemData, top: tuple[int, ...]) -> dict[tuple, int]:
-    """A(top + rho) as {w(top + rho): eps(w)}; eps(w) is -1 to the length of w,
-    the number of positive coroots negative on w(top + rho)."""
-    coroots = [system.root_table[r].coroot for r in system.positive_roots]
-    start = tuple(t + 1 for t in top)
-    return {x: (-1) ** sum(sum(map(operator.mul, x, c)) < 0 for c in coroots)
-            for (x,) in _orbit(system, (start,))}
+    """A(top + rho) as {w(top + rho): eps(w)}, walked from top + rho by the
+    simple reflections in turn, each of which flips eps: in the dihedral W of
+    rank at most two the walk meets every w once in |W| steps.  top + rho is
+    regular, so its orbit is free; an orbit short of |W| points raises."""
+    columns = list(zip(*system.cartan_matrix))
+    x = tuple([t + 1 for t in top])
+    terms: dict[tuple, int] = {}
+    for step in range(system.weyl_order):
+        terms[x] = -1 if step % 2 else 1
+        i = step % len(columns)
+        xi = x[i]
+        x = tuple([a - xi * c for a, c in zip(x, columns[i])])  # s_i x = x - x_i alpha_i
+    if len(terms) != system.weyl_order:
+        raise VerificationError(
+            f"the orbit of {system.kind} {top} + rho has {len(terms)} points, "
+            f"not |W| = {system.weyl_order}"
+        )
+    return terms
 
 
 def _divide(values: dict[tuple, int], alpha: tuple[int, int]) -> dict[tuple, int] | None:
     """``values`` / (1 - e^-alpha) in rank two, or None when it is not exact.
 
     Q(mu) = values(mu) + Q(mu + alpha) is a running sum down each alpha-line,
-    exact iff every line sums to 0.  A line is keyed by its point whose
-    coordinate i, one with alpha_i > 0, lies in [0, alpha_i)."""
+    exact iff every line sums to 0.  The points of ``values`` are taken in
+    descending coordinate i, one with alpha_i > 0, so the sum from above has
+    reached each of them; from there it is written down the line to just
+    above its next point.  A sum still running below the lowest coordinate i
+    of ``values`` is a line that does not sum to 0."""
     a0, a1 = alpha
     i = 0 if a0 >= a1 else 1
-    lines: dict[tuple, dict[int, int]] = {}
-    for x, c in values.items():
-        k = x[i] // alpha[i]
-        lines.setdefault((x[0] - k * a0, x[1] - k * a1), {})[k] = c
-    out = {}
-    for (y0, y1), line in lines.items():
-        total = 0
-        for k in range(max(line), min(line) - 1, -1):
-            total += line.get(k, 0)
-            if total:
-                out[y0 + k * a0, y1 + k * a1] = total
-        if total:
-            return None
+    order = sorted(values, key=operator.itemgetter(i), reverse=True)
+    floor = order[-1][i] if order else 0
+    out: dict[tuple, int] = {}
+    for x in order:
+        total = values[x] + out.get((x[0] + a0, x[1] + a1), 0)
+        while total:
+            out[x] = total
+            x = (x[0] - a0, x[1] - a1)
+            if x in values:
+                break  # the point below takes the sum on
+            if x[i] < floor:
+                return None
     return out
 
 
@@ -236,6 +254,12 @@ def _same_length_simple(system: RootSystemData, beta: Root) -> Root:
     """The simple root of beta's length; in A1, A2 and C2 it is W-conjugate to beta."""
     half = system.root_table[beta].half_norm
     return next(a for a in system.simple_roots if system.root_table[a].half_norm == half)
+
+
+def _failure(highest: WeightVector, sub: SubalgebraSpec, message: str) -> VerificationError:
+    return VerificationError(
+        f"branching {highest.system.kind} {highest.coords} on {selector_of(sub.roots_b)}: {message}"
+    )
 
 
 def restrict_rep(highest: WeightVector, sub: SubalgebraSpec) -> BranchingResult:
@@ -254,29 +278,36 @@ def restrict_rep(highest: WeightVector, sub: SubalgebraSpec) -> BranchingResult:
     roots_b = tuple(max(r, tuple(-c for c in r)) for r in sub.roots_b)  # the positive of +-beta
     if sub.rank == 1:
         roots_b = (_same_length_simple(system, roots_b[0]),)
-    where = f"branching {system.kind} {top} on {selector_of(sub.roots_b)}"
+    divisors = [r for r in system.positive_roots if r not in roots_b]
+    if not divisors:  # B is all of A1: the restriction is the irreducible itself
+        return BranchingResult(((top, 1),))
     quotient = _weyl_numerator(system, top)
-    for root in system.positive_roots:
-        if root not in roots_b:
-            quotient = _divide(quotient, system.root_table[root].fundamental)
-            if quotient is None:
-                raise VerificationError(
-                    f"{where}: the Weyl numerator is not divisible by 1 - e^-({_root_name(root)})"
-                )
+    for root in divisors:
+        quotient = _divide(quotient, system.root_table[root].fundamental)
+        if quotient is None:
+            raise _failure(highest, sub, "the Weyl numerator is not divisible by "
+                                         f"1 - e^-({_root_name(root)})")
     rows = [system.root_table[r].coroot for r in roots_b]
+    # the B-dominant points, each with its factor <x - rho, beta^vee> per root
+    # of B: the second coroot row is evaluated only where the first passes
+    if len(rows) == 1:
+        ((p0, p1),) = rows
+        dominant = (((f,), c) for (x0, x1), c in quotient.items()
+                    if (f := p0 * x0 + p1 * x1 - p0 - p1) >= 0)
+    else:
+        (p0, p1), (q0, q1) = rows
+        dominant = (((f, g), c) for (x0, x1), c in quotient.items()
+                    if (f := p0 * x0 + p1 * x1 - p0 - p1) >= 0
+                    and (g := q0 * x0 + q1 * x1 - q0 - q1) >= 0)
     counts: dict[tuple[int, ...], int] = {}
-    for x, c in quotient.items():
-        factor = tuple([sum(map(operator.mul, x, row)) - sum(row) for row in rows])  # x - rho
-        if min(factor) >= 0:
-            if c < 0:
-                raise VerificationError(f"{where}: factor {factor} counts {c} copies")
-            counts[factor] = counts.get(factor, 0) + c
+    for factor, c in dominant:
+        if c < 0:
+            raise _failure(highest, sub, f"factor {factor} counts {c} copies")
+        counts[factor] = counts.get(factor, 0) + c
     result = BranchingResult(tuple(sorted(counts.items(), reverse=True)))
-    if result.factor_dimension != dimension(highest):
-        raise VerificationError(
-            "branching lost dimensions: "
-            f"{result.factor_dimension} != {dimension(highest)}"
-        )
+    found, expected = result.factor_dimension, dimension(highest)
+    if found != expected:
+        raise VerificationError(f"branching lost dimensions: {found} != {expected}")
     return result
 
 

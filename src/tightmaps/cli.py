@@ -12,6 +12,7 @@ import argparse
 import errno
 import json
 import os
+import re
 import sys
 import time
 from fractions import Fraction
@@ -81,8 +82,36 @@ def build_report(command: str, params: dict, rows: list, agreement: bool,
     }
 
 
+class Runs:
+    """An array held as (value, count) runs: each value stands count times in a row."""
+
+    def __init__(self, pairs):
+        self.pairs = tuple(pairs)
+
+    def expand(self) -> list:
+        return [value for value, count in self.pairs for _ in range(count)]
+
+
 def to_json(report: dict) -> str:
-    return json.dumps(report, indent=2)
+    """``json.dumps(report, indent=2)`` of the expanded report.  A ``Runs``
+    array is written a run at a time: its value's indented text is made once
+    and repeated count times."""
+    runs: list[Runs] = []
+
+    def stub(value: Runs) -> str:  # a placeholder string, written as "\u0000<n>"
+        runs.append(value)
+        return f"\0{len(runs) - 1}"
+
+    def write(match) -> str:  # groups: the line's indent, the text before the stub, its index
+        head, indent = match[1] + match[2], "\n" + " " * (len(match[1]) + 2)
+        items = "".join(
+            (indent + json.dumps(value, indent=2).replace("\n", indent) + ",") * count
+            for value, count in runs[int(match[3])].pairs
+        )
+        return f"{head}[{items[:-1]}\n{match[1]}]" if items else f"{head}[]"
+
+    text = json.dumps(report, indent=2, default=stub)
+    return re.sub(r'(?m)^( *)(.*)"\\u0000(\d+)"', write, text) if runs else text
 
 
 def to_markdown(report: dict) -> str:
@@ -100,7 +129,7 @@ def to_markdown(report: dict) -> str:
         lines.append("| " + " | ".join(keys) + " |")
         lines.append("|" + "---|" * len(keys))
         for row in rows:
-            cells = [json.dumps(row.get(k)) for k in keys]
+            cells = [json.dumps(row.get(k), default=Runs.expand) for k in keys]
             lines.append("| " + " | ".join(cells) + " |")
     lines.append("")
     for k, v in report.items():
@@ -181,7 +210,7 @@ def cmd_branch(args) -> dict:
     top = weight(system, coords)
     sub = make_subalgebra(system, parse_subalgebra_selector(system, args.sub))
     # each distinct factor's signature (p, q) is read once, and its wire value
-    # is repeated once per copy; rank-one factors are written as bare ints
+    # is written once per copy; rank-one factors are written as bare ints
     signature = sym_power_signature if sub.rank == 1 else tensor_signature
     wire = [(f[0] if sub.rank == 1 else list(f), list(signature(*f)), n)
             for f, n in restrict_rep(top, sub).factors]
@@ -191,8 +220,8 @@ def cmd_branch(args) -> dict:
         "weight": list(coords),
         "subalgebra": args.sub,
         "target": "x".join(["sl2"] * sub.rank),
-        "factors": [value for value, _, n in wire for _ in range(n)],
-        "signatures": [sig for _, sig, n in wire for _ in range(n)],
+        "factors": Runs((value, n) for value, _, n in wire),
+        "signatures": Runs((sig, n) for _, sig, n in wire),
         "even_witness": witness,
     }
     return build_report(

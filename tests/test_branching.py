@@ -2,6 +2,7 @@
 
 import itertools
 import operator
+import re
 from collections import Counter
 
 import pytest
@@ -12,6 +13,7 @@ from tightmaps.branching import (
     SubalgebraError,
     _same_length_simple,
     _span_roots,
+    _weyl_numerator,
     evaluation_multiset,
     even_witness,
     make_subalgebra,
@@ -265,6 +267,39 @@ def test_same_length_conjugation_follows_the_cartan_data():
     assert {_same_length_simple(A2, r) for r in A2.root_table} == {A2.simple_roots[0]}
 
 
+def _counting_numerator(system, top):
+    """A(top + rho) from the orbit of top + rho, eps(w) being -1 to the number
+    of positive coroots negative on w(top + rho): the numerator the sign walk
+    replaced, kept as its oracle."""
+    coroots = [system.root_table[r].coroot for r in system.positive_roots]
+    start = tuple(t + 1 for t in top)
+    return {x: (-1) ** sum(sum(map(operator.mul, x, c)) < 0 for c in coroots)
+            for (x,) in _orbit(system, (start,))}
+
+
+def test_sign_walk_numerator_matches_the_coroot_counting_oracle():
+    for system in (A1, A2, C2):
+        tops = itertools.product(range(21), repeat=system.rank)
+        for top in (t for t in tops if sum(t) <= 20):
+            numerator = _weyl_numerator(system, top)
+            assert numerator == _counting_numerator(system, top), (system.kind, top)
+            assert len(numerator) == system.weyl_order
+
+
+@pytest.mark.parametrize("system,top,points", [(A1, (-1,), 1), (A2, (-1, 2), 3), (C2, (3, -1), 4)],
+                         ids=["A1", "A2", "C2"])
+def test_a_short_numerator_orbit_is_a_verification_error(system, top, points):
+    # top + rho on a wall has a stabiliser, so the walk closes early
+    message = re.escape(f"the orbit of {system.kind} {top} + rho has {points} points, "
+                        f"not |W| = {system.weyl_order}")
+    with pytest.raises(VerificationError, match=message):
+        _weyl_numerator(system, top)
+    if system.rank == 2:
+        sub = make_subalgebra(system, [system.positive_roots[-1]])
+        with pytest.raises(VerificationError, match=message):
+            restrict_rep(weight(system, top), sub)
+
+
 def test_a_planted_numerator_fault_is_a_verification_error(monkeypatch):
     real = tightmaps.branching._weyl_numerator
     w = weight(C2, (2, 3))
@@ -276,6 +311,23 @@ def test_a_planted_numerator_fault_is_a_verification_error(monkeypatch):
                                 lambda system, top, fault=fault: fault(real(system, top)))
             with pytest.raises(VerificationError, match=r"C2 \(2, 3\) on .*not divisible by"):
                 restrict_rep(w, sub)
+
+
+def test_a_negated_numerator_is_a_negative_count(monkeypatch):
+    # -A(lambda + rho) divides exactly, so the read-out's sign check must catch it
+    real = tightmaps.branching._weyl_numerator
+    monkeypatch.setattr(tightmaps.branching, "_weyl_numerator",
+                        lambda system, top: {x: -c for x, c in real(system, top).items()})
+    for system, sub in ((C2, sub_c2_short()), (C2, sub_c2_pair()), (A2, sub_a2())):
+        with pytest.raises(VerificationError, match=rf"^branching {system.kind} \(2, 3\) on "
+                                                    r"[a0-9+,]+: factor \([0-9, ]+\) counts -1 copies$"):
+            restrict_rep(weight(system, (2, 3)), sub)
+
+
+def test_an_empty_numerator_loses_every_dimension(monkeypatch):
+    monkeypatch.setattr(tightmaps.branching, "_weyl_numerator", lambda system, top: {})
+    with pytest.raises(VerificationError, match="^branching lost dimensions: 0 != 16$"):
+        restrict_rep(weight(C2, (1, 1)), sub_c2_short())
 
 
 def _greedy_peel(values):

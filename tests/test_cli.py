@@ -16,6 +16,8 @@ from tightmaps.cli import (
     USAGE_ERROR,
     VALIDATION_ERROR,
     VERIFICATION_FAILURE,
+    Runs,
+    build_report,
     main,
     make_parser,
     to_json,
@@ -210,6 +212,18 @@ def test_handlers_return_the_report_and_main_finishes_it(capsys, command):
     code, doc, _ = run_json(capsys, *command.split())
     assert code == OK and list(doc)[-1] == "timing_ms"
     assert {k: v for k, v in doc.items() if k != "timing_ms"} == json.loads(to_json(report))
+
+
+def test_runs_are_written_as_their_expansion():
+    # each run's text is made once and repeated, nested values re-indented
+    def report(factors, empty):
+        return build_report("branch", {"sub": "a1"}, [{"factors": factors, "none": empty}], True)
+
+    pairs = [([2, 1], 3), (0, 2), ({"p": [1, 0]}, 1), ([2, 1], 1)]
+    runs, expanded = report(Runs(pairs), Runs([])), report(Runs(pairs).expand(), [])
+    assert expanded["rows"][0]["factors"][2:4] == [[2, 1], 0]
+    assert to_json(runs) == json.dumps(expanded, indent=2)
+    assert to_markdown(runs) == to_markdown(expanded)
 
 
 @pytest.mark.parametrize(
@@ -473,7 +487,7 @@ def test_failed_exactness_check_is_a_verification_failure(monkeypatch, capsys):
         ("sweep", "--algebra", "sp4", "--max", "2"),
     ],
 )
-def test_corrupted_evaluation_multiset_is_a_verification_failure(monkeypatch, capsys, argv):
+def test_a_planted_weyl_numerator_fault_is_a_verification_failure(monkeypatch, capsys, argv):
     # a fault planted in the Weyl numerator that branching divides: the top
     # term's sign flipped, or that term dropped
     real = tightmaps.branching._weyl_numerator
