@@ -473,51 +473,6 @@ def sweep(algebra: str, bound: int) -> dict:
     return {"rows": rows, "counts": {"tight": tight, "nontight": len(rows) - tight}}
 
 
-# -- constraint infeasibility for rank-one into so*(2p) ----------------------
-
-
-class LemmaReduction(ValueError):
-    """The requested parameter is handled by a reduction, not the system."""
-
-
-def verify_su_n1_to_sostar(p: int) -> dict:
-    """Reconstruct the linear constraint system ruling out su(n,1) -> so*(2p).
-
-    For odd p >= 5: a tight map would branch over a maximal tube subalgebra
-    so*(2(p-1)) inside su(p-1,p-1) as k*(1,0) + (n-k)*(0,1) + l*(0,0)
-    pieces; tightness forces the degree-one multiplicity n = p - 1 while
-    the dimension count gives 3n + l = 2p.  Together: p - 3 + l = 0, which
-    contradicts l >= 0.  The verdict is a search of the line 3n + l = 2p,
-    n from 0 to floor(2p/3) so that l >= 0, for the point with n = p - 1.
-    """
-    if p % 2 == 0:
-        raise LemmaReduction(
-            f"p={p} is even: the target includes tightly into so*({2 * (p + 1)}), "
-            "so the question reduces to odd p"
-        )
-    if p == 3:
-        raise LemmaReduction(
-            "so*(6) is isomorphic to su(3,1); rank-one targets are handled "
-            "by the unitary classification"
-        )
-    if p < 3:
-        raise LemmaReduction(f"so*({2 * p}) is outside the Hermitian range")
-    line = range(2 * p // 3 + 1)  # the n with l = 2p - 3n >= 0
-    candidates, feasible = len(line), any(n == p - 1 for n in line)
-    if not candidates:
-        raise VerificationError(f"p={p}: the search examined no candidate (n, l)")
-    n = p - 1  # tightness pins the degree-one multiplicity
-    return {
-        "p": p,
-        "n": n,
-        "l": 2 * p - 3 * n,  # dimension count 3n + l = 2p
-        "constraints": ["n = p - 1", "3n + l = 2p", "l >= 0"],
-        "residual": "p - 3 + l = 0",
-        "candidates": candidates,
-        "infeasible": not feasible,
-    }
-
-
 # -- embedding reference table -----------------------------------------------
 
 

@@ -26,14 +26,12 @@ from .branching import (
 )
 from .classify import (
     ALGEBRAS,
-    LemmaReduction,
     TightnessVerdict,
     Witness,
     cross_check,
     root_system_for,
     sweep,
     validate_weight,
-    verify_su_n1_to_sostar,
 )
 from .errors import VerificationError
 from .rootsys import weight
@@ -45,6 +43,8 @@ VALIDATION_ERROR = 2
 VERIFICATION_FAILURE = 3
 
 _BRANCH_ALGEBRAS = ("sp4", "su11", "su21")
+_LEMMA_BLA_RANGE = "5:21"
+_BATCH_CHARS = 1 << 18  # the most text one write of a repeated run holds
 
 
 class _Parser(argparse.ArgumentParser):
@@ -92,26 +92,44 @@ class Runs:
         return [value for value, count in self.pairs for _ in range(count)]
 
 
-def to_json(report: dict) -> str:
-    """``json.dumps(report, indent=2)`` of the expanded report.  A ``Runs``
-    array is written a run at a time: its value's indented text is made once
-    and repeated count times."""
+def _run_pieces(pairs, indent: str):
+    """A ``Runs`` array's items, comma-separated, each on a line of its own
+    at ``indent``; each value's text is made once and repeated in batches."""
+    lead = ""  # no comma before the first item
+    for value, count in pairs:
+        item = indent + json.dumps(value, indent=2).replace("\n", indent)
+        per = max(1, _BATCH_CHARS // (len(item) + 1))
+        while count > 0:
+            n = min(count, per)
+            yield lead + item + ("," + item) * (n - 1)
+            lead, count = ",", count - n
+
+
+def json_pieces(report: dict):
+    """The text of ``json.dumps(report, indent=2)`` of the expanded report, in
+    pieces: a ``Runs`` array is written a run at a time, so no piece holds
+    more than one batch of it."""
     runs: list[Runs] = []
 
     def stub(value: Runs) -> str:  # a placeholder string, written as "\u0000<n>"
         runs.append(value)
         return f"\0{len(runs) - 1}"
 
-    def write(match) -> str:  # groups: the line's indent, the text before the stub, its index
-        head, indent = match[1] + match[2], "\n" + " " * (len(match[1]) + 2)
-        items = "".join(
-            (indent + json.dumps(value, indent=2).replace("\n", indent) + ",") * count
-            for value, count in runs[int(match[3])].pairs
-        )
-        return f"{head}[{items[:-1]}\n{match[1]}]" if items else f"{head}[]"
-
     text = json.dumps(report, indent=2, default=stub)
-    return re.sub(r'(?m)^( *)(.*)"\\u0000(\d+)"', write, text) if runs else text
+    done, close = 0, ""
+    # groups: the line's indent, the text before the stub, its index
+    for match in re.finditer(r'(?m)^( *)(.*)"\\u0000(\d+)"', text) if runs else ():
+        yield close + text[done:match.end(2)] + "["
+        pairs = runs[int(match[3])].pairs
+        yield from _run_pieces(pairs, "\n" + " " * (len(match[1]) + 2))
+        close = "\n" + match[1] + "]" if any(count > 0 for _, count in pairs) else "]"
+        done = match.end()
+    yield close + text[done:]
+
+
+def to_json(report: dict) -> str:
+    """``json.dumps(report, indent=2)`` of the expanded report."""
+    return "".join(json_pieces(report))
 
 
 def to_markdown(report: dict) -> str:
@@ -140,15 +158,18 @@ def to_markdown(report: dict) -> str:
 
 
 def _emit(report: dict, fmt: str, out: str | None) -> None:
-    text = to_json(report) if fmt == "json" else to_markdown(report)
-    if out:
-        try:
-            with open(out, "w") as fh:
-                fh.write(text)
-        except OSError as err:
-            raise ValueError(f"cannot write report to {out}: {err.strerror}") from err
-    else:
-        print(text)
+    """Write the report to ``out``, or to standard output with a final
+    newline, a piece at a time: a JSON report's ``Runs`` are never joined."""
+    pieces = json_pieces(report) if fmt == "json" else (to_markdown(report),)
+    if not out:
+        sys.stdout.writelines(pieces)
+        sys.stdout.write("\n")
+        return
+    try:
+        with open(out, "w") as fh:
+            fh.writelines(pieces)
+    except OSError as err:
+        raise ValueError(f"cannot write report to {out}: {err.strerror}") from err
 
 
 def _check_out(out: str) -> None:
@@ -232,70 +253,29 @@ def cmd_branch(args) -> dict:
     )
 
 
-def _verify_lemma_bla(args) -> dict:
-    lo, hi = _parse_p_range(args.p_range)
+def cmd_verify(args) -> dict:
+    from . import lemmas  # the batteries compile only for the command that runs them
+
+    # argparse's choices admit only the two targets
+    if args.target == "kahler-lemmas":
+        if args.p_range is not None:
+            raise ValueError("--p-range applies to lemma-bla only, not to kahler-lemmas")
+        rows, ok = lemmas.kahler_lemma_rows(kahler.run_lemma_fixtures())
+        return build_report("verify", {"target": "kahler-lemmas"}, rows, ok)
+    text = _LEMMA_BLA_RANGE if args.p_range is None else args.p_range
+    lo, hi = _parse_p_range(text)
     if lo < 4:
         # odd p >= 5 are checked and even p reduce to them, but nothing here
         # checks p <= 3, so a report over them could not claim agreement
         raise ValueError(
-            f"p-range {args.p_range} includes p < 4, which lemma-bla does not check: "
+            f"p-range {text} includes p < 4, which lemma-bla does not check: "
             "p = 1, 2 are not Hermitian and p = 3 is left to the unitary classification"
         )
     if (lo | 1) > hi:
         # even p only reduce to odd p + 1, so a range with no odd p checks nothing
-        raise ValueError(f"p-range {args.p_range} has no odd p >= 5 for lemma-bla to check")
-    rows = []
-    failed = False
-    for p in range(lo, hi + 1):
-        try:
-            result = verify_su_n1_to_sostar(p)
-        except LemmaReduction as reduction:
-            rows.append({"p": p, "status": "reduced", "reason": str(reduction)})
-            continue
-        status = "infeasible" if result["infeasible"] else "feasible"
-        failed = failed or not result["infeasible"]
-        rows.append(
-            {
-                "p": p,
-                "status": status,
-                "n": result["n"],
-                "l": result["l"],
-                "residual": result["residual"],
-            }
-        )
-    return build_report(
-        "verify",
-        {"target": "lemma-bla", "p_range": [lo, hi]},
-        rows,
-        not failed,
-    )
-
-
-def _verify_kahler(args) -> dict:
-    results = kahler.run_lemma_fixtures()
-    rows = []
-    for lemma in ("middle-factor", "product-target", "strict-positive"):
-        cases = [r for r in results if r["lemma"] == lemma]
-        rows.append(
-            {
-                "lemma": lemma,
-                "cases": len(cases),
-                "passed": sum(1 for r in cases if r["ok"]),
-            }
-        )
-    # a lemma with no cases checked nothing, so it fails
-    ok = all(r["ok"] for r in results) and all(row["cases"] for row in rows)
-    return build_report(
-        "verify",
-        {"target": "kahler-lemmas"},
-        rows,
-        ok,
-    )
-
-
-def cmd_verify(args) -> dict:
-    # argparse's choices admit only the two targets
-    return _verify_lemma_bla(args) if args.target == "lemma-bla" else _verify_kahler(args)
+        raise ValueError(f"p-range {text} has no odd p >= 5 for lemma-bla to check")
+    rows, ok = lemmas.lemma_bla_rows(lo, hi)
+    return build_report("verify", {"target": "lemma-bla", "p_range": [lo, hi]}, rows, ok)
 
 
 def _add_common(parser) -> None:
@@ -328,7 +308,7 @@ def make_parser() -> _Parser:
 
     p = sub.add_parser("verify", help="run the bundled verification batteries")
     p.add_argument("target", choices=("lemma-bla", "kahler-lemmas"))
-    p.add_argument("--p-range", default="5:21")
+    p.add_argument("--p-range", help=f"lemma-bla's range of p, a:b (default {_LEMMA_BLA_RANGE})")
     _add_common(p)
     p.set_defaults(run=cmd_verify)
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 import operator
-import random
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -218,140 +217,8 @@ def projection_leg(m: HomClassMap, i: int) -> HomClassMap:
                        m.denominator)
 
 
-# -- lemma fixtures -----------------------------------------------------------
-# Seeded random rational maps that check the composition lemmas as exact
-# statements; they back `verify kahler-lemmas` and the test suite.  Columns
-# are built as (numerators, denominator) pairs.
-
-
-def _random_factor(rng: random.Random) -> HermitianFactor:
-    choice = rng.randrange(4)
-    if choice == 0:
-        q = rng.randint(1, 3)
-        return su(q + rng.randint(0, 2), q)
-    if choice == 1:
-        return sp(2 * rng.randint(1, 4))
-    if choice == 2:
-        return so_star(2 * rng.randint(3, 6))
-    return so2n(rng.randint(3, 7))
-
-
-def _random_weights(rng: random.Random, factors: Factors, top: int) -> tuple[list[int], int]:
-    """One a/b per factor, 1 <= a, b <= top <= 9, as numerators over
-    2520 = lcm(1, ..., 9) (a drawn before b); and their rank sum."""
-    scaled = [rng.randint(1, top) * (2520 // rng.randint(1, top)) for _ in factors]
-    return scaled, sum(x * f.rank for x, f in zip(scaled, factors))
-
-
-def _random_leg(rng: random.Random, source: Factors, target: HermitianFactor, tight: bool,
-                sign: int = 0) -> tuple[tuple[int, ...], int]:
-    """Column of pullback coefficients with, or strictly below, full norm;
-    every entry has the given sign, or a random one when ``sign`` is 0."""
-    raw, total = _random_weights(rng, source, 9)
-    signs = [sign or rng.choice((1, -1)) for _ in source]
-    u, v = (1, 1) if tight else (rng.randint(1, 3), 4)  # the share of the budget spent
-    return tuple(s * r * target.rank * u for s, r in zip(signs, raw)), v * total
-
-
-def _from_columns(columns) -> tuple[Rows, int]:
-    """Matrix numerators over one denominator from (numerators, denominator) columns."""
-    d = math.lcm(*(cd for _, cd in columns))
-    return tuple(zip(*([n * (d // cd) for n in col] for col, cd in columns))), d
-
-
-def middle_factor_fixture(seed: int, tight_f: bool, tight_h: bool) -> dict:
-    """One f: G1 -> G2, h: G2 -> G3 fixture with G2 simple.
-
-    Checks that the composite is tight iff both legs are: the tight leg
-    h is built with the forced coefficient +-r3/r2.
-    """
-    rng = random.Random(seed)
-    source = tuple(_random_factor(rng) for _ in range(rng.randint(1, 3)))
-    middle = _random_factor(rng)
-    target = _random_factor(rng)
-    f = HomClassMap(source, (middle,), *_from_columns([_random_leg(rng, source, middle, tight_f)]))
-    sign = rng.choice((1, -1))
-    u, v = (1, 1) if tight_h else (rng.randint(1, 3), 4)
-    h = HomClassMap((middle,), (target,), ((sign * target.rank * u,),), middle.rank * v)
-    f_tight, h_tight, composite_tight = is_tight(f), is_tight(h), is_tight(compose(f, h))
-    return {
-        "lemma": "middle-factor",
-        "tight_f": f_tight,
-        "tight_h": h_tight,
-        "tight_composite": composite_tight,
-        "ok": composite_tight == (f_tight and h_tight),
-    }
-
-
-def product_target_fixture(seed: int, signs: tuple[int, ...]) -> dict:
-    """Map into a product: tight iff all legs tight and uniformly signed."""
-    rng = random.Random(seed)
-    source = tuple(_random_factor(rng) for _ in range(rng.randint(1, 2)))
-    target = tuple(_random_factor(rng) for _ in signs)
-    # uniform sign within each column, so every projection is positive or
-    # negative as a map; the cross-factor sign pattern is what varies
-    columns = [_random_leg(rng, source, tf, tight=True, sign=s) for s, tf in zip(signs, target)]
-    m = HomClassMap(source, target, *_from_columns(columns))
-    legs = [projection_leg(m, i) for i in range(len(target))]
-    legs_tight = all(is_tight(leg) for leg in legs)
-    uniform = (all(is_positive_map(leg) for leg in legs)
-               or all(is_negative_map(leg) for leg in legs))
-    tight = is_tight(m)
-    return {
-        "lemma": "product-target",
-        "signs": signs,
-        "tight": tight,
-        "legs_tight": legs_tight,
-        "uniform": uniform,
-        "ok": tight == (legs_tight and uniform),
-    }
-
-
-def strict_positive_fixture(seed: int) -> dict:
-    """Nontight f followed by strictly positive h stays nontight.
-
-    Also reproduces the strict inequality chain
-    sum lambda_i |mu_ij| r_j < sum lambda_i r_i <= r_L exactly.
-    """
-    rng = random.Random(seed)
-    source = tuple(_random_factor(rng) for _ in range(rng.randint(1, 3)))
-    middle = tuple(_random_factor(rng) for _ in range(rng.randint(1, 3)))
-    target = _random_factor(rng)
-    # f nontight: at least one strictly slack column
-    slack_at = rng.randrange(len(middle))
-    f = HomClassMap(source, middle, *_from_columns(
-        [_random_leg(rng, source, mf, tight=i != slack_at) for i, mf in enumerate(middle)]))
-    # h strictly positive, scaled into the target budget
-    lam, total = _random_weights(rng, middle, 5)
-    h = HomClassMap(middle, (target,), tuple((x * target.rank,) for x in lam), total)
-    composite = compose(f, h)
-    # the chain, as (numerator, denominator) pairs, is the norm of the pulled-back
-    # distinguished class along h o f, along h o |f| and along h, and r_L
-    absolute = HomClassMap(source, middle, tuple(tuple(map(abs, row)) for row in f.numerators),
-                           f.denominator)
-    chain = [(_pulled_norm(m), m.denominator) for m in (composite, compose(absolute, h), h)]
-    chain.append((target.rank, 1))
-    (a, b), (c, d), (e, g), (r, _) = chain
-    chain_ok = a * d <= c * b and c * g < e * d and e <= r * g
-    composite_nontight = not is_tight(composite)
-    return {
-        "lemma": "strict-positive",
-        "f_nontight": not is_tight(f),
-        "h_strictly_positive": is_strictly_positive_map(h),
-        "composite_nontight": composite_nontight,
-        "chain": [str(Fraction(n, den)) for n, den in chain],
-        "ok": chain_ok and composite_nontight,
-    }
-
-
 def run_lemma_fixtures(seed: int = 7, count: int = 25) -> list[dict]:
     """All lemma fixtures; every entry must come back with ok=True."""
-    results = []
-    for i in range(count):
-        for tf in (True, False):
-            for th in (True, False):
-                results.append(middle_factor_fixture(seed + 101 * i + 7 * tf + th, tf, th))
-        for signs in ((1,), (1, 1), (1, -1), (-1, -1), (1, 1, 1), (1, -1, 1)):
-            results.append(product_target_fixture(seed + 211 * i, signs))
-        results.append(strict_positive_fixture(seed + 307 * i))
-    return results
+    from . import lemmas  # only `verify` runs the seeded fixtures, so only it compiles them
+
+    return lemmas.run_fixtures(seed, count)

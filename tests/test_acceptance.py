@@ -5,7 +5,7 @@ Each criterion prints one PASS/FAIL line (visible with ``pytest -s``).
 
 from fractions import Fraction
 
-from tightmaps import kahler
+from tightmaps import kahler, lemmas
 from tightmaps.branching import make_subalgebra, parse_subalgebra_selector, restrict_rep
 from tightmaps.classify import (
     Witness,
@@ -16,8 +16,8 @@ from tightmaps.classify import (
     embedding_table,
     replay_witness,
     sweep,
-    verify_su_n1_to_sostar,
 )
+from tightmaps.lemmas import verify_su_n1_to_sostar
 from tightmaps.rootsys import (
     build_root_system,
     dimension,
@@ -186,11 +186,11 @@ def test_criterion_8_kahler_bookkeeping():
     for seed in range(20):
         for tf in (True, False):
             for th in (True, False):
-                result = kahler.middle_factor_fixture(4000 + seed, tf, th)
+                result = lemmas.middle_factor_fixture(4000 + seed, tf, th)
                 ok = ok and result["ok"] and result["tight_f"] == tf
     # strict-positivity propagation with the exact inequality chain
     for seed in range(20):
-        result = kahler.strict_positive_fixture(5000 + seed)
+        result = lemmas.strict_positive_fixture(5000 + seed)
         ok = ok and result["ok"]
         chain = [F(x) for x in result["chain"]]
         ok = ok and chain[0] <= chain[1] < chain[2] <= chain[3]

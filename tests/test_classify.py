@@ -13,7 +13,6 @@ from tightmaps.branching import SubalgebraSpec
 from tightmaps.classify import (
     ALGEBRAS,
     HOLOMORPHIC_WEIGHTS,
-    LemmaReduction,
     Witness,
     classify,
     constructive_verdict,
@@ -26,9 +25,9 @@ from tightmaps.classify import (
     theorem_tight,
     validate_weight,
     verdict_class_map,
-    verify_su_n1_to_sostar,
 )
 from tightmaps.errors import VerificationError
+from tightmaps.lemmas import LemmaReduction, verify_su_n1_to_sostar
 from tightmaps.su11 import (
     clebsch_gordan,
     sym_power_pairing,

@@ -9,6 +9,7 @@ import pytest
 import tightmaps.branching
 import tightmaps.classify
 import tightmaps.kahler
+import tightmaps.lemmas
 import tightmaps.rootsys
 from tightmaps.classify import cross_check, sweep
 from tightmaps.cli import (
@@ -16,8 +17,11 @@ from tightmaps.cli import (
     USAGE_ERROR,
     VALIDATION_ERROR,
     VERIFICATION_FAILURE,
+    _BATCH_CHARS,
     Runs,
+    _emit,
     build_report,
+    json_pieces,
     main,
     make_parser,
     to_json,
@@ -226,6 +230,21 @@ def test_runs_are_written_as_their_expansion():
     assert to_markdown(runs) == to_markdown(expanded)
 
 
+def test_a_long_run_is_written_in_bounded_pieces(tmp_path, capsys):
+    # _emit writes a report's pieces as they are made: no piece holds more
+    # than one batch of a run, and the pieces join to the expanded text
+    report = build_report("branch", {}, [{"factors": Runs([(0, 200_000), ([1, 2], 3)])}], True)
+    expected = json.dumps(build_report("branch", {}, [{"factors": [0] * 200_000 + [[1, 2]] * 3}],
+                                       True), indent=2)
+    pieces = list(json_pieces(report))
+    assert len(pieces) > 2 and max(map(len, pieces)) <= _BATCH_CHARS
+    assert "".join(pieces) == expected
+    _emit(report, "json", None)
+    assert capsys.readouterr().out == expected + "\n"
+    _emit(report, "json", str(tmp_path / "r.json"))
+    assert (tmp_path / "r.json").read_text() == expected
+
+
 @pytest.mark.parametrize(
     "sub,signature", [("a1+a2", "sym_power_signature"), ("a2,2a1+a2", "tensor_signature")]
 )
@@ -257,13 +276,13 @@ def test_verify_lemma_bla(capsys):
 
 
 def test_verify_lemma_bla_writes_the_report_of_a_feasible_row_and_exits_3(monkeypatch, capsys):
-    real = tightmaps.cli.verify_su_n1_to_sostar
+    real = tightmaps.lemmas.verify_su_n1_to_sostar
 
     def feasible_at_7(p):
         result = real(p)
         return dict(result, infeasible=False) if p == 7 else result
 
-    monkeypatch.setattr(tightmaps.cli, "verify_su_n1_to_sostar", feasible_at_7)
+    monkeypatch.setattr(tightmaps.lemmas, "verify_su_n1_to_sostar", feasible_at_7)
     code, doc, err = run_json(capsys, "verify", "lemma-bla", "--p-range", "5:9")
     assert code == VERIFICATION_FAILURE and err == ""
     assert doc["agreement"] is False
@@ -340,6 +359,11 @@ def test_exit_codes(capsys):
 
     code, _, err = run(capsys, "verify", "lemma-bla", "--p-range", "9:5")
     assert code == VALIDATION_ERROR
+
+    # only lemma-bla reads a range of p; kahler-lemmas refuses one rather than ignore it
+    code, out, err = run(capsys, "verify", "kahler-lemmas", "--p-range", "1:2")
+    assert code == VALIDATION_ERROR and out == ""
+    assert err.startswith("validation error: --p-range ")
 
     # branch validates its weight as classify does, naming the algebra
     code, out, err = run(

@@ -10,12 +10,11 @@ from typing import NamedTuple
 
 import pytest
 
-from tightmaps import kahler
+from tightmaps import kahler, lemmas
 from tightmaps.errors import VerificationError
 from tightmaps.kahler import (
     HermitianFactor,
     HomClassMap,
-    _random_leg,
     class_map,
     compose,
     distinguished_class,
@@ -26,17 +25,20 @@ from tightmaps.kahler import (
     is_strictly_positive,
     is_strictly_positive_map,
     is_tight,
-    middle_factor_fixture,
     norm,
-    product_target_fixture,
     projection_leg,
     pullback,
     run_lemma_fixtures,
     so2n,
     so_star,
     sp,
-    strict_positive_fixture,
     su,
+)
+from tightmaps.lemmas import (
+    _random_leg,
+    middle_factor_fixture,
+    product_target_fixture,
+    strict_positive_fixture,
 )
 
 F = Fraction
@@ -431,7 +433,7 @@ def test_planted_faults_in_a_tight_leg_are_caught():
     rng = random.Random(5)
     for _ in range(100):
         source, target = random_factors(rng, 3), oracle_random_factor(rng)
-        leg = HomClassMap(source, (target,), *kahler._from_columns(
+        leg = HomClassMap(source, (target,), *lemmas._from_columns(
             [_random_leg(rng, source, target, tight=True)]))
         assert is_tight(leg)
         j = rng.randrange(len(source))
@@ -466,6 +468,7 @@ def test_integer_paths_build_no_fractions(monkeypatch):
         maps.append((class_map(source, middle, random_rational_map(rng, source, middle)),
                      class_map(middle, target, random_rational_map(rng, middle, target))))
     monkeypatch.setattr(kahler, "Fraction", CountingFraction)
+    monkeypatch.setattr(lemmas, "Fraction", CountingFraction)
     for f, h in maps:
         composite = compose(f, h)
         HomClassMap(f.source, f.target, f.numerators, f.denominator)

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -150,18 +151,91 @@ def test_branching_imports_nothing_from_su11():
     assert _imports_of("su11", ("classify.py", "cli.py")) != []  # the check can see one
 
 
+def _fresh(code):
+    """Standard output of ``code`` run by a fresh interpreter.  ``-S`` skips
+    ``site``, whose ``.pth`` files may import modules (``certifi`` loads
+    ``random``, say) that the program itself does not."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])
+    ))
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    return out.stdout.strip()
+
+
 def test_fresh_cli_import_loads_neither_dataclasses_nor_inspect():
     code = (
         "import sys, tightmaps.cli\n"
         "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
     )
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])
-    ))
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    assert _fresh(code) == "[]"
+
+
+def test_fresh_cli_import_loads_every_traced_layer():
+    # the bench harness takes each layer module from sys.modules after
+    # `import tightmaps.cli`; a layer loaded later would fail a traced run
+    layers = _layer_functions()
+    code = (
+        "import sys, tightmaps.cli\n"
+        f"layers = {layers!r}\n"
+        "print(sorted(f'{layer}.{name}' for layer, names in layers.items() for name in names\n"
+        "             if not hasattr(sys.modules.get(f'tightmaps.{layer}'), name)))"
     )
-    assert out.stdout.strip() == "[]"
+    assert layers and _fresh(code) == "[]"
+
+
+@pytest.mark.parametrize("command,loaded", [
+    ("", False),  # the import alone
+    ("classify --algebra su11 --weight 3", False),
+    ("sweep --algebra sp4 --max 2", False),
+    ("branch --algebra sp4 --weight 1,1 --sub a1+a2", False),
+    ("verify kahler-lemmas", True),
+    ("verify lemma-bla", True),
+])
+def test_only_verify_loads_the_batteries(command, loaded):
+    # the lemma fixtures, the lemma-bla system and `random` are compiled and
+    # imported by the command that runs them, not by every start-up
+    code = (
+        "import contextlib, io, sys, tightmaps.cli as cli\n"
+        f"argv = {command.split()!r}\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = cli.main(argv) if argv else 0\n"
+        "print(code, sorted({'random', 'tightmaps.lemmas'} & set(sys.modules)))"
+    )
+    assert _fresh(code) == f"0 {['random', 'tightmaps.lemmas'] if loaded else []}"
+
+
+def test_traced_kahler_functions_count_every_battery_call(monkeypatch, capsys):
+    # the bench harness rebinds each wrapped name in every loaded package
+    # module before the command runs; the battery module, imported after
+    # that, must reach the wrappers
+    from tightmaps import cli, kahler
+
+    monkeypatch.delitem(sys.modules, "tightmaps.lemmas", raising=False)
+    monkeypatch.delattr(tightmaps, "lemmas", raising=False)
+    calls = Counter()
+
+    def traced(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    package = [mod for key, mod in sys.modules.items()
+               if key == "tightmaps" or key.startswith("tightmaps.")]
+    for name in ("run_lemma_fixtures", "compose"):
+        original = getattr(kahler, name)
+        wrapper = traced(name, original)
+        for mod in package:
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, wrapper)
+    assert cli.main(["verify", "kahler-lemmas", "--format", "json"]) == 0
+    assert '"agreement": true' in capsys.readouterr().out
+    # 25 rounds, each composing in four middle-factor and one strict-positive
+    # fixture, which composes twice
+    assert calls == {"run_lemma_fixtures": 1, "compose": 25 * 6}
 
 
 def test_no_record_is_rebuilt_past_its_validation():
