@@ -22,13 +22,13 @@ from .errors import VerificationError
 from .rootsys import (
     RootSystemData,
     WeightVector,
-    _dominant_depths,
+    _divide,
+    _dominant_weights,
     _orbit,
-    coroot_images,
+    _weyl_numerator,
     dimension,
-    dominant_multiplicities,
     is_weight,
-    orbit_size,
+    weight_multiplicities,
 )
 
 
@@ -42,8 +42,7 @@ Root = tuple[int, ...]  # simple-root coefficients
 class SubalgebraSpec(NamedTuple):
     system: RootSystemData
     roots_b: tuple[Root, ...]
-    # coroot rows of the distinct Weyl images of B, B's own rows first
-    coroot_images: tuple[tuple[tuple[int, ...], ...], ...]
+    coroots: tuple[tuple[int, ...], ...]  # the coroot row of each root of B
 
     @property
     def rank(self) -> int:
@@ -51,7 +50,7 @@ class SubalgebraSpec(NamedTuple):
 
     def evaluate(self, mu: tuple[int, ...]) -> list[int]:
         """<mu, beta^vee> for each beta in B, from int coordinates."""
-        return [sum(map(operator.mul, mu, row)) for row in self.coroot_images[0]]
+        return [sum(map(operator.mul, mu, row)) for row in self.coroots]
 
 
 def _span_roots(system: RootSystemData, roots: tuple[Root, ...]) -> tuple[Root, ...]:
@@ -121,7 +120,7 @@ def make_subalgebra(system: RootSystemData, roots) -> SubalgebraSpec:
         split = set(b) | {tuple(-c for c in r) for r in b}
         if set(_span_roots(system, b)) != split:
             raise SubalgebraError("rank-two subalgebra must split as two orthogonal sl2 blocks")
-    return SubalgebraSpec(system, b, coroot_images(system, b))
+    return SubalgebraSpec(system, b, tuple(system.root_table[r].coroot for r in b))
 
 
 _TERM_RE = re.compile(r"^(\d*)a([12])$")
@@ -180,73 +179,11 @@ class BranchingResult(NamedTuple):
 
 
 def evaluation_multiset(highest: WeightVector, sub: SubalgebraSpec) -> Counter:
-    """Coroot evaluations of every weight, with multiplicity: off the command
-    path, the input of the Freudenthal-and-peel oracle in the tests.
-
-    No orbit is listed: <w mu, beta^vee> = <mu, (w^-1 beta)^vee>, so the
-    orbit of a dominant mu evaluates as mu does against the n Weyl images of
-    B's coroot rows, and a key that c images give counts
-    c |Stab B| m(mu) / |W_mu| = c m(mu) |W mu| / n weights.
-    """
-    images = sub.coroot_images
+    """Coroot evaluations on B of every weight, with multiplicity: off the
+    command path, the input of the string-peel oracle in the tests."""
     out: Counter = Counter()
-    for mu, m in dominant_multiplicities(highest).items():
-        share, keys = m * orbit_size(highest.system, mu), {}
-        for rows in images:
-            key = tuple([sum(map(operator.mul, mu, r)) for r in rows])
-            keys[key] = keys.get(key, 0) + share
-        for key, total in keys.items():
-            weights, rest = divmod(total, len(images))
-            if rest:
-                raise VerificationError(f"{key} counts {total}/{len(images)} weights at {mu}")
-            out[key] += weights
-    return out
-
-
-def _weyl_numerator(system: RootSystemData, top: tuple[int, ...]) -> dict[tuple, int]:
-    """A(top + rho) as {w(top + rho): eps(w)}, walked from top + rho by the
-    simple reflections in turn, each of which flips eps: in the dihedral W of
-    rank at most two the walk meets every w once in |W| steps.  top + rho is
-    regular, so its orbit is free; an orbit short of |W| points raises."""
-    columns = list(zip(*system.cartan_matrix))
-    x = tuple([t + 1 for t in top])
-    terms: dict[tuple, int] = {}
-    for step in range(system.weyl_order):
-        terms[x] = -1 if step % 2 else 1
-        i = step % len(columns)
-        xi = x[i]
-        x = tuple([a - xi * c for a, c in zip(x, columns[i])])  # s_i x = x - x_i alpha_i
-    if len(terms) != system.weyl_order:
-        raise VerificationError(
-            f"the orbit of {system.kind} {top} + rho has {len(terms)} points, "
-            f"not |W| = {system.weyl_order}"
-        )
-    return terms
-
-
-def _divide(values: dict[tuple, int], alpha: tuple[int, int]) -> dict[tuple, int] | None:
-    """``values`` / (1 - e^-alpha) in rank two, or None when it is not exact.
-
-    Q(mu) = values(mu) + Q(mu + alpha) is a running sum down each alpha-line,
-    exact iff every line sums to 0.  The points of ``values`` are taken in
-    descending coordinate i, one with alpha_i > 0, so the sum from above has
-    reached each of them; from there it is written down the line to just
-    above its next point.  A sum still running below the lowest coordinate i
-    of ``values`` is a line that does not sum to 0."""
-    a0, a1 = alpha
-    i = 0 if a0 >= a1 else 1
-    order = sorted(values, key=operator.itemgetter(i), reverse=True)
-    floor = order[-1][i] if order else 0
-    out: dict[tuple, int] = {}
-    for x in order:
-        total = values[x] + out.get((x[0] + a0, x[1] + a1), 0)
-        while total:
-            out[x] = total
-            x = (x[0] - a0, x[1] - a1)
-            if x in values:
-                break  # the point below takes the sum on
-            if x[i] < floor:
-                return None
+    for mu, m in weight_multiplicities(highest).items():
+        out[tuple(sub.evaluate(mu.coords))] += m
     return out
 
 
@@ -334,8 +271,8 @@ def even_witness(
     def candidates():
         yield from (coords for coords in chain if is_weight(highest, coords))
         # the support: the orbits of the dominant weights, found by descent
-        yield from sorted((nu for mu in _dominant_depths(system, top)
-                           for (nu,) in _orbit(system, (mu,))), reverse=True)
+        yield from sorted((nu for mu in _dominant_weights(system, top)
+                           for nu in _orbit(system, mu)), reverse=True)
 
     for coords in candidates():
         for value in sub.evaluate(coords):

@@ -411,11 +411,17 @@ def replay_witness(verdict: TightnessVerdict) -> bool:
     already computed and checked.  Everything else is recomputed.
 
     A field the witness kind does not carry must be unset, and a set field
-    must have its schema type.
+    must have its schema type.  The verdict's flags are bound too:
+    ``holomorphic`` must be the reference flag, and only ``pairing`` and
+    ``reference_classification`` witnesses can certify a tight verdict.
     """
     wit = verdict.witness
     kind = wit.kind
     if kind not in _WITNESS_KINDS.get(verdict.algebra, ()) or not _wire_types_hold(wit):
+        return False
+    if verdict.holomorphic is not holomorphic_flag(verdict.algebra, verdict.weight):
+        return False
+    if verdict.tight and kind not in ("pairing", "reference_classification"):
         return False
     if kind == "zero_class":
         return wit == Witness(kind) and not any(verdict.weight)

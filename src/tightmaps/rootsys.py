@@ -8,9 +8,12 @@ coordinates in the fundamental-weight basis, both integer tuples.  Each
 system holds one integer table giving every root's coroot functional,
 fundamental coordinates and half squared length, and everything here runs
 on integers through it.  Membership of a weight is a dominance test, with
-no multiplicities; the Freudenthal table on the dominant weights is kept
-for multiplicity queries, off the commands' path.  A Euclidean realisation
-of the roots is the oracle the tests check the table against.
+no multiplicities.  One kernel, the Weyl numerator divided by 1 - e^-alpha
+(``_weyl_numerator`` and ``_divide``), gives both the branchings of
+``tightmaps.branching`` and, divided by every positive root, the character
+that multiplicity queries read, off the commands' path.  A Euclidean
+realisation of the roots, and Freudenthal's recursion, are the oracles the
+tests check these against.
 """
 
 from __future__ import annotations
@@ -182,7 +185,7 @@ def eval_on_coroot(w: WeightVector, root: tuple[int, ...]) -> int:
 
 def weyl_orbit(w: WeightVector) -> frozenset[WeightVector]:
     """Closure of ``w`` under all simple reflections."""
-    return frozenset(WeightVector(nu, w.system) for (nu,) in _orbit(w.system, (w.coords,)))
+    return frozenset(WeightVector(nu, w.system) for nu in _orbit(w.system, w.coords))
 
 
 def _require_dominant(w: WeightVector) -> None:
@@ -190,65 +193,36 @@ def _require_dominant(w: WeightVector) -> None:
         raise ValueError(f"weight {w.coords} is not dominant")
 
 
-def _orbit(system: RootSystemData, weights: tuple[tuple, ...]) -> list[tuple]:
-    """Closure of a tuple of weights under simultaneous simple reflections, itself first.
+def _orbit(system: RootSystemData, mu: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Closure of a weight under the simple reflections, itself first.
 
-    s_i subtracts x_i alpha_i from each weight x; alpha_i is column i of the Cartan matrix.
+    s_i subtracts x_i alpha_i from a weight x; alpha_i is column i of the Cartan matrix.
     """
     columns = list(zip(*system.cartan_matrix))
-    orbit, seen = [weights], {weights}
-    for xs in orbit:
+    orbit, seen = [mu], {mu}
+    for x in orbit:
         for i, column in enumerate(columns):
-            if any(x[i] for x in xs):
-                image = tuple(tuple([a - x[i] * c for a, c in zip(x, column)]) for x in xs)
+            if x[i]:
+                image = tuple([a - x[i] * c for a, c in zip(x, column)])
                 if image not in seen:
                     seen.add(image)
                     orbit.append(image)
     return orbit
 
 
-def coroot_images(system: RootSystemData, roots) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """Coroot rows of the distinct Weyl images of the root tuple ``roots``, itself first."""
-    by_weight = {entry.fundamental: entry for entry in system.root_table.values()}
-    start = tuple(system.root_table[r].fundamental for r in roots)
-    return tuple(tuple(by_weight[b].coroot for b in image) for image in _orbit(system, start))
-
-
-def _to_dominant(columns: list[tuple[int, ...]], mu: tuple, beta: tuple) -> tuple[tuple, tuple]:
-    """(w mu, w beta), w reflecting mu in its most negative coordinate until dominant."""
-    while min(mu) < 0:
-        i = mu.index(min(mu))
-        mi, bi, column = mu[i], beta[i], columns[i]
-        mu = tuple([m - mi * c for m, c in zip(mu, column)])
-        beta = tuple([b - bi * c for b, c in zip(beta, column)])
-    return mu, beta
-
-
-def orbit_size(system: RootSystemData, mu: tuple[int, ...]) -> int:
-    """|W| / |W_mu| for a dominant ``mu``.
-
-    W_mu is the parabolic subgroup on the zero coordinates of mu: all of W
-    when mu is 0, and otherwise, in rank at most two, one reflection per zero.
-    """
-    if not any(mu):
-        return 1
-    return system.weyl_order // 2 ** mu.count(0)
-
-
-def _dominant_depths(system: RootSystemData, top: tuple[int, ...]) -> dict[tuple, tuple]:
-    """The dominant weights of V(top), each with its depth top - mu in simple
-    roots.  Dominant mu < nu are joined by a chain of dominant weights whose
-    steps are positive roots (Stembridge, 1998), so descent reaches them all."""
+def _dominant_weights(system: RootSystemData, top: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The dominant weights of V(top), top first.  Dominant mu < nu are
+    joined by a chain of dominant weights whose steps are positive roots
+    (Stembridge, 1998), so descent reaches them all."""
     positive = [system.root_table[r].fundamental for r in system.positive_roots]
-    depths = {top: (0,) * system.rank}
-    found = [top]
+    found, seen = [top], {top}
     for mu in found:
-        for root, fundamental in zip(system.positive_roots, positive):
+        for fundamental in positive:
             cand = tuple(map(operator.sub, mu, fundamental))
-            if min(cand) >= 0 and cand not in depths:
-                depths[cand] = tuple(map(operator.add, depths[mu], root))
+            if min(cand) >= 0 and cand not in seen:
+                seen.add(cand)
                 found.append(cand)
-    return depths
+    return found
 
 
 def is_weight(highest: WeightVector, mu: tuple[int, ...]) -> bool:
@@ -257,7 +231,11 @@ def is_weight(highest: WeightVector, mu: tuple[int, ...]) -> bool:
     simple roots) has n >= 0 integral (Humphreys, section 21.3)."""
     _require_dominant(highest)
     cartan = highest.system.cartan_matrix
-    mu, _ = _to_dominant(list(zip(*cartan)), tuple(mu), tuple(mu))
+    columns, mu = list(zip(*cartan)), tuple(mu)
+    while min(mu) < 0:  # reflect in the most negative coordinate
+        i = mu.index(min(mu))
+        mi = mu[i]
+        mu = tuple([m - mi * c for m, c in zip(mu, columns[i])])
     delta = tuple(map(operator.sub, highest.coords, mu))
     if len(cartan) == 1:
         return delta[0] >= 0 and delta[0] % cartan[0][0] == 0
@@ -267,88 +245,88 @@ def is_weight(highest: WeightVector, mu: tuple[int, ...]) -> bool:
                for n in (d * delta[0] - b * delta[1], a * delta[1] - c * delta[0]))
 
 
+def _weyl_numerator(system: RootSystemData, top: tuple[int, ...]) -> dict[tuple, int]:
+    """A(top + rho) as {w(top + rho): eps(w)}, walked from top + rho by the
+    simple reflections in turn, each of which flips eps: in the dihedral W of
+    rank at most two the walk meets every w once in |W| steps.  top + rho is
+    regular, so its orbit is free; an orbit short of |W| points raises."""
+    columns = list(zip(*system.cartan_matrix))
+    x = tuple([t + 1 for t in top])
+    terms: dict[tuple, int] = {}
+    for step in range(system.weyl_order):
+        terms[x] = -1 if step % 2 else 1
+        i = step % len(columns)
+        xi = x[i]
+        x = tuple([a - xi * c for a, c in zip(x, columns[i])])  # s_i x = x - x_i alpha_i
+    if len(terms) != system.weyl_order:
+        raise VerificationError(
+            f"the orbit of {system.kind} {top} + rho has {len(terms)} points, "
+            f"not |W| = {system.weyl_order}"
+        )
+    return terms
+
+
+def _divide(values: dict[tuple, int], alpha: tuple[int, int]) -> dict[tuple, int] | None:
+    """``values`` / (1 - e^-alpha) in rank two, or None when it is not exact.
+
+    Q(mu) = values(mu) + Q(mu + alpha) is a running sum down each alpha-line,
+    exact iff every line sums to 0.  The points of ``values`` are taken in
+    descending coordinate i, one with alpha_i > 0, so the sum from above has
+    reached each of them; from there it is written down the line to just
+    above its next point.  A sum still running below the lowest coordinate i
+    of ``values`` is a line that does not sum to 0."""
+    a0, a1 = alpha
+    i = 0 if a0 >= a1 else 1
+    order = sorted(values, key=operator.itemgetter(i), reverse=True)
+    floor = order[-1][i] if order else 0
+    out: dict[tuple, int] = {}
+    for x in order:
+        total = values[x] + out.get((x[0] + a0, x[1] + a1), 0)
+        while total:
+            out[x] = total
+            x = (x[0] - a0, x[1] - a1)
+            if x in values:
+                break  # the point below takes the sum on
+            if x[i] < floor:
+                return None
+    return out
+
+
 @lru_cache(maxsize=None)
 def _multiplicity_table(system: RootSystemData, top: tuple[int, ...]) -> dict[tuple, int]:
-    """Freudenthal recursion on the dominant weights alone (Moody-Patera, 1982).
+    """Every weight of V(top), int coordinates to multiplicity; do not mutate.
 
-    The keys are the dominant weights of the irrep; any other weight has the
-    multiplicity of its dominant Weyl representative.  With lambda = top and
-    top - mu = sum n_i alpha_i, and rho = (1, ..., 1),
-
-        |lambda + rho|^2 - |mu + rho|^2
-            = sum_i n_i (alpha_i, alpha_i)/2 * (lambda_i + mu_i + 2)
-
-    times m(mu) is twice the sum of the string tails T(mu, alpha), alpha > 0.
-    For a dominant d and a root beta of half squared length h,
-
-        T(d, beta) = sum_(k >= 1) h (<d, beta^vee> + 2k) m(d + k beta)
-                   = h (<d, beta^vee> + 2) m(d') + T(d', w beta),
-
-    w carrying d + beta to its dominant representative d'; T is 0 when d' is
-    not a weight, since strings are unbroken.  Each d' lies strictly above
-    mu, so m(d') is known, and tails are memoised within the one build.  The
-    multiplicities times the orbit sizes must sum to the Weyl dimension.
+    A(top + rho) divided by 1 - e^-alpha for every positive root alpha is
+    e^rho ch V(top) (Weyl's character formula), read back by rho = (1, ..., 1);
+    in A1 the irrep is the string top, top - 2, ..., -top.  An inexact
+    division, a count below 1 and a total other than the Weyl dimension each
+    raise.
     """
-    depths = _dominant_depths(system, top)
-    positive = [system.root_table[r] for r in system.positive_roots]
-    by_weight = {entry.fundamental: entry for entry in system.root_table.values()}
-    columns = list(zip(*system.cartan_matrix))
-    simple_half = [system.root_table[a].half_norm for a in system.simple_roots]
-    mults: dict[tuple[int, ...], int] = {top: 1}
-    tails: dict[tuple, int] = {}
-
-    def tail(d: tuple[int, ...], beta: tuple[int, ...]) -> int:
-        # walk up the string to a known or empty tail, then fill back down
-        walked = []
-        while (d, beta) not in tails:
-            up, image = _to_dominant(columns, tuple(map(operator.add, d, beta)), beta)
-            if up not in depths:
-                tails[d, beta] = 0
-                break
-            walked.append((d, beta, mults[up]))
-            d, beta = up, image
-        total = tails[d, beta]
-        for d, beta, m in reversed(walked):
-            entry = by_weight[beta]
-            total += entry.half_norm * (sum(map(operator.mul, d, entry.coroot)) + 2) * m
-            tails[d, beta] = total
-        return total
-
-    for mu in sorted(depths, key=lambda mu: (sum(depths[mu]), mu)):
-        if mu == top:
-            continue
-        num = sum(tail(mu, entry.fundamental) for entry in positive)
-        denom = sum(
-            h * n * (t + m + 2)
-            for h, n, t, m in zip(simple_half, depths[mu], top, mu)
-        )
-        if denom <= 0 or (2 * num) % denom != 0 or 2 * num <= 0:
-            raise VerificationError(
-                f"Freudenthal at {mu} below {top} in {system.kind}: 2*{num}/{denom}"
-            )
-        mults[mu] = (2 * num) // denom
-    total = sum(m * orbit_size(system, mu) for mu, m in mults.items())
-    if total != (dim := _weyl_dimension(system, top)):
-        raise VerificationError(
-            f"multiplicities of {top} in {system.kind} sum to {total}, not {dim}"
-        )
+    if system.rank == 1:
+        (k,) = top
+        mults = {(m,): 1 for m in range(k, -k - 1, -2)}
+    else:
+        quotient = _weyl_numerator(system, top)
+        for root in system.positive_roots:
+            quotient = _divide(quotient, system.root_table[root].fundamental)
+            if quotient is None:
+                raise VerificationError(f"character of {system.kind} {top}: the Weyl "
+                                        f"numerator is not divisible by 1 - e^-{root}")
+        mults = {(x0 - 1, x1 - 1): c for (x0, x1), c in quotient.items()}
+    if (low := min(mults.values())) < 1:
+        raise VerificationError(f"character of {system.kind} {top}: a weight counts {low}")
+    if (total := sum(mults.values())) != (dim := _weyl_dimension(system, top)):
+        raise VerificationError(f"character of {system.kind} {top}: "
+                                f"multiplicities sum to {total}, not {dim}")
     return mults
 
 
-def dominant_multiplicities(highest: WeightVector) -> dict[tuple[int, ...], int]:
-    """The shared cached table, dominant int coordinates to multiplicity; do not mutate."""
-    _require_dominant(highest)
-    return _multiplicity_table(highest.system, highest.coords)
-
-
 def weight_multiplicities(highest: WeightVector) -> dict[WeightVector, int]:
-    """Weight multiplicities of the irrep, the dominant table expanded along orbits."""
+    """Weight multiplicities of the irrep, from the character table."""
+    _require_dominant(highest)
     system = highest.system
-    return {
-        WeightVector(nu, system): m
-        for mu, m in dominant_multiplicities(highest).items()
-        for (nu,) in _orbit(system, (mu,))
-    }
+    return {WeightVector(mu, system): m
+            for mu, m in _multiplicity_table(system, highest.coords).items()}
 
 
 def dimension(highest: WeightVector) -> int:

@@ -153,9 +153,7 @@ def test_rank_two_sweeps_beyond_the_acceptance_bounds(algebra, bound, expected):
 def _doubled_su21_a1() -> SubalgebraSpec:
     """The su21 ``a1`` spec with every coroot row doubled."""
     spec = classify_module._subalgebra("su21", "a1")
-    doubled = tuple(tuple(tuple(2 * c for c in row) for row in rows)
-                    for rows in spec.coroot_images)
-    return spec._replace(coroot_images=doubled)
+    return spec._replace(coroots=tuple(tuple(2 * c for c in row) for row in spec.coroots))
 
 
 def test_su21_verdict_follows_the_branching_search(monkeypatch):
@@ -287,6 +285,19 @@ def test_replay_rejects_tampered_witness():
                 assert not replay_witness(verdict._replace(witness=forged)), (
                     algebra, verdict.weight, forged,
                 )
+
+
+def test_replay_binds_the_tight_and_holomorphic_flags():
+    # every row of the criterion-9 sweeps replays as written, and no row
+    # replays with its tight flag or its holomorphic flag flipped
+    sweeps = (("su11", 50), ("su11xsu11", 12), ("sp4", 10), ("su21", 10), ("sp4su11", 8))
+    rows = [v for algebra, bound in sweeps for v in sweep(algebra, bound)["rows"]]
+    assert len(rows) == 439
+    for verdict in rows:
+        assert replay_witness(verdict), verdict
+        for flipped in (verdict._replace(tight=not verdict.tight),
+                        verdict._replace(holomorphic=not verdict.holomorphic)):
+            assert not replay_witness(flipped), flipped
 
 
 def test_every_pairing_witness_mutation_fails_replay():

@@ -477,8 +477,8 @@ def test_a_failed_command_creates_no_out_file(monkeypatch, tmp_path, capsys):
 
 
 def test_the_command_path_builds_no_multiplicity_table(capsys):
-    # branchings divide the Weyl numerator and witnesses test weights by
-    # dominance, so no command builds a Freudenthal table
+    # branchings divide the Weyl numerator only by the roots outside B, and
+    # witnesses test weights by dominance, so no command builds a character table
     table = tightmaps.rootsys._multiplicity_table
     table.cache_clear()
     tightmaps.classify._branching.cache_clear()

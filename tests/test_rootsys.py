@@ -2,12 +2,14 @@
 
 import itertools
 import math
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tightmaps.rootsys
 from tightmaps.branching import SubalgebraError, make_subalgebra
 from tightmaps.errors import VerificationError
 from tightmaps.rootsys import (
@@ -16,7 +18,6 @@ from tightmaps.rootsys import (
     _multiplicity_table,
     build_root_system,
     dimension,
-    dominant_multiplicities,
     eval_on_coroot,
     is_weight,
     weight,
@@ -396,7 +397,8 @@ def _full_support_oracle(system, top):
 
     The support is walked down simple roots from the top; a candidate mu
     belongs to it iff its dominant representative lies below the top.  This
-    is the recursion the dominant-only table replaced, kept as its oracle.
+    recursion is independent of the Weyl numerator, and is the oracle of
+    the character table that dividing it builds.
     """
     cartan, rank = system.cartan_matrix, system.rank
 
@@ -449,6 +451,27 @@ def _full_support_oracle(system, top):
     return mults
 
 
+def test_an_inexact_character_is_a_verification_error(monkeypatch):
+    # a division planted to be inexact, then a Weyl dimension off by one:
+    # each raises, naming the kind and the top, and nothing is cached
+    real = tightmaps.rootsys._weyl_dimension
+    faults = (
+        ("_divide", lambda values, alpha: None, (A2, C2), "not divisible by 1 - e\\^-"),
+        ("_weyl_dimension", lambda system, top: real(system, top) + 1, SYSTEMS, "sum to"),
+    )
+    for name, fault, systems, reason in faults:
+        _multiplicity_table.cache_clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(tightmaps.rootsys, name, fault)
+            for system in systems:
+                top = (2, 1)[: system.rank]
+                message = rf"^character of {system.kind} {re.escape(str(top))}: .*{reason}"
+                with pytest.raises(VerificationError, match=message):
+                    weight_multiplicities(weight(system, top))
+        assert _multiplicity_table.cache_info().currsize == 0
+    _multiplicity_table.cache_clear()
+
+
 def _orbit_signs(system, v):
     """The Weyl orbit of v, walked by simple reflections, each flipping a sign.
 
@@ -466,21 +489,14 @@ def _orbit_signs(system, v):
     return images
 
 
-def _orbit_expanded_table(system, top):
-    """The dominant-only table, each entry spread over its Weyl orbit."""
-    return {
-        nu: m
-        for mu, m in _multiplicity_table(system, top).items()
-        for nu in _orbit_signs(system, mu)
-    }
-
-
 @pytest.mark.parametrize("system", SYSTEMS, ids=lambda s: s.kind)
 def test_multiplicity_table_matches_full_support_oracle(system):
-    for top in itertools.product(range(13), repeat=system.rank):
-        if sum(top) > 12:
+    # every A2 and C2 top with coordinate sum up to 20, and A1 up to 40
+    bound = 40 if system.rank == 1 else 20
+    for top in itertools.product(range(bound + 1), repeat=system.rank):
+        if sum(top) > bound:
             continue
-        table = _orbit_expanded_table(system, top)
+        table = _multiplicity_table(system, top)
         assert table == _full_support_oracle(system, top), top
         assert {w.coords for w in weight_multiplicities(weight(system, top))} == set(table), top
 
@@ -604,20 +620,20 @@ def multiplicity(highest, mu):
     while min(mu) < 0:
         i = mu.index(min(mu))
         mu = tuple(m - mu[i] * c for m, c in zip(mu, columns[i]))
-    return dominant_multiplicities(highest).get(mu, 0)
+    return _multiplicity_table(highest.system, highest.coords).get(mu, 0)
 
 
 @pytest.mark.parametrize("system", (A2, C2), ids=lambda s: s.kind)
 def test_is_weight_is_table_membership(system):
     # every top with coordinates up to 20, against every dominant weight of
-    # a box past the top's dominant weights: the keys of the Freudenthal table
+    # a box past the top's dominant weights: the dominant keys of the table
     for top in itertools.product(range(21), repeat=2):
-        table = _multiplicity_table(system, top)
-        bound = max(max(mu) for mu in table) + 3
+        dominant = {mu for mu in _multiplicity_table(system, top) if min(mu) >= 0}
+        bound = max(max(mu) for mu in dominant) + 3
         highest = weight(system, top)
         found = {mu for mu in itertools.product(range(bound), repeat=2)
                  if is_weight(highest, mu)}
-        assert found == set(table), top
+        assert found == dominant, top
     for top in itertools.product(range(9), repeat=2):  # and every weight of a +-12 box
         highest = weight(system, top)
         for mu in itertools.product(range(-12, 13), repeat=2):
@@ -634,10 +650,9 @@ def test_is_weight_on_a1_and_bad_input():
 
 @pytest.mark.parametrize("system", (A2, C2), ids=lambda s: s.kind)
 def test_multiplicity_reflects_into_the_dominant_table(system):
-    # the table holds dominant weights only, and every weight of a box
-    # around the support is answered by reflecting it there (0 off it)
+    # every weight of a box around the support is answered by reflecting it
+    # to its dominant representative (0 off it): the table is W-invariant
     for top in _tops(6):
-        assert all(min(mu) >= 0 for mu in _multiplicity_table(system, top)), top
         highest = weight(system, top)
         mults = {w.coords: m
                  for w, m in weight_multiplicities(highest).items()}

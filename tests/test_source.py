@@ -56,6 +56,24 @@ def test_no_package_module_peels_strings():
     assert found == []
 
 
+def test_no_package_module_runs_freudenthal():
+    # the character is the Weyl numerator divided by every positive root;
+    # Freudenthal's recursion, with its orbit sizes and Weyl-image rows, is
+    # only the oracle in tests/test_rootsys.py
+    oracle_only = {"orbit_size", "dominant_multiplicities", "coroot_images", "_dominant_depths"}
+    found, table_calls = [], set()
+    for path, tree in _package_trees():
+        for n in ast.walk(tree):
+            name = getattr(n, "name", None) or getattr(n, "id", None) or getattr(n, "attr", None)
+            if name in oracle_only:
+                found.append(f"{path.name}:{n.lineno}")
+            if isinstance(n, ast.FunctionDef) and n.name == "_multiplicity_table":
+                table_calls = {getattr(c.func, "id", None) for c in ast.walk(n)
+                               if isinstance(c, ast.Call)}
+    assert found == []
+    assert {"_weyl_numerator", "_divide"} <= table_calls
+
+
 def test_submodule_import_yields_the_module():
     import tightmaps.classify as module
 
