@@ -15,8 +15,7 @@ from __future__ import annotations
 
 import operator
 import re
-from collections import Counter
-from typing import NamedTuple
+from collections import Counter, namedtuple
 
 from .errors import VerificationError
 from .rootsys import (
@@ -39,10 +38,12 @@ class SubalgebraError(ValueError):
 Root = tuple[int, ...]  # simple-root coefficients
 
 
-class SubalgebraSpec(NamedTuple):
-    system: RootSystemData
-    roots_b: tuple[Root, ...]
-    coroots: tuple[tuple[int, ...], ...]  # the coroot row of each root of B
+class SubalgebraSpec(namedtuple("SubalgebraSpec", (
+    "system",
+    "roots_b",
+    "coroots",  # the coroot row of each root of B
+))):
+    __slots__ = ()
 
     @property
     def rank(self) -> int:
@@ -123,9 +124,6 @@ def make_subalgebra(system: RootSystemData, roots) -> SubalgebraSpec:
     return SubalgebraSpec(system, b, tuple(system.root_table[r].coroot for r in b))
 
 
-_TERM_RE = re.compile(r"^(\d*)a([12])$")
-
-
 def parse_subalgebra_selector(system: RootSystemData, text: str) -> tuple[Root, ...]:
     """Parse selectors like ``a1+a2`` or ``a2,2a1+a2`` into coefficient tuples."""
     roots = []
@@ -135,7 +133,7 @@ def parse_subalgebra_selector(system: RootSystemData, text: str) -> tuple[Root, 
             raise SubalgebraError(f"empty component in selector {text!r}")
         root = [0] * system.rank
         for term in part.split("+"):
-            m = _TERM_RE.match(term)
+            m = re.match(r"^(\d*)a([12])$", term)  # compiled on first use, then cached
             if not m:
                 raise SubalgebraError(f"cannot parse selector term {term!r}")
             idx = int(m.group(2)) - 1
@@ -163,10 +161,10 @@ def selector_of(roots: tuple[Root, ...]) -> str:
     return ",".join(map(_root_name, roots))
 
 
-class BranchingResult(NamedTuple):
-    # (factor, copies) pairs, factors descending; a factor is one sl2 highest weight
-    # per root of B, in B's order: (m,) on one root, (a2 value, 2a1+a2 value) on the long pair
-    factors: tuple[tuple[tuple[int, ...], int], ...]
+# factors: (factor, copies) pairs, factors descending; a factor is one sl2 highest weight
+# per root of B, in B's order: (m,) on one root, (a2 value, 2a1+a2 value) on the long pair
+class BranchingResult(namedtuple("BranchingResult", "factors")):
+    __slots__ = ()
 
     @property
     def factor_dimension(self) -> int:

@@ -17,9 +17,8 @@ from __future__ import annotations
 
 import itertools
 import operator
-from fractions import Fraction
+from collections import namedtuple
 from functools import lru_cache
-from typing import NamedTuple
 
 from . import kahler
 from .branching import (
@@ -127,30 +126,27 @@ def validate_weight(algebra: str, w) -> tuple[int, ...]:
     return tuple(int(c) for c in coords)
 
 
-class Witness(NamedTuple):
+class Witness(namedtuple("Witness", (
+    "kind",  # str
+    "subalgebra",  # str
+    "weight",  # tuple of ints
+    "evaluation",  # int
+    "pairing_lhs",  # Fraction
+    "pairing_rhs",  # Fraction
+), defaults=(None,) * 5)):
     """A replayable certificate of one verdict.
 
     The fields, in order, are the wire schema; ``None`` marks a field the
     kind does not carry, and such fields are left out of reports.
     """
 
-    kind: str
-    subalgebra: str | None = None
-    weight: tuple[int, ...] | None = None
-    evaluation: int | None = None
-    pairing_lhs: Fraction | None = None
-    pairing_rhs: Fraction | None = None
+    __slots__ = ()
 
     def __str__(self) -> str:  # the set fields in wire order, rationals as p/q
         return ", ".join(f"{k}={v}" for k, v in self._asdict().items() if v is not None)
 
 
-class TightnessVerdict(NamedTuple):
-    algebra: str
-    weight: tuple[int, ...]
-    tight: bool
-    holomorphic: bool | None
-    witness: Witness
+TightnessVerdict = namedtuple("TightnessVerdict", "algebra weight tight holomorphic witness")
 
 
 def _rank2_weight(algebra: str, w: tuple[int, ...]) -> WeightVector:
@@ -398,8 +394,14 @@ def _wire_types_hold(wit: Witness) -> bool:
         type(weight) is tuple
         and all(type(x) is int for x in weight)
         and type(wit.evaluation) in (int, type(None))
-        and all(type(x) in (Fraction, type(None)) for x in (wit.pairing_lhs, wit.pairing_rhs))
+        and all(x is None or _is_fraction(x) for x in (wit.pairing_lhs, wit.pairing_rhs))
     )
+
+
+def _is_fraction(x) -> bool:
+    from fractions import Fraction  # only a pairing field holds one
+
+    return type(x) is Fraction
 
 
 def replay_witness(verdict: TightnessVerdict) -> bool:
@@ -482,11 +484,12 @@ def sweep(algebra: str, bound: int) -> dict:
 # -- embedding reference table -----------------------------------------------
 
 
-class EmbeddingRow(NamedTuple):
-    algebra: kahler.HermitianFactor
-    probe: str  # which of sp4 / sp4+su11 / su21 embeds tightly holomorphically
-    tube_subalgebra: kahler.HermitianFactor
-    tube_target: kahler.HermitianFactor
+EmbeddingRow = namedtuple("EmbeddingRow", (
+    "algebra",
+    "probe",  # which of sp4 / sp4+su11 / su21 embeds tightly holomorphically
+    "tube_subalgebra",
+    "tube_target",
+))
 
 
 def embedding_table() -> tuple[EmbeddingRow, ...]:

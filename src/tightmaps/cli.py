@@ -15,7 +15,6 @@ import os
 import re
 import sys
 import time
-from fractions import Fraction
 
 from . import kahler
 from .branching import (
@@ -55,9 +54,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def witness_wire(witness: Witness) -> dict:
-    """The witness fields that are set, in field order; a rational as the
-    string 'p/q' ('p' when whole), which is what ``str`` writes."""
-    return {k: str(v) if isinstance(v, Fraction) else v
+    """The witness fields that are set, in field order; a pairing, a
+    rational, as the string 'p/q' ('p' when whole), which is what ``str``
+    writes."""
+    return {k: str(v) if k.startswith("pairing_") else v
             for k, v in witness._asdict().items() if v is not None}
 
 
@@ -187,16 +187,25 @@ def _check_out(out: str) -> None:
     raise ValueError(f"cannot write report to {out}: {os.strerror(code)}")
 
 
+def _strict_int(text: str) -> int:
+    """ASCII digits with an optional leading '-'; ``int`` alone would also
+    read '+3', ' 3', '1_0' and digits of other scripts."""
+    digits = text[1:] if text[:1] == "-" else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
+
+
 def _parse_weight(text: str) -> tuple[int, ...]:
     try:
-        return tuple(int(part) for part in text.split(","))
+        return tuple(_strict_int(part) for part in text.split(","))
     except ValueError:
         raise ValueError(f"cannot parse weight {text!r}; expected k[,l[,m]]")
 
 
 def _parse_p_range(text: str) -> tuple[int, int]:
     try:
-        lo, hi = (int(part) for part in text.split(":"))
+        lo, hi = (_strict_int(part) for part in text.split(":"))
     except ValueError:
         raise ValueError(f"cannot parse range {text!r}; expected a:b")
     if lo > hi:

@@ -16,19 +16,16 @@ from __future__ import annotations
 
 import math
 import operator
-from fractions import Fraction
-from typing import NamedTuple
+from collections import namedtuple
 
 from .errors import VerificationError
 
 
-class HermitianFactor(NamedTuple):
+class HermitianFactor(namedtuple("HermitianFactor", "name rank tube_type")):
     """A classical simple Hermitian Lie algebra, reduced to its bookkeeping
     data: real rank and tube type."""
 
-    name: str
-    rank: int
-    tube_type: bool
+    __slots__ = ()
 
 
 def su(p: int, q: int) -> HermitianFactor:
@@ -72,6 +69,8 @@ def _reduced(rows, denominator: int) -> tuple[Rows, int]:
 
 def _fractions(rows, denominator: int) -> tuple[tuple[Fraction, ...], ...]:
     """The rationals that integer rows over a denominator stand for."""
+    from fractions import Fraction  # the integer paths never load it
+
     return tuple(tuple(Fraction(n, denominator) for n in row) for row in rows)
 
 
@@ -82,13 +81,7 @@ def _integral(rows) -> tuple[Rows, int]:
     return tuple(tuple(x.numerator * (d // x.denominator) for x in row) for row in rows), d
 
 
-class _KahlerClass(NamedTuple):
-    factors: Factors
-    numerators: tuple[int, ...]
-    denominator: int
-
-
-class KahlerClass(_KahlerClass):
+class KahlerClass(namedtuple("_KahlerClass", "factors numerators denominator")):
     """Coefficient ``numerators[i] / denominator`` on factor i's distinguished class."""
 
     __slots__ = ()
@@ -111,6 +104,8 @@ def distinguished_class(factors) -> KahlerClass:
 
 def norm(cls: KahlerClass) -> Fraction:
     """Coefficient of pi in the norm: sum |mu_i| * rank_i."""
+    from fractions import Fraction
+
     scaled = sum(abs(n) * f.rank for n, f in zip(cls.numerators, cls.factors))
     return Fraction(scaled, cls.denominator)
 
@@ -127,14 +122,7 @@ def is_negative(cls: KahlerClass) -> bool:
     return all(n <= 0 for n in cls.numerators)
 
 
-class _HomClassMap(NamedTuple):
-    source: Factors
-    target: Factors
-    numerators: Rows
-    denominator: int
-
-
-class HomClassMap(_HomClassMap):
+class HomClassMap(namedtuple("_HomClassMap", "source target numerators denominator")):
     """Pullback action of a homomorphism on distinguished classes.
 
     ``numerators[j][i] / denominator`` is the coefficient of the source factor
@@ -152,6 +140,8 @@ class HomClassMap(_HomClassMap):
         for i, tf in enumerate(target):
             col = sum(abs(row[i]) * sf.rank for row, sf in zip(numerators, source))
             if col > denominator * tf.rank:
+                from fractions import Fraction  # the message prints the norm as p/q
+
                 raise ValueError(f"pullback of {tf.name} has norm "
                                  f"{Fraction(col, denominator)} > rank {tf.rank}")
         return super().__new__(cls, source, target, numerators, denominator)

@@ -19,20 +19,20 @@ tests check these against.
 from __future__ import annotations
 
 import operator
+from collections import namedtuple
 from functools import lru_cache
-from typing import Iterable, NamedTuple
 
 from .errors import VerificationError
 
 
-class _CartanData(NamedTuple):
-    """What a simple kind is built from."""
-
-    positive: tuple[tuple[int, ...], ...]  # positive roots, simple-root coefficients
-    cartan: tuple[tuple[int, ...], ...]  # cartan[i][j] = <alpha_j, alpha_i^vee>
-    half_norms: tuple[int, ...]  # (alpha_i, alpha_i) / 2
-    weyl_order: int
-    noncompact: tuple[int, ...]  # indices of the noncompact simple roots
+# What a simple kind is built from.
+_CartanData = namedtuple("_CartanData", (
+    "positive",  # positive roots, simple-root coefficients
+    "cartan",  # cartan[i][j] = <alpha_j, alpha_i^vee>
+    "half_norms",  # (alpha_i, alpha_i) / 2
+    "weyl_order",
+    "noncompact",  # indices of the noncompact simple roots
+))
 
 
 _KIND_DATA = {
@@ -42,12 +42,12 @@ _KIND_DATA = {
 }
 
 
-class RootEntry(NamedTuple):
-    """Integer data of one root beta, derived from the Cartan data."""
-
-    coroot: tuple[int, ...]  # <omega_i, beta^vee> for each fundamental weight
-    fundamental: tuple[int, ...]  # <beta, alpha_j^vee>, i.e. beta as a weight
-    half_norm: int  # (beta, beta) / 2
+# Integer data of one root beta, derived from the Cartan data.
+RootEntry = namedtuple("RootEntry", (
+    "coroot",  # <omega_i, beta^vee> for each fundamental weight
+    "fundamental",  # <beta, alpha_j^vee>, i.e. beta as a weight
+    "half_norm",  # (beta, beta) / 2
+))
 
 
 class RootSystemData:
@@ -136,12 +136,7 @@ def build_root_system(kind: str) -> RootSystemData:
     )
 
 
-class _WeightVector(NamedTuple):
-    coords: tuple[int, ...]
-    system: RootSystemData
-
-
-class WeightVector(_WeightVector):
+class WeightVector(namedtuple("_WeightVector", "coords system")):
     """A weight, stored by its integer fundamental-weight coordinates."""
 
     __slots__ = ()

@@ -11,34 +11,26 @@ Signatures depend on k alone and are read without a model.
 
 The integer element ``(p+q) Z`` of su(p,q) is ``q`` on every positive vector
 and ``-p`` on every negative one, so ``d`` pairs with it through its block
-sums alone: ``q*sum(pos) - p*sum(neg)``, divided once by ``2(p+q)``.  Each
-block sum adds every entry of the model (``sum`` over a range, in C); the
+sums alone: ``q*sum(pos) - p*sum(neg)``, divided once by ``2(p+q)``.  A
+range block sums in closed form, so the degree-k model costs O(1); the
 diagonal disc is constant on its runs and pairs the same way.  Pairing is
 linear, so each factor of a tensor product pairs on its own, giving P1 and
 P2, and structure signs (s1, s2) pair to ``s1*P1 + s2*P2``.  A factor's
 block sums over the tensor basis follow from its own block sums and the
-other factor's signature, in O(k + l) for the degree-(k, l) product.
+other factor's signature, in O(1) for the degree-(k, l) product.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from collections.abc import Sequence
-from fractions import Fraction
-from typing import NamedTuple
+from collections import namedtuple
 
-Block = Sequence[int]  # doubled Z-entries of one block: d for i*diag(d/2)
+Block = range | tuple[int, ...]  # doubled Z-entries of one block: d for i*diag(d/2)
 BlockSums = tuple[int, int]  # (sum over the positive block, over the negative)
-Exact = int | Fraction
 
 
-class _SignaturePair(NamedTuple):
-    p: int
-    q: int
-
-
-class SignaturePair(_SignaturePair):
+class SignaturePair(namedtuple("_SignaturePair", "p q")):
     """Signature (p, q) of an invariant indefinite Hermitian form."""
 
     __slots__ = ()
@@ -57,23 +49,21 @@ class SignaturePair(_SignaturePair):
         return min(self.p, self.q)
 
 
-class _ExplicitRep(NamedTuple):
-    dim: int
-    signature: SignaturePair
-    z_pos: Block
-    z_neg: Block
-    degrees: tuple[int, ...]
-    block_sums: BlockSums
+def _block_sum(block: Block) -> int:
+    """``sum(block)``; a range in closed form, its length times the mean of its ends."""
+    if isinstance(block, range):
+        return len(block) * (block[0] + block[-1]) // 2 if block else 0
+    return sum(block)
 
 
-class ExplicitRep(_ExplicitRep):
+class ExplicitRep(namedtuple("_ExplicitRep", "dim signature z_pos z_neg degrees block_sums")):
     """A representation given by its form signature and doubled Z-image.
 
     The doubled Z-image is kept as its two blocks: ``z_pos`` on the
     positive basis vectors, ``z_neg`` on the negative ones.  ``degrees`` is
     (k,) for the degree-k model and (k, l) for the tensor product of the
     degree-k and degree-l models.  ``block_sums``, derived and not passed,
-    is taken entry by entry by the trace check; it is all a pairing reads.
+    is taken by the trace check; it is all a pairing reads.
     """
 
     __slots__ = ()
@@ -86,7 +76,7 @@ class ExplicitRep(_ExplicitRep):
             raise ValueError("diagonal/basis length mismatch")
         if math.prod(d + 1 for d in degrees) != dim:
             raise ValueError("degrees do not match the dimension")
-        sums = sum(z_pos), sum(z_neg)
+        sums = _block_sum(z_pos), _block_sum(z_neg)
         if sum(sums) != 0:
             raise ValueError("Z-image must be trace free")
         return super().__new__(cls, dim, signature, z_pos, z_neg, degrees, sums)
@@ -101,11 +91,7 @@ class ExplicitRep(_ExplicitRep):
         return (*self.z_pos, *self.z_neg)
 
 
-class _StructureChoice(NamedTuple):
-    signs: tuple[int, ...]
-
-
-class StructureChoice(_StructureChoice):
+class StructureChoice(namedtuple("_StructureChoice", "signs")):
     """Signs of the complex structure on the two su(1,1) factors of the domain."""
 
     __slots__ = ()
@@ -166,7 +152,7 @@ def diagonal_disc_z(p: int, q: int) -> BlockSums:
     return min(p, q), -q
 
 
-def pairing(x: tuple[Exact, ...], y: tuple[Exact, ...]) -> Exact:
+def pairing(x: tuple[int | Fraction, ...], y: tuple[int | Fraction, ...]) -> int | Fraction:
     """tr(X* Y) for X = i*diag(x), Y = i*diag(y): the exact sum of x_j * y_j."""
     if len(x) != len(y):
         raise ValueError(f"length mismatch: {len(x)} vs {len(y)}")
@@ -176,6 +162,8 @@ def pairing(x: tuple[Exact, ...], y: tuple[Exact, ...]) -> Exact:
 def _pair_with_z(sums: BlockSums, p: int, q: int) -> Fraction:
     """Pairing of a doubled diagonal, given by its block sums, with the
     central element of su(p,q)."""
+    from fractions import Fraction  # loaded by the commands that pair, not at import
+
     return Fraction(pairing(sums, _scaled_z_element(p, q)), 2 * (p + q))
 
 

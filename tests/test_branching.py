@@ -4,8 +4,10 @@ import itertools
 import operator
 import re
 from collections import Counter
+from functools import lru_cache
 
 import pytest
+from test_rootsys import _full_support_oracle
 
 import tightmaps.branching
 from tightmaps.branching import (
@@ -134,7 +136,7 @@ def test_peeling_is_involution_consistent():
     for coords in ((2, 1), (0, 3), (3, 2)):
         w = weight(C2, coords)
         for sub in (sub_c2_short(), sub_c2_pair()):
-            original = evaluation_multiset(w, sub)
+            original = _oracle_values(w, sub)
             rebuilt = Counter()
             result = restrict_rep(w, sub)
             for factor, copies in result.factors:
@@ -167,9 +169,7 @@ def _peel_strings(values: Counter) -> Counter:
     sum iff no count is negative.
 
     This is the peel that division of the Weyl numerator replaced in
-    ``restrict_rep``, kept as its oracle.  Its input, ``evaluation_multiset``,
-    reads the full character, which ``tests/test_rootsys.py`` holds to
-    Freudenthal's formula.
+    ``restrict_rep``, kept as its oracle.
     """
     for key, count in values.items():
         for i, v in enumerate(key):
@@ -191,9 +191,26 @@ def _peel_strings(values: Counter) -> Counter:
     return +counts
 
 
+# one Freudenthal table per top, shared by the selectors that branch it
+_freudenthal = lru_cache(maxsize=None)(_full_support_oracle)
+
+
+def _oracle_values(w, sub):
+    """Coroot evaluations on B of every weight, with multiplicity.
+
+    The multiplicities come from Freudenthal's recursion in
+    ``tests/test_rootsys.py``, not from the division ``restrict_rep`` runs,
+    so a fault in ``_weyl_numerator`` or ``_divide`` cannot reach both sides.
+    """
+    values = Counter()
+    for mu, m in _freudenthal(w.system, w.coords).items():
+        values[tuple(sub.evaluate(mu))] += m
+    return values
+
+
 def _oracle_factors(w, sub):
-    """The character-and-peel branching, as ``restrict_rep`` orders it."""
-    return tuple(sorted(_peel_strings(evaluation_multiset(w, sub)).items(), reverse=True))
+    """The Freudenthal-and-peel branching, as ``restrict_rep`` orders it."""
+    return tuple(sorted(_peel_strings(_oracle_values(w, sub)).items(), reverse=True))
 
 
 # every root subset make_subalgebra accepts from the selector grammar
@@ -405,7 +422,7 @@ def test_restrict_rep_is_the_greedy_peel_multiset(system, sub):
     for coords in tops:
         w = weight(system, coords)
         factors = restrict_rep(w, sub).factors
-        assert dict(factors) == _greedy_peel(evaluation_multiset(w, sub)), coords
+        assert dict(factors) == _greedy_peel(_oracle_values(w, sub)), coords
         distinct = [f for f, _ in factors]
         assert distinct == sorted(set(distinct), reverse=True), coords
         assert min(n for _, n in factors) >= 1, coords

@@ -3,6 +3,8 @@
 import hashlib
 import json
 import re
+import time
+from fractions import Fraction
 
 import pytest
 
@@ -338,6 +340,17 @@ def test_markdown_contains_same_rows(capsys):
             assert json.dumps(value) in line, (key, line)
 
 
+@pytest.mark.parametrize("degree,tight", [(1000000000, False), (1000000001, True)])
+def test_su11_answers_at_degree_1e9_within_a_second(capsys, degree, tight):
+    # a model's range blocks sum in closed form, so the degree costs nothing
+    started = time.perf_counter()
+    code, doc, _ = run_json(capsys, "classify", "--algebra", "su11", "--weight", str(degree))
+    assert time.perf_counter() - started < 1.0
+    assert code == OK and doc["rows"][0]["tight"] is tight
+    # the disc value of su(p, q) is q/2, and q = (degree + 1) // 2
+    assert doc["rows"][0]["witness"]["pairing_rhs"] == str(Fraction((degree + 1) // 2, 2))
+
+
 def test_exit_codes(capsys):
     code, _, err = run(capsys, "classify", "--algebra", "su11", "--weight", "-2")
     assert code == VALIDATION_ERROR and "dominant" in err
@@ -371,6 +384,20 @@ def test_exit_codes(capsys):
     )
     assert code == VALIDATION_ERROR and out == ""
     assert err == "validation error: sp4 expects 2 weight coordinates, got 3\n"
+
+    # a coordinate or bound is ASCII digits with an optional leading '-', where
+    # int() alone would also read these; the '=' form keeps argparse from
+    # taking a leading '-' for an option
+    for text in ("1_0", "\u0663", "+3", " 3", "3 ", "-", "--3", "-+3", "\uff13"):
+        code, out, err = run(capsys, "classify", "--algebra", "su11", f"--weight={text}")
+        assert code == VALIDATION_ERROR and out == "", text
+        assert err == f"validation error: cannot parse weight {text!r}; expected k[,l[,m]]\n"
+        p_range = f"{text}:7"
+        code, out, err = run(capsys, "verify", "lemma-bla", f"--p-range={p_range}")
+        assert code == VALIDATION_ERROR and out == "", p_range
+        assert err == f"validation error: cannot parse range {p_range!r}; expected a:b\n"
+    code, out, err = run(capsys, "verify", "lemma-bla", "--p-range", "5:1_1")
+    assert code == VALIDATION_ERROR and "cannot parse range '5:1_1'" in err
 
 
 @pytest.mark.parametrize("text", ["4:4", "6:6"])

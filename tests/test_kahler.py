@@ -5,6 +5,8 @@ over one denominator is kept here as the oracle.
 """
 
 import random
+import sys
+import types
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -467,7 +469,13 @@ def test_integer_paths_build_no_fractions(monkeypatch):
         source, middle, target = (random_factors(rng, 3) for _ in range(3))
         maps.append((class_map(source, middle, random_rational_map(rng, source, middle)),
                      class_map(middle, target, random_rational_map(rng, middle, target))))
-    monkeypatch.setattr(kahler, "Fraction", CountingFraction)
+    # kahler imports Fraction in the functions that make one, so the count
+    # goes through the module it imports from (and kahler.Fraction, should a
+    # module-level import return); results of Fraction arithmetic are not counted
+    counting = types.ModuleType("fractions")
+    counting.Fraction = CountingFraction
+    monkeypatch.setitem(sys.modules, "fractions", counting)
+    monkeypatch.setattr(kahler, "Fraction", CountingFraction, raising=False)
     monkeypatch.setattr(lemmas, "Fraction", CountingFraction)
     for f, h in maps:
         composite = compose(f, h)

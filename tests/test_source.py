@@ -149,10 +149,23 @@ def _imports_of(module, files=None):
 
 
 def test_no_package_module_imports_dataclasses():
-    # records are NamedTuples: importing dataclasses (and the inspect module
-    # it pulls in) and exec-ing each decorated class's generated methods are
-    # start-up costs that every fresh command would pay
+    # records are collections.namedtuple classes: importing dataclasses (and
+    # the inspect module it pulls in) and exec-ing each decorated class's
+    # generated methods are start-up costs that every fresh command would pay
     assert _imports_of("dataclasses") == []
+
+
+def test_no_package_module_imports_typing_or_fractions_at_import():
+    # typing.NamedTuple compiles every annotation of a record, and fractions
+    # pulls in decimal and numbers; a command that makes no Fraction pays for
+    # neither.  Only lemmas, which only `verify` loads, imports fractions at
+    # module level; every other module imports it where it makes one
+    assert _imports_of("typing") == []
+    assert [path.name for path, _ in _package_trees() if "NamedTuple" in path.read_text()] == []
+    top_level = [path.name for path, tree in _package_trees()
+                 for n in tree.body if "fractions" in _imported_modules(n)]
+    assert top_level == ["lemmas.py"]
+    assert len(_imports_of("fractions")) > 1  # the check can see the others
 
 
 def test_rootsys_and_branching_import_nothing_from_fractions():
@@ -188,6 +201,34 @@ def test_fresh_cli_import_loads_neither_dataclasses_nor_inspect():
         "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
     )
     assert _fresh(code) == "[]"
+
+
+def test_fresh_cli_import_loads_neither_typing_nor_fractions():
+    code = (
+        "import sys, tightmaps.cli\n"
+        "print(sorted({'typing', 'fractions', 'decimal', 'numbers'} & set(sys.modules)))"
+    )
+    assert _fresh(code) == "[]"
+
+
+@pytest.mark.parametrize("command,loaded", [
+    ("sweep --algebra sp4 --max 8", False),
+    ("sweep --algebra su21 --max 9", False),
+    ("branch --algebra sp4 --weight 4,4 --sub a1+a2", False),
+    ("classify --algebra su11 --weight 3", True),
+    ("sweep --algebra su11xsu11 --max 4", True),
+    ("verify kahler-lemmas", True),
+])
+def test_only_commands_that_make_a_fraction_load_fractions(command, loaded):
+    # the rank-two commands decide by branching and dominance, in integers;
+    # the su(1,1) pairings and the Kahler lemmas make Fractions
+    code = (
+        "import contextlib, io, sys, tightmaps.cli as cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = cli.main({command.split()!r})\n"
+        "print(code, 'fractions' in sys.modules)"
+    )
+    assert _fresh(code) == f"0 {loaded}"
 
 
 def test_fresh_cli_import_loads_every_traced_layer():

@@ -13,6 +13,7 @@ from tightmaps.classify import Witness, _pairing_verdict, constructive_verdict, 
 from tightmaps.rootsys import build_root_system, weight, weight_multiplicities
 from tightmaps.su11 import (
     StructureChoice,
+    _block_sum,
     _scaled_z_element,
     best_tensor_pairing,
     clebsch_gordan,
@@ -363,6 +364,19 @@ def test_tensor_rep_walks_the_tensor_basis():
                 s1, s2 = s.signs
                 expected = tuple(s1 * a + s2 * b for a, b in tensor_columns(k, l))
                 assert tensor_rep(k, l, s).z_doubled == expected, (k, l, s)
+
+
+def test_a_range_block_sums_in_closed_form():
+    # every step sign and size to 4, every length 0..12, and every residue
+    # of start and stop modulo the step
+    for step in (-4, -3, -2, -1, 1, 2, 3, 4):
+        for start in range(-2 * abs(step), 2 * abs(step)):
+            for stop in range(start - 13 * abs(step), start + 13 * abs(step)):
+                block = range(start, stop, step)
+                assert _block_sum(block) == sum(block), block
+    for n in range(13):
+        assert sum(range(n * 13, -n * 13 - 1, -4)) == _block_sum(range(n * 13, -n * 13 - 1, -4))
+    assert _block_sum((3, -1, 5)) == 7  # a tensor block is a tuple
 
 
 @pytest.mark.parametrize("algebra,w", [("su11", (2000001,)), ("su11xsu11", (2001, 2000))])
