@@ -41,9 +41,9 @@ from .rootsys import (
 from .su11 import (
     best_tensor_pairing,
     clebsch_gordan,
+    doubled_pairings,
     sym_power_pairing,
     sym_power_signature,
-    tensor_factor_pairings,
     tensor_signature,
 )
 
@@ -522,23 +522,20 @@ def _route_map(rank: int, factors) -> kahler.HomClassMap:
 
     ``factors`` are (degrees, copies) pairs, one su(1,1) degree per domain
     factor; n copies of a nonzero su(p, q) factor add one target su(np, nq)
-    whose column is 2n times the factor's pairings.
+    whose column is n times the factor's doubled pairings, over denominator 1.
     """
     source = (kahler.su(1, 1),) * rank
-    targets = []
-    columns = []
+    signature = sym_power_signature if rank == 1 else tensor_signature
+    targets, columns = [], []
     for degrees, n in factors:
         if not any(degrees):
             continue
-        if rank == 1:
-            sig, pairings = sym_power_signature(*degrees), sym_power_pairing(*degrees)[:1]
-        else:
-            sig, pairings = tensor_signature(*degrees), tensor_factor_pairings(*degrees)
+        sig = signature(*degrees)
         targets.append(kahler.su(n * sig.p, n * sig.q))
-        columns.append([2 * n * x for x in pairings])
+        columns.append([n * d for d in doubled_pairings(*degrees)])
     if not targets:
-        return kahler.class_map(source, source[:1], [[0]] * rank)
-    return kahler.class_map(source, targets, list(zip(*columns)))
+        return kahler.HomClassMap(source, source[:1], ((0,),) * rank, 1)
+    return kahler.HomClassMap(source, tuple(targets), tuple(zip(*columns)), 1)
 
 
 def verdict_class_map(verdict: TightnessVerdict) -> kahler.HomClassMap:

@@ -325,11 +325,11 @@ def make_parser() -> _Parser:
 
 
 def _join_negative_weight(argv: list[str]) -> list[str]:
-    """``--weight -1,0`` as ``--weight=-1,0``; argparse reads ``-1,0`` as an option."""
+    """Join ``--weight -1,0`` or ``--p-range -5:7`` by ``=``: argparse reads each as an option."""
     out: list[str] = []
     for arg in argv:
-        if out and out[-1] == "--weight" and arg[:1] == "-" and arg[1:2].isdigit():
-            out[-1] = f"--weight={arg}"
+        if out and out[-1] in ("--weight", "--p-range") and arg[:1] == "-" and arg[1:2].isdigit():
+            out[-1] = f"{out[-1]}={arg}"
         else:
             out.append(arg)
     return out

@@ -74,13 +74,6 @@ def _fractions(rows, denominator: int) -> tuple[tuple[Fraction, ...], ...]:
     return tuple(tuple(Fraction(n, denominator) for n in row) for row in rows)
 
 
-def _integral(rows) -> tuple[Rows, int]:
-    """Rows of ints and Fractions as integer numerators over their least common denominator."""
-    rows = [tuple(row) for row in rows]
-    d = math.lcm(*(x.denominator for row in rows for x in row))
-    return tuple(tuple(x.numerator * (d // x.denominator) for x in row) for row in rows), d
-
-
 class KahlerClass(namedtuple("_KahlerClass", "factors numerators denominator")):
     """Coefficient ``numerators[i] / denominator`` on factor i's distinguished class."""
 
@@ -149,10 +142,6 @@ class HomClassMap(namedtuple("_HomClassMap", "source target numerators denominat
     @property
     def matrix(self) -> tuple[tuple[Fraction, ...], ...]:
         return _fractions(self.numerators, self.denominator)
-
-
-def class_map(source, target, matrix) -> HomClassMap:
-    return HomClassMap(tuple(source), tuple(target), *_integral(matrix))
 
 
 def pullback(m: HomClassMap, cls: KahlerClass) -> KahlerClass:

@@ -11,13 +11,13 @@ Signatures depend on k alone and are read without a model.
 
 The integer element ``(p+q) Z`` of su(p,q) is ``q`` on every positive vector
 and ``-p`` on every negative one, so ``d`` pairs with it through its block
-sums alone: ``q*sum(pos) - p*sum(neg)``, divided once by ``2(p+q)``.  A
-range block sums in closed form, so the degree-k model costs O(1); the
-diagonal disc is constant on its runs and pairs the same way.  Pairing is
-linear, so each factor of a tensor product pairs on its own, giving P1 and
-P2, and structure signs (s1, s2) pair to ``s1*P1 + s2*P2``.  A factor's
-block sums over the tensor basis follow from its own block sums and the
-other factor's signature, in O(1) for the degree-(k, l) product.
+sums: ``q*sum(pos) - p*sum(neg)`` over ``2(p+q)``, a numerator that is
+``(p+q)*sum(pos)`` as ``d`` is trace free.  So every pairing is a
+half-integer, kept doubled as an int until it is returned.  A range block
+sums in closed form, so a degree-k model and the diagonal disc pair in
+O(1).  Pairing is linear, so each factor of a tensor product pairs on its
+own, giving P1 and P2, and signs (s1, s2) pair to ``s1*P1 + s2*P2``; a
+factor's tensor-basis block sums come from its own and the other's signature.
 """
 
 from __future__ import annotations
@@ -25,6 +25,8 @@ from __future__ import annotations
 import math
 import operator
 from collections import namedtuple
+
+from .errors import VerificationError
 
 Block = range | tuple[int, ...]  # doubled Z-entries of one block: d for i*diag(d/2)
 BlockSums = tuple[int, int]  # (sum over the positive block, over the negative)
@@ -159,17 +161,24 @@ def pairing(x: tuple[int | Fraction, ...], y: tuple[int | Fraction, ...]) -> int
     return sum(map(operator.mul, x, y))
 
 
-def _pair_with_z(sums: BlockSums, p: int, q: int) -> Fraction:
-    """Pairing of a doubled diagonal, given by its block sums, with the
-    central element of su(p,q)."""
-    from fractions import Fraction  # loaded by the commands that pair, not at import
+def _doubled_pairing(sums: BlockSums, p: int, q: int) -> int:
+    """Twice the pairing of a doubled diagonal, given by its block sums, with
+    the central element of su(p,q); raises unless that is an int."""
+    n = pairing(sums, _scaled_z_element(p, q))
+    if n % (p + q):
+        raise VerificationError(f"su({p},{q}) pairing {_half(n) / (p + q)} is not a half-integer")
+    return n // (p + q)
 
-    return Fraction(pairing(sums, _scaled_z_element(p, q)), 2 * (p + q))
+
+def _half(doubled: int) -> Fraction:
+    from fractions import Fraction  # loaded by the commands that report a pairing, not at import
+
+    return Fraction(doubled, 2)
 
 
 def disc_pairing_value(p: int, q: int) -> Fraction:
     """Pairing of the diagonal disc of su(p,q) against its central element."""
-    return _pair_with_z(diagonal_disc_z(p, q), p, q)
+    return _half(_doubled_pairing(diagonal_disc_z(p, q), p, q))
 
 
 def sym_power_pairing(k: int) -> tuple[Fraction, Fraction]:
@@ -177,9 +186,8 @@ def sym_power_pairing(k: int) -> tuple[Fraction, Fraction]:
 
     Needs k >= 1: the degree-0 model carries no su(p,q) with p + q >= 2.
     """
-    rep = sym_power_rep(k)
-    sig = rep.signature
-    return _pair_with_z(rep.block_sums, sig.p, sig.q), disc_pairing_value(sig.p, sig.q)
+    (doubled,) = doubled_pairings(k)
+    return _half(doubled), disc_pairing_value(*sym_power_signature(k))
 
 
 def clebsch_gordan(k: int, l: int) -> tuple[int, ...]:
@@ -225,26 +233,31 @@ def _in_tensor_basis(sums: BlockSums, other: SignaturePair) -> BlockSums:
     return other.p * pos + other.q * neg, other.q * pos + other.p * neg
 
 
-def tensor_factor_pairings(k: int, l: int) -> tuple[Fraction, Fraction]:
-    """Per-factor contributions (P1, P2) to the diagonal-disc pairing.
+def doubled_pairings(*degrees: int) -> tuple[int, ...]:
+    """Twice the pairings with the central element of the model's su(p,q).
 
-    P_t pairs the Z-contribution of factor t alone, laid out in the tensor
-    basis, against the ambient central element; the pairing under structure
-    signs (s1, s2) is s1*P1 + s2*P2.  Needs (k, l) != (0, 0).
+    (2P,) for the degree-k model, and (2P1, 2P2) for the degree-(k, l)
+    product, where P_t pairs the Z-contribution of factor t alone, laid out
+    in the tensor basis; the pairing under structure signs (s1, s2) is
+    s1*P1 + s2*P2.  Needs a degree-k model with k >= 1, or (k, l) != (0, 0).
     """
+    if len(degrees) == 1:
+        rep = sym_power_rep(*degrees)
+        return (_doubled_pairing(rep.block_sums, *rep.signature),)
+    k, l = degrees
     one, two = sym_power_rep(k), sym_power_rep(l)
     sig = tensor_signature(k, l)
     columns = (
         _in_tensor_basis(one.block_sums, two.signature),
         _in_tensor_basis(two.block_sums, one.signature),
     )
-    return tuple(_pair_with_z(col, sig.p, sig.q) for col in columns)
+    return tuple(_doubled_pairing(col, *sig) for col in columns)
 
 
 def tensor_pairing(k: int, l: int, structure: StructureChoice) -> Fraction:
     s1, s2 = structure.signs
-    p1, p2 = tensor_factor_pairings(k, l)
-    return s1 * p1 + s2 * p2
+    d1, d2 = doubled_pairings(k, l)
+    return _half(s1 * d1 + s2 * d2)
 
 
 def best_tensor_pairing(k: int, l: int) -> tuple[Fraction, Fraction]:
@@ -257,8 +270,8 @@ def best_tensor_pairing(k: int, l: int) -> tuple[Fraction, Fraction]:
     # the diagonal su(1,1), pullback does not increase its norm, pi times the
     # rank (Domic-Toledo), so |pairing| <= rank/2, the disc value.
     # tests/test_su11.py checks the bound exactly for all k, l < 25.
-    p1, p2 = tensor_factor_pairings(k, l)
+    d1, d2 = doubled_pairings(k, l)
     sig = tensor_signature(k, l)
     signs = (s.signs for s in structure_representatives())
-    best = max((s1 * p1 + s2 * p2 for s1, s2 in signs), key=abs)
-    return best, disc_pairing_value(sig.p, sig.q)
+    best = max((s1 * d1 + s2 * d2 for s1, s2 in signs), key=abs)
+    return _half(best), disc_pairing_value(*sig)

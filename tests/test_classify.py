@@ -4,6 +4,7 @@ import sys
 from fractions import Fraction
 
 import pytest
+from test_kahler import class_map, counting_fractions
 
 import tightmaps.branching
 import tightmaps.su11
@@ -30,9 +31,10 @@ from tightmaps.errors import VerificationError
 from tightmaps.lemmas import LemmaReduction, verify_su_n1_to_sostar
 from tightmaps.su11 import (
     clebsch_gordan,
+    structure_representatives,
     sym_power_pairing,
     sym_power_signature,
-    tensor_factor_pairings,
+    tensor_pairing,
     tensor_signature,
 )
 
@@ -585,23 +587,53 @@ def _per_copy_degrees(verdict) -> tuple[int, list[tuple[int, ...]]]:
     return sub.rank, [f[::-1] for f, n in branch.factors for _ in range(n)]
 
 
+def _fraction_pairings(degrees) -> tuple[Fraction, ...]:
+    """(P,) for a degree-k model, and the factors' (P1, P2) for degrees (k, l),
+    read off the Fraction pairings of the structures (1, 1) and (1, -1)."""
+    if len(degrees) == 1:
+        return sym_power_pairing(*degrees)[:1]
+    plus, minus = (tensor_pairing(*degrees, s) for s in structure_representatives())
+    return (plus + minus) / 2, (plus - minus) / 2
+
+
+def _fraction_route_map(rank, factors) -> kahler.HomClassMap:
+    """The route map booked in Fractions: each column 2n times the copy's
+    Fraction pairings, over the least common denominator of the matrix.
+    This is how ``_route_map`` booked it before it read doubled pairings."""
+    source = (kahler.su(1, 1),) * rank
+    targets, columns = [], []
+    for degrees, n in factors:
+        if not any(degrees):
+            continue
+        sig = (sym_power_signature if rank == 1 else tensor_signature)(*degrees)
+        targets.append(kahler.su(n * sig.p, n * sig.q))
+        columns.append([2 * n * x for x in _fraction_pairings(degrees)])
+    if not targets:
+        return class_map(source, source[:1], [[0]] * rank)
+    return class_map(source, targets, list(zip(*columns)))
+
+
+# the rows on which verdict_class_map is checked against the Fraction route
+_CLASS_MAP_SWEEPS = (("sp4", 20), ("su21", 20), ("sp4su11", 12), ("su11", 50), ("su11xsu11", 16))
+
+
+def test_class_maps_match_the_fraction_route_and_build_no_fractions(monkeypatch):
+    verdicts = [v for a, bound in _CLASS_MAP_SWEEPS for v in sweep(a, bound)["rows"]]
+    assert len(verdicts) == 1121
+    with monkeypatch.context() as patch:
+        made = counting_fractions(patch, classify_module, kahler, tightmaps.su11)
+        maps = [verdict_class_map(v) for v in verdicts]
+        assert made == []
+    assert {m.denominator for m in maps} == {1}
+    monkeypatch.setattr(classify_module, "_route_map", _fraction_route_map)
+    for verdict, m in zip(verdicts, maps):
+        assert verdict_class_map(verdict) == m, (verdict.algebra, verdict.weight)
+
+
 def _per_copy_route_map(rank, factors) -> kahler.HomClassMap:
     """One target su(p, q) per nonzero factor copy, its column twice the
     copy's pairings: the map that booking n copies as su(np, nq) replaced."""
-    source = (kahler.su(1, 1),) * rank
-    targets, columns = [], []
-    for degrees in factors:
-        if not any(degrees):
-            continue
-        if rank == 1:
-            sig, pairings = sym_power_signature(*degrees), sym_power_pairing(*degrees)[:1]
-        else:
-            sig, pairings = tensor_signature(*degrees), tensor_factor_pairings(*degrees)
-        targets.append(kahler.su(sig.p, sig.q))
-        columns.append([2 * x for x in pairings])
-    if not targets:
-        return kahler.class_map(source, source[:1], [[0]] * rank)
-    return kahler.class_map(source, targets, list(zip(*columns)))
+    return _fraction_route_map(rank, [(degrees, 1) for degrees in factors])
 
 
 def _pulled_share(m) -> Fraction:

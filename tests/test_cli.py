@@ -13,6 +13,7 @@ import tightmaps.classify
 import tightmaps.kahler
 import tightmaps.lemmas
 import tightmaps.rootsys
+import tightmaps.su11
 from tightmaps.classify import cross_check, sweep
 from tightmaps.cli import (
     OK,
@@ -398,6 +399,20 @@ def test_exit_codes(capsys):
         assert err == f"validation error: cannot parse range {p_range!r}; expected a:b\n"
     code, out, err = run(capsys, "verify", "lemma-bla", "--p-range", "5:1_1")
     assert code == VALIDATION_ERROR and "cannot parse range '5:1_1'" in err
+
+    # a negative bound after a space is joined to --p-range, as after --weight
+    code, out, err = run(capsys, "verify", "lemma-bla", "--p-range", "-5:7")
+    assert code == VALIDATION_ERROR and out == "" and "-5:7 includes p < 4" in err
+    assert run(capsys, "verify", "lemma-bla", "--p-range=-5:7") == (code, out, err)
+
+
+def test_a_pairing_that_is_no_half_integer_exits_3_without_a_traceback(capsys, monkeypatch):
+    # every su(1,1) pairing is a half-integer; a planted tensor-basis layout
+    # that breaks this for degrees (1, 2), in su(3,3), is a verification failure
+    monkeypatch.setattr(tightmaps.su11, "_in_tensor_basis", lambda sums, other: (1, 0))
+    code, out, err = run(capsys, "classify", "--algebra", "su11xsu11", "--weight", "1,2")
+    assert code == VERIFICATION_FAILURE and out == ""
+    assert err == "verification failure: su(3,3) pairing 1/4 is not a half-integer\n"
 
 
 @pytest.mark.parametrize("text", ["4:4", "6:6"])

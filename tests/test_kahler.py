@@ -4,6 +4,7 @@ The Fraction implementation that ``kahler`` replaced with integer numerators
 over one denominator is kept here as the oracle.
 """
 
+import math
 import random
 import sys
 import types
@@ -17,7 +18,6 @@ from tightmaps.errors import VerificationError
 from tightmaps.kahler import (
     HermitianFactor,
     HomClassMap,
-    class_map,
     compose,
     distinguished_class,
     is_negative,
@@ -46,10 +46,45 @@ from tightmaps.lemmas import (
 F = Fraction
 
 
+def _integral(rows) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """Rows of ints and Fractions as integer numerators over their least common denominator."""
+    rows = [tuple(row) for row in rows]
+    d = math.lcm(*(x.denominator for row in rows for x in row))
+    return tuple(tuple(x.numerator * (d // x.denominator) for x in row) for row in rows), d
+
+
 def kahler_class(factors, coefficients) -> kahler.KahlerClass:
     """The class with these int or Fraction coefficients, over their common denominator."""
-    (numerators,), d = kahler._integral([coefficients])
+    (numerators,), d = _integral([coefficients])
     return kahler.KahlerClass(tuple(factors), numerators, d)
+
+
+def class_map(source, target, matrix) -> HomClassMap:
+    """The map with this int or Fraction matrix, over its common denominator."""
+    return HomClassMap(tuple(source), tuple(target), *_integral(matrix))
+
+
+def counting_fractions(monkeypatch, *modules) -> list:
+    """The arguments of every Fraction made from here on, in a list.
+
+    The package imports Fraction in the functions that make one, so the count
+    goes through the module it imports from (and each module's Fraction,
+    should a module-level import return); results of Fraction arithmetic are
+    not counted.
+    """
+    made = []
+
+    class CountingFraction(Fraction):
+        def __new__(cls, *args, **kwargs):
+            made.append(args)
+            return super().__new__(cls, *args, **kwargs)
+
+    counting = types.ModuleType("fractions")
+    counting.Fraction = CountingFraction
+    monkeypatch.setitem(sys.modules, "fractions", counting)
+    for module in modules:
+        monkeypatch.setattr(module, "Fraction", CountingFraction, raising=False)
+    return made
 
 
 # -- the Fraction oracle -------------------------------------------------------
@@ -456,27 +491,13 @@ def test_planted_faults_in_a_tight_leg_are_caught():
 
 
 def test_integer_paths_build_no_fractions(monkeypatch):
-    made = []
-
-    class CountingFraction(Fraction):
-        def __new__(cls, *args, **kwargs):
-            made.append(args)
-            return super().__new__(cls, *args, **kwargs)
-
     rng = random.Random(3)
     maps = []
     for _ in range(40):
         source, middle, target = (random_factors(rng, 3) for _ in range(3))
         maps.append((class_map(source, middle, random_rational_map(rng, source, middle)),
                      class_map(middle, target, random_rational_map(rng, middle, target))))
-    # kahler imports Fraction in the functions that make one, so the count
-    # goes through the module it imports from (and kahler.Fraction, should a
-    # module-level import return); results of Fraction arithmetic are not counted
-    counting = types.ModuleType("fractions")
-    counting.Fraction = CountingFraction
-    monkeypatch.setitem(sys.modules, "fractions", counting)
-    monkeypatch.setattr(kahler, "Fraction", CountingFraction, raising=False)
-    monkeypatch.setattr(lemmas, "Fraction", CountingFraction)
+    made = counting_fractions(monkeypatch, kahler, lemmas)
     for f, h in maps:
         composite = compose(f, h)
         HomClassMap(f.source, f.target, f.numerators, f.denominator)

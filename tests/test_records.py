@@ -60,7 +60,7 @@ def _records():
         embedding_table()[0],  # su(2,1)
         SU21,
         kahler.distinguished_class((SU21,)),
-        kahler.class_map((SU21,), (SU21,), ((1,),)),
+        kahler.HomClassMap((SU21,), (SU21,), ((1,),), 1),
     ]
 
 

@@ -393,61 +393,54 @@ def test_dimension_agrees_with_freudenthal_up_to_ten():
 
 
 def _full_support_oracle(system, top):
-    """Freudenthal on every weight of the support, found by a member walk.
+    """Freudenthal on the dominant weights of the support, spread over orbits.
 
-    The support is walked down simple roots from the top; a candidate mu
-    belongs to it iff its dominant representative lies below the top.  This
-    recursion is independent of the Weyl numerator, and is the oracle of
-    the character table that dividing it builds.
+    The dominant weights below the top are walked down positive roots from
+    it (Stembridge: each is reached through dominant weights).  They are
+    taken in order of depth, Freudenthal's recursion gives each one's
+    multiplicity from weights higher up, and the multiplicity is written at
+    every point of its Weyl orbit, walked by simple reflections
+    (Moody-Patera).  Each mu + k alpha the recursion reads is higher than
+    mu, and so is its dominant representative, so its orbit is written by
+    then.  This recursion is independent of the Weyl numerator, and is the
+    oracle of the character table that dividing it builds.
     """
-    cartan, rank = system.cartan_matrix, system.rank
-
-    def member(mu, depth):
-        cur, depth = list(mu), list(depth)
-        while True:
-            neg = next((i for i, c in enumerate(cur) if c < 0), None)
-            if neg is None:
-                return all(n >= 0 for n in depth)
-            mi = cur[neg]
-            depth[neg] += mi
-            for j in range(rank):
-                cur[j] -= mi * cartan[j][neg]
-
-    support = {top: (0,) * rank}
+    rank = system.rank
+    positive = [(r, system.root_table[r]) for r in system.positive_roots]
+    depths = {top: (0,) * rank}
     frontier = [top]
     while frontier:
         nxt = []
         for mu in frontier:
-            for i in range(rank):
-                cand = tuple(mu[j] - cartan[j][i] for j in range(rank))
-                depth = tuple(d + (j == i) for j, d in enumerate(support[mu]))
-                if cand not in support and member(cand, depth):
-                    support[cand] = depth
+            for r, entry in positive:
+                cand = tuple(m - f for m, f in zip(mu, entry.fundamental))
+                if min(cand) >= 0 and cand not in depths:
+                    depths[cand] = tuple(d + c for d, c in zip(depths[mu], r))
                     nxt.append(cand)
         frontier = nxt
 
-    positive = [system.root_table[r] for r in system.positive_roots]
     simple_half = [system.root_table[a].half_norm for a in system.simple_roots]
-    mults = {top: 1}
-    for mu in sorted(support, key=lambda mu: sum(support[mu])):
-        if mu == top:
-            continue
-        num = 0
-        for entry in positive:
-            value = sum(m * c for m, c in zip(mu, entry.coroot))
-            up, k = mu, 1
-            while True:
-                up = tuple(u + a for u, a in zip(up, entry.fundamental))
-                if up not in support:
-                    break
-                num += entry.half_norm * (value + 2 * k) * mults[up]
-                k += 1
-        denom = sum(
-            h * n * (t + m + 2)
-            for h, n, t, m in zip(simple_half, support[mu], top, mu)
-        )
-        assert (2 * num) % denom == 0
-        mults[mu] = 2 * num // denom
+    mults = {}
+    for mu in sorted(depths, key=lambda mu: sum(depths[mu])):
+        count = 1
+        if mu != top:
+            num = 0
+            for _, entry in positive:
+                value = sum(m * c for m, c in zip(mu, entry.coroot))
+                up, k = mu, 1
+                while True:
+                    up = tuple(u + a for u, a in zip(up, entry.fundamental))
+                    if up not in mults:
+                        break
+                    num += entry.half_norm * (value + 2 * k) * mults[up]
+                    k += 1
+            denom = sum(
+                h * n * (t + m + 2)
+                for h, n, t, m in zip(simple_half, depths[mu], top, mu)
+            )
+            assert (2 * num) % denom == 0
+            count = 2 * num // denom
+        mults.update(dict.fromkeys(_orbit_signs(system, mu), count))
     return mults
 
 

@@ -56,6 +56,19 @@ def test_no_package_module_peels_strings():
     assert found == []
 
 
+def test_no_package_module_converts_fraction_pairings():
+    # su(1,1) pairings reach the class maps as doubled ints over denominator
+    # 1; the Fraction-matrix adapter is only a helper in tests/test_kahler.py
+    gone = {"class_map", "_integral", "_pair_with_z", "tensor_factor_pairings"}
+    found = [
+        f"{path.name}:{n.lineno}"
+        for path, tree in _package_trees()
+        for n in ast.walk(tree)
+        if isinstance(n, ast.FunctionDef) and n.name in gone
+    ]
+    assert found == []
+
+
 def test_no_package_module_runs_freudenthal():
     # the character is the Weyl numerator divided by every positive root;
     # Freudenthal's recursion, with its orbit sizes and Weyl-image rows, is

@@ -9,7 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tightmaps.su11
 from tightmaps.classify import Witness, _pairing_verdict, constructive_verdict, cross_check
+from tightmaps.errors import VerificationError
 from tightmaps.rootsys import build_root_system, weight, weight_multiplicities
 from tightmaps.su11 import (
     StructureChoice,
@@ -19,12 +21,12 @@ from tightmaps.su11 import (
     clebsch_gordan,
     diagonal_disc_z,
     disc_pairing_value,
+    doubled_pairings,
     pairing,
     structure_representatives,
     sym_power_pairing,
     sym_power_rep,
     sym_power_signature,
-    tensor_factor_pairings,
     tensor_pairing,
     tensor_rep,
     tensor_signature,
@@ -271,10 +273,11 @@ def test_structure_flip_negates_pairing(k, l):
 def test_factor_pairings_decompose_the_pairing(k, l):
     if (k, l) == (0, 0):
         return
-    p1, p2 = tensor_factor_pairings(k, l)
+    d1, d2 = doubled_pairings(k, l)
+    assert type(d1) is type(d2) is int
     for structure in structure_representatives():
         s1, s2 = structure.signs
-        assert tensor_pairing(k, l, structure) == s1 * p1 + s2 * p2
+        assert _exactly(tensor_pairing(k, l, structure), F(s1 * d1 + s2 * d2, 2))
 
 
 def test_tight_tensor_examples():
@@ -309,6 +312,11 @@ def _exactly(value, expected):
     return type(value) is Fraction and value == expected
 
 
+def _doubled_exactly(doubled, expected):
+    """Ints, each twice the matching expected pairing."""
+    return all(type(d) is int for d in doubled) and list(doubled) == [2 * x for x in expected]
+
+
 def test_integer_pairings_match_the_fraction_oracle():
     for k in [*range(1, 61), 999, 1000]:
         rep = sym_power_rep(k)
@@ -337,6 +345,10 @@ def test_block_pairings_match_the_entrywise_oracle():
         lhs, disc = sym_power_pairing(k)
         assert _exactly(lhs, entrywise_pairing(rep.z_doubled, p, q)), k
         assert _exactly(disc, entrywise_pairing(disc_diagonal(p, q), p, q)), k
+        assert _doubled_exactly(doubled_pairings(k), [lhs]), k
+    for degrees in ((0,), (0, 0)):
+        with pytest.raises(ValueError):
+            doubled_pairings(*degrees)
     with pytest.raises(ValueError):
         sym_power_pairing(0)
     for k in range(60):
@@ -346,7 +358,7 @@ def test_block_pairings_match_the_entrywise_oracle():
             sig = tensor_signature(k, l)
             columns = tensor_columns(k, l)
             factors = [entrywise_pairing(col, *sig) for col in zip(*columns)]
-            assert all(map(_exactly, tensor_factor_pairings(k, l), factors)), (k, l)
+            assert _doubled_exactly(doubled_pairings(k, l), factors), (k, l)
             for s in structure_representatives():
                 s1, s2 = s.signs
                 oracle = entrywise_pairing([s1 * a + s2 * b for a, b in columns], *sig)
@@ -404,6 +416,13 @@ def test_no_structure_pairing_exceeds_the_disc_value():
                 assert abs(tensor_pairing(k, l, s)) <= disc, (k, l, s)
 
 
+def test_a_pairing_that_is_no_half_integer_is_a_verification_error(monkeypatch):
+    # degrees (1, 2) pair in su(3,3); block sums (1, 0) pair to 3/12
+    monkeypatch.setattr(tightmaps.su11, "_in_tensor_basis", lambda sums, other: (1, 0))
+    with pytest.raises(VerificationError, match=r"^su\(3,3\) pairing 1/4 is not a half-integer$"):
+        best_tensor_pairing(1, 2)
+
+
 @pytest.fixture
 def model_builds(monkeypatch):
     """Degrees of the ``sym_power_rep`` builds made while the test runs.
@@ -428,7 +447,7 @@ def test_each_factor_model_is_built_once(model_builds):
     for k, l in ((2, 1), (0, 5), (4, 4), (7, 0)):
         for compute, expected in (
             (best_tensor_pairing, 2),
-            (tensor_factor_pairings, 2),
+            (doubled_pairings, 2),
             (tensor_signature, 0),
         ):
             model_builds.clear()
