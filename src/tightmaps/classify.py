@@ -5,12 +5,12 @@ Every supported algebra gets two independent verdicts per highest weight:
 * the theorem route, a closed-form rule over the weight coordinates, and
 * the constructive route, which re-runs the underlying computation
   (diagonal-disc pairings for one- and two-factor domains, branching to
-  tight regular subalgebras plus string parity for the rank-two domains).
+  tight regular subalgebras for the rank-two domains).
 
 The two must agree; a mismatch raises and is treated as an implementation
-bug.  Nontight verdicts carry a witness that can be replayed, tight ones
-carry either an exact pairing equality or a pointer into the bundled
-holomorphic classification table.
+bug.  Nontight verdicts carry a witness that can be replayed.  Tight ones
+carry an exact pairing equality or, on the rank-two domains, a pointer into
+the bundled holomorphic classification table, certified by their class map.
 """
 
 from __future__ import annotations
@@ -161,10 +161,10 @@ def _subalgebra(algebra: str, selector: str) -> SubalgebraSpec:
 
 
 # Rows come from ``dominant_weights`` with the last coordinate fastest, so the
-# rows of one rank-two top are consecutive, and one top needs at most two
-# branchings: the long pair, plus ``a1+a2`` for the sp4 tops with i = 0.  Four
-# entries cover that with room to spare.  The key is the spec's value, so a
-# different or patched subalgebra never reads a stale entry.  ``restrict_rep``
+# rows of one rank-two top are consecutive, and one top needs one branching:
+# ``a1`` on su21, ``a1+a2`` for the sp4 tops with i = 0, else the long pair.
+# Four entries cover that with room to spare.  The key is the spec's value, so
+# a different or patched subalgebra never reads a stale entry.  ``restrict_rep``
 # is looked up by name on each miss, so a rebound name (as
 # ``benchmarks/trace_child.py`` rebinds it) sees every computed branching.
 @lru_cache(maxsize=4)
@@ -245,14 +245,7 @@ def _constructive_sp4(i: int, j: int) -> tuple[bool, Witness]:
     if (i, j) == (0, 0):
         return False, Witness("zero_class")
     witness = _sp4_split_witness("sp4", (i, j))
-    if witness is not None:
-        return False, witness
-    # (1, 0): exhaustive search of both tight subalgebras finds nothing even
-    top = _rank2_weight("sp4", (i, j))
-    for selector in TIGHT_SUBALGEBRA_SELECTORS["sp4"]:
-        if even_witness(top, _subalgebra("sp4", selector)) is not None:
-            raise RouteDisagreement("unexpected even witness for sp4 weight (1,0)")
-    return True, Witness("reference_classification")
+    return _class_map_verdict("sp4", (i, j)) if witness is None else (False, witness)
 
 
 def _constructive_su21(k: int, l: int) -> tuple[bool, Witness]:
@@ -261,8 +254,16 @@ def _constructive_su21(k: int, l: int) -> tuple[bool, Witness]:
     # the proof chains, then the full support, searched on the tight a1 disc
     found = even_witness(_rank2_weight("su21", (k, l)), _subalgebra("su21", "a1"))
     if found is None:
-        return True, Witness("reference_classification")
+        return _class_map_verdict("su21", (k, l))
     return False, Witness("even_branch_witness", "a1", *found)
+
+
+def _class_map_verdict(algebra: str, w: tuple[int, ...]) -> tuple[bool, Witness]:
+    """Verdict on a weight that no witness shows nontight: by Burger-Iozzi-Wienhard
+    it is tight iff its restriction to a tight subalgebra, its class map, is."""
+    if not kahler.is_tight(_class_map(algebra, w)):
+        raise VerificationError(f"{algebra} {w}: nontight, but no witness")
+    return True, Witness("reference_classification")
 
 
 def _sp4su11_expansion(i: int, j: int, k: int) -> dict[tuple[int, int], int]:
@@ -290,22 +291,11 @@ def _constructive_sp4su11(i: int, j: int, k: int) -> tuple[bool, Witness]:
         # composing a diagonal disc of the rank-two factor reduces to the
         # two-factor pairing criterion on (0, k)
         return _pairing_verdict(*best_tensor_pairing(0, k))
-    factors = _sp4su11_expansion(i, j, k)
-    tight = all(_pair_tight_rule(u, v) or (u, v) == (0, 0) for u, v in factors)
-    if tight:
-        if (i, j, k) != (1, 0, 0):
-            raise RouteDisagreement(
-                f"unexpected tight expansion for sp4su11 weight {(i, j, k)}"
-            )
-        return True, Witness("reference_classification")
     witness = _sp4_split_witness("sp4su11", (i, j, k))
-    if witness is not None:
-        return False, witness
-    # (1, 0, k): an even factor of the tensor expansion
-    value = k if k % 2 == 0 else k + 1
-    if not any(value in f for f in factors):
-        raise VerificationError(f"no factor of sp4su11 {(i, j, k)} has value {value}")
-    return False, Witness("even_tensor_factor", "a2,2a1+a2", evaluation=value)
+    value = k + k % 2  # at (1, 0, k), where the split has none: an even tensor factor
+    if witness is None and value and any(value in f for f in _sp4su11_expansion(i, j, k)):
+        witness = Witness("even_tensor_factor", "a2,2a1+a2", evaluation=value)
+    return _class_map_verdict("sp4su11", (i, j, k)) if witness is None else (False, witness)
 
 
 _CONSTRUCTIVE = {
@@ -386,12 +376,16 @@ def _replay_pairing(verdict: TightnessVerdict) -> bool:
     return _pairing_verdict(*found) == (verdict.tight, verdict.witness)
 
 
-def _wire_types_hold(wit: Witness) -> bool:
-    """Set fields have their schema types: 2.0 or True would pass the
-    comparisons and int-keyed lookups of replay, and '2' would raise there."""
+def _wire_types_hold(verdict: TightnessVerdict) -> bool:
+    """Set fields of the verdict and its witness have their schema types, and
+    the weight is dominant: 2.0 or True would pass the comparisons and
+    int-keyed lookups of replay, and '2', -1 or a wrong length would raise."""
+    wit, w = verdict.witness, verdict.weight
     weight = () if wit.weight is None else wit.weight
     return (
-        type(weight) is tuple
+        type(w) is tuple and len(w) == _rank(verdict.algebra) and type(verdict.tight) is bool
+        and all(type(x) is int and x >= 0 for x in w)
+        and type(weight) is tuple
         and all(type(x) is int for x in weight)
         and type(wit.evaluation) in (int, type(None))
         and all(x is None or _is_fraction(x) for x in (wit.pairing_lhs, wit.pairing_rhs))
@@ -413,13 +407,14 @@ def replay_witness(verdict: TightnessVerdict) -> bool:
     already computed and checked.  Everything else is recomputed.
 
     A field the witness kind does not carry must be unset, and a set field
-    must have its schema type.  The verdict's flags are bound too:
-    ``holomorphic`` must be the reference flag, and only ``pairing`` and
-    ``reference_classification`` witnesses can certify a tight verdict.
+    must have its schema type, as must the verdict's weight and ``tight``.
+    The verdict's flags are bound too: ``holomorphic`` must be the reference
+    flag, and only ``pairing`` and ``reference_classification`` witnesses
+    can certify a tight verdict, the latter only with a tight class map.
     """
     wit = verdict.witness
     kind = wit.kind
-    if kind not in _WITNESS_KINDS.get(verdict.algebra, ()) or not _wire_types_hold(wit):
+    if kind not in _WITNESS_KINDS.get(verdict.algebra, ()) or not _wire_types_hold(verdict):
         return False
     if verdict.holomorphic is not holomorphic_flag(verdict.algebra, verdict.weight):
         return False
@@ -450,6 +445,7 @@ def replay_witness(verdict: TightnessVerdict) -> bool:
         wit == Witness("reference_classification")
         and verdict.tight
         and verdict.weight in HOLOMORPHIC_WEIGHTS[verdict.algebra]
+        and kahler.is_tight(_class_map(verdict.algebra, verdict.weight))
     )
 
 
@@ -544,8 +540,11 @@ def verdict_class_map(verdict: TightnessVerdict) -> kahler.HomClassMap:
     The verdict is tight iff the returned map preserves the norm of the
     distinguished class; nontight verdicts decrease it strictly.
     """
-    algebra = verdict.algebra
-    w = verdict.weight
+    return _class_map(verdict.algebra, verdict.weight)
+
+
+def _class_map(algebra: str, w: tuple[int, ...]) -> kahler.HomClassMap:
+    """``verdict_class_map`` of the weight ``w`` of ``algebra``."""
     if algebra in ("su11", "su11xsu11"):
         return _route_map(len(w), [(w, 1)])
     if algebra == "sp4su11":

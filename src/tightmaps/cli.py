@@ -162,8 +162,16 @@ def _emit(report: dict, fmt: str, out: str | None) -> None:
     newline, a piece at a time: a JSON report's ``Runs`` are never joined."""
     pieces = json_pieces(report) if fmt == "json" else (to_markdown(report),)
     if not out:
-        sys.stdout.writelines(pieces)
-        sys.stdout.write("\n")
+        try:
+            sys.stdout.writelines(pieces)
+            sys.stdout.write("\n")
+            sys.stdout.flush()
+        except OSError as err:
+            # fd 1 goes to the null device, so the flush at exit cannot fail again
+            null = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(null, sys.stdout.fileno())
+            os.close(null)
+            raise ValueError(f"cannot write report to standard output: {err.strerror}") from err
         return
     try:
         with open(out, "w") as fh:

@@ -10,10 +10,11 @@ import tightmaps.branching
 import tightmaps.su11
 from tightmaps import classify as classify_module
 from tightmaps import kahler
-from tightmaps.branching import SubalgebraSpec
+from tightmaps.branching import BranchingResult, SubalgebraSpec
 from tightmaps.classify import (
     ALGEBRAS,
     HOLOMORPHIC_WEIGHTS,
+    TightnessVerdict,
     Witness,
     classify,
     constructive_verdict,
@@ -173,6 +174,28 @@ def test_su21_verdict_follows_the_branching_search(monkeypatch):
     )
 
 
+def test_tight_rank_two_verdicts_follow_the_branching(monkeypatch):
+    # with every branching forged to one even factor, no witness is found on
+    # the tight rows and their class maps lose norm: the route must raise,
+    # and the true verdicts must no longer replay
+    tight_rows = [("sp4", (1, 0)), ("su21", (1, 0)), ("su21", (0, 1)), ("sp4su11", (1, 0, 0))]
+    verdicts = [classify(algebra, w) for algebra, w in tight_rows]
+    assert {v.witness for v in verdicts} == {Witness("reference_classification")}
+    assert all(v.tight and replay_witness(v) for v in verdicts)
+    monkeypatch.setattr(
+        classify_module, "restrict_rep",
+        lambda top, sub: BranchingResult((((2,) + (0,) * (sub.rank - 1), 1),)),
+    )
+    classify_module._branching.cache_clear()
+    try:
+        for verdict in verdicts:
+            with pytest.raises(VerificationError, match="nontight, but no witness"):
+                constructive_verdict(verdict.algebra, verdict.weight)
+            assert not replay_witness(verdict), verdict
+    finally:
+        classify_module._branching.cache_clear()
+
+
 def _count_restrict_rep(monkeypatch) -> list:
     """Record every call of ``restrict_rep`` that ``classify`` makes."""
     calls = []
@@ -188,8 +211,9 @@ def _count_restrict_rep(monkeypatch) -> list:
 
 @pytest.mark.parametrize(
     "algebra,bound,expected",
-    # sp4su11 to 6: 27 sp4 tops on the long pair, and 6 with i = 0 on a1+a2
-    [("sp4su11", 6, 33), ("sp4", 8, 43), ("su21", 9, 52)],
+    # sp4su11 to 6: 21 sp4 tops with i > 0 on the long pair, and 6 with
+    # i = 0 on a1+a2; each sweep's tight rows branch for their class maps
+    [("sp4su11", 6, 27), ("sp4", 8, 44), ("su21", 9, 54)],
 )
 def test_sweep_branches_each_top_and_subalgebra_once(monkeypatch, algebra, bound, expected):
     classify_module._branching.cache_clear()
@@ -226,7 +250,7 @@ def test_sweep_builds_no_signatures_inside_branching(monkeypatch):
             if module_name.startswith("tightmaps") and vars(module).get(name) is original:
                 monkeypatch.setattr(module, name, watched)
     sweep("sp4su11", 6)
-    assert len(branchings) == 33 and inside == []
+    assert len(branchings) == 27 and inside == []
 
 
 def test_branching_memo_keys_on_the_subalgebra_value(monkeypatch):
@@ -287,6 +311,30 @@ def test_replay_rejects_tampered_witness():
                 assert not replay_witness(verdict._replace(witness=forged)), (
                     algebra, verdict.weight, forged,
                 )
+
+
+def test_replay_rejects_malformed_verdict_fields():
+    # a verdict read back from a file may hold any value in its own fields;
+    # each of these replays False, without raising
+    forged_weights = [
+        ("sp4", (2, 0), (2.0, 0)),
+        ("sp4", (2, 0), (True, 0)),
+        ("su11", (3,), (3.0,)),
+        ("su11", (3,), ("3",)),
+        ("sp4", (1, 0), [1, 0]),
+        ("sp4", (1, 3), (-1, 3)),
+        ("su11xsu11", (1, 2), (1, 2, 3)),
+        ("sp4su11", (1, 0, 0), (1, 0)),
+    ]
+    for algebra, w, forged in forged_weights:
+        verdict = classify(algebra, w)
+        assert replay_witness(verdict)
+        assert replay_witness(verdict._replace(weight=forged)) is False, (algebra, forged)
+    verdict = classify("su11", (3,))
+    for flag in (1, None, "True"):
+        assert replay_witness(verdict._replace(tight=flag)) is False, flag
+    assert not replay_witness(TightnessVerdict("sp4", (1, 0), 1, True,
+                                               Witness("reference_classification")))
 
 
 def test_replay_binds_the_tight_and_holomorphic_flags():

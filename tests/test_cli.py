@@ -1,8 +1,12 @@
 """CLI surface: parsing, report formats, exit codes."""
 
+import errno
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
@@ -508,6 +512,47 @@ def test_unwritable_out_is_refused_before_the_command_runs(monkeypatch, tmp_path
         )
         assert code == VALIDATION_ERROR and out == ""
         assert err.startswith(f"validation error: cannot write report to {target}: ")
+
+
+def _spawn(argv, stdout):
+    """A fresh ``python -m tightmaps`` on ``argv``, its stderr piped as text."""
+    src = os.path.dirname(os.path.dirname(tightmaps.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])
+    ))
+    return subprocess.Popen([sys.executable, "-m", "tightmaps", *argv], stdout=stdout,
+                            stderr=subprocess.PIPE, text=True, env=env)
+
+
+def _assert_one_stdout_error_line(err):
+    assert err.startswith("validation error: cannot write report to standard output: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert "Traceback" not in err and "Exception ignored" not in err
+
+
+def test_a_closed_stdout_pipe_is_a_validation_error(capsys):
+    # a reader that stops early (`| head`) closes the pipe; a report over
+    # 64 KB cannot wait in the pipe's buffer, so the writer meets the close
+    argv = ["sweep", "--algebra", "sp4", "--max", "30", "--format", "json"]
+    code, out, _ = run(capsys, *argv)
+    assert code == OK and len(out) > 64 * 1024
+    proc = _spawn(argv, subprocess.PIPE)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait() == VALIDATION_ERROR
+    _assert_one_stdout_error_line(err)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+@pytest.mark.parametrize("fmt", ["md", "json"])
+def test_a_full_stdout_is_a_validation_error(fmt):
+    # the report fits the stream's buffer, so only the flush meets the error
+    with open("/dev/full", "w") as full:
+        proc = _spawn(["classify", "--algebra", "sp4", "--weight", "1,0", "--format", fmt], full)
+        err = proc.communicate()[1]
+    assert proc.returncode == VALIDATION_ERROR
+    _assert_one_stdout_error_line(err)
+    assert err.endswith(f"{os.strerror(errno.ENOSPC)}\n")
 
 
 def test_a_failed_command_creates_no_out_file(monkeypatch, tmp_path, capsys):

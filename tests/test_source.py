@@ -87,6 +87,39 @@ def test_no_package_module_runs_freudenthal():
     assert {"_weyl_numerator", "_divide"} <= table_calls
 
 
+def _reachable_loads(tree, start):
+    """Module-level definitions of ``tree`` that ``start`` reaches through
+    the names their bodies load, and every name those bodies load."""
+    defs = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defs[node.name] = node
+        elif isinstance(node, ast.Assign):
+            defs.update((t.id, node) for t in node.targets if isinstance(t, ast.Name))
+    reached, loaded, todo = set(), set(), [start]
+    while todo:
+        name = todo.pop()
+        if name in reached or name not in defs:
+            continue
+        reached.add(name)
+        names = {n.id for n in _loads(defs[name]) if isinstance(n, ast.Name)}
+        loaded |= names
+        todo += names
+    return reached, loaded
+
+
+def test_the_constructive_route_uses_none_of_the_theorem_route():
+    # the two routes stay independent: the constructive verdicts come from
+    # witnesses and class maps, and only classify and cross_check compare them
+    tree = ast.parse((PACKAGE / "classify.py").read_text())
+    reached, loaded = _reachable_loads(tree, "constructive_verdict")
+    theorem = {"theorem_tight", "_pair_tight_rule", "HOLOMORPHIC_WEIGHTS", "RouteDisagreement"}
+    assert loaded & theorem == set()
+    assert {"_constructive_sp4", "_constructive_su21", "_constructive_sp4su11",
+            "_class_map", "_branching"} <= reached
+    assert {"theorem_tight", "RouteDisagreement"} <= _reachable_loads(tree, "classify")[1]
+
+
 def test_submodule_import_yields_the_module():
     import tightmaps.classify as module
 
