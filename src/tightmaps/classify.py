@@ -42,9 +42,8 @@ from .su11 import (
     best_tensor_pairing,
     clebsch_gordan,
     doubled_pairings,
+    signature,
     sym_power_pairing,
-    sym_power_signature,
-    tensor_signature,
 )
 
 ALGEBRAS = ("su11", "su11xsu11", "sp4", "sp4su11", "su21")
@@ -200,26 +199,16 @@ def _pairing_verdict(lhs: Fraction, rhs: Fraction) -> tuple[bool, Witness]:
     return abs(lhs) == abs(rhs), Witness("pairing", pairing_lhs=lhs, pairing_rhs=rhs)
 
 
-# -- constructive routes ----------------------------------------------------
+def _disc_pairing(algebra: str, w: tuple[int, ...]) -> tuple[Fraction, Fraction]:
+    """(pairing, disc value) of the degree-k model on su11, else of the
+    two-factor model of the last two coordinates."""
+    return sym_power_pairing(*w) if algebra == "su11" else best_tensor_pairing(*w[-2:])
 
 
-def _constructive_su11(k: int) -> tuple[bool, Witness]:
-    if k == 0:
-        return False, Witness("zero_class")
-    return _pairing_verdict(*sym_power_pairing(k))
+# -- constructive route -----------------------------------------------------
 
 
-def _constructive_su11xsu11(k: int, l: int) -> tuple[bool, Witness]:
-    if (k, l) == (0, 0):
-        return False, Witness("zero_class")
-    if k % 2 == l % 2:
-        # both parities equal: every factor of the diagonal-disc composite
-        # has even highest weight, the top one being k + l
-        return False, Witness("clebsch_gordan_even", evaluation=k + l)
-    return _pairing_verdict(*best_tensor_pairing(k, l))
-
-
-def _sp4_split_witness(algebra: str, w: tuple[int, ...]) -> Witness | None:
+def _sp4_split_witness(w: tuple[int, ...]) -> Witness | None:
     """Witness of the two-case split on the sp4 factor (i, j), or None at (1, 0).
 
     First case, i = 0: the short-root disc, value 2j on the top.  Second
@@ -236,34 +225,35 @@ def _sp4_split_witness(algebra: str, w: tuple[int, ...]) -> Witness | None:
     if value % 2:
         (step,) = _WITNESS_STEPS["C2"]
         coords, value = tuple(map(operator.sub, coords, step)), value - 1
-    if not is_weight(_rank2_weight(algebra, w), coords):
+    if not is_weight(_rank2_weight("sp4", w), coords):
         raise VerificationError(f"witness weight {coords} is not a weight of {w[:2]}")
     return Witness("even_branch_witness", "a2,2a1+a2", coords, value)
 
 
-def _constructive_sp4(i: int, j: int) -> tuple[bool, Witness]:
-    if (i, j) == (0, 0):
+def _certificate(algebra: str, w: tuple[int, ...]) -> tuple[bool, Witness] | None:
+    """The verdict a witness decides, or None when no witness shows ``w`` nontight.
+
+    In order: the zero class; at equal parities of su11xsu11, the composite's
+    even factors, the top one k + l; the pairing of the one- and two-factor
+    models, sp4su11 (0, 0, k) composing to the model (0, k); su21's search on
+    its tight a1 disc; the sp4 split; at sp4su11 (1, 0, k), an even factor.
+    """
+    if not any(w):
         return False, Witness("zero_class")
-    witness = _sp4_split_witness("sp4", (i, j))
-    return _class_map_verdict("sp4", (i, j)) if witness is None else (False, witness)
-
-
-def _constructive_su21(k: int, l: int) -> tuple[bool, Witness]:
-    if (k, l) == (0, 0):
-        return False, Witness("zero_class")
-    # the proof chains, then the full support, searched on the tight a1 disc
-    found = even_witness(_rank2_weight("su21", (k, l)), _subalgebra("su21", "a1"))
-    if found is None:
-        return _class_map_verdict("su21", (k, l))
-    return False, Witness("even_branch_witness", "a1", *found)
-
-
-def _class_map_verdict(algebra: str, w: tuple[int, ...]) -> tuple[bool, Witness]:
-    """Verdict on a weight that no witness shows nontight: by Burger-Iozzi-Wienhard
-    it is tight iff its restriction to a tight subalgebra, its class map, is."""
-    if not kahler.is_tight(_class_map(algebra, w)):
-        raise VerificationError(f"{algebra} {w}: nontight, but no witness")
-    return True, Witness("reference_classification")
+    if algebra == "su11xsu11" and w[0] % 2 == w[1] % 2:
+        return False, Witness("clebsch_gordan_even", evaluation=sum(w))
+    if algebra not in _RANK2_FACTOR or not any(w[:2]):
+        return _pairing_verdict(*_disc_pairing(algebra, w))
+    if algebra == "su21":
+        # the proof chains, then the full support
+        found = even_witness(_rank2_weight(algebra, w), _subalgebra(algebra, "a1"))
+        return None if found is None else (False, Witness("even_branch_witness", "a1", *found))
+    witness = _sp4_split_witness(w)
+    if witness is None and algebra == "sp4su11":
+        value = w[2] + w[2] % 2
+        if value and any(value in f for f in _sp4su11_expansion(*w)):
+            witness = Witness("even_tensor_factor", "a2,2a1+a2", evaluation=value)
+    return None if witness is None else (False, witness)
 
 
 def _sp4su11_expansion(i: int, j: int, k: int) -> dict[tuple[int, int], int]:
@@ -284,32 +274,16 @@ def _sp4su11_expansion(i: int, j: int, k: int) -> dict[tuple[int, int], int]:
     return out
 
 
-def _constructive_sp4su11(i: int, j: int, k: int) -> tuple[bool, Witness]:
-    if (i, j, k) == (0, 0, 0):
-        return False, Witness("zero_class")
-    if (i, j) == (0, 0):
-        # composing a diagonal disc of the rank-two factor reduces to the
-        # two-factor pairing criterion on (0, k)
-        return _pairing_verdict(*best_tensor_pairing(0, k))
-    witness = _sp4_split_witness("sp4su11", (i, j, k))
-    value = k + k % 2  # at (1, 0, k), where the split has none: an even tensor factor
-    if witness is None and value and any(value in f for f in _sp4su11_expansion(i, j, k)):
-        witness = Witness("even_tensor_factor", "a2,2a1+a2", evaluation=value)
-    return _class_map_verdict("sp4su11", (i, j, k)) if witness is None else (False, witness)
-
-
-_CONSTRUCTIVE = {
-    "su11": _constructive_su11,
-    "su11xsu11": _constructive_su11xsu11,
-    "sp4": _constructive_sp4,
-    "su21": _constructive_su21,
-    "sp4su11": _constructive_sp4su11,
-}
-
-
 def constructive_verdict(algebra: str, w: tuple[int, ...]) -> tuple[bool, Witness]:
-    """Re-run the computation behind the theorems for one weight."""
-    return _CONSTRUCTIVE[algebra](*validate_weight(algebra, w))
+    """Re-run the computation behind the theorems for one weight: its certificate,
+    else its class map, which is tight iff the weight is (Burger-Iozzi-Wienhard)."""
+    w = validate_weight(algebra, w)
+    found = _certificate(algebra, w)
+    if found is not None:
+        return found
+    if not kahler.is_tight(_class_map(algebra, w)):
+        raise VerificationError(f"{algebra} {w}: nontight, but no witness")
+    return True, Witness("reference_classification")
 
 
 def holomorphic_flag(algebra: str, w: tuple[int, ...]) -> bool | None:
@@ -369,11 +343,8 @@ def _replay_pairing(verdict: TightnessVerdict) -> bool:
     # the zero weight has no disc, and sp4su11 pairs only on (0, 0, k)
     if not any(w) or (verdict.algebra == "sp4su11" and any(w[:2])):
         return False
-    if verdict.algebra == "su11":
-        found = sym_power_pairing(*w)
-    else:
-        found = best_tensor_pairing(*w[-2:])
-    return _pairing_verdict(*found) == (verdict.tight, verdict.witness)
+    found = _pairing_verdict(*_disc_pairing(verdict.algebra, w))
+    return found == (verdict.tight, verdict.witness)
 
 
 def _wire_types_hold(verdict: TightnessVerdict) -> bool:
@@ -413,8 +384,11 @@ def replay_witness(verdict: TightnessVerdict) -> bool:
     can certify a tight verdict, the latter only with a tight class map.
     """
     wit = verdict.witness
+    # tuple membership compares without hashing, so an unhashable algebra is refused here
+    if type(wit) is not Witness or verdict.algebra not in ALGEBRAS:
+        return False
     kind = wit.kind
-    if kind not in _WITNESS_KINDS.get(verdict.algebra, ()) or not _wire_types_hold(verdict):
+    if kind not in _WITNESS_KINDS[verdict.algebra] or not _wire_types_hold(verdict):
         return False
     if verdict.holomorphic is not holomorphic_flag(verdict.algebra, verdict.weight):
         return False
@@ -521,7 +495,6 @@ def _route_map(rank: int, factors) -> kahler.HomClassMap:
     whose column is n times the factor's doubled pairings, over denominator 1.
     """
     source = (kahler.su(1, 1),) * rank
-    signature = sym_power_signature if rank == 1 else tensor_signature
     targets, columns = [], []
     for degrees, n in factors:
         if not any(degrees):

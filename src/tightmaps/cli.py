@@ -34,7 +34,7 @@ from .classify import (
 )
 from .errors import VerificationError
 from .rootsys import weight
-from .su11 import sym_power_signature, tensor_signature
+from .su11 import signature
 
 OK = 0
 USAGE_ERROR = 1
@@ -249,7 +249,6 @@ def cmd_branch(args) -> dict:
     sub = make_subalgebra(system, parse_subalgebra_selector(system, args.sub))
     # each distinct factor's signature (p, q) is read once, and its wire value
     # is written once per copy; rank-one factors are written as bare ints
-    signature = sym_power_signature if sub.rank == 1 else tensor_signature
     wire = [(f[0] if sub.rank == 1 else list(f), list(signature(*f)), n)
             for f, n in restrict_rep(top, sub).factors]
     found = even_witness(top, sub)

@@ -224,6 +224,11 @@ def tensor_signature(k: int, l: int) -> SignaturePair:
     return SignaturePair(one.p * two.p + one.q * two.q, one.p * two.q + one.q * two.p)
 
 
+def signature(*degrees: int) -> SignaturePair:
+    """Form signature of the degree-k model, or of the degree-(k, l) product."""
+    return sym_power_signature(*degrees) if len(degrees) == 1 else tensor_signature(*degrees)
+
+
 def _in_tensor_basis(sums: BlockSums, other: SignaturePair) -> BlockSums:
     """Block sums of one factor's Z-contribution laid out in the tensor basis
     of :func:`tensor_rep`, where each positive entry meets the ``other``

@@ -337,6 +337,17 @@ def test_replay_rejects_malformed_verdict_fields():
                                                Witness("reference_classification")))
 
 
+def test_replay_rejects_a_foreign_witness_or_algebra():
+    # neither a missing or plain-tuple witness nor an unhashable algebra
+    # raises: each replays False
+    verdict = classify("sp4", (2, 0))
+    assert replay_witness(verdict)
+    for forged in (verdict._replace(witness=None),
+                   verdict._replace(witness=tuple(verdict.witness)),
+                   verdict._replace(algebra=["sp4"])):
+        assert replay_witness(forged) is False, forged
+
+
 def test_replay_binds_the_tight_and_holomorphic_flags():
     # every row of the criterion-9 sweeps replays as written, and no row
     # replays with its tight flag or its holomorphic flag flipped

@@ -257,8 +257,9 @@ def test_a_long_run_is_written_in_bounded_pieces(tmp_path, capsys):
 )
 def test_branch_reads_one_signature_per_distinct_factor(monkeypatch, capsys, sub, signature):
     calls = []
-    real = getattr(tightmaps.cli, signature)
-    monkeypatch.setattr(tightmaps.cli, signature, lambda *f: calls.append(f) or real(*f))
+    # su11.signature looks the rank's own signature up in su11
+    real = getattr(tightmaps.su11, signature)
+    monkeypatch.setattr(tightmaps.su11, signature, lambda *f: calls.append(f) or real(*f))
     code, doc, _ = run_json(capsys, "branch", "--algebra", "sp4", "--weight", "2,3", "--sub", sub)
     assert code == OK
     # on a1+a2 the 34 factors of (2,3) take 5 values; on the long pair none repeats

@@ -115,9 +115,14 @@ def test_the_constructive_route_uses_none_of_the_theorem_route():
     reached, loaded = _reachable_loads(tree, "constructive_verdict")
     theorem = {"theorem_tight", "_pair_tight_rule", "HOLOMORPHIC_WEIGHTS", "RouteDisagreement"}
     assert loaded & theorem == set()
-    assert {"_constructive_sp4", "_constructive_su21", "_constructive_sp4su11",
-            "_class_map", "_branching"} <= reached
+    assert {"_certificate", "_class_map", "_branching"} <= reached
     assert {"theorem_tight", "RouteDisagreement"} <= _reachable_loads(tree, "classify")[1]
+    # one route for every algebra: no per-algebra function, no dispatch table
+    defined = {n.name for n in tree.body if isinstance(n, ast.FunctionDef)}
+    defined |= {t.id for n in tree.body if isinstance(n, ast.Assign)
+                for t in n.targets if isinstance(t, ast.Name)}
+    assert [name for name in defined if name.startswith("_constructive")] == []
+    assert "_CONSTRUCTIVE" not in defined
 
 
 def test_submodule_import_yields_the_module():

@@ -23,6 +23,7 @@ from tightmaps.su11 import (
     disc_pairing_value,
     doubled_pairings,
     pairing,
+    signature,
     structure_representatives,
     sym_power_pairing,
     sym_power_rep,
@@ -78,6 +79,14 @@ def test_sym_power_signature_split():
     for build in (sym_power_signature, sym_power_rep):
         with pytest.raises(ValueError):
             build(-1)
+
+
+def test_signature_dispatches_on_the_number_of_degrees():
+    for k in range(8):
+        assert signature(k) == sym_power_signature(k)
+        for l in range(8):
+            assert signature(k, l) == tensor_signature(k, l) == tensor_rep(
+                k, l, structure_representatives()[0]).signature
 
 
 def test_sym_power_diagonal_matches_the_monomial_order():
