@@ -30,7 +30,7 @@ from .branching import (
     parse_subalgebra_selector,
     restrict_rep,
 )
-from .errors import VerificationError
+from .errors import VerificationError, ratio
 from .rootsys import (
     RootSystemData,
     WeightVector,
@@ -39,11 +39,10 @@ from .rootsys import (
     weight,
 )
 from .su11 import (
-    best_tensor_pairing,
     clebsch_gordan,
+    doubled_disc_pairing,
     doubled_pairings,
     signature,
-    sym_power_pairing,
 )
 
 ALGEBRAS = ("su11", "su11xsu11", "sp4", "sp4su11", "su21")
@@ -130,19 +129,24 @@ class Witness(namedtuple("Witness", (
     "subalgebra",  # str
     "weight",  # tuple of ints
     "evaluation",  # int
-    "pairing_lhs",  # Fraction
-    "pairing_rhs",  # Fraction
+    "pairing_lhs",  # int: twice the pairing
+    "pairing_rhs",  # int: twice the diagonal-disc value
 ), defaults=(None,) * 5)):
     """A replayable certificate of one verdict.
 
     The fields, in order, are the wire schema; ``None`` marks a field the
-    kind does not carry, and such fields are left out of reports.
+    kind does not carry, and such fields are left out of reports.  The two
+    pairing fields hold half-integers doubled, as ints, and are written as
+    their halves, 'p/q' or 'p' when whole.
     """
 
     __slots__ = ()
 
-    def __str__(self) -> str:  # the set fields in wire order, rationals as p/q
-        return ", ".join(f"{k}={v}" for k, v in self._asdict().items() if v is not None)
+    def __str__(self) -> str:  # the set fields in wire order, pairings as halves
+        return ", ".join(
+            f"{k}={ratio(v, 2) if k.startswith('pairing_') and type(v) is int else v}"
+            for k, v in self._asdict().items() if v is not None
+        )
 
 
 TightnessVerdict = namedtuple("TightnessVerdict", "algebra weight tight holomorphic witness")
@@ -194,15 +198,15 @@ def _pair_tight_rule(u: int, v: int) -> bool:
     return (u % 2 == 1 and v == 0) or (v % 2 == 1 and u == 0)
 
 
-def _pairing_verdict(lhs: Fraction, rhs: Fraction) -> tuple[bool, Witness]:
-    """Diagonal-disc criterion on a (pairing, disc value) pair, with its witness."""
+def _pairing_verdict(lhs: int, rhs: int) -> tuple[bool, Witness]:
+    """Diagonal-disc criterion on a doubled (pairing, disc value) pair, with its witness."""
     return abs(lhs) == abs(rhs), Witness("pairing", pairing_lhs=lhs, pairing_rhs=rhs)
 
 
-def _disc_pairing(algebra: str, w: tuple[int, ...]) -> tuple[Fraction, Fraction]:
-    """(pairing, disc value) of the degree-k model on su11, else of the
-    two-factor model of the last two coordinates."""
-    return sym_power_pairing(*w) if algebra == "su11" else best_tensor_pairing(*w[-2:])
+def _disc_pairing(w: tuple[int, ...]) -> tuple[int, int]:
+    """Doubled (pairing, disc value) of the model of the last two coordinates:
+    the degree-k model on su11, else the two-factor model."""
+    return doubled_disc_pairing(*w[-2:])
 
 
 # -- constructive route -----------------------------------------------------
@@ -243,7 +247,7 @@ def _certificate(algebra: str, w: tuple[int, ...]) -> tuple[bool, Witness] | Non
     if algebra == "su11xsu11" and w[0] % 2 == w[1] % 2:
         return False, Witness("clebsch_gordan_even", evaluation=sum(w))
     if algebra not in _RANK2_FACTOR or not any(w[:2]):
-        return _pairing_verdict(*_disc_pairing(algebra, w))
+        return _pairing_verdict(*_disc_pairing(w))
     if algebra == "su21":
         # the proof chains, then the full support
         found = even_witness(_rank2_weight(algebra, w), _subalgebra(algebra, "a1"))
@@ -343,7 +347,7 @@ def _replay_pairing(verdict: TightnessVerdict) -> bool:
     # the zero weight has no disc, and sp4su11 pairs only on (0, 0, k)
     if not any(w) or (verdict.algebra == "sp4su11" and any(w[:2])):
         return False
-    found = _pairing_verdict(*_disc_pairing(verdict.algebra, w))
+    found = _pairing_verdict(*_disc_pairing(w))
     return found == (verdict.tight, verdict.witness)
 
 
@@ -359,14 +363,8 @@ def _wire_types_hold(verdict: TightnessVerdict) -> bool:
         and type(weight) is tuple
         and all(type(x) is int for x in weight)
         and type(wit.evaluation) in (int, type(None))
-        and all(x is None or _is_fraction(x) for x in (wit.pairing_lhs, wit.pairing_rhs))
+        and all(type(x) in (int, type(None)) for x in (wit.pairing_lhs, wit.pairing_rhs))
     )
-
-
-def _is_fraction(x) -> bool:
-    from fractions import Fraction  # only a pairing field holds one
-
-    return type(x) is Fraction
 
 
 def replay_witness(verdict: TightnessVerdict) -> bool:

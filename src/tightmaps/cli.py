@@ -32,7 +32,7 @@ from .classify import (
     sweep,
     validate_weight,
 )
-from .errors import VerificationError
+from .errors import VerificationError, ratio
 from .rootsys import weight
 from .su11 import signature
 
@@ -54,10 +54,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def witness_wire(witness: Witness) -> dict:
-    """The witness fields that are set, in field order; a pairing, a
-    rational, as the string 'p/q' ('p' when whole), which is what ``str``
-    writes."""
-    return {k: str(v) if k.startswith("pairing_") else v
+    """The witness fields that are set, in field order; a pairing field,
+    which the record holds doubled as an int, as its half, the string 'p/q'
+    ('p' when whole)."""
+    return {k: ratio(v, 2) if k.startswith("pairing_") else v
             for k, v in witness._asdict().items() if v is not None}
 
 

@@ -18,7 +18,7 @@ import math
 import operator
 from collections import namedtuple
 
-from .errors import VerificationError
+from .errors import VerificationError, ratio
 
 
 class HermitianFactor(namedtuple("HermitianFactor", "name rank tube_type")):
@@ -133,10 +133,8 @@ class HomClassMap(namedtuple("_HomClassMap", "source target numerators denominat
         for i, tf in enumerate(target):
             col = sum(abs(row[i]) * sf.rank for row, sf in zip(numerators, source))
             if col > denominator * tf.rank:
-                from fractions import Fraction  # the message prints the norm as p/q
-
                 raise ValueError(f"pullback of {tf.name} has norm "
-                                 f"{Fraction(col, denominator)} > rank {tf.rank}")
+                                 f"{ratio(col, denominator)} > rank {tf.rank}")
         return super().__new__(cls, source, target, numerators, denominator)
 
     @property
@@ -151,11 +149,6 @@ def pullback(m: HomClassMap, cls: KahlerClass) -> KahlerClass:
     return KahlerClass(m.source, numerators, m.denominator * cls.denominator)
 
 
-def _pulled_distinguished(m: HomClassMap) -> KahlerClass:
-    """Pullback of the target's distinguished class: the row sums."""
-    return KahlerClass(m.source, tuple(map(sum, m.numerators)), m.denominator)
-
-
 def _pulled_norm(m: HomClassMap) -> int:
     """D norm(pullback(kappa)), kappa the target's distinguished class."""
     return sum(abs(sum(row)) * f.rank for row, f in zip(m.numerators, m.source))
@@ -165,16 +158,18 @@ def is_tight(m: HomClassMap) -> bool:
     return _pulled_norm(m) == m.denominator * sum(f.rank for f in m.target)
 
 
+# The map sign tests read the pullback of the target's distinguished class,
+# whose coefficients are the row sums over the positive denominator.
 def is_positive_map(m: HomClassMap) -> bool:
-    return is_positive(_pulled_distinguished(m))
+    return all(sum(row) >= 0 for row in m.numerators)
 
 
 def is_negative_map(m: HomClassMap) -> bool:
-    return is_negative(_pulled_distinguished(m))
+    return all(sum(row) <= 0 for row in m.numerators)
 
 
 def is_strictly_positive_map(m: HomClassMap) -> bool:
-    return is_strictly_positive(_pulled_distinguished(m))
+    return all(sum(row) > 0 for row in m.numerators)
 
 
 def compose(f: HomClassMap, h: HomClassMap) -> HomClassMap:

@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import math
 import random
-from fractions import Fraction
 
-from .errors import VerificationError
+from .errors import VerificationError, ratio
 from .kahler import (
     Factors,
     HermitianFactor,
@@ -155,7 +154,7 @@ def strict_positive_fixture(seed: int) -> dict:
         "f_nontight": not is_tight(f),
         "h_strictly_positive": is_strictly_positive_map(h),
         "composite_nontight": composite_nontight,
-        "chain": [str(Fraction(n, den)) for n, den in chain],
+        "chain": [ratio(n, den) for n, den in chain],
         "ok": chain_ok and composite_nontight,
     }
 

@@ -13,7 +13,9 @@ The integer element ``(p+q) Z`` of su(p,q) is ``q`` on every positive vector
 and ``-p`` on every negative one, so ``d`` pairs with it through its block
 sums: ``q*sum(pos) - p*sum(neg)`` over ``2(p+q)``, a numerator that is
 ``(p+q)*sum(pos)`` as ``d`` is trace free.  So every pairing is a
-half-integer, kept doubled as an int until it is returned.  A range block
+half-integer, kept doubled as an int; only the ``Fraction`` values of
+``sym_power_pairing``, ``best_tensor_pairing``, ``tensor_pairing`` and
+``disc_pairing_value`` halve it.  A range block
 sums in closed form, so a degree-k model and the diagonal disc pair in
 O(1).  Pairing is linear, so each factor of a tensor product pairs on its
 own, giving P1 and P2, and signs (s1, s2) pair to ``s1*P1 + s2*P2``; a
@@ -26,7 +28,7 @@ import math
 import operator
 from collections import namedtuple
 
-from .errors import VerificationError
+from .errors import VerificationError, ratio
 
 Block = range | tuple[int, ...]  # doubled Z-entries of one block: d for i*diag(d/2)
 BlockSums = tuple[int, int]  # (sum over the positive block, over the negative)
@@ -166,12 +168,12 @@ def _doubled_pairing(sums: BlockSums, p: int, q: int) -> int:
     the central element of su(p,q); raises unless that is an int."""
     n = pairing(sums, _scaled_z_element(p, q))
     if n % (p + q):
-        raise VerificationError(f"su({p},{q}) pairing {_half(n) / (p + q)} is not a half-integer")
+        raise VerificationError(f"su({p},{q}) pairing {ratio(n, 2 * (p + q))} is not a half-integer")
     return n // (p + q)
 
 
 def _half(doubled: int) -> Fraction:
-    from fractions import Fraction  # loaded by the commands that report a pairing, not at import
+    from fractions import Fraction  # only the Fraction-valued library functions load it
 
     return Fraction(doubled, 2)
 
@@ -182,12 +184,12 @@ def disc_pairing_value(p: int, q: int) -> Fraction:
 
 
 def sym_power_pairing(k: int) -> tuple[Fraction, Fraction]:
-    """(<rho(Z), Z_(p,q)>, diagonal-disc value of su(p,q)) for the degree-k model.
+    """(<rho(Z), Z_(p,q)>, diagonal-disc value of su(p,q)) for the degree-k
+    model: ``doubled_disc_pairing(k)`` halved.
 
     Needs k >= 1: the degree-0 model carries no su(p,q) with p + q >= 2.
     """
-    (doubled,) = doubled_pairings(k)
-    return _half(doubled), disc_pairing_value(*sym_power_signature(k))
+    return tuple(map(_half, doubled_disc_pairing(k)))
 
 
 def clebsch_gordan(k: int, l: int) -> tuple[int, ...]:
@@ -265,18 +267,26 @@ def tensor_pairing(k: int, l: int, structure: StructureChoice) -> Fraction:
     return _half(s1 * d1 + s2 * d2)
 
 
-def best_tensor_pairing(k: int, l: int) -> tuple[Fraction, Fraction]:
-    """(structure pairing of largest modulus, diagonal-disc value) for (k, l).
-
-    Ties go to the first structure representative.  Needs (k, l) != (0, 0).
+def doubled_disc_pairing(*degrees: int) -> tuple[int, int]:
+    """Twice (pairing, diagonal-disc value) in the su(p,q) of the model of
+    ``degrees``: the degree-k model's pairing, or the degree-(k, l)
+    product's structure pairing of largest modulus, ties going to the first
+    structure representative.  Needs k >= 1, or (k, l) != (0, 0).
     """
     # Only the largest pairing needs comparing with the disc value: twice a
     # pairing is the pullback coefficient of the Kahler class of su(p,q) along
     # the diagonal su(1,1), pullback does not increase its norm, pi times the
     # rank (Domic-Toledo), so |pairing| <= rank/2, the disc value.
     # tests/test_su11.py checks the bound exactly for all k, l < 25.
-    d1, d2 = doubled_pairings(k, l)
-    sig = tensor_signature(k, l)
-    signs = (s.signs for s in structure_representatives())
-    best = max((s1 * d1 + s2 * d2 for s1, s2 in signs), key=abs)
-    return _half(best), disc_pairing_value(*sig)
+    pairings = doubled_pairings(*degrees)
+    if len(degrees) == 2:
+        d1, d2 = pairings
+        pairings = [s1 * d1 + s2 * d2 for s1, s2 in (s.signs for s in structure_representatives())]
+    sig = signature(*degrees)
+    return max(pairings, key=abs), _doubled_pairing(diagonal_disc_z(*sig), *sig)
+
+
+def best_tensor_pairing(k: int, l: int) -> tuple[Fraction, Fraction]:
+    """(structure pairing of largest modulus, diagonal-disc value) for (k, l):
+    ``doubled_disc_pairing(k, l)`` halved.  Needs (k, l) != (0, 0)."""
+    return tuple(map(_half, doubled_disc_pairing(k, l)))

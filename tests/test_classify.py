@@ -390,6 +390,32 @@ def test_every_pairing_witness_mutation_fails_replay():
             )
 
 
+def test_replay_takes_pairings_only_as_their_doubled_ints():
+    # a pairing field holds twice the half-integer as an int; the value one
+    # off, the old Fraction half, and an equal value of another type
+    # (True == 1, 1.0 == 1) all fail replay
+    verdicts = [
+        *(classify("su11", w) for w in dominant_weights("su11", 30)),
+        *(classify("su11xsu11", w) for w in dominant_weights("su11xsu11", 8)),
+        *(classify("sp4su11", (0, 0, k)) for k in range(1, 9)),
+    ]
+    rows = [v for v in verdicts if v.witness.kind == "pairing"]
+    assert {v.algebra for v in rows} == {"su11", "su11xsu11", "sp4su11"}
+    assert {type(v.witness.pairing_lhs) for v in rows} == {int}
+    assert {type(v.witness.pairing_rhs) for v in rows} == {int}
+    for verdict in rows:
+        assert replay_witness(verdict)
+        for field in ("pairing_lhs", "pairing_rhs"):
+            value = getattr(verdict.witness, field)
+            wrong = [Fraction(1, 2), 1.0, True, "1/2", value + 1, value - 1,
+                     Fraction(value, 2), Fraction(value), float(value)]
+            for forged in wrong:
+                witness = verdict.witness._replace(**{field: forged})
+                assert not replay_witness(verdict._replace(witness=witness)), (
+                    verdict.algebra, verdict.weight, field, forged,
+                )
+
+
 def test_every_even_branch_witness_mutation_fails_replay():
     # Left out, because they can name another genuine certificate:
     # evaluation - 2, weight[1] + 1 and the swap to the other tight

@@ -34,6 +34,7 @@ from tightmaps.cli import (
     to_json,
     to_markdown,
 )
+from tightmaps.errors import ratio
 
 
 def run(capsys, *argv):
@@ -83,6 +84,18 @@ def test_classify_pairing_values_serialise_as_rationals(capsys):
     assert code == OK
     wit = doc["rows"][0]["witness"]
     assert wit["pairing_lhs"] == "0" and wit["pairing_rhs"] == "1/2"
+
+
+@pytest.mark.parametrize("d", [*range(-12, 0), *range(1, 13)])
+def test_ratio_writes_what_str_of_a_fraction_writes(d):
+    # witness pairings, lemma chains and error messages print rationals by
+    # errors.ratio, so no command loads fractions to write one
+    assert [ratio(n, d) for n in range(-60, 61)] == [str(Fraction(n, d)) for n in range(-60, 61)]
+
+
+def test_ratio_of_a_zero_denominator_raises():
+    with pytest.raises(ZeroDivisionError):
+        ratio(1, 0)
 
 
 def test_sweep_su11(capsys):

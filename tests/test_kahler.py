@@ -347,6 +347,13 @@ def test_norm_gaining_maps_rejected():
         class_map([su(2, 2)], [su(1, 1)], [[1]])
 
 
+def test_a_norm_gaining_column_names_its_norm_as_p_over_q():
+    # the message writes the column's norm by errors.ratio, as str(Fraction) would
+    for numerator, denominator, text in ((3, 2, "3/2"), (-7, 4, "7/4"), (4, 2, "2")):
+        with pytest.raises(ValueError, match=rf"^pullback of su\(1,1\) has norm {text} > rank 1$"):
+            HomClassMap((su(1, 1),), (su(1, 1),), ((numerator,),), denominator)
+
+
 def test_pullback_linearity():
     m = class_map([su(1, 1)], [su(1, 1), su(2, 2)], [[F(1, 3), F(1, 4)]])
     a = kahler_class([su(1, 1), su(2, 2)], [2, 0])

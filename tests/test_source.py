@@ -208,14 +208,14 @@ def test_no_package_module_imports_dataclasses():
 
 def test_no_package_module_imports_typing_or_fractions_at_import():
     # typing.NamedTuple compiles every annotation of a record, and fractions
-    # pulls in decimal and numbers; a command that makes no Fraction pays for
-    # neither.  Only lemmas, which only `verify` loads, imports fractions at
-    # module level; every other module imports it where it makes one
+    # pulls in decimal and numbers; no command makes a Fraction, so none pays
+    # for either.  Only the Fraction-valued library functions of su11 and
+    # kahler import fractions, inside the function that makes one
     assert _imports_of("typing") == []
     assert [path.name for path, _ in _package_trees() if "NamedTuple" in path.read_text()] == []
     top_level = [path.name for path, tree in _package_trees()
                  for n in tree.body if "fractions" in _imported_modules(n)]
-    assert top_level == ["lemmas.py"]
+    assert top_level == []
     assert len(_imports_of("fractions")) > 1  # the check can see the others
 
 
@@ -223,7 +223,7 @@ def test_rootsys_and_branching_import_nothing_from_fractions():
     # roots and weights are integer tuples there; a rational in the kernel
     # would be a second arithmetic representation
     assert _imports_of("fractions", ("rootsys.py", "branching.py")) == []
-    assert _imports_of("fractions", ("classify.py",)) != []  # the check can see one
+    assert _imports_of("fractions", ("su11.py",)) != []  # the check can see one
 
 
 def test_branching_imports_nothing_from_su11():
@@ -262,24 +262,32 @@ def test_fresh_cli_import_loads_neither_typing_nor_fractions():
     assert _fresh(code) == "[]"
 
 
-@pytest.mark.parametrize("command,loaded", [
-    ("sweep --algebra sp4 --max 8", False),
-    ("sweep --algebra su21 --max 9", False),
-    ("branch --algebra sp4 --weight 4,4 --sub a1+a2", False),
-    ("classify --algebra su11 --weight 3", True),
-    ("sweep --algebra su11xsu11 --max 4", True),
-    ("verify kahler-lemmas", True),
+@pytest.mark.parametrize("command", [
+    "classify --algebra su11 --weight 3",
+    "classify --algebra su11xsu11 --weight 1,2",
+    "classify --algebra sp4 --weight 1,0",
+    "classify --algebra sp4su11 --weight 0,0,3",
+    "classify --algebra su21 --weight 0,1",
+    # the sweeps of the three bench workloads
+    "sweep --algebra sp4 --max 8",
+    "sweep --algebra su21 --max 9",
+    "sweep --algebra sp4su11 --max 6",
+    "sweep --algebra su11xsu11 --max 16",
+    "branch --algebra sp4 --weight 4,4 --sub a1+a2",
+    "verify kahler-lemmas",
+    "verify lemma-bla",
 ])
-def test_only_commands_that_make_a_fraction_load_fractions(command, loaded):
-    # the rank-two commands decide by branching and dominance, in integers;
-    # the su(1,1) pairings and the Kahler lemmas make Fractions
+def test_only_commands_that_make_a_fraction_load_fractions(command):
+    # no command makes one: verdicts are decided in integers, su(1,1)
+    # pairings stay doubled ints up to the wire, and every rational a report
+    # prints is written by errors.ratio
     code = (
         "import contextlib, io, sys, tightmaps.cli as cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    code = cli.main({command.split()!r})\n"
-        "print(code, 'fractions' in sys.modules)"
+        "print(code, sorted({'fractions', 'decimal', 'numbers'} & set(sys.modules)))"
     )
-    assert _fresh(code) == f"0 {loaded}"
+    assert _fresh(code) == "0 []"
 
 
 def test_fresh_cli_import_loads_every_traced_layer():
