@@ -204,6 +204,14 @@ def _strict_int(text: str) -> int:
     return int(text)
 
 
+def _max_int(text: str) -> int:
+    """``--max``'s type: ``_strict_int``, refused with ``int``'s usage error."""
+    try:
+        return _strict_int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+
+
 def _parse_weight(text: str) -> tuple[int, ...]:
     try:
         return tuple(_strict_int(part) for part in text.split(","))
@@ -311,7 +319,7 @@ def make_parser() -> _Parser:
 
     p = sub.add_parser("sweep", help="classify all weights up to a bound")
     p.add_argument("--algebra", required=True, choices=ALGEBRAS)
-    p.add_argument("--max", type=int, default=10)
+    p.add_argument("--max", type=_max_int, default=10)
     _add_common(p)
     p.set_defaults(run=cmd_sweep)
 

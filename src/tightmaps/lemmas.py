@@ -202,7 +202,7 @@ def verify_su_n1_to_sostar(p: int) -> dict:
     if p < 3:
         raise LemmaReduction(f"so*({2 * p}) is outside the Hermitian range")
     line = range(2 * p // 3 + 1)  # the n with l = 2p - 3n >= 0
-    candidates, feasible = len(line), any(n == p - 1 for n in line)
+    candidates, feasible = len(line), p - 1 in line
     if not candidates:
         raise VerificationError(f"p={p}: the search examined no candidate (n, l)")
     n = p - 1  # tightness pins the degree-one multiplicity

@@ -9,17 +9,18 @@ vectors and those on the negative ones; for the degree-k model these are
 ``range(k, -k-1, -4)`` and ``range(k-2, -k-1, -4)``, so no entry is stored.
 Signatures depend on k alone and are read without a model.
 
-The integer element ``(p+q) Z`` of su(p,q) is ``q`` on every positive vector
-and ``-p`` on every negative one, so ``d`` pairs with it through its block
-sums: ``q*sum(pos) - p*sum(neg)`` over ``2(p+q)``, a numerator that is
-``(p+q)*sum(pos)`` as ``d`` is trace free.  So every pairing is a
-half-integer, kept doubled as an int; only the ``Fraction`` values of
-``sym_power_pairing``, ``best_tensor_pairing``, ``tensor_pairing`` and
-``disc_pairing_value`` halve it.  A range block
-sums in closed form, so a degree-k model and the diagonal disc pair in
-O(1).  Pairing is linear, so each factor of a tensor product pairs on its
-own, giving P1 and P2, and signs (s1, s2) pair to ``s1*P1 + s2*P2``; a
-factor's tensor-basis block sums come from its own and the other's signature.
+The central element of su(p,q) is ``q/(p+q)`` on every positive vector and
+``-p/(p+q)`` on every negative one, so ``d`` pairs with it to
+``q*sum(pos) - p*sum(neg)`` over ``2(p+q)``; as ``d`` is trace free, twice
+the pairing is ``sum(pos)``, the positive-block sum, an int.  The diagonal
+disc's positive block holds ``min(p,q)`` ones: its doubled value is the
+rank.  The ``Fraction``-valued functions halve these.  A range block sums in
+closed form, so a degree-k model pairs in O(1).  Each factor of a tensor
+product pairs on its own, giving P1 and P2, and signs (s1, s2) pair to
+``s1*P1 + s2*P2``.  In the tensor basis a factor's positive entry meets the
+other's p positive and q negative vectors in the positive and negative
+blocks, a negative entry the other way round, so 2P_t is factor t's
+positive-block sum times the other factor's p - q.
 """
 
 from __future__ import annotations
@@ -28,10 +29,7 @@ import math
 import operator
 from collections import namedtuple
 
-from .errors import VerificationError, ratio
-
 Block = range | tuple[int, ...]  # doubled Z-entries of one block: d for i*diag(d/2)
-BlockSums = tuple[int, int]  # (sum over the positive block, over the negative)
 
 
 class SignaturePair(namedtuple("_SignaturePair", "p q")):
@@ -134,26 +132,12 @@ def sym_power_rep(k: int) -> ExplicitRep:
     )
 
 
-def _scaled_z_element(p: int, q: int) -> BlockSums:
-    """(p+q) times the central element of su(p,q), by block: the value q
-    on each of the p positive vectors and -p on each of the q negative ones."""
+def _check_su(p: int, q: int) -> None:
+    """Raise unless su(p,q), with p >= q, has a central element to pair with."""
     if p < q or q < 0:
         raise ValueError("expected p >= q >= 0")
     if p + q < 2:
         raise ValueError("su(p,q) needs p+q >= 2")
-    return q, -p
-
-
-def diagonal_disc_z(p: int, q: int) -> BlockSums:
-    """Block sums of the doubled Z-image of the diagonal disc of su(p,q).
-
-    Explicit block-diagonal embedding: min(p,q) blocks pair one positive
-    with one negative basis vector and carry eigenvalues +-1/2 (doubled
-    +-1); leftover positive directions are untouched.  So the positive
-    block holds min(p,q) ones and then zeros, and the negative block q
-    minus ones.
-    """
-    return min(p, q), -q
 
 
 def pairing(x: tuple[int | Fraction, ...], y: tuple[int | Fraction, ...]) -> int | Fraction:
@@ -163,15 +147,6 @@ def pairing(x: tuple[int | Fraction, ...], y: tuple[int | Fraction, ...]) -> int
     return sum(map(operator.mul, x, y))
 
 
-def _doubled_pairing(sums: BlockSums, p: int, q: int) -> int:
-    """Twice the pairing of a doubled diagonal, given by its block sums, with
-    the central element of su(p,q); raises unless that is an int."""
-    n = pairing(sums, _scaled_z_element(p, q))
-    if n % (p + q):
-        raise VerificationError(f"su({p},{q}) pairing {ratio(n, 2 * (p + q))} is not a half-integer")
-    return n // (p + q)
-
-
 def _half(doubled: int) -> Fraction:
     from fractions import Fraction  # only the Fraction-valued library functions load it
 
@@ -179,8 +154,9 @@ def _half(doubled: int) -> Fraction:
 
 
 def disc_pairing_value(p: int, q: int) -> Fraction:
-    """Pairing of the diagonal disc of su(p,q) against its central element."""
-    return _half(_doubled_pairing(diagonal_disc_z(p, q), p, q))
+    """Pairing of the diagonal disc of su(p,q) with its central element: half the rank."""
+    _check_su(p, q)
+    return _half(min(p, q))
 
 
 def sym_power_pairing(k: int) -> tuple[Fraction, Fraction]:
@@ -231,34 +207,21 @@ def signature(*degrees: int) -> SignaturePair:
     return sym_power_signature(*degrees) if len(degrees) == 1 else tensor_signature(*degrees)
 
 
-def _in_tensor_basis(sums: BlockSums, other: SignaturePair) -> BlockSums:
-    """Block sums of one factor's Z-contribution laid out in the tensor basis
-    of :func:`tensor_rep`, where each positive entry meets the ``other``
-    factor's p positive vectors in the positive block and its q negative
-    ones in the negative block, and each negative entry the other way round."""
-    pos, neg = sums
-    return other.p * pos + other.q * neg, other.q * pos + other.p * neg
-
-
 def doubled_pairings(*degrees: int) -> tuple[int, ...]:
     """Twice the pairings with the central element of the model's su(p,q).
 
     (2P,) for the degree-k model, and (2P1, 2P2) for the degree-(k, l)
     product, where P_t pairs the Z-contribution of factor t alone, laid out
     in the tensor basis; the pairing under structure signs (s1, s2) is
-    s1*P1 + s2*P2.  Needs a degree-k model with k >= 1, or (k, l) != (0, 0).
+    s1*P1 + s2*P2.  Each is a positive-block sum.  Needs a degree-k model
+    with k >= 1, or (k, l) != (0, 0).
     """
+    _check_su(*signature(*degrees))
     if len(degrees) == 1:
-        rep = sym_power_rep(*degrees)
-        return (_doubled_pairing(rep.block_sums, *rep.signature),)
-    k, l = degrees
-    one, two = sym_power_rep(k), sym_power_rep(l)
-    sig = tensor_signature(k, l)
-    columns = (
-        _in_tensor_basis(one.block_sums, two.signature),
-        _in_tensor_basis(two.block_sums, one.signature),
-    )
-    return tuple(_doubled_pairing(col, *sig) for col in columns)
+        return (sym_power_rep(*degrees).block_sums[0],)
+    one, two = map(sym_power_rep, degrees)
+    (p1, q1), (p2, q2) = one.signature, two.signature
+    return (p2 - q2) * one.block_sums[0], (p1 - q1) * two.block_sums[0]
 
 
 def tensor_pairing(k: int, l: int, structure: StructureChoice) -> Fraction:
@@ -282,8 +245,7 @@ def doubled_disc_pairing(*degrees: int) -> tuple[int, int]:
     if len(degrees) == 2:
         d1, d2 = pairings
         pairings = [s1 * d1 + s2 * d2 for s1, s2 in (s.signs for s in structure_representatives())]
-    sig = signature(*degrees)
-    return max(pairings, key=abs), _doubled_pairing(diagonal_disc_z(*sig), *sig)
+    return max(pairings, key=abs), signature(*degrees).rank
 
 
 def best_tensor_pairing(k: int, l: int) -> tuple[Fraction, Fraction]:

@@ -519,7 +519,5 @@ def test_integer_paths_build_no_fractions(monkeypatch):
     assert made == []
     for seed in range(20):
         strict_positive_fixture(seed)
-        assert len(made) <= 4
-        made.clear()
-    results = run_lemma_fixtures()
-    assert len(made) <= 4 * sum(r["lemma"] == "strict-positive" for r in results)
+    run_lemma_fixtures()
+    assert made == []

@@ -59,7 +59,10 @@ def test_no_package_module_peels_strings():
 def test_no_package_module_converts_fraction_pairings():
     # su(1,1) pairings reach the class maps as doubled ints over denominator
     # 1; the Fraction-matrix adapter is only a helper in tests/test_kahler.py
-    gone = {"class_map", "_integral", "_pair_with_z", "tensor_factor_pairings"}
+    # nor through the central element: a doubled pairing is a positive-block
+    # sum, and the central-element helpers are the oracle in tests/test_su11.py
+    gone = {"class_map", "_integral", "_pair_with_z", "tensor_factor_pairings",
+            "_scaled_z_element", "diagonal_disc_z", "_doubled_pairing", "_in_tensor_basis"}
     found = [
         f"{path.name}:{n.lineno}"
         for path, tree in _package_trees()

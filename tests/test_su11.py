@@ -10,17 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tightmaps.su11
-from tightmaps.classify import Witness, _pairing_verdict, constructive_verdict, cross_check
-from tightmaps.errors import VerificationError
+from tightmaps.classify import Witness, _pairing_verdict, constructive_verdict, cross_check, sweep
 from tightmaps.rootsys import build_root_system, weight, weight_multiplicities
 from tightmaps.su11 import (
     StructureChoice,
     _block_sum,
-    _scaled_z_element,
     best_tensor_pairing,
     clebsch_gordan,
-    diagonal_disc_z,
     disc_pairing_value,
+    doubled_disc_pairing,
     doubled_pairings,
     pairing,
     signature,
@@ -34,6 +32,65 @@ from tightmaps.su11 import (
 )
 
 F = Fraction
+BlockSums = tuple[int, int]  # (sum over the positive block, over the negative)
+
+
+# -- the central-element oracle ----------------------------------------------
+# su11 reads every doubled pairing as a positive-block sum.  These helpers
+# reach the same values the long way: the model's block sums, laid out in
+# the tensor basis, paired with (p+q) times the central element of su(p,q).
+
+
+def _scaled_z_element(p: int, q: int) -> BlockSums:
+    """(p+q) times the central element of su(p,q), by block: the value q
+    on each of the p positive vectors and -p on each of the q negative ones."""
+    if p < q or q < 0:
+        raise ValueError("expected p >= q >= 0")
+    if p + q < 2:
+        raise ValueError("su(p,q) needs p+q >= 2")
+    return q, -p
+
+
+def diagonal_disc_z(p: int, q: int) -> BlockSums:
+    """Block sums of the doubled Z-image of the diagonal disc of su(p,q).
+
+    Explicit block-diagonal embedding: min(p,q) blocks pair one positive
+    with one negative basis vector and carry eigenvalues +-1/2 (doubled
+    +-1); leftover positive directions are untouched.  So the positive
+    block holds min(p,q) ones and then zeros, and the negative block q
+    minus ones.
+    """
+    return min(p, q), -q
+
+
+def _doubled_pairing(sums: BlockSums, p: int, q: int) -> int:
+    """Twice the pairing of a doubled diagonal, given by its block sums, with
+    the central element of su(p,q); fails unless that is an int."""
+    n = pairing(sums, _scaled_z_element(p, q))
+    assert n % (p + q) == 0, (sums, p, q)
+    return n // (p + q)
+
+
+def _in_tensor_basis(sums: BlockSums, other) -> BlockSums:
+    """Block sums of one factor's Z-contribution laid out in the tensor basis
+    of :func:`tensor_rep`, where each positive entry meets the ``other``
+    factor's p positive vectors in the positive block and its q negative
+    ones in the negative block, and each negative entry the other way round."""
+    pos, neg = sums
+    return other.p * pos + other.q * neg, other.q * pos + other.p * neg
+
+
+def central_element_pairings(*degrees):
+    """(doubled pairings, doubled disc value) of ``degrees`` by the oracle."""
+    sig = signature(*degrees)
+    if len(degrees) == 1:
+        columns = [sym_power_rep(*degrees).block_sums]
+    else:
+        one, two = (sym_power_rep(k) for k in degrees)
+        columns = [_in_tensor_basis(one.block_sums, two.signature),
+                   _in_tensor_basis(two.block_sums, one.signature)]
+    pairings = tuple(_doubled_pairing(col, *sig) for col in columns)
+    return pairings, _doubled_pairing(diagonal_disc_z(*sig), *sig)
 
 
 def z_element(p, q):
@@ -425,11 +482,26 @@ def test_no_structure_pairing_exceeds_the_disc_value():
                 assert abs(tensor_pairing(k, l, s)) <= disc, (k, l, s)
 
 
-def test_a_pairing_that_is_no_half_integer_is_a_verification_error(monkeypatch):
-    # degrees (1, 2) pair in su(3,3); block sums (1, 0) pair to 3/12
-    monkeypatch.setattr(tightmaps.su11, "_in_tensor_basis", lambda sums, other: (1, 0))
-    with pytest.raises(VerificationError, match=r"^su\(3,3\) pairing 1/4 is not a half-integer$"):
-        best_tensor_pairing(1, 2)
+def test_positive_block_sums_match_the_central_element_oracle():
+    # twice a pairing is its column's positive-block sum, and the disc's
+    # doubled value is the rank
+    for degrees in [*((k,) for k in range(1, 2000)),
+                    *((k, l) for k in range(80) for l in range(80) if k or l)]:
+        pairings, disc = central_element_pairings(*degrees)
+        got, got_disc = doubled_pairings(*degrees), doubled_disc_pairing(*degrees)[1]
+        assert (got, got_disc) == (pairings, disc) and disc == signature(*degrees).rank, degrees
+        assert all(type(d) is int for d in (*got, got_disc)), degrees
+
+
+def test_the_rank_one_commands_pair_no_whole_diagonal(monkeypatch):
+    # the bench's rank1-models commands pair through block sums alone, so
+    # su11.pairing, which pairs two whole diagonals, is never called
+    calls = []
+    real = tightmaps.su11.pairing
+    monkeypatch.setattr(tightmaps.su11, "pairing", lambda *a: calls.append(a) or real(*a))
+    assert len(sweep("su11xsu11", 16)["rows"]) > 100
+    assert cross_check("su11", (50001,)).tight is True
+    assert calls == []
 
 
 @pytest.fixture
