@@ -20,16 +20,7 @@ import operator
 from collections import namedtuple
 from functools import lru_cache
 
-from . import kahler
-from .branching import (
-    _WITNESS_STEPS,
-    BranchingResult,
-    SubalgebraSpec,
-    even_witness,
-    make_subalgebra,
-    parse_subalgebra_selector,
-    restrict_rep,
-)
+from . import branching, kahler
 from .errors import VerificationError, ratio
 from .rootsys import (
     RootSystemData,
@@ -158,9 +149,10 @@ def _rank2_weight(algebra: str, w: tuple[int, ...]) -> WeightVector:
 
 
 @lru_cache(maxsize=None)
-def _subalgebra(algebra: str, selector: str) -> SubalgebraSpec:
+def _subalgebra(algebra: str, selector: str) -> branching.SubalgebraSpec:
     system = root_system_for(_RANK2_FACTOR[algebra])
-    return make_subalgebra(system, parse_subalgebra_selector(system, selector))
+    simple = branching.parse_subalgebra_selector(system, selector)
+    return branching.make_subalgebra(system, simple)
 
 
 # Rows come from ``dominant_weights`` with the last coordinate fastest, so the
@@ -168,12 +160,13 @@ def _subalgebra(algebra: str, selector: str) -> SubalgebraSpec:
 # ``a1`` on su21, ``a1+a2`` for the sp4 tops with i = 0, else the long pair.
 # Four entries cover that with room to spare.  The key is the spec's value, so
 # a different or patched subalgebra never reads a stale entry.  ``restrict_rep``
-# is looked up by name on each miss, so a rebound name (as
-# ``benchmarks/trace_child.py`` rebinds it) sees every computed branching.
+# is read off the ``branching`` module on each miss, so the function bound
+# there when the miss happens (as ``benchmarks/trace_child.py`` rebinds it, or
+# a test patches it) computes the branching.
 @lru_cache(maxsize=4)
-def _branching(top: WeightVector, sub: SubalgebraSpec) -> BranchingResult:
+def _branching(top: WeightVector, sub: branching.SubalgebraSpec) -> branching.BranchingResult:
     """``restrict_rep(top, sub)``, dimension-checked, shared by the rows of a top."""
-    return restrict_rep(top, sub)
+    return branching.restrict_rep(top, sub)
 
 
 def theorem_tight(algebra: str, w: tuple[int, ...]) -> bool:
@@ -227,7 +220,7 @@ def _sp4_split_witness(w: tuple[int, ...]) -> Witness | None:
         return None
     coords, value = (i, j), i + j
     if value % 2:
-        (step,) = _WITNESS_STEPS["C2"]
+        (step,) = branching._WITNESS_STEPS["C2"]
         coords, value = tuple(map(operator.sub, coords, step)), value - 1
     if not is_weight(_rank2_weight("sp4", w), coords):
         raise VerificationError(f"witness weight {coords} is not a weight of {w[:2]}")
@@ -250,7 +243,7 @@ def _certificate(algebra: str, w: tuple[int, ...]) -> tuple[bool, Witness] | Non
         return _pairing_verdict(*_disc_pairing(w))
     if algebra == "su21":
         # the proof chains, then the full support
-        found = even_witness(_rank2_weight(algebra, w), _subalgebra(algebra, "a1"))
+        found = branching.even_witness(_rank2_weight(algebra, w), _subalgebra(algebra, "a1"))
         return None if found is None else (False, Witness("even_branch_witness", "a1", *found))
     witness = _sp4_split_witness(w)
     if witness is None and algebra == "sp4su11":

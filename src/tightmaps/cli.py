@@ -16,25 +16,9 @@ import re
 import sys
 import time
 
-from . import kahler
-from .branching import (
-    even_witness,
-    make_subalgebra,
-    parse_subalgebra_selector,
-    restrict_rep,
-)
-from .classify import (
-    ALGEBRAS,
-    TightnessVerdict,
-    Witness,
-    cross_check,
-    root_system_for,
-    sweep,
-    validate_weight,
-)
+# the layers are read as modules, so a command runs only those it uses
+from . import branching, classify, kahler, rootsys, su11
 from .errors import VerificationError, ratio
-from .rootsys import weight
-from .su11 import signature
 
 OK = 0
 USAGE_ERROR = 1
@@ -53,7 +37,7 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(USAGE_ERROR)
 
 
-def witness_wire(witness: Witness) -> dict:
+def witness_wire(witness: classify.Witness) -> dict:
     """The witness fields that are set, in field order; a pairing field,
     which the record holds doubled as an int, as its half, the string 'p/q'
     ('p' when whole)."""
@@ -61,7 +45,7 @@ def witness_wire(witness: Witness) -> dict:
             for k, v in witness._asdict().items() if v is not None}
 
 
-def verdict_row(verdict: TightnessVerdict) -> dict:
+def verdict_row(verdict: classify.TightnessVerdict) -> dict:
     return {
         "weight": list(verdict.weight),
         "tight": verdict.tight,
@@ -234,13 +218,13 @@ def cmd_classify(args) -> dict:
     return build_report(
         "classify",
         {"algebra": args.algebra, "weight": list(coords)},
-        [verdict_row(cross_check(args.algebra, coords))],
+        [verdict_row(classify.cross_check(args.algebra, coords))],
         True,  # cross_check raises on a disagreement or a failed replay
     )
 
 
 def cmd_sweep(args) -> dict:
-    result = sweep(args.algebra, args.max)
+    result = classify.sweep(args.algebra, args.max)
     return build_report(
         "sweep",
         {"algebra": args.algebra, "max": args.max},
@@ -251,15 +235,15 @@ def cmd_sweep(args) -> dict:
 
 
 def cmd_branch(args) -> dict:
-    coords = validate_weight(args.algebra, _parse_weight(args.weight))
-    system = root_system_for(args.algebra)
-    top = weight(system, coords)
-    sub = make_subalgebra(system, parse_subalgebra_selector(system, args.sub))
+    coords = classify.validate_weight(args.algebra, _parse_weight(args.weight))
+    system = classify.root_system_for(args.algebra)
+    top = rootsys.weight(system, coords)
+    sub = branching.make_subalgebra(system, branching.parse_subalgebra_selector(system, args.sub))
     # each distinct factor's signature (p, q) is read once, and its wire value
     # is written once per copy; rank-one factors are written as bare ints
-    wire = [(f[0] if sub.rank == 1 else list(f), list(signature(*f)), n)
-            for f, n in restrict_rep(top, sub).factors]
-    found = even_witness(top, sub)
+    wire = [(f[0] if sub.rank == 1 else list(f), list(su11.signature(*f)), n)
+            for f, n in branching.restrict_rep(top, sub).factors]
+    found = branching.even_witness(top, sub)
     witness = None if found is None else {"weight": list(found[0]), "evaluation": found[1]}
     row = {
         "weight": list(coords),
@@ -307,35 +291,54 @@ def _add_common(parser) -> None:
     parser.add_argument("--out", default=None, help="write the report to a file")
 
 
-def make_parser() -> _Parser:
-    parser = _Parser(prog="tightmaps")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("classify", parents=[], help="classify one highest weight")
-    p.add_argument("--algebra", required=True, choices=ALGEBRAS)
+def _classify_arguments(p) -> None:
+    p.add_argument("--algebra", required=True, choices=classify.ALGEBRAS)
     p.add_argument("--weight", required=True, help="comma-separated coordinates")
-    _add_common(p)
-    p.set_defaults(run=cmd_classify)
 
-    p = sub.add_parser("sweep", help="classify all weights up to a bound")
-    p.add_argument("--algebra", required=True, choices=ALGEBRAS)
+
+def _sweep_arguments(p) -> None:
+    p.add_argument("--algebra", required=True, choices=classify.ALGEBRAS)
     p.add_argument("--max", type=_max_int, default=10)
-    _add_common(p)
-    p.set_defaults(run=cmd_sweep)
 
-    p = sub.add_parser("branch", help="restrict a representation to a subalgebra")
+
+def _branch_arguments(p) -> None:
     p.add_argument("--algebra", required=True, choices=_BRANCH_ALGEBRAS)
     p.add_argument("--weight", required=True)
     p.add_argument("--sub", required=True, help="e.g. a1+a2 or a2,2a1+a2")
-    _add_common(p)
-    p.set_defaults(run=cmd_branch)
 
-    p = sub.add_parser("verify", help="run the bundled verification batteries")
+
+def _verify_arguments(p) -> None:
     p.add_argument("target", choices=("lemma-bla", "kahler-lemmas"))
     p.add_argument("--p-range", help=f"lemma-bla's range of p, a:b (default {_LEMMA_BLA_RANGE})")
-    _add_common(p)
-    p.set_defaults(run=cmd_verify)
 
+
+# each subcommand's help line, the function adding its own arguments, and its handler
+_SUBCOMMANDS = {
+    "classify": ("classify one highest weight", _classify_arguments, cmd_classify),
+    "sweep": ("classify all weights up to a bound", _sweep_arguments, cmd_sweep),
+    "branch": ("restrict a representation to a subalgebra", _branch_arguments, cmd_branch),
+    "verify": ("run the bundled verification batteries", _verify_arguments, cmd_verify),
+}
+
+
+def make_parser(command: str | None = None) -> _Parser:
+    """The parser of the subcommand ``command`` alone, or of all of them when
+    ``command`` names none (no arguments, ``--help``, an unknown command).
+    A command reads only its own subparser, and building only that one
+    leaves the other layers unread (``classify.ALGEBRAS`` runs ``classify``)."""
+    names = [command] if command in _SUBCOMMANDS else list(_SUBCOMMANDS)
+    parser = _Parser(prog="tightmaps")
+    # the usage line names every subcommand either way; with all of them
+    # built, argparse writes that list itself, and a metavar would rename
+    # the action in its errors ("argument command")
+    choices = "{" + ",".join(_SUBCOMMANDS) + "}" if len(names) == 1 else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=choices)
+    for name in names:
+        help_text, add_arguments, run = _SUBCOMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        add_arguments(p)
+        _add_common(p)
+        p.set_defaults(run=run)
     return parser
 
 
@@ -351,8 +354,8 @@ def _join_negative_weight(argv: list[str]) -> list[str]:
 
 
 def main(argv=None) -> int:
-    parser = make_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
+    parser = make_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(_join_negative_weight(argv))
     except SystemExit as exit_:

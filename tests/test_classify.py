@@ -183,7 +183,7 @@ def test_tight_rank_two_verdicts_follow_the_branching(monkeypatch):
     assert {v.witness for v in verdicts} == {Witness("reference_classification")}
     assert all(v.tight and replay_witness(v) for v in verdicts)
     monkeypatch.setattr(
-        classify_module, "restrict_rep",
+        tightmaps.branching, "restrict_rep",
         lambda top, sub: BranchingResult((((2,) + (0,) * (sub.rank - 1), 1),)),
     )
     classify_module._branching.cache_clear()
@@ -199,13 +199,13 @@ def test_tight_rank_two_verdicts_follow_the_branching(monkeypatch):
 def _count_restrict_rep(monkeypatch) -> list:
     """Record every call of ``restrict_rep`` that ``classify`` makes."""
     calls = []
-    real = classify_module.restrict_rep
+    real = tightmaps.branching.restrict_rep
 
     def counted(top, sub):
         calls.append((top, sub))
         return real(top, sub)
 
-    monkeypatch.setattr(classify_module, "restrict_rep", counted)
+    monkeypatch.setattr(tightmaps.branching, "restrict_rep", counted)
     return calls
 
 
@@ -227,7 +227,7 @@ def test_sweep_builds_no_signatures_inside_branching(monkeypatch):
     # signatures are read where a report writes them, never by a branching
     classify_module._branching.cache_clear()
     branchings, running, inside = [], [], []
-    real = classify_module.restrict_rep
+    real = tightmaps.branching.restrict_rep
 
     def counted(top, sub):
         branchings.append(sub)
@@ -237,7 +237,7 @@ def test_sweep_builds_no_signatures_inside_branching(monkeypatch):
         finally:
             running.pop()
 
-    monkeypatch.setattr(classify_module, "restrict_rep", counted)
+    monkeypatch.setattr(tightmaps.branching, "restrict_rep", counted)
     for name in ("sym_power_signature", "tensor_signature"):
         original = getattr(tightmaps.su11, name)
 
@@ -663,12 +663,14 @@ def _per_copy_degrees(verdict) -> tuple[int, list[tuple[int, ...]]]:
     w = verdict.weight
     if verdict.algebra == "sp4su11":
         pair = classify_module._subalgebra("sp4su11", "a2,2a1+a2")
-        branch = classify_module.restrict_rep(classify_module._rank2_weight("sp4su11", w), pair)
+        top = classify_module._rank2_weight("sp4su11", w)
+        branch = tightmaps.branching.restrict_rep(top, pair)
         return 2, [(a, c) for (b, a), n in branch.factors for _ in range(n)
                    for c in clebsch_gordan(b, w[2])]
     selector = "a1" if verdict.algebra == "su21" else "a1+a2" if w[0] == 0 else "a2,2a1+a2"
     sub = classify_module._subalgebra(verdict.algebra, selector)
-    branch = classify_module.restrict_rep(classify_module._rank2_weight(verdict.algebra, w), sub)
+    top = classify_module._rank2_weight(verdict.algebra, w)
+    branch = tightmaps.branching.restrict_rep(top, sub)
     return sub.rank, [f[::-1] for f, n in branch.factors for _ in range(n)]
 
 

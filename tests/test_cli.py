@@ -433,6 +433,84 @@ def test_exit_codes(capsys):
     assert run(capsys, "verify", "lemma-bla", "--p-range=-5:7") == (code, out, err)
 
 
+_TOP_USAGE = "usage: tightmaps [-h] {classify,sweep,branch,verify} ...\n"
+_CLASSIFY_USAGE = """\
+usage: tightmaps classify [-h] --algebra {su11,su11xsu11,sp4,sp4su11,su21}
+                          --weight WEIGHT [--format {json,md}] [--out OUT]
+"""
+_SWEEP_USAGE = """\
+usage: tightmaps sweep [-h] --algebra {su11,su11xsu11,sp4,sp4su11,su21}
+                       [--max MAX] [--format {json,md}] [--out OUT]
+"""
+_BRANCH_USAGE = """\
+usage: tightmaps branch [-h] --algebra {sp4,su11,su21} --weight WEIGHT --sub
+                        SUB [--format {json,md}] [--out OUT]
+"""
+_VERIFY_USAGE = """\
+usage: tightmaps verify [-h] [--p-range P_RANGE] [--format {json,md}]
+                        [--out OUT]
+                        {lemma-bla,kahler-lemmas}
+"""
+_COMMON_HELP = """\
+  --format {json,md}
+  --out OUT             write the report to a file
+"""
+_HELP_OPTION = """
+options:
+  -h, --help            show this help message and exit
+"""
+
+# (exit code, stdout, stderr) of argparse's own output, at 80 columns
+PARSER_TEXT = {
+    "": (USAGE_ERROR, "", _TOP_USAGE + "error: the following arguments are required: command\n"),
+    "bogus --format json": (USAGE_ERROR, "", _TOP_USAGE + (
+        "error: argument command: invalid choice: 'bogus' "
+        "(choose from 'classify', 'sweep', 'branch', 'verify')\n")),
+    "--help": (OK, _TOP_USAGE + """
+positional arguments:
+  {classify,sweep,branch,verify}
+    classify            classify one highest weight
+    sweep               classify all weights up to a bound
+    branch              restrict a representation to a subalgebra
+    verify              run the bundled verification batteries
+""" + _HELP_OPTION, ""),
+    "classify --help": (OK, _CLASSIFY_USAGE + _HELP_OPTION + """\
+  --algebra {su11,su11xsu11,sp4,sp4su11,su21}
+  --weight WEIGHT       comma-separated coordinates
+""" + _COMMON_HELP, ""),
+    "sweep --help": (OK, _SWEEP_USAGE + _HELP_OPTION + """\
+  --algebra {su11,su11xsu11,sp4,sp4su11,su21}
+  --max MAX
+""" + _COMMON_HELP, ""),
+    "branch --help": (OK, _BRANCH_USAGE + _HELP_OPTION + """\
+  --algebra {sp4,su11,su21}
+  --weight WEIGHT
+  --sub SUB             e.g. a1+a2 or a2,2a1+a2
+""" + _COMMON_HELP, ""),
+    "verify --help": (OK, _VERIFY_USAGE + """
+positional arguments:
+  {lemma-bla,kahler-lemmas}
+""" + _HELP_OPTION + """\
+  --p-range P_RANGE     lemma-bla's range of p, a:b (default 5:21)
+""" + _COMMON_HELP, ""),
+    "classify --algebra su11 --weight 1 extra": (
+        USAGE_ERROR, "", _TOP_USAGE + "error: unrecognized arguments: extra\n"),
+    "sweep --algebra sp4 --max x": (
+        USAGE_ERROR, "", _SWEEP_USAGE + "error: argument --max: invalid int value: 'x'\n"),
+    "verify bogus": (USAGE_ERROR, "", _VERIFY_USAGE + (
+        "error: argument target: invalid choice: 'bogus' "
+        "(choose from 'lemma-bla', 'kahler-lemmas')\n")),
+}
+
+
+@pytest.mark.parametrize("command", list(PARSER_TEXT))
+def test_parser_text_is_pinned(monkeypatch, capsys, command):
+    # the usage, help and error text argparse writes, whichever subcommands
+    # the parser was built with
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run(capsys, *command.split()) == PARSER_TEXT[command]
+
+
 @pytest.mark.parametrize("text", ["4:4", "6:6"])
 def test_lemma_bla_range_without_an_odd_p_is_a_validation_error(capsys, text):
     # even p only reduce to odd p + 1, so such a range checks nothing itself
@@ -519,7 +597,7 @@ def test_unwritable_out_is_refused_before_the_command_runs(monkeypatch, tmp_path
     def never(*args):
         raise AssertionError("the sweep ran")
 
-    monkeypatch.setattr(tightmaps.cli, "sweep", never)
+    monkeypatch.setattr(tightmaps.classify, "sweep", never)
     for target in (tmp_path / "missing" / "r.json", tmp_path):
         code, out, err = run(
             capsys, "sweep", "--algebra", "sp4", "--max", "20", "--out", str(target)

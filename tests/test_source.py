@@ -306,6 +306,33 @@ def test_fresh_cli_import_loads_every_traced_layer():
     assert layers and _fresh(code) == "[]"
 
 
+_LAYERS = {"rootsys", "branching", "su11", "kahler", "classify"}
+
+
+@pytest.mark.parametrize("command,ran", [
+    ("", set()),  # the import alone
+    ("classify --algebra su11 --weight 3", {"classify", "rootsys", "su11"}),
+    ("sweep --algebra su11xsu11 --max 3", {"classify", "rootsys", "su11"}),
+    ("verify kahler-lemmas", {"kahler", "lemmas"}),
+    ("sweep --algebra sp4 --max 2", _LAYERS),
+])
+def test_each_command_runs_only_the_layers_it_uses(command, ran):
+    # every layer is in sys.modules from the start, but a lazy one is a
+    # placeholder until its first attribute read runs it; type() reads none
+    code = (
+        "import contextlib, io, sys, types, tightmaps.cli as cli\n"
+        f"argv = {command.split()!r}\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = cli.main(argv) if argv else 0\n"
+        "modules = {k.removeprefix('tightmaps.'): m for k, m in sys.modules.items()\n"
+        "           if k.startswith('tightmaps.')}\n"
+        "print(code, sorted(k for k, m in modules.items() if type(m) is types.ModuleType),\n"
+        "      sorted(modules))"
+    )
+    every = sorted(_LAYERS | {"cli", "errors"} | ({"lemmas"} & ran))
+    assert _fresh(code) == f"0 {sorted(ran | {'cli', 'errors'})} {every}"
+
+
 @pytest.mark.parametrize("command,loaded", [
     ("", False),  # the import alone
     ("classify --algebra su11 --weight 3", False),
