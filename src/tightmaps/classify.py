@@ -20,15 +20,8 @@ import operator
 from collections import namedtuple
 from functools import lru_cache
 
-from . import branching, kahler
+from . import branching, kahler, rootsys
 from .errors import VerificationError, ratio
-from .rootsys import (
-    RootSystemData,
-    WeightVector,
-    build_root_system,
-    is_weight,
-    weight,
-)
 from .su11 import (
     clebsch_gordan,
     doubled_disc_pairing,
@@ -93,16 +86,17 @@ def _factor_kinds(algebra: str) -> tuple[str, ...]:
 
 
 def _rank(algebra: str) -> int:
-    """The number of weight coordinates: the sum of the factors' ranks."""
-    return sum(build_root_system(kind).rank for kind in _factor_kinds(algebra))
+    """The number of weight coordinates: the sum of the factors' ranks, read
+    off their Cartan labels (type Xn has rank n), so no root system is built."""
+    return sum(int(kind[1:]) for kind in _factor_kinds(algebra))
 
 
-def root_system_for(algebra: str) -> RootSystemData:
+def root_system_for(algebra: str) -> rootsys.RootSystemData:
     """The root system of a single-factor algebra."""
     kinds = _factor_kinds(algebra)
     if len(kinds) > 1:
         raise ValueError(f"{algebra} has the factors {' x '.join(kinds)}, not one root system")
-    return build_root_system(kinds[0])
+    return rootsys.build_root_system(kinds[0])
 
 
 def validate_weight(algebra: str, w) -> tuple[int, ...]:
@@ -110,7 +104,11 @@ def validate_weight(algebra: str, w) -> tuple[int, ...]:
     coords = tuple(w)
     if len(coords) != rank:
         raise ValueError(f"{algebra} expects {rank} weight coordinates, got {len(coords)}")
-    if any((not isinstance(c, int) and int(c) != c) or c < 0 for c in coords):
+    try:
+        bad = any((not isinstance(c, int) and int(c) != c) or c < 0 for c in coords)
+    except (TypeError, ValueError, OverflowError):  # None, an infinity, a NaN, a string
+        bad = True
+    if bad:
         raise ValueError(f"weight {coords} is not dominant integral")
     return tuple(int(c) for c in coords)
 
@@ -143,9 +141,9 @@ class Witness(namedtuple("Witness", (
 TightnessVerdict = namedtuple("TightnessVerdict", "algebra weight tight holomorphic witness")
 
 
-def _rank2_weight(algebra: str, w: tuple[int, ...]) -> WeightVector:
+def _rank2_weight(algebra: str, w: tuple[int, ...]) -> rootsys.WeightVector:
     """Highest weight ``w[:2]`` of the rank-two factor of ``algebra``."""
-    return weight(root_system_for(_RANK2_FACTOR[algebra]), w[:2])
+    return rootsys.weight(root_system_for(_RANK2_FACTOR[algebra]), w[:2])
 
 
 @lru_cache(maxsize=None)
@@ -164,7 +162,8 @@ def _subalgebra(algebra: str, selector: str) -> branching.SubalgebraSpec:
 # there when the miss happens (as ``benchmarks/trace_child.py`` rebinds it, or
 # a test patches it) computes the branching.
 @lru_cache(maxsize=4)
-def _branching(top: WeightVector, sub: branching.SubalgebraSpec) -> branching.BranchingResult:
+def _branching(top: rootsys.WeightVector,
+               sub: branching.SubalgebraSpec) -> branching.BranchingResult:
     """``restrict_rep(top, sub)``, dimension-checked, shared by the rows of a top."""
     return branching.restrict_rep(top, sub)
 
@@ -222,7 +221,7 @@ def _sp4_split_witness(w: tuple[int, ...]) -> Witness | None:
     if value % 2:
         (step,) = branching._WITNESS_STEPS["C2"]
         coords, value = tuple(map(operator.sub, coords, step)), value - 1
-    if not is_weight(_rank2_weight("sp4", w), coords):
+    if not rootsys.is_weight(_rank2_weight("sp4", w), coords):
         raise VerificationError(f"witness weight {coords} is not a weight of {w[:2]}")
     return Witness("even_branch_witness", "a2,2a1+a2", coords, value)
 
@@ -322,7 +321,7 @@ def _replay_even_branch(verdict: TightnessVerdict) -> bool:
         return False
     sub = _subalgebra(verdict.algebra, wit.subalgebra)
     top = _rank2_weight(verdict.algebra, verdict.weight)
-    if not is_weight(top, wit.weight):
+    if not rootsys.is_weight(top, wit.weight):
         return False
     values = sub.evaluate(wit.weight)
     value = wit.evaluation

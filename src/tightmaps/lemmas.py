@@ -5,7 +5,9 @@ bookkeeping on seeded random rational maps; ``lemma-bla`` rebuilds the
 linear constraint system that rules out a tight su(n,1) -> so*(2p).  Each
 battery's report rows are laid out here too, and ``cli.cmd_verify`` wraps
 them in the report.  No other command imports this module, so none of
-them compiles the fixtures or loads ``random``.
+them compiles the fixtures or loads ``random``.  ``kahler`` is read as a
+module, at call time, so ``lemma-bla``, which books no class map, leaves it
+unrun.
 """
 
 from __future__ import annotations
@@ -13,24 +15,8 @@ from __future__ import annotations
 import math
 import random
 
+from . import kahler
 from .errors import VerificationError, ratio
-from .kahler import (
-    Factors,
-    HermitianFactor,
-    HomClassMap,
-    Rows,
-    _pulled_norm,
-    compose,
-    is_negative_map,
-    is_positive_map,
-    is_strictly_positive_map,
-    is_tight,
-    projection_leg,
-    so2n,
-    so_star,
-    sp,
-    su,
-)
 
 
 # -- lemma fixtures -----------------------------------------------------------
@@ -39,27 +25,28 @@ from .kahler import (
 # are built as (numerators, denominator) pairs.
 
 
-def _random_factor(rng: random.Random) -> HermitianFactor:
+def _random_factor(rng: random.Random) -> kahler.HermitianFactor:
     choice = rng.randrange(4)
     if choice == 0:
         q = rng.randint(1, 3)
-        return su(q + rng.randint(0, 2), q)
+        return kahler.su(q + rng.randint(0, 2), q)
     if choice == 1:
-        return sp(2 * rng.randint(1, 4))
+        return kahler.sp(2 * rng.randint(1, 4))
     if choice == 2:
-        return so_star(2 * rng.randint(3, 6))
-    return so2n(rng.randint(3, 7))
+        return kahler.so_star(2 * rng.randint(3, 6))
+    return kahler.so2n(rng.randint(3, 7))
 
 
-def _random_weights(rng: random.Random, factors: Factors, top: int) -> tuple[list[int], int]:
+def _random_weights(rng: random.Random, factors: kahler.Factors,
+                    top: int) -> tuple[list[int], int]:
     """One a/b per factor, 1 <= a, b <= top <= 9, as numerators over
     2520 = lcm(1, ..., 9) (a drawn before b); and their rank sum."""
     scaled = [rng.randint(1, top) * (2520 // rng.randint(1, top)) for _ in factors]
     return scaled, sum(x * f.rank for x, f in zip(scaled, factors))
 
 
-def _random_leg(rng: random.Random, source: Factors, target: HermitianFactor, tight: bool,
-                sign: int = 0) -> tuple[tuple[int, ...], int]:
+def _random_leg(rng: random.Random, source: kahler.Factors, target: kahler.HermitianFactor,
+                tight: bool, sign: int = 0) -> tuple[tuple[int, ...], int]:
     """Column of pullback coefficients with, or strictly below, full norm;
     every entry has the given sign, or a random one when ``sign`` is 0."""
     raw, total = _random_weights(rng, source, 9)
@@ -68,7 +55,7 @@ def _random_leg(rng: random.Random, source: Factors, target: HermitianFactor, ti
     return tuple(s * r * target.rank * u for s, r in zip(signs, raw)), v * total
 
 
-def _from_columns(columns) -> tuple[Rows, int]:
+def _from_columns(columns) -> tuple[kahler.Rows, int]:
     """Matrix numerators over one denominator from (numerators, denominator) columns."""
     d = math.lcm(*(cd for _, cd in columns))
     return tuple(zip(*([n * (d // cd) for n in col] for col, cd in columns))), d
@@ -84,11 +71,13 @@ def middle_factor_fixture(seed: int, tight_f: bool, tight_h: bool) -> dict:
     source = tuple(_random_factor(rng) for _ in range(rng.randint(1, 3)))
     middle = _random_factor(rng)
     target = _random_factor(rng)
-    f = HomClassMap(source, (middle,), *_from_columns([_random_leg(rng, source, middle, tight_f)]))
+    leg = _random_leg(rng, source, middle, tight_f)
+    f = kahler.HomClassMap(source, (middle,), *_from_columns([leg]))
     sign = rng.choice((1, -1))
     u, v = (1, 1) if tight_h else (rng.randint(1, 3), 4)
-    h = HomClassMap((middle,), (target,), ((sign * target.rank * u,),), middle.rank * v)
-    f_tight, h_tight, composite_tight = is_tight(f), is_tight(h), is_tight(compose(f, h))
+    h = kahler.HomClassMap((middle,), (target,), ((sign * target.rank * u,),), middle.rank * v)
+    f_tight, h_tight = kahler.is_tight(f), kahler.is_tight(h)
+    composite_tight = kahler.is_tight(kahler.compose(f, h))
     return {
         "lemma": "middle-factor",
         "tight_f": f_tight,
@@ -106,12 +95,12 @@ def product_target_fixture(seed: int, signs: tuple[int, ...]) -> dict:
     # uniform sign within each column, so every projection is positive or
     # negative as a map; the cross-factor sign pattern is what varies
     columns = [_random_leg(rng, source, tf, tight=True, sign=s) for s, tf in zip(signs, target)]
-    m = HomClassMap(source, target, *_from_columns(columns))
-    legs = [projection_leg(m, i) for i in range(len(target))]
-    legs_tight = all(is_tight(leg) for leg in legs)
-    uniform = (all(is_positive_map(leg) for leg in legs)
-               or all(is_negative_map(leg) for leg in legs))
-    tight = is_tight(m)
+    m = kahler.HomClassMap(source, target, *_from_columns(columns))
+    legs = [kahler.projection_leg(m, i) for i in range(len(target))]
+    legs_tight = all(kahler.is_tight(leg) for leg in legs)
+    uniform = (all(kahler.is_positive_map(leg) for leg in legs)
+               or all(kahler.is_negative_map(leg) for leg in legs))
+    tight = kahler.is_tight(m)
     return {
         "lemma": "product-target",
         "signs": signs,
@@ -134,25 +123,27 @@ def strict_positive_fixture(seed: int) -> dict:
     target = _random_factor(rng)
     # f nontight: at least one strictly slack column
     slack_at = rng.randrange(len(middle))
-    f = HomClassMap(source, middle, *_from_columns(
+    f = kahler.HomClassMap(source, middle, *_from_columns(
         [_random_leg(rng, source, mf, tight=i != slack_at) for i, mf in enumerate(middle)]))
     # h strictly positive, scaled into the target budget
     lam, total = _random_weights(rng, middle, 5)
-    h = HomClassMap(middle, (target,), tuple((x * target.rank,) for x in lam), total)
-    composite = compose(f, h)
+    h = kahler.HomClassMap(middle, (target,), tuple((x * target.rank,) for x in lam), total)
+    composite = kahler.compose(f, h)
     # the chain, as (numerator, denominator) pairs, is the norm of the pulled-back
     # distinguished class along h o f, along h o |f| and along h, and r_L
-    absolute = HomClassMap(source, middle, tuple(tuple(map(abs, row)) for row in f.numerators),
-                           f.denominator)
-    chain = [(_pulled_norm(m), m.denominator) for m in (composite, compose(absolute, h), h)]
+    absolute = kahler.HomClassMap(source, middle,
+                                  tuple(tuple(map(abs, row)) for row in f.numerators),
+                                  f.denominator)
+    chain = [(kahler._pulled_norm(m), m.denominator)
+             for m in (composite, kahler.compose(absolute, h), h)]
     chain.append((target.rank, 1))
     (a, b), (c, d), (e, g), (r, _) = chain
     chain_ok = a * d <= c * b and c * g < e * d and e <= r * g
-    composite_nontight = not is_tight(composite)
+    composite_nontight = not kahler.is_tight(composite)
     return {
         "lemma": "strict-positive",
-        "f_nontight": not is_tight(f),
-        "h_strictly_positive": is_strictly_positive_map(h),
+        "f_nontight": not kahler.is_tight(f),
+        "h_strictly_positive": kahler.is_strictly_positive_map(h),
         "composite_nontight": composite_nontight,
         "chain": [ratio(n, den) for n, den in chain],
         "ok": chain_ok and composite_nontight,

@@ -30,6 +30,7 @@ from tightmaps.classify import (
 )
 from tightmaps.errors import VerificationError
 from tightmaps.lemmas import LemmaReduction, verify_su_n1_to_sostar
+from tightmaps.rootsys import build_root_system
 from tightmaps.su11 import (
     clebsch_gordan,
     structure_representatives,
@@ -75,6 +76,28 @@ def test_validate_weight_errors():
         message = f"{algebra} expects {n} weight coordinates, got {n + 1}"
         with pytest.raises(ValueError, match=message):
             validate_weight(algebra, (0,) * (n + 1))
+
+
+@pytest.mark.parametrize("bad", [
+    float("inf"), float("-inf"), float("nan"), None, 2.5, -1, -1.0, "3", "3.5", "x", 1j, [3],
+])
+def test_every_bad_coordinate_gets_the_weight_message(bad):
+    # int() and < refuse some of these with their own OverflowError,
+    # TypeError or ValueError, which would not name the weight
+    with pytest.raises(ValueError, match=r"weight \(.*\) is not dominant integral"):
+        validate_weight("su11xsu11", (1, bad))
+
+
+def test_accepted_coordinates_are_the_nonnegative_integers_of_any_type():
+    accepted = validate_weight("sp4su11", (3.0, Fraction(4, 2), True))
+    assert accepted == (3, 2, 1) and all(type(c) is int for c in accepted)
+
+
+@pytest.mark.parametrize("algebra", ALGEBRAS)
+def test_rank_is_the_sum_of_the_factor_root_system_ranks(algebra):
+    # _rank reads each factor's rank off its Cartan label, building no root system
+    kinds = classify_module._FACTOR_KINDS[algebra]
+    assert classify_module._rank(algebra) == sum(build_root_system(k).rank for k in kinds)
 
 
 @pytest.mark.parametrize("algebra", ["sp4su11", "su11xsu11"])

@@ -311,10 +311,11 @@ _LAYERS = {"rootsys", "branching", "su11", "kahler", "classify"}
 
 @pytest.mark.parametrize("command,ran", [
     ("", set()),  # the import alone
-    ("classify --algebra su11 --weight 3", {"classify", "rootsys", "su11"}),
-    ("sweep --algebra su11xsu11 --max 3", {"classify", "rootsys", "su11"}),
+    ("classify --algebra su11 --weight 3", {"classify", "su11"}),
+    ("sweep --algebra su11xsu11 --max 3", {"classify", "su11"}),
     ("verify kahler-lemmas", {"kahler", "lemmas"}),
     ("sweep --algebra sp4 --max 2", _LAYERS),
+    ("verify lemma-bla", {"lemmas"}),
 ])
 def test_each_command_runs_only_the_layers_it_uses(command, ran):
     # every layer is in sys.modules from the start, but a lazy one is a
@@ -331,6 +332,19 @@ def test_each_command_runs_only_the_layers_it_uses(command, ran):
     )
     every = sorted(_LAYERS | {"cli", "errors"} | ({"lemmas"} & ran))
     assert _fresh(code) == f"0 {sorted(ran | {'cli', 'errors'})} {every}"
+
+
+@pytest.mark.parametrize("path,layer", [("classify.py", "rootsys"), ("lemmas.py", "kahler")])
+def test_layer_is_read_as_a_module_where_a_command_may_skip_it(path, layer):
+    # a module-level `from .rootsys import weight` runs rootsys when classify
+    # runs, so the rank-one commands would compile a root system; and `from
+    # .kahler import ...` would run kahler on `verify lemma-bla`
+    body = ast.parse((PACKAGE / path).read_text()).body
+    froms = [(n.module or "").removeprefix("tightmaps.") for n in body
+             if isinstance(n, ast.ImportFrom)]
+    as_module = [a.name for n in body if isinstance(n, ast.ImportFrom) and not n.module
+                 for a in n.names]
+    assert layer not in froms and layer in as_module
 
 
 @pytest.mark.parametrize("command,loaded", [
