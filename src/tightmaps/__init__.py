@@ -27,8 +27,8 @@ def _register_lazy(name: str) -> None:
     spec.loader.exec_module(module)
 
 
-# ``cli`` is the entry point and runs at once; ``lemmas`` stays out of
-# ``sys.modules`` until ``verify`` imports it
-for _name in ("rootsys", "branching", "su11", "kahler", "classify"):
+# ``cli``, the entry point, runs at once; ``lemmas`` stays out of ``sys.modules``
+# until ``verify`` imports it; ``rank2`` runs for a rank-two weight or class map
+for _name in ("rootsys", "branching", "su11", "kahler", "classify", "rank2"):
     _register_lazy(_name)
 del _name

@@ -242,7 +242,7 @@ def restrict_rep(highest: WeightVector, sub: SubalgebraSpec) -> BranchingResult:
     result = BranchingResult(tuple(sorted(counts.items(), reverse=True)))
     found, expected = result.factor_dimension, dimension(highest)
     if found != expected:
-        raise VerificationError(f"branching lost dimensions: {found} != {expected}")
+        raise _failure(highest, sub, f"lost dimensions: {found} != {expected}")
     return result
 
 

@@ -338,5 +338,5 @@ def _weyl_dimension(system: RootSystemData, top: tuple[int, ...]) -> int:
         num *= sum((t + 1) * c for t, c in zip(top, coroot))
         den *= sum(coroot)
     if num % den != 0:
-        raise VerificationError(f"Weyl dimension of {top} is {num}/{den}")
+        raise VerificationError(f"Weyl dimension of {system.kind} {top} is {num}/{den}")
     return num // den

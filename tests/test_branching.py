@@ -337,7 +337,9 @@ def test_a_negated_numerator_is_a_negative_count(monkeypatch):
 
 def test_an_empty_numerator_loses_every_dimension(monkeypatch):
     monkeypatch.setattr(tightmaps.branching, "_weyl_numerator", lambda system, top: {})
-    with pytest.raises(VerificationError, match="^branching lost dimensions: 0 != 16$"):
+    # the kind, the top and B, then what failed
+    with pytest.raises(VerificationError,
+                       match=r"^branching C2 \(1, 1\) on a1\+a2: lost dimensions: 0 != 16$"):
         restrict_rep(weight(C2, (1, 1)), sub_c2_short())
 
 

@@ -7,9 +7,10 @@ import pytest
 from test_kahler import class_map, counting_fractions
 
 import tightmaps.branching
+import tightmaps.rootsys
 import tightmaps.su11
 from tightmaps import classify as classify_module
-from tightmaps import kahler
+from tightmaps import kahler, rank2
 from tightmaps.branching import BranchingResult, SubalgebraSpec
 from tightmaps.classify import (
     ALGEBRAS,
@@ -178,7 +179,7 @@ def test_rank_two_sweeps_beyond_the_acceptance_bounds(algebra, bound, expected):
 
 def _doubled_su21_a1() -> SubalgebraSpec:
     """The su21 ``a1`` spec with every coroot row doubled."""
-    spec = classify_module._subalgebra("su21", "a1")
+    spec = rank2._subalgebra("su21", "a1")
     return spec._replace(coroots=tuple(tuple(2 * c for c in row) for row in spec.coroots))
 
 
@@ -186,9 +187,9 @@ def test_su21_verdict_follows_the_branching_search(monkeypatch):
     # with every a1 coroot row doubled, (1,0) evaluates to 2 on the a1 disc:
     # the constructive route must report what the search finds, not a table
     patched = _doubled_su21_a1()
-    real = classify_module._subalgebra
+    real = rank2._subalgebra
     monkeypatch.setattr(
-        classify_module, "_subalgebra",
+        rank2, "_subalgebra",
         lambda algebra, selector: patched if (algebra, selector) == ("su21", "a1")
         else real(algebra, selector),
     )
@@ -209,14 +210,14 @@ def test_tight_rank_two_verdicts_follow_the_branching(monkeypatch):
         tightmaps.branching, "restrict_rep",
         lambda top, sub: BranchingResult((((2,) + (0,) * (sub.rank - 1), 1),)),
     )
-    classify_module._branching.cache_clear()
+    rank2._branching.cache_clear()
     try:
         for verdict in verdicts:
             with pytest.raises(VerificationError, match="nontight, but no witness"):
                 constructive_verdict(verdict.algebra, verdict.weight)
             assert not replay_witness(verdict), verdict
     finally:
-        classify_module._branching.cache_clear()
+        rank2._branching.cache_clear()
 
 
 def _count_restrict_rep(monkeypatch) -> list:
@@ -239,7 +240,7 @@ def _count_restrict_rep(monkeypatch) -> list:
     [("sp4su11", 6, 27), ("sp4", 8, 44), ("su21", 9, 54)],
 )
 def test_sweep_branches_each_top_and_subalgebra_once(monkeypatch, algebra, bound, expected):
-    classify_module._branching.cache_clear()
+    rank2._branching.cache_clear()
     calls = _count_restrict_rep(monkeypatch)
     sweep(algebra, bound)
     assert len(calls) == expected
@@ -248,7 +249,7 @@ def test_sweep_branches_each_top_and_subalgebra_once(monkeypatch, algebra, bound
 
 def test_sweep_builds_no_signatures_inside_branching(monkeypatch):
     # signatures are read where a report writes them, never by a branching
-    classify_module._branching.cache_clear()
+    rank2._branching.cache_clear()
     branchings, running, inside = [], [], []
     real = tightmaps.branching.restrict_rep
 
@@ -279,22 +280,30 @@ def test_sweep_builds_no_signatures_inside_branching(monkeypatch):
 def test_branching_memo_keys_on_the_subalgebra_value(monkeypatch):
     # a spec patched after a branching was memoised is branched afresh: here
     # the short root a1+a2 is patched to the long simple root a2
-    spec = classify_module._subalgebra("sp4", "a1+a2")
+    spec = rank2._subalgebra("sp4", "a1+a2")
     patched = spec._replace(roots_b=((0, 1),))
-    top = classify_module._rank2_weight("sp4", (0, 1))
-    classify_module._branching.cache_clear()
+    top = rank2._rank2_weight("sp4", (0, 1))
+    rank2._branching.cache_clear()
     calls = _count_restrict_rep(monkeypatch)
-    assert classify_module._branching(top, spec).factors == (((2,), 1), ((0,), 2))
-    assert classify_module._branching(top, spec).factors == (((2,), 1), ((0,), 2))
-    assert classify_module._branching(top, patched).factors == (((1,), 2), ((0,), 1))
+    assert rank2._branching(top, spec).factors == (((2,), 1), ((0,), 2))
+    assert rank2._branching(top, spec).factors == (((2,), 1), ((0,), 2))
+    assert rank2._branching(top, patched).factors == (((1,), 2), ((0,), 1))
     assert calls == [(top, spec), (top, patched)]
 
 
 def test_memoised_branching_runs_the_dimension_check(monkeypatch):
-    classify_module._branching.cache_clear()
+    rank2._branching.cache_clear()
     monkeypatch.setattr(tightmaps.branching, "dimension", lambda highest: 0)
-    with pytest.raises(VerificationError, match="branching lost dimensions"):
+    with pytest.raises(VerificationError,
+                       match=r"^branching C2 \(1, 1\) on a2,2a1\+a2: lost dimensions: 16 != 0$"):
         cross_check("sp4su11", (1, 1, 2))
+
+
+def test_a_witness_weight_off_the_top_names_the_algebra(monkeypatch):
+    monkeypatch.setattr(tightmaps.rootsys, "is_weight", lambda top, coords: False)
+    with pytest.raises(VerificationError, match=r"^sp4su11 \(2, 1, 0\): witness weight \(2, 0\) "
+                                                r"is not a weight of \(2, 1\)$"):
+        rank2._sp4_split_witness("sp4su11", (2, 1, 0))
 
 
 def test_replay_rejects_tampered_witness():
@@ -548,7 +557,7 @@ def test_nontight_propagation_is_monotone():
     # whenever any tight regular restriction shows an even nonzero factor,
     # the verdict must be nontight
     from tightmaps.branching import even_witness
-    from tightmaps.classify import TIGHT_SUBALGEBRA_SELECTORS, _subalgebra
+    from tightmaps.rank2 import TIGHT_SUBALGEBRA_SELECTORS, _subalgebra
     from tightmaps.rootsys import weight
     from tightmaps.classify import root_system_for
 
@@ -685,14 +694,14 @@ def _per_copy_degrees(verdict) -> tuple[int, list[tuple[int, ...]]]:
     ``verdict_class_map`` books, expanded copy by copy."""
     w = verdict.weight
     if verdict.algebra == "sp4su11":
-        pair = classify_module._subalgebra("sp4su11", "a2,2a1+a2")
-        top = classify_module._rank2_weight("sp4su11", w)
+        pair = rank2._subalgebra("sp4su11", "a2,2a1+a2")
+        top = rank2._rank2_weight("sp4su11", w)
         branch = tightmaps.branching.restrict_rep(top, pair)
         return 2, [(a, c) for (b, a), n in branch.factors for _ in range(n)
                    for c in clebsch_gordan(b, w[2])]
     selector = "a1" if verdict.algebra == "su21" else "a1+a2" if w[0] == 0 else "a2,2a1+a2"
-    sub = classify_module._subalgebra(verdict.algebra, selector)
-    top = classify_module._rank2_weight(verdict.algebra, w)
+    sub = rank2._subalgebra(verdict.algebra, selector)
+    top = rank2._rank2_weight(verdict.algebra, w)
     branch = tightmaps.branching.restrict_rep(top, sub)
     return sub.rank, [f[::-1] for f, n in branch.factors for _ in range(n)]
 
@@ -731,11 +740,11 @@ def test_class_maps_match_the_fraction_route_and_build_no_fractions(monkeypatch)
     verdicts = [v for a, bound in _CLASS_MAP_SWEEPS for v in sweep(a, bound)["rows"]]
     assert len(verdicts) == 1121
     with monkeypatch.context() as patch:
-        made = counting_fractions(patch, classify_module, kahler, tightmaps.su11)
+        made = counting_fractions(patch, classify_module, rank2, kahler, tightmaps.su11)
         maps = [verdict_class_map(v) for v in verdicts]
         assert made == []
     assert {m.denominator for m in maps} == {1}
-    monkeypatch.setattr(classify_module, "_route_map", _fraction_route_map)
+    monkeypatch.setattr(rank2, "_route_map", _fraction_route_map)
     for verdict, m in zip(verdicts, maps):
         assert verdict_class_map(verdict) == m, (verdict.algebra, verdict.weight)
 

@@ -8,7 +8,8 @@ import pytest
 
 from tightmaps import kahler
 from tightmaps.branching import restrict_rep
-from tightmaps.classify import _rank2_weight, _subalgebra, classify, embedding_table
+from tightmaps.classify import classify, embedding_table
+from tightmaps.rank2 import _rank2_weight, _subalgebra
 from tightmaps.rootsys import RootSystemData, WeightVector, build_root_system, weight
 from tightmaps.su11 import ExplicitRep, SignaturePair, StructureChoice, sym_power_rep
 

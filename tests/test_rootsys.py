@@ -4,6 +4,7 @@ import itertools
 import math
 import re
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -463,6 +464,15 @@ def test_an_inexact_character_is_a_verification_error(monkeypatch):
                     weight_multiplicities(weight(system, top))
         assert _multiplicity_table.cache_info().currsize == 0
     _multiplicity_table.cache_clear()
+
+
+def test_an_inexact_weyl_dimension_names_the_system():
+    # no root system has the coroots (1, 0) and (1, 1), which give (0, 1) the
+    # dimension 3/2, so a stand-in reaches the raise
+    table = {"a": SimpleNamespace(coroot=(1, 0)), "b": SimpleNamespace(coroot=(1, 1))}
+    system = SimpleNamespace(kind="X2", positive_roots=("a", "b"), root_table=table)
+    with pytest.raises(VerificationError, match=r"^Weyl dimension of X2 \(0, 1\) is 3/2$"):
+        tightmaps.rootsys._weyl_dimension(system, (0, 1))
 
 
 def _orbit_signs(system, v):

@@ -90,15 +90,18 @@ def test_no_package_module_runs_freudenthal():
     assert {"_weyl_numerator", "_divide"} <= table_calls
 
 
-def _reachable_loads(tree, start):
-    """Module-level definitions of ``tree`` that ``start`` reaches through
-    the names their bodies load, and every name those bodies load."""
+def _reachable_loads(modules, start):
+    """Module-level definitions of the package ``modules``, as one table, that
+    ``start`` reaches through the names their bodies load, and every name those
+    bodies load; ``rank2._class_map`` loads ``_class_map`` when ``rank2`` is
+    one of the ``modules``."""
     defs = {}
-    for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            defs[node.name] = node
-        elif isinstance(node, ast.Assign):
-            defs.update((t.id, node) for t in node.targets if isinstance(t, ast.Name))
+    for module in modules:
+        for node in ast.parse((PACKAGE / f"{module}.py").read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs[node.name] = node
+            elif isinstance(node, ast.Assign):
+                defs.update((t.id, node) for t in node.targets if isinstance(t, ast.Name))
     reached, loaded, todo = set(), set(), [start]
     while todo:
         name = todo.pop()
@@ -106,6 +109,8 @@ def _reachable_loads(tree, start):
             continue
         reached.add(name)
         names = {n.id for n in _loads(defs[name]) if isinstance(n, ast.Name)}
+        names |= {n.attr for n in _loads(defs[name])
+                  if isinstance(n, ast.Attribute) and _dotted(n.value) in modules}
         loaded |= names
         todo += names
     return reached, loaded
@@ -113,16 +118,18 @@ def _reachable_loads(tree, start):
 
 def test_the_constructive_route_uses_none_of_the_theorem_route():
     # the two routes stay independent: the constructive verdicts come from
-    # witnesses and class maps, and only classify and cross_check compare them
-    tree = ast.parse((PACKAGE / "classify.py").read_text())
-    reached, loaded = _reachable_loads(tree, "constructive_verdict")
+    # witnesses and class maps, and only classify and cross_check compare them.
+    # The route's branching half is in rank2, so both modules are one table
+    modules = ("classify", "rank2")
+    reached, loaded = _reachable_loads(modules, "constructive_verdict")
     theorem = {"theorem_tight", "_pair_tight_rule", "HOLOMORPHIC_WEIGHTS", "RouteDisagreement"}
     assert loaded & theorem == set()
     assert {"_certificate", "_class_map", "_branching"} <= reached
-    assert {"theorem_tight", "RouteDisagreement"} <= _reachable_loads(tree, "classify")[1]
+    assert {"theorem_tight", "RouteDisagreement"} <= _reachable_loads(modules, "classify")[1]
     # one route for every algebra: no per-algebra function, no dispatch table
-    defined = {n.name for n in tree.body if isinstance(n, ast.FunctionDef)}
-    defined |= {t.id for n in tree.body if isinstance(n, ast.Assign)
+    bodies = [ast.parse((PACKAGE / f"{m}.py").read_text()).body for m in modules]
+    defined = {n.name for body in bodies for n in body if isinstance(n, ast.FunctionDef)}
+    defined |= {t.id for body in bodies for n in body if isinstance(n, ast.Assign)
                 for t in n.targets if isinstance(t, ast.Name)}
     assert [name for name in defined if name.startswith("_constructive")] == []
     assert "_CONSTRUCTIVE" not in defined
@@ -306,7 +313,7 @@ def test_fresh_cli_import_loads_every_traced_layer():
     assert layers and _fresh(code) == "[]"
 
 
-_LAYERS = {"rootsys", "branching", "su11", "kahler", "classify"}
+_LAYERS = {"rootsys", "branching", "su11", "kahler", "classify", "rank2"}
 
 
 @pytest.mark.parametrize("command,ran", [
@@ -316,10 +323,16 @@ _LAYERS = {"rootsys", "branching", "su11", "kahler", "classify"}
     ("verify kahler-lemmas", {"kahler", "lemmas"}),
     ("sweep --algebra sp4 --max 2", _LAYERS),
     ("verify lemma-bla", {"lemmas"}),
+    ("sweep --algebra sp4su11 --max 2", _LAYERS),
+    ("classify --algebra su21 --weight 1,0", _LAYERS),
+    ("classify --algebra sp4su11 --weight 0,0,3", {"classify", "su11"}),
 ])
 def test_each_command_runs_only_the_layers_it_uses(command, ran):
     # every layer is in sys.modules from the start, but a lazy one is a
-    # placeholder until its first attribute read runs it; type() reads none
+    # placeholder until its first attribute read runs it; type() reads none.
+    # The su(1,1) models decide a weight that is zero on any rank-two factor,
+    # so rank2, and the layers only it reads, stay unrun; a rank-two top
+    # branches, and a tight row builds its class map
     code = (
         "import contextlib, io, sys, types, tightmaps.cli as cli\n"
         f"argv = {command.split()!r}\n"
@@ -334,11 +347,18 @@ def test_each_command_runs_only_the_layers_it_uses(command, ran):
     assert _fresh(code) == f"0 {sorted(ran | {'cli', 'errors'})} {every}"
 
 
-@pytest.mark.parametrize("path,layer", [("classify.py", "rootsys"), ("lemmas.py", "kahler")])
+@pytest.mark.parametrize("path,layer", [
+    ("classify.py", "rootsys"), ("classify.py", "rank2"), ("lemmas.py", "kahler"),
+    ("rank2.py", "rootsys"), ("rank2.py", "branching"), ("rank2.py", "kahler"),
+    ("rank2.py", "su11"),
+])
 def test_layer_is_read_as_a_module_where_a_command_may_skip_it(path, layer):
     # a module-level `from .rootsys import weight` runs rootsys when classify
-    # runs, so the rank-one commands would compile a root system; and `from
-    # .kahler import ...` would run kahler on `verify lemma-bla`
+    # runs, so the rank-one commands would compile a root system; `from .rank2
+    # import ...` would compile the branching half on them too; and `from
+    # .kahler import ...` would run kahler on `verify lemma-bla`.  rank2 reads
+    # its layers as modules too, so a function the bench harness (or a test)
+    # rebinds there, `branching.restrict_rep` say, is the one it calls
     body = ast.parse((PACKAGE / path).read_text()).body
     froms = [(n.module or "").removeprefix("tightmaps.") for n in body
              if isinstance(n, ast.ImportFrom)]
