@@ -29,29 +29,27 @@ class HermitianFactor(namedtuple("HermitianFactor", "name rank tube_type")):
 
 
 def su(p: int, q: int) -> HermitianFactor:
-    if p < q:
-        p, q = q, p
-    if q < 1:
-        raise ValueError("su(p,q) needs p >= q >= 1")
+    if type(p) is not int or type(q) is not int or min(p, q) < 1:
+        raise ValueError("su(p,q) needs ints p, q >= 1")
+    p, q = max(p, q), min(p, q)
     return HermitianFactor(f"su({p},{q})", rank=q, tube_type=p == q)
 
 
 def sp(two_n: int) -> HermitianFactor:
-    if two_n < 2 or two_n % 2:
-        raise ValueError("sp(2n,R) needs an even argument >= 2")
+    if type(two_n) is not int or two_n < 2 or two_n % 2:
+        raise ValueError("sp(2n,R) needs an even int >= 2")
     return HermitianFactor(f"sp({two_n},R)", rank=two_n // 2, tube_type=True)
 
 
 def so_star(two_n: int) -> HermitianFactor:
-    if two_n < 6 or two_n % 2:
-        raise ValueError("so*(2n) needs an even argument >= 6")
-    n = two_n // 2
-    return HermitianFactor(f"so*({two_n})", rank=n // 2, tube_type=n % 2 == 0)
+    if type(two_n) is not int or two_n < 6 or two_n % 2:
+        raise ValueError("so*(2n) needs an even int >= 6")
+    return HermitianFactor(f"so*({two_n})", rank=two_n // 4, tube_type=two_n % 4 == 0)
 
 
 def so2n(n: int) -> HermitianFactor:
-    if n < 3:
-        raise ValueError("so(2,n) needs n >= 3")
+    if type(n) is not int or n < 3:
+        raise ValueError("so(2,n) needs an int n >= 3")
     return HermitianFactor(f"so(2,{n})", rank=2, tube_type=True)
 
 
@@ -59,12 +57,17 @@ Factors = tuple[HermitianFactor, ...]
 Rows = tuple[tuple[int, ...], ...]  # integer numerators, by row
 
 
-def _reduced(rows, denominator: int) -> tuple[Rows, int]:
-    """Integer rows over a positive denominator, divided by their gcd."""
+def _reduced(rows, denominator: int, width: int, wrong_shape: str) -> tuple[Rows, int]:
+    """Integer rows of one width over a positive denominator, divided by their
+    gcd: one pass checks each row's width and takes the gcd."""
+    g = denominator
+    for row in rows:
+        if len(row) != width:
+            raise ValueError(wrong_shape)
+        g = math.gcd(g, *row)
     if denominator < 1:
         raise ValueError(f"denominator {denominator} is not positive")
-    g = math.gcd(denominator, *(n for row in rows for n in row))
-    return tuple(tuple(n // g for n in row) for row in rows), denominator // g
+    return tuple([tuple([n // g for n in row]) for row in rows]), denominator // g
 
 
 def _fractions(rows, denominator: int) -> tuple[tuple[Fraction, ...], ...]:
@@ -80,10 +83,9 @@ class KahlerClass(namedtuple("_KahlerClass", "factors numerators denominator")):
     __slots__ = ()
 
     def __new__(cls, factors: Factors, numerators: tuple[int, ...], denominator: int):
-        if len(factors) != len(numerators):
-            raise ValueError("one coefficient per factor expected")
-        (numerators,), denominator = _reduced((numerators,), denominator)
-        return super().__new__(cls, factors, numerators, denominator)
+        (numerators,), denominator = _reduced((numerators,), denominator, len(factors),
+                                              "one coefficient per factor expected")
+        return tuple.__new__(cls, (factors, numerators, denominator))
 
     @property
     def coefficients(self) -> tuple[Fraction, ...]:
@@ -125,17 +127,17 @@ class HomClassMap(namedtuple("_HomClassMap", "source target numerators denominat
 
     __slots__ = ()
 
-    def __new__(cls, source: Factors, target: Factors,
-                numerators: Rows, denominator: int):
-        if len(numerators) != len(source) or any(len(row) != len(target) for row in numerators):
-            raise ValueError("matrix shape must be |source| x |target|")
-        numerators, denominator = _reduced(numerators, denominator)
+    def __new__(cls, source: Factors, target: Factors, numerators: Rows, denominator: int):
+        shape = "matrix shape must be |source| x |target|"
+        if len(numerators) != len(source):
+            raise ValueError(shape)
+        numerators, denominator = _reduced(numerators, denominator, len(target), shape)
         for i, tf in enumerate(target):
-            col = sum(abs(row[i]) * sf.rank for row, sf in zip(numerators, source))
+            col = sum([abs(row[i]) * sf.rank for row, sf in zip(numerators, source)])
             if col > denominator * tf.rank:
                 raise ValueError(f"pullback of {tf.name} has norm "
                                  f"{ratio(col, denominator)} > rank {tf.rank}")
-        return super().__new__(cls, source, target, numerators, denominator)
+        return tuple.__new__(cls, (source, target, numerators, denominator))
 
     @property
     def matrix(self) -> tuple[tuple[Fraction, ...], ...]:
@@ -151,25 +153,25 @@ def pullback(m: HomClassMap, cls: KahlerClass) -> KahlerClass:
 
 def _pulled_norm(m: HomClassMap) -> int:
     """D norm(pullback(kappa)), kappa the target's distinguished class."""
-    return sum(abs(sum(row)) * f.rank for row, f in zip(m.numerators, m.source))
+    return sum([abs(sum(row)) * f.rank for row, f in zip(m.numerators, m.source)])
 
 
 def is_tight(m: HomClassMap) -> bool:
-    return _pulled_norm(m) == m.denominator * sum(f.rank for f in m.target)
+    return _pulled_norm(m) == m.denominator * sum([f.rank for f in m.target])
 
 
 # The map sign tests read the pullback of the target's distinguished class,
 # whose coefficients are the row sums over the positive denominator.
 def is_positive_map(m: HomClassMap) -> bool:
-    return all(sum(row) >= 0 for row in m.numerators)
+    return all([sum(row) >= 0 for row in m.numerators])
 
 
 def is_negative_map(m: HomClassMap) -> bool:
-    return all(sum(row) <= 0 for row in m.numerators)
+    return all([sum(row) <= 0 for row in m.numerators])
 
 
 def is_strictly_positive_map(m: HomClassMap) -> bool:
-    return all(sum(row) > 0 for row in m.numerators)
+    return all([sum(row) > 0 for row in m.numerators])
 
 
 def compose(f: HomClassMap, h: HomClassMap) -> HomClassMap:
@@ -177,18 +179,16 @@ def compose(f: HomClassMap, h: HomClassMap) -> HomClassMap:
     if f.target != h.source:
         raise ValueError("target of f must be the source of h")
     columns = [[row[i] for row in h.numerators] for i in range(len(h.target))]
-    numerators = tuple(tuple(sum(map(operator.mul, row, col)) for col in columns)
-                       for row in f.numerators)
+    numerators = [[sum(map(operator.mul, row, col)) for col in columns] for row in f.numerators]
     composite = HomClassMap(f.source, h.target, numerators, f.denominator * h.denominator)
-    if _pulled_norm(composite) > composite.denominator * sum(tf.rank for tf in h.target):
+    if _pulled_norm(composite) > composite.denominator * sum([tf.rank for tf in h.target]):
         raise VerificationError("composition gained norm on the distinguished class")
     return composite
 
 
 def projection_leg(m: HomClassMap, i: int) -> HomClassMap:
     """The i-th coordinate map of a map into a product."""
-    return HomClassMap(m.source, (m.target[i],), tuple((row[i],) for row in m.numerators),
-                       m.denominator)
+    return HomClassMap(m.source, (m.target[i],), [(row[i],) for row in m.numerators], m.denominator)
 
 
 def run_lemma_fixtures(seed: int = 7, count: int = 25) -> list[dict]:

@@ -13,6 +13,7 @@ unrun.
 from __future__ import annotations
 
 import math
+import operator
 import random
 
 from . import kahler
@@ -22,19 +23,33 @@ from .errors import VerificationError, ratio
 # -- lemma fixtures -----------------------------------------------------------
 # Seeded random rational maps that check the composition lemmas as exact
 # statements; they back `verify kahler-lemmas` and the test suite.  Columns
-# are built as (numerators, denominator) pairs.
+# are built as (numerators, denominator) pairs.  A battery draws from one
+# generator, which each fixture reseeds as it starts: reseeding gives the
+# stream `random.Random(seed)` gives.
 
 
-def _random_factor(rng: random.Random) -> kahler.HermitianFactor:
+class _Stream(random.Random):
+    """One battery's generator and the 22 factors its fixtures draw from,
+    built once, by family and drawn parameters.  It is left unseeded: each
+    fixture seeds it before its first draw."""
+
+    def __init__(self):
+        self.su = {(p, q): kahler.su(p, q) for q in (1, 2, 3) for p in (q, q + 1, q + 2)}
+        self.sp = {k: kahler.sp(2 * k) for k in (1, 2, 3, 4)}
+        self.so_star = {k: kahler.so_star(2 * k) for k in (3, 4, 5, 6)}
+        self.so2n = {n: kahler.so2n(n) for n in (3, 4, 5, 6, 7)}
+
+
+def _random_factor(rng: _Stream) -> kahler.HermitianFactor:
     choice = rng.randrange(4)
     if choice == 0:
         q = rng.randint(1, 3)
-        return kahler.su(q + rng.randint(0, 2), q)
+        return rng.su[q + rng.randint(0, 2), q]
     if choice == 1:
-        return kahler.sp(2 * rng.randint(1, 4))
+        return rng.sp[rng.randint(1, 4)]
     if choice == 2:
-        return kahler.so_star(2 * rng.randint(3, 6))
-    return kahler.so2n(rng.randint(3, 7))
+        return rng.so_star[rng.randint(3, 6)]
+    return rng.so2n[rng.randint(3, 7)]
 
 
 def _random_weights(rng: random.Random, factors: kahler.Factors,
@@ -42,33 +57,29 @@ def _random_weights(rng: random.Random, factors: kahler.Factors,
     """One a/b per factor, 1 <= a, b <= top <= 9, as numerators over
     2520 = lcm(1, ..., 9) (a drawn before b); and their rank sum."""
     scaled = [rng.randint(1, top) * (2520 // rng.randint(1, top)) for _ in factors]
-    return scaled, sum(x * f.rank for x, f in zip(scaled, factors))
+    return scaled, sum([x * f.rank for x, f in zip(scaled, factors)])
 
 
 def _random_leg(rng: random.Random, source: kahler.Factors, target: kahler.HermitianFactor,
-                tight: bool, sign: int = 0) -> tuple[tuple[int, ...], int]:
+                tight: bool, signed: bool = True) -> tuple[tuple[int, ...], int]:
     """Column of pullback coefficients with, or strictly below, full norm;
-    every entry has the given sign, or a random one when ``sign`` is 0."""
+    its entries have random signs, or are all positive and draw no sign when
+    not ``signed``."""
     raw, total = _random_weights(rng, source, 9)
-    signs = [sign or rng.choice((1, -1)) for _ in source]
+    signs = [rng.choice((1, -1)) if signed else 1 for _ in source]
     u, v = (1, 1) if tight else (rng.randint(1, 3), 4)  # the share of the budget spent
-    return tuple(s * r * target.rank * u for s, r in zip(signs, raw)), v * total
+    return tuple([s * r * target.rank * u for s, r in zip(signs, raw)]), v * total
 
 
 def _from_columns(columns) -> tuple[kahler.Rows, int]:
     """Matrix numerators over one denominator from (numerators, denominator) columns."""
-    d = math.lcm(*(cd for _, cd in columns))
-    return tuple(zip(*([n * (d // cd) for n in col] for col, cd in columns))), d
+    d = math.lcm(*[cd for _, cd in columns])
+    return tuple(zip(*[[n * (d // cd) for n in col] for col, cd in columns])), d
 
 
-def middle_factor_fixture(seed: int, tight_f: bool, tight_h: bool) -> dict:
-    """One f: G1 -> G2, h: G2 -> G3 fixture with G2 simple.
-
-    Checks that the composite is tight iff both legs are: the tight leg
-    h is built with the forced coefficient +-r3/r2.
-    """
-    rng = random.Random(seed)
-    source = tuple(_random_factor(rng) for _ in range(rng.randint(1, 3)))
+def _middle_factor(rng: _Stream, seed: int, tight_f: bool, tight_h: bool) -> dict:
+    rng.seed(seed)
+    source = tuple([_random_factor(rng) for _ in range(rng.randint(1, 3))])
     middle = _random_factor(rng)
     target = _random_factor(rng)
     leg = _random_leg(rng, source, middle, tight_f)
@@ -87,19 +98,35 @@ def middle_factor_fixture(seed: int, tight_f: bool, tight_h: bool) -> dict:
     }
 
 
-def product_target_fixture(seed: int, signs: tuple[int, ...]) -> dict:
-    """Map into a product: tight iff all legs tight and uniformly signed."""
-    rng = random.Random(seed)
-    source = tuple(_random_factor(rng) for _ in range(rng.randint(1, 2)))
-    target = tuple(_random_factor(rng) for _ in signs)
+def middle_factor_fixture(seed: int, tight_f: bool, tight_h: bool) -> dict:
+    """One f: G1 -> G2, h: G2 -> G3 fixture with G2 simple.
+
+    Checks that the composite is tight iff both legs are: the tight leg
+    h is built with the forced coefficient +-r3/r2.
+    """
+    return _middle_factor(_Stream(), seed, tight_f, tight_h)
+
+
+def _product_draw(rng: _Stream, seed: int, length: int) -> tuple:
+    """The random part of every product fixture of one seed and pattern
+    length: source, target and the unsigned matrix over its denominator.
+    An unsigned column draws no signs, so every sign pattern of that length
+    draws these same values, and signs the columns after."""
+    rng.seed(seed)
+    source = tuple([_random_factor(rng) for _ in range(rng.randint(1, 2))])
+    target = tuple([_random_factor(rng) for _ in range(length)])
+    columns = [_random_leg(rng, source, tf, tight=True, signed=False) for tf in target]
+    return source, target, *_from_columns(columns)
+
+
+def _product_target(draw: tuple, signs: tuple[int, ...]) -> dict:
+    source, target, rows, d = draw
     # uniform sign within each column, so every projection is positive or
     # negative as a map; the cross-factor sign pattern is what varies
-    columns = [_random_leg(rng, source, tf, tight=True, sign=s) for s, tf in zip(signs, target)]
-    m = kahler.HomClassMap(source, target, *_from_columns(columns))
+    m = kahler.HomClassMap(source, target, [list(map(operator.mul, row, signs)) for row in rows], d)
     legs = [kahler.projection_leg(m, i) for i in range(len(target))]
-    legs_tight = all(kahler.is_tight(leg) for leg in legs)
-    uniform = (all(kahler.is_positive_map(leg) for leg in legs)
-               or all(kahler.is_negative_map(leg) for leg in legs))
+    legs_tight = all(map(kahler.is_tight, legs))
+    uniform = all(map(kahler.is_positive_map, legs)) or all(map(kahler.is_negative_map, legs))
     tight = kahler.is_tight(m)
     return {
         "lemma": "product-target",
@@ -111,15 +138,15 @@ def product_target_fixture(seed: int, signs: tuple[int, ...]) -> dict:
     }
 
 
-def strict_positive_fixture(seed: int) -> dict:
-    """Nontight f followed by strictly positive h stays nontight.
+def product_target_fixture(seed: int, signs: tuple[int, ...]) -> dict:
+    """Map into a product: tight iff all legs tight and uniformly signed."""
+    return _product_target(_product_draw(_Stream(), seed, len(signs)), signs)
 
-    Also reproduces the strict inequality chain
-    sum lambda_i |mu_ij| r_j < sum lambda_i r_i <= r_L exactly.
-    """
-    rng = random.Random(seed)
-    source = tuple(_random_factor(rng) for _ in range(rng.randint(1, 3)))
-    middle = tuple(_random_factor(rng) for _ in range(rng.randint(1, 3)))
+
+def _strict_positive(rng: _Stream, seed: int) -> dict:
+    rng.seed(seed)
+    source = tuple([_random_factor(rng) for _ in range(rng.randint(1, 3))])
+    middle = tuple([_random_factor(rng) for _ in range(rng.randint(1, 3))])
     target = _random_factor(rng)
     # f nontight: at least one strictly slack column
     slack_at = rng.randrange(len(middle))
@@ -150,16 +177,31 @@ def strict_positive_fixture(seed: int) -> dict:
     }
 
 
+def strict_positive_fixture(seed: int) -> dict:
+    """Nontight f followed by strictly positive h stays nontight.
+
+    Also reproduces the strict inequality chain
+    sum lambda_i |mu_ij| r_j < sum lambda_i r_i <= r_L exactly.
+    """
+    return _strict_positive(_Stream(), seed)
+
+
+# the product fixtures' sign patterns, grouped by length: one group shares a draw
+_SIGN_PATTERNS = (((1,),), ((1, 1), (1, -1), (-1, -1)), ((1, 1, 1), (1, -1, 1)))
+
+
 def run_fixtures(seed: int, count: int) -> list[dict]:
     """All lemma fixtures; every entry must come back with ok=True."""
+    rng = _Stream()
     results = []
     for i in range(count):
         for tf in (True, False):
             for th in (True, False):
-                results.append(middle_factor_fixture(seed + 101 * i + 7 * tf + th, tf, th))
-        for signs in ((1,), (1, 1), (1, -1), (-1, -1), (1, 1, 1), (1, -1, 1)):
-            results.append(product_target_fixture(seed + 211 * i, signs))
-        results.append(strict_positive_fixture(seed + 307 * i))
+                results.append(_middle_factor(rng, seed + 101 * i + 7 * tf + th, tf, th))
+        for patterns in _SIGN_PATTERNS:
+            draw = _product_draw(rng, seed + 211 * i, len(patterns[0]))
+            results += (_product_target(draw, signs) for signs in patterns)
+        results.append(_strict_positive(rng, seed + 307 * i))
     return results
 
 

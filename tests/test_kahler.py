@@ -18,6 +18,7 @@ from tightmaps.errors import VerificationError
 from tightmaps.kahler import (
     HermitianFactor,
     HomClassMap,
+    KahlerClass,
     compose,
     distinguished_class,
     is_negative,
@@ -302,6 +303,10 @@ def test_rank_and_tube_tables():
     assert so2n(7).rank == 2 and so2n(7).tube_type
     # past 2**53 a float quotient would round the rank
     assert so_star(2 * (2**60 + 3)).rank == (2**60 + 3) // 2 == 576460752303423489
+    assert su(2, 3) == su(3, 2) == HermitianFactor("su(3,2)", 2, False)
+    factors = [su(2, 3), sp(4), so_star(8), so_star(10), so2n(4)]
+    assert [f.rank for f in factors] == [2, 2, 2, 2, 2]
+    assert all(type(f.rank) is int for f in factors)
 
 
 def test_family_constructors_reject_bad_parameters():
@@ -313,6 +318,17 @@ def test_family_constructors_reject_bad_parameters():
         so_star(4)
     with pytest.raises(ValueError):
         so2n(2)
+
+
+@pytest.mark.parametrize("construct", [
+    lambda x: su(x, 1), lambda x: su(2, x), lambda x: su(x, x), sp, so_star, so2n,
+], ids=["su(x,1)", "su(2,x)", "su(x,x)", "sp", "so_star", "so2n"])
+@pytest.mark.parametrize("value", [4.0, 2.5, True, "4"], ids=["4.0", "2.5", "True", "str-4"])
+def test_family_constructors_refuse_parameters_that_are_not_ints(construct, value):
+    # a float or bool rank would pass is_tight in float arithmetic, and a
+    # string would fail a comparison with a TypeError
+    with pytest.raises(ValueError, match="int"):
+        construct(value)
 
 
 def test_norm_examples():
@@ -352,6 +368,26 @@ def test_a_norm_gaining_column_names_its_norm_as_p_over_q():
     for numerator, denominator, text in ((3, 2, "3/2"), (-7, 4, "7/4"), (4, 2, "2")):
         with pytest.raises(ValueError, match=rf"^pullback of su\(1,1\) has norm {text} > rank 1$"):
             HomClassMap((su(1, 1),), (su(1, 1),), ((numerator,),), denominator)
+
+
+@pytest.mark.parametrize("rows,denominator,message", [
+    (((1,), (1,)), 1, "shape"),  # one row too many
+    (((1, 1),), 1, "shape"),  # one column too many
+    (((1,), (1, 1)), 1, "shape"),  # a later row too wide
+    (((1,), (1, 1)), 0, "shape"),  # the shape is checked before the denominator
+    (((0,),), -3, "denominator -3 is not positive"),
+])
+def test_class_map_validation_raises(rows, denominator, message):
+    with pytest.raises(ValueError, match=message):
+        HomClassMap((su(1, 1),), (su(1, 1),), rows, denominator)
+
+
+def test_a_norm_gaining_column_is_named_with_its_reduced_norm():
+    # the second column gains norm; its norm 12/8 is printed reduced, as 3/2
+    source, target = (su(1, 1), su(2, 2)), (su(3, 3), su(1, 1))
+    with pytest.raises(ValueError, match=r"^pullback of su\(1,1\) has norm 3/2 > rank 1$"):
+        HomClassMap(source, target, ((8, 4), (4, 4)), 8)
+    assert is_tight(HomClassMap(source, target, ((8, 4), (8, 2)), 8))
 
 
 def test_pullback_linearity():
@@ -428,6 +464,36 @@ def test_run_lemma_fixtures_all_pass():
     assert results and all(r["ok"] for r in results)
 
 
+def test_the_battery_seeds_one_stream_per_draw(monkeypatch):
+    # 25 rounds of four middle-factor fixtures, one product draw per sign
+    # pattern length (three) and one strict-positive fixture; each
+    # random.Random(seed) would seed once too
+    seeds = []
+    seed = random.Random.seed
+
+    def counting(rng, *args, **kwargs):
+        seeds.append(args[0] if args else kwargs.get("a"))
+        return seed(rng, *args, **kwargs)
+
+    monkeypatch.setattr(random.Random, "seed", counting)
+    results = run_lemma_fixtures()
+    monkeypatch.undo()
+    assert len(seeds) == 200 == 100 + 75 + 25
+    assert sorted(seeds) == sorted(
+        [7 + 101 * i + 7 * tf + th for i in range(25) for tf in (1, 0) for th in (1, 0)]
+        + [7 + 211 * i for i in range(25) for _ in range(3)] + [7 + 307 * i for i in range(25)])
+    # each entry is the fixture of its seed, run alone
+    alone = []
+    for i in range(25):
+        alone += [middle_factor_fixture(7 + 101 * i + 7 * tf + th, tf, th)
+                  for tf in (True, False) for th in (True, False)]
+        alone += [product_target_fixture(7 + 211 * i, signs) for signs in
+                  ((1,), (1, 1), (1, -1), (-1, -1), (1, 1, 1), (1, -1, 1))]
+        alone.append(strict_positive_fixture(7 + 307 * i))
+    assert results == alone
+    assert sum(r["lemma"] == "product-target" for r in results) == 150
+
+
 @pytest.mark.parametrize("seed", [7, 1, 99, 1234, 2026])
 def test_lemma_fixtures_match_the_fraction_oracle(seed):
     results = run_lemma_fixtures(seed, 60)
@@ -471,6 +537,16 @@ def test_equal_maps_are_equal_records():
     zero = HomClassMap((su(1, 1),), (su(2, 2),), ((0,),), 7)
     assert (zero.numerators, zero.denominator) == (((0,),), 1)
     assert kahler_class([su(1, 1)], [F(2, 4)]) == kahler.KahlerClass((su(1, 1),), (3,), 6)
+    # unreduced and list rows, over two factors and with signs, give the
+    # reduced record, of tuples
+    source, target = (su(1, 1), su(2, 1)), (su(2, 2), sp(6))
+    reduced = HomClassMap(source, target, ((-3, 2), (1, 0)), 6)
+    for g in (1, 2, 5, 12):
+        m = HomClassMap(source, target, [[-3 * g, 2 * g], [g, 0]], 6 * g)
+        assert m == reduced and hash(m) == hash(reduced)
+        assert m.numerators == ((-3, 2), (1, 0)) and m.denominator == 6
+        assert all(type(row) is tuple for row in m.numerators)
+    assert KahlerClass(target, [-4, 6], 10) == KahlerClass(target, (-2, 3), 5)
 
 
 def test_planted_faults_in_a_tight_leg_are_caught():
