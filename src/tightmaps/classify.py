@@ -45,18 +45,6 @@ HOLOMORPHIC_WEIGHTS = {
     "su21": {(1, 0), (0, 1)},
 }
 
-# The witness kinds each algebra's constructive route emits; replay rejects
-# every other kind.
-_WITNESS_KINDS = {
-    "su11": ("zero_class", "pairing"),
-    "su11xsu11": ("zero_class", "pairing", "clebsch_gordan_even"),
-    "sp4": ("zero_class", "even_branch_witness", "reference_classification"),
-    "su21": ("zero_class", "even_branch_witness", "reference_classification"),
-    "sp4su11": ("zero_class", "pairing", "even_branch_witness", "even_tensor_factor",
-                "reference_classification"),
-}
-
-
 class RouteDisagreement(VerificationError):
     """Theorem route and constructive route disagreed: an implementation bug."""
 
@@ -95,29 +83,45 @@ def validate_weight(algebra: str, w) -> tuple[int, ...]:
     return tuple(int(c) for c in coords)
 
 
-class Witness(namedtuple("Witness", (
-    "kind",  # str
-    "subalgebra",  # str
-    "weight",  # tuple of ints
-    "evaluation",  # int
-    "pairing_lhs",  # int: twice the pairing
-    "pairing_rhs",  # int: twice the diagonal-disc value
-), defaults=(None,) * 5)):
+# The wire type of each witness field after ``kind``: a set field has exactly
+# this type, so a bool is no int, and a weight's entries are ints.
+_FIELD_TYPES = {"subalgebra": str, "weight": tuple, "evaluation": int,
+                "pairing_lhs": int, "pairing_rhs": int}
+
+
+class Witness(namedtuple("Witness", ("kind", *_FIELD_TYPES), defaults=(None,) * len(_FIELD_TYPES))):
     """A replayable certificate of one verdict.
 
-    The fields, in order, are the wire schema; ``None`` marks a field the
-    kind does not carry, and such fields are left out of reports.  The two
-    pairing fields hold half-integers doubled, as ints, and are written as
-    their halves, 'p/q' or 'p' when whole.
+    The fields, in order, are the wire schema; a field the kind does not
+    carry (``WITNESS_SCHEMA``) is ``None`` and left out of reports.  The
+    pairing fields hold half-integers doubled, as ints.
     """
 
     __slots__ = ()
 
-    def __str__(self) -> str:  # the set fields in wire order, pairings as halves
-        return ", ".join(
-            f"{k}={ratio(v, 2) if k.startswith('pairing_') and type(v) is int else v}"
-            for k, v in self._asdict().items() if v is not None
-        )
+    def wire(self) -> dict:
+        """The set fields in wire order, each pairing as its half, 'p/q' or 'p' when whole."""
+        return {k: ratio(v, 2) if k.startswith("pairing_") and type(v) is int else v
+                for k, v in zip(self._fields, self) if v is not None}
+
+    def __str__(self) -> str:
+        return ", ".join(f"{k}={v}" for k, v in self.wire().items())
+
+
+WitnessKind = namedtuple("WitnessKind", "fields algebras tight")
+
+# The witness schema.  For each kind: the fields it sets after ``kind``, in
+# wire order; the algebras whose constructive route emits it; and whether it
+# may certify a tight verdict.  Replay refuses every witness outside it.
+WITNESS_SCHEMA = {
+    "zero_class": WitnessKind((), ALGEBRAS, False),
+    "pairing": WitnessKind(("pairing_lhs", "pairing_rhs"), ("su11", "su11xsu11", "sp4su11"), True),
+    "clebsch_gordan_even": WitnessKind(("evaluation",), ("su11xsu11",), False),
+    "even_branch_witness": WitnessKind(("subalgebra", "weight", "evaluation"),
+                                       ("sp4", "sp4su11", "su21"), False),
+    "even_tensor_factor": WitnessKind(("subalgebra", "evaluation"), ("sp4su11",), False),
+    "reference_classification": WitnessKind((), ("sp4", "sp4su11", "su21"), True),
+}
 
 
 TightnessVerdict = namedtuple("TightnessVerdict", "algebra weight tight holomorphic witness")
@@ -217,29 +221,28 @@ def classify(algebra: str, w) -> TightnessVerdict:
 # -- witness replay ---------------------------------------------------------
 
 
-def _replay_pairing(verdict: TightnessVerdict) -> bool:
-    w = verdict.weight
-    # the zero weight has no disc, and sp4su11 pairs only on (0, 0, k)
-    if not any(w) or (verdict.algebra == "sp4su11" and any(w[:2])):
-        return False
-    found = _pairing_verdict(*_disc_pairing(w))
-    return found == (verdict.tight, verdict.witness)
-
-
 def _wire_types_hold(verdict: TightnessVerdict) -> bool:
-    """Set fields of the verdict and its witness have their schema types, and
-    the weight is dominant: 2.0 or True would pass the comparisons and
+    """The verdict's weight is a tuple of the algebra's length of non-negative
+    ints and ``tight`` a bool: 2.0 or True would pass the comparisons and
     int-keyed lookups of replay, and '2', -1 or a wrong length would raise."""
-    wit, w = verdict.witness, verdict.weight
-    weight = () if wit.weight is None else wit.weight
+    w = verdict.weight
     return (
         type(w) is tuple and len(w) == _rank(verdict.algebra) and type(verdict.tight) is bool
         and all(type(x) is int and x >= 0 for x in w)
-        and type(weight) is tuple
-        and all(type(x) is int for x in weight)
-        and type(wit.evaluation) in (int, type(None))
-        and all(type(x) in (int, type(None)) for x in (wit.pairing_lhs, wit.pairing_rhs))
     )
+
+
+def _schema_row(algebra: str, wit: Witness) -> WitnessKind | None:
+    """The witness's ``WITNESS_SCHEMA`` row if ``algebra`` emits its kind, a str,
+    and it sets exactly the kind's fields, each of its wire type; else None."""
+    row = WITNESS_SCHEMA.get(wit.kind) if type(wit.kind) is str else None
+    values = {f: v for f, v in zip(_FIELD_TYPES, wit[1:]) if v is not None}
+    fits = (
+        row is not None and algebra in row.algebras and tuple(values) == row.fields
+        and all(type(v) is _FIELD_TYPES[f] for f, v in values.items())
+        and all(type(x) is int for x in values.get("weight", ()))
+    )
+    return row if fits else None
 
 
 def replay_witness(verdict: TightnessVerdict) -> bool:
@@ -250,47 +253,48 @@ def replay_witness(verdict: TightnessVerdict) -> bool:
     the row's constructive route, or an earlier row of the same sp4 top,
     already computed and checked.  Everything else is recomputed.
 
-    A field the witness kind does not carry must be unset, and a set field
-    must have its schema type, as must the verdict's weight and ``tight``.
-    The verdict's flags are bound too: ``holomorphic`` must be the reference
-    flag, and only ``pairing`` and ``reference_classification`` witnesses
-    can certify a tight verdict, the latter only with a tight class map.
+    The witness must fit ``WITNESS_SCHEMA``, the weight and ``tight`` their wire
+    types and ``holomorphic`` the reference flag; a tight verdict needs a kind
+    that may certify one, and ``reference_classification`` a tight class map.
     """
     wit = verdict.witness
     # tuple membership compares without hashing, so an unhashable algebra is refused here
     if type(wit) is not Witness or verdict.algebra not in ALGEBRAS:
         return False
-    kind = wit.kind
-    if kind not in _WITNESS_KINDS[verdict.algebra] or not _wire_types_hold(verdict):
+    row = _schema_row(verdict.algebra, wit)
+    if row is None or not _wire_types_hold(verdict):
         return False
     if verdict.holomorphic is not holomorphic_flag(verdict.algebra, verdict.weight):
         return False
-    if verdict.tight and kind not in ("pairing", "reference_classification"):
+    if verdict.tight and not row.tight:
         return False
+    kind = wit.kind
     if kind == "zero_class":
-        return wit == Witness(kind) and not any(verdict.weight)
+        return not any(verdict.weight)
     if kind == "pairing":
-        return _replay_pairing(verdict)
+        w = verdict.weight
+        # the zero weight has no disc, and sp4su11 pairs only on (0, 0, k)
+        return (any(w) and not (verdict.algebra == "sp4su11" and any(w[:2]))
+                and _pairing_verdict(*_disc_pairing(w)) == (verdict.tight, wit))
     if kind == "clebsch_gordan_even":
         k, l = verdict.weight
         return (
-            wit == Witness(kind, evaluation=k + l)
+            wit.evaluation == k + l
             and k + l != 0
             and all(m % 2 == 0 for m in clebsch_gordan(k, l))
         )
     if kind == "even_branch_witness":
         return rank2._replay_even_branch(verdict)
     if kind == "even_tensor_factor":
-        value = wit.evaluation or 0
+        value = wit.evaluation
         return (
-            wit == Witness(kind, "a2,2a1+a2", evaluation=value)
+            wit.subalgebra == "a2,2a1+a2"
             and value != 0
             and value % 2 == 0
             and any(value in f for f in rank2._sp4su11_expansion(*verdict.weight))
         )
     return (
-        wit == Witness("reference_classification")
-        and verdict.tight
+        verdict.tight
         and verdict.weight in HOLOMORPHIC_WEIGHTS[verdict.algebra]
         and kahler.is_tight(rank2._class_map(verdict.algebra, verdict.weight))
     )

@@ -18,7 +18,7 @@ import time
 
 # the layers are read as modules, so a command runs only those it uses
 from . import branching, classify, kahler, rootsys, su11
-from .errors import VerificationError, ratio
+from .errors import VerificationError
 
 OK = 0
 USAGE_ERROR = 1
@@ -37,20 +37,12 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(USAGE_ERROR)
 
 
-def witness_wire(witness: classify.Witness) -> dict:
-    """The witness fields that are set, in field order; a pairing field,
-    which the record holds doubled as an int, as its half, the string 'p/q'
-    ('p' when whole)."""
-    return {k: ratio(v, 2) if k.startswith("pairing_") else v
-            for k, v in witness._asdict().items() if v is not None}
-
-
 def verdict_row(verdict: classify.TightnessVerdict) -> dict:
     return {
         "weight": list(verdict.weight),
         "tight": verdict.tight,
         "holomorphic": verdict.holomorphic,
-        "witness": witness_wire(verdict.witness),
+        "witness": verdict.witness.wire(),
     }
 
 
@@ -342,12 +334,15 @@ def make_parser(command: str | None = None) -> _Parser:
     return parser
 
 
-def _join_negative_weight(argv: list[str]) -> list[str]:
-    """Join ``--weight -1,0`` or ``--p-range -5:7`` by ``=``: argparse reads each as an option."""
+def _join_dash_values(argv: list[str]) -> list[str]:
+    """Join ``--weight -1,0``, ``--p-range -5:7`` or ``--sub -a1`` (any selector
+    after one '-') by ``=``: argparse reads each value as an option."""
     out: list[str] = []
     for arg in argv:
-        if out and out[-1] in ("--weight", "--p-range") and arg[:1] == "-" and arg[1:2].isdigit():
-            out[-1] = f"{out[-1]}={arg}"
+        flag = out[-1] if out else None
+        if arg[:1] == "-" and (flag in ("--weight", "--p-range") and arg[1:2].isdigit()
+                               or flag == "--sub" and arg[1:2] != "-"):
+            out[-1] = f"{flag}={arg}"
         else:
             out.append(arg)
     return out
@@ -357,7 +352,7 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = make_parser(argv[0] if argv else None)
     try:
-        args = parser.parse_args(_join_negative_weight(argv))
+        args = parser.parse_args(_join_dash_values(argv))
     except SystemExit as exit_:
         return exit_.code if isinstance(exit_.code, int) else USAGE_ERROR
     try:

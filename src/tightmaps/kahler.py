@@ -58,12 +58,16 @@ Rows = tuple[tuple[int, ...], ...]  # integer numerators, by row
 
 
 def _reduced(rows, denominator: int, width: int, wrong_shape: str) -> tuple[Rows, int]:
-    """Integer rows of one width over a positive denominator, divided by their
-    gcd: one pass checks each row's width and takes the gcd."""
+    """Int rows of one width over a positive int denominator (a bool is no
+    int), divided by their gcd, which one pass takes as it checks each row."""
+    if type(denominator) is not int:
+        raise ValueError(f"denominator {denominator!r} is not an int")
     g = denominator
     for row in rows:
         if len(row) != width:
             raise ValueError(wrong_shape)
+        if not {int}.issuperset(map(type, row)):
+            raise ValueError(f"row {tuple(row)} has an entry that is not an int")
         g = math.gcd(g, *row)
     if denominator < 1:
         raise ValueError(f"denominator {denominator} is not positive")

@@ -15,6 +15,7 @@ from tightmaps.branching import BranchingResult, SubalgebraSpec
 from tightmaps.classify import (
     ALGEBRAS,
     HOLOMORPHIC_WEIGHTS,
+    WITNESS_SCHEMA,
     TightnessVerdict,
     Witness,
     classify,
@@ -481,6 +482,48 @@ def test_every_even_branch_witness_mutation_fails_replay():
             assert not replay_witness(verdict._replace(witness=forged)), (
                 verdict.algebra, verdict.weight, forged,
             )
+
+
+def _wrong_types(value) -> list:
+    """``value`` as a float, a str, a bool and a list, equal to it where the
+    type allows, leaving out its own type."""
+    number = float(value) if type(value) is int else 1.0
+    listed = list(value) if type(value) is tuple else [value]
+    return [x for x in (number, str(value), bool(value), listed) if type(x) is not type(value)]
+
+
+def test_witness_forgeries_drawn_from_the_schema_fail_replay():
+    # for every kind of WITNESS_SCHEMA: each field it does not carry set to a
+    # value of that field's wire type, each field it carries unset, each
+    # carried field in a wrong type, and an unhashable kind or subalgebra;
+    # every one replays False, without raising
+    samples = {}
+    for algebra in ALGEBRAS:
+        for w in dominant_weights(algebra, 4):
+            verdict = classify(algebra, w)
+            samples.setdefault(verdict.witness.kind, []).append(verdict)
+    assert set(samples) == set(WITNESS_SCHEMA)
+    typed = {"subalgebra": "a1", "weight": (1, 0), "evaluation": 2,
+             "pairing_lhs": 1, "pairing_rhs": 1}
+    assert tuple(typed) == Witness._fields[1:]
+    for kind, verdicts in samples.items():
+        carried = WITNESS_SCHEMA[kind].fields
+        assert {v.algebra for v in verdicts} == set(WITNESS_SCHEMA[kind].algebras)
+        for verdict in verdicts:
+            wit = verdict.witness
+            assert replay_witness(verdict)
+            forgeries = [
+                *(wit._replace(**{f: v}) for f, v in typed.items() if f not in carried),
+                *(wit._replace(**{f: None}) for f in carried),
+                *(wit._replace(**{f: x}) for f in carried for x in _wrong_types(getattr(wit, f))),
+                wit._replace(kind=[kind]),
+                wit._replace(kind={kind}),
+                wit._replace(subalgebra=[wit.subalgebra or "a1"]),
+            ]
+            for forged in forgeries:
+                assert replay_witness(verdict._replace(witness=forged)) is False, (
+                    verdict.algebra, verdict.weight, forged,
+                )
 
 
 def test_every_fixed_witness_mutation_fails_replay():

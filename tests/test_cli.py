@@ -542,6 +542,14 @@ def test_negative_weight_is_a_validation_error(capsys, command):
     assert code == VALIDATION_ERROR and "not dominant integral" in err
 
 
+@pytest.mark.parametrize("spelling", [("--sub", "-a1"), ("--sub=-a1",)])
+def test_a_selector_with_a_leading_dash_gets_the_selector_message(capsys, spelling):
+    # argparse read `--sub -a1`'s value as an option and exited 1
+    code, out, err = run(capsys, "branch", "--algebra", "sp4", "--weight", "1,0", *spelling)
+    assert code == VALIDATION_ERROR and out == ""
+    assert err == "validation error: cannot parse selector term '-a1'\n"
+
+
 @pytest.mark.parametrize(
     "algebra,sub", [("sp4", "a1"), ("sp4", "2a1"), ("su21", "a2")]
 )

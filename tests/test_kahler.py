@@ -382,6 +382,19 @@ def test_class_map_validation_raises(rows, denominator, message):
         HomClassMap((su(1, 1),), (su(1, 1),), rows, denominator)
 
 
+@pytest.mark.parametrize("bad", [1.0, True, "1"])
+@pytest.mark.parametrize("build", [
+    lambda bad: HomClassMap((su(1, 1),), (su(1, 1),), ((bad,),), 1),
+    lambda bad: HomClassMap((su(1, 1),), (su(1, 1),), ((1,),), bad),
+    lambda bad: KahlerClass((su(1, 1),), (bad,), 1),
+    lambda bad: KahlerClass((su(1, 1),), (1,), bad),
+], ids=["map-entry", "map-denominator", "class-entry", "class-denominator"])
+def test_class_records_refuse_an_entry_or_denominator_that_is_not_an_int(build, bad):
+    # math.gcd raised a TypeError on a float or str, and took a bool as 0 or 1
+    with pytest.raises(ValueError, match="not an int"):
+        build(bad)
+
+
 def test_a_norm_gaining_column_is_named_with_its_reduced_norm():
     # the second column gains norm; its norm 12/8 is printed reduced, as 3/2
     source, target = (su(1, 1), su(2, 2)), (su(3, 3), su(1, 1))

@@ -438,6 +438,25 @@ def _public_api():
     return set(re.findall(r"^- `(\w+\.\w+)`", section, re.MULTILINE))
 
 
+def _readme_witness_schema():
+    """``{kind: (fields, algebras, certifies tight)}`` read off the README's
+    witness-kind table, whose rows end in 'yes' or 'no'."""
+    table = {}
+    for line in README.read_text().splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if len(cells) == 4 and cells[0][:1] == "`" and cells[3] in ("yes", "no"):
+            (kind,), fields, algebras = (tuple(re.findall(r"`(\w+)`", c)) for c in cells[:3])
+            table[kind] = (fields, algebras, cells[3] == "yes")
+    return table
+
+
+def test_readme_witness_table_is_the_schema():
+    # the README's copy of classify.WITNESS_SCHEMA, row for row
+    from tightmaps.classify import WITNESS_SCHEMA
+
+    assert _readme_witness_schema() == {kind: tuple(row) for kind, row in WITNESS_SCHEMA.items()}
+
+
 def _loads(node):
     return [n for n in ast.walk(node) if isinstance(getattr(n, "ctx", None), ast.Load)]
 
