@@ -133,7 +133,7 @@ def parse_subalgebra_selector(system: RootSystemData, text: str) -> tuple[Root, 
             raise SubalgebraError(f"empty component in selector {text!r}")
         root = [0] * system.rank
         for term in part.split("+"):
-            m = re.match(r"^(\d*)a([12])$", term)  # compiled on first use, then cached
+            m = re.match(r"^([0-9]*)a([12])$", term)  # compiled on first use, then cached
             if not m:
                 raise SubalgebraError(f"cannot parse selector term {term!r}")
             idx = int(m.group(2)) - 1

@@ -170,6 +170,11 @@ def test_route_agreement_to_bound_ten():
         ("sp4", 20, {(1, 0)}),
         ("su21", 20, {(1, 0), (0, 1)}),
         ("sp4su11", 14, {(1, 0, 0)} | {(0, 0, k) for k in range(1, 14, 2)}),
+        ("sp4", 40, {(1, 0)}),
+        # su21 nontight verdicts come from the even-witness search, tight ones
+        # from the class map
+        ("su21", 60, {(1, 0), (0, 1)}),
+        ("sp4su11", 32, {(1, 0, 0)} | {(0, 0, k) for k in range(1, 32, 2)}),
     ],
 )
 def test_rank_two_sweeps_beyond_the_acceptance_bounds(algebra, bound, expected):
@@ -713,23 +718,28 @@ def test_embedding_table_pinned_row_by_row():
 
 
 def test_verdict_class_maps_are_norm_consistent():
-    for algebra, bound in (
+    # every verdict's class map, booked in integers from the doubled su(1,1)
+    # pairings, preserves the norm exactly when the verdict is tight: on
+    # small bounds weight by weight, and on 2 822 sweep rows beyond them
+    verdicts = [classify(algebra, w) for algebra, bound in (
         ("su11", 16),
         ("su11xsu11", 8),
         ("sp4", 8),
         ("su21", 8),
         ("sp4su11", 5),
-    ):
-        for w in dominant_weights(algebra, bound):
-            verdict = classify(algebra, w)
-            m = verdict_class_map(verdict)
-            kappa = kahler.distinguished_class(m.target)
-            pulled = kahler.norm(kahler.pullback(m, kappa))
-            total = kahler.norm(kappa)
-            assert pulled <= total
-            assert kahler.is_tight(m) == verdict.tight
-            if not verdict.tight:
-                assert pulled < total
+    ) for w in dominant_weights(algebra, bound)]
+    beyond = [v for algebra, bound in (("sp4", 30), ("su21", 30), ("sp4su11", 16), ("su11xsu11", 40))
+              for v in sweep(algebra, bound)["rows"]]
+    assert len(beyond) == 2822
+    for verdict in verdicts + beyond:
+        m = verdict_class_map(verdict)
+        kappa = kahler.distinguished_class(m.target)
+        pulled = kahler.norm(kahler.pullback(m, kappa))
+        total = kahler.norm(kappa)
+        assert pulled <= total, (verdict.algebra, verdict.weight)
+        assert kahler.is_tight(m) == verdict.tight, (verdict.algebra, verdict.weight)
+        if not verdict.tight:
+            assert pulled < total, (verdict.algebra, verdict.weight)
 
 
 def _per_copy_degrees(verdict) -> tuple[int, list[tuple[int, ...]]]:

@@ -178,6 +178,15 @@ BRANCH_REPORT_SHA256 = {
         "88cbc0d0bffeba0c231fe052be266d159fc999b4a6fd8332c05867b56ec4ca27",
     ("su11", "4", "a1", "md"):
         "7b4933fdb7584c55f25738e2331692c9bb688e5c275e2c264d7af54b7952fce1",
+    # large weights, where a branching that does not conserve dimensions
+    # exits 3 and writes no report
+    ("sp4", "120,120", "a2,2a1+a2", "json"):
+        "3719191e6b653a04da2b0b3e1ac7b4ebbf3007e517ab11c1df052dbe76f9d942",
+    # 398 601 factor copies of 121 distinct values
+    ("sp4", "80,80", "a1+a2", "json"):
+        "2a40f3215204152291c6b211f43816d76a58663816d5e905d44f7c212bcd5544",
+    ("su21", "120,120", "a1", "json"):
+        "1cae9e3ca10125577e5271af91199577a45a1e292e58b11126b302b1025a5f8a",
 }
 
 
@@ -210,6 +219,16 @@ REPORT_SHA256 = {
         "0327fc29a18e3c232db60402c5856e29ff6acbfe148932ffc71217661ce5b70a",
     ("verify kahler-lemmas", "md"):
         "7eb2ba0e8437e154c5a3d6fed1ffb03858fe85daa77d0e16c229d804b5be42ba",
+    # su11xsu11 rows, whose coordinate count comes from the factor table
+    ("sweep --algebra su11xsu11 --max 100", "json"):
+        "e9dab4c58743900a0102804aaec98b989a2a67908b88d7448b6ae816b820e896",
+    # su11 pairings held as doubled ints and written as their halves, both
+    # whole ("0", "12") and p/2 ("1/2", "25/2")
+    ("sweep --algebra su11 --max 50", "json"):
+        "04e12269b832df8f10dc277d9c8982a671349f128f8823386283df8fa7f786b1",
+    # one line per odd p, so a wide range stays cheap
+    ("verify lemma-bla --p-range 5:401", "json"):
+        "c046c5568eddc8d15089de325615e2da60bc57feab198c13336f3a4c83507e27",
 }
 
 
@@ -569,6 +588,8 @@ def test_subalgebra_errors_print_no_fraction_reprs(capsys, algebra, sub):
         ("sp4", "a1", "condition 3 fails: component [a1] has 0 noncompact roots "
                       "(expected exactly 1)"),
         ("su21", "a1,a2", "rank-two subalgebra must split as two orthogonal sl2 blocks"),
+        # a coefficient is ASCII digits, as a weight coordinate is
+        ("sp4", "a2,\u0662a1+a2", "cannot parse selector term '\u0662a1'"),
     ],
 )
 def test_subalgebra_errors_name_roots_in_the_selector_grammar(capsys, algebra, sub, message):
@@ -615,14 +636,61 @@ def test_unwritable_out_is_refused_before_the_command_runs(monkeypatch, tmp_path
         assert err.startswith(f"validation error: cannot write report to {target}: ")
 
 
-def _spawn(argv, stdout):
-    """A fresh ``python -m tightmaps`` on ``argv``, its stderr piped as text."""
+def _with_src_on_path():
+    """The environment with this checkout's package first on PYTHONPATH."""
     src = os.path.dirname(os.path.dirname(tightmaps.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])
     ))
+
+
+def _spawn(argv, stdout):
+    """A fresh ``python -m tightmaps`` on ``argv``, its stderr piped as text."""
     return subprocess.Popen([sys.executable, "-m", "tightmaps", *argv], stdout=stdout,
-                            stderr=subprocess.PIPE, text=True, env=env)
+                            stderr=subprocess.PIPE, text=True, env=_with_src_on_path())
+
+
+# A child's ru_maxrss starts at its parent's RSS when it is spawned, so a
+# command spawned straight from pytest would count pytest's memory too.  This
+# small launcher spawns it instead, hashes its output as untimed_sha256 does
+# and reads its max RSS (KB on Linux) from os.wait4
+_LAUNCHER = """\
+import hashlib, os, subprocess, sys
+proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.PIPE)
+digest = hashlib.sha256()
+for line in proc.stdout:
+    if b"timing_ms" not in line:
+        digest.update(line)
+status, usage = os.wait4(proc.pid, 0)[1:]
+print(os.waitstatus_to_exitcode(status), digest.hexdigest(), usage.ru_maxrss)
+"""
+
+
+def _launched(argv):
+    """(exit code, untimed sha256 of its output, max RSS in MB) of ``argv``."""
+    out = subprocess.run([sys.executable, "-c", _LAUNCHER, *argv], env=_with_src_on_path(),
+                         capture_output=True, text=True, check=True).stdout
+    code, digest, rss_kb = out.split()
+    return int(code), digest, int(rss_kb) / 1024
+
+
+def test_the_launcher_measures_the_command_and_not_its_parent():
+    # `python -c pass` reads about 14 MB; spawned from this process, which
+    # holds 100 MB, it would read over 100
+    held = b"\1" * (100 << 20)
+    code, digest, rss_mb = _launched([sys.executable, "-c", "pass"])
+    assert code == OK and digest == hashlib.sha256(b"").hexdigest()
+    assert rss_mb < 30 and len(held) == 100 << 20
+
+
+def test_a_long_branch_report_is_written_in_bounded_memory():
+    # sp4 (80,80) on a1+a2 writes 398 601 factor copies of 121 distinct
+    # values; the JSON writer repeats each run's text, so the report never
+    # stands whole in memory
+    argv = ["branch", "--algebra", "sp4", "--weight", "80,80", "--sub", "a1+a2", "--format", "json"]
+    code, digest, rss_mb = _launched([sys.executable, "-m", "tightmaps", *argv])
+    assert code == OK and digest == BRANCH_REPORT_SHA256["sp4", "80,80", "a1+a2", "json"]
+    assert rss_mb <= 70, f"{rss_mb:.0f} MB max RSS"
 
 
 def _assert_one_stdout_error_line(err):

@@ -507,10 +507,15 @@ def test_the_battery_seeds_one_stream_per_draw(monkeypatch):
     assert sum(r["lemma"] == "product-target" for r in results) == 150
 
 
-@pytest.mark.parametrize("seed", [7, 1, 99, 1234, 2026])
-def test_lemma_fixtures_match_the_fraction_oracle(seed):
-    results = run_lemma_fixtures(seed, 60)
-    assert results == oracle_run_lemma_fixtures(seed, 60)
+@pytest.mark.parametrize("seed,count", [
+    *(pytest.param(seed, 60, id=str(seed)) for seed in (7, 1, 99, 1234, 2026)),
+    *(pytest.param(seed, 100, id=str(seed)) for seed in range(3000, 3020)),
+])
+def test_lemma_fixtures_match_the_fraction_oracle(seed, count):
+    # the battery shares one draw among the product fixtures of a seed and
+    # pattern length; the oracle draws afresh, Random(seed), per fixture
+    results = run_lemma_fixtures(seed, count)
+    assert results == oracle_run_lemma_fixtures(seed, count)
     assert all(r["ok"] for r in results)
 
 

@@ -17,6 +17,7 @@ PACKAGE = Path(tightmaps.__file__).parent
 ROOT = Path(__file__).resolve().parents[1]
 TRACE_CHILD = ROOT / "benchmarks" / "trace_child.py"
 README = ROOT / "README.md"
+WORKFLOWS = ROOT / ".github" / "workflows"
 
 
 def _package_trees():
@@ -286,6 +287,17 @@ def test_fresh_cli_import_loads_neither_typing_nor_fractions():
     "branch --algebra sp4 --weight 4,4 --sub a1+a2",
     "verify kahler-lemmas",
     "verify lemma-bla",
+    # beyond the acceptance bounds, where each command runs both routes on
+    # every row, replays every witness and exits 3 on a disagreement
+    "sweep --algebra sp4 --max 40 --format json",
+    "sweep --algebra su21 --max 60 --format json",
+    "sweep --algebra sp4su11 --max 32 --format json",
+    "classify --algebra sp4 --weight 240,240 --format json",
+    # su(1,1) models of degree about 2e6 and 2e7, and a tensor product of
+    # dimension about 4e6, pair through their block sums in constant memory
+    "classify --algebra su11 --weight 2000001 --format json",
+    "classify --algebra su11 --weight 20000001 --format json",
+    "classify --algebra su11xsu11 --weight 2001,2000 --format json",
 ])
 def test_only_commands_that_make_a_fraction_load_fractions(command):
     # no command makes one: verdicts are decided in integers, su(1,1)
@@ -448,6 +460,18 @@ def _readme_witness_schema():
             (kind,), fields, algebras = (tuple(re.findall(r"`(\w+)`", c)) for c in cells[:3])
             table[kind] = (fields, algebras, cells[3] == "yes")
     return table
+
+
+def test_every_check_is_a_test_and_no_workflow_makes_one():
+    # `python -m pytest` is the one runner: a digest pinned, or a command
+    # run, in a workflow alone would be a check no local run makes
+    workflows = {path.name: path.read_text() for path in sorted(WORKFLOWS.glob("*.y*ml"))}
+    assert "tier1.yml" in workflows
+    assert [name for name, text in workflows.items() if re.search("[0-9a-fA-F]{64}", text)] == []
+    assert [name for name, text in workflows.items()
+            if re.search(r"python[0-9.]* -m tightmaps", text)] == []
+    jobs = re.split(r"(?m)^(?=\S)", workflows["tier1.yml"].split("\njobs:\n", 1)[1])[0]
+    assert re.findall(r"(?m)^  ([^\s#][^:]*):", jobs) == ["tests"]
 
 
 def test_readme_witness_table_is_the_schema():

@@ -485,8 +485,10 @@ def test_no_structure_pairing_exceeds_the_disc_value():
 def test_positive_block_sums_match_the_central_element_oracle():
     # twice a pairing is its column's positive-block sum, and the disc's
     # doubled value is the rank
-    for degrees in [*((k,) for k in range(1, 2000)),
-                    *((k, l) for k in range(80) for l in range(80) if k or l)]:
+    cases = [*((k,) for k in range(1, 5000)),
+             *((k, l) for k in range(200) for l in range(200) if k or l)]
+    assert len(cases) == 44998
+    for degrees in cases:
         pairings, disc = central_element_pairings(*degrees)
         got, got_disc = doubled_pairings(*degrees), doubled_disc_pairing(*degrees)[1]
         assert (got, got_disc) == (pairings, disc) and disc == signature(*degrees).rank, degrees
