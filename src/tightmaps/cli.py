@@ -4,6 +4,8 @@ reports.
 
 Exit codes: 0 success/agreement, 1 usage error, 2 validation error,
 3 verification failure (including a failed internal exactness check).
+``main`` returns the exit code; ``run``, the command itself, ends the
+process with it.
 """
 
 from __future__ import annotations
@@ -30,10 +32,17 @@ _LEMMA_BLA_RANGE = "5:21"
 _BATCH_CHARS = 1 << 18  # the most text one write of a repeated run holds
 
 
+def _say(message: str) -> None:
+    """Write an error message to standard error, or nowhere when the command
+    was started without one (``2>&-`` leaves ``sys.stderr`` None)."""
+    if sys.stderr is not None:
+        sys.stderr.write(message)
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        self.print_usage(sys.stderr)
-        sys.stderr.write(f"error: {message}\n")
+        # print_usage(None) would write to standard output
+        _say(f"{self.format_usage()}error: {message}\n")
         raise SystemExit(USAGE_ERROR)
 
 
@@ -138,6 +147,9 @@ def _emit(report: dict, fmt: str, out: str | None) -> None:
     newline, a piece at a time: a JSON report's ``Runs`` are never joined."""
     pieces = json_pieces(report) if fmt == "json" else (to_markdown(report),)
     if not out:
+        if sys.stdout is None:  # started with fd 1 closed (`>&-`)
+            raise ValueError("cannot write report to standard output: "
+                             + os.strerror(errno.EBADF))
         try:
             sys.stdout.writelines(pieces)
             sys.stdout.write("\n")
@@ -363,14 +375,30 @@ def main(argv=None) -> int:
         report["timing_ms"] = round((time.perf_counter() - started) * 1000.0, 3)
         _emit(report, args.format, args.out)
     except ValueError as err:
-        sys.stderr.write(f"validation error: {err}\n")
+        _say(f"validation error: {err}\n")
         return VALIDATION_ERROR
     except VerificationError as err:
-        sys.stderr.write(f"verification failure: {err}\n")
+        _say(f"verification failure: {err}\n")
         return VERIFICATION_FAILURE
     # a report is written whatever its verdict; a disagreement exits 3
     return OK if report["agreement"] else VERIFICATION_FAILURE
 
 
+def run() -> None:
+    """The ``tightmaps`` command: ``main``, a flush of the standard streams,
+    then ``os._exit`` with its code, which skips the interpreter's teardown
+    (module cleanup, the collector's last passes, ``atexit`` handlers).  If a
+    flush fails, ``sys.exit`` ends the process instead, and its own last flush
+    reports the failure as a plain exit does."""
+    code = main()
+    try:
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:
+                stream.flush()
+    except Exception:
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -2,13 +2,16 @@
 
 import errno
 import hashlib
+import importlib
 import json
 import os
 import re
+import runpy
 import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -32,6 +35,7 @@ from tightmaps.cli import (
     json_pieces,
     main,
     make_parser,
+    run as run_command,
     to_json,
     to_markdown,
 )
@@ -49,10 +53,14 @@ def run_json(capsys, *argv):
     return code, json.loads(out), err
 
 
+def untimed(out):
+    """A report without its timing_ms line."""
+    return "".join(line for line in out.splitlines(keepends=True) if "timing_ms" not in line)
+
+
 def untimed_sha256(out):
     """sha256 of a report without its timing_ms line."""
-    text = "".join(line for line in out.splitlines(keepends=True) if "timing_ms" not in line)
-    return hashlib.sha256(text.encode()).hexdigest()
+    return hashlib.sha256(untimed(out).encode()).hexdigest()
 
 
 def test_classify_su21(capsys):
@@ -722,6 +730,131 @@ def test_a_full_stdout_is_a_validation_error(fmt):
     assert proc.returncode == VALIDATION_ERROR
     _assert_one_stdout_error_line(err)
     assert err.endswith(f"{os.strerror(errno.ENOSPC)}\n")
+
+
+# runs the command as `python -m tightmaps` does, after a patch in a `-c` launcher
+_RUN_AS_MAIN = "import runpy\nrunpy.run_module('tightmaps', run_name='__main__')\n"
+# patches made before the command runs, by name: with "feasible at 7", verify
+# lemma-bla finds p = 7 feasible, writes its report and exits 3; with
+# "disagree at (0, 1)", sweep sp4 meets a route disagreement and exits 3 with no report
+_PATCHES = {
+    "": "",
+    "feasible at 7": (
+        "import tightmaps.lemmas as lemmas\n"
+        "real = lemmas.verify_su_n1_to_sostar\n"
+        "lemmas.verify_su_n1_to_sostar = "
+        "lambda p: dict(real(p), infeasible=False) if p == 7 else real(p)\n"
+    ),
+    "disagree at (0, 1)": (
+        "import tightmaps.classify as classify\n"
+        "real = classify.theorem_tight\n"
+        "classify.theorem_tight = lambda algebra, w: w == (0, 1) or real(algebra, w)\n"
+    ),
+}
+
+
+def _fresh(argv, patch="", closed=None, stdout=subprocess.PIPE):
+    """A fresh command on ``argv``, run after the patch named ``patch`` when
+    there is one, with file descriptor ``closed`` closed, as `>&-` or `2>&-`
+    would start it; its completed run, with the output captured as text.
+    Its standard output is buffered whatever PYTHONUNBUFFERED the tests run
+    under, so only the command's own flushes write it."""
+    launch = ["-c", _PATCHES[patch] + _RUN_AS_MAIN] if patch else ["-m", "tightmaps"]
+    env = {k: v for k, v in _with_src_on_path().items() if k != "PYTHONUNBUFFERED"}
+    return subprocess.run(
+        [sys.executable, *launch, *argv], stdout=stdout, stderr=subprocess.PIPE, text=True,
+        env=dict(env, COLUMNS="80"),
+        preexec_fn=None if closed is None else lambda: os.close(closed),
+    )
+
+
+def test_a_closed_stdout_is_a_validation_error():
+    # started with no fd 1, the command has no sys.stdout to write its report to
+    proc = _fresh(["classify", "--algebra", "su11", "--weight", "3"], closed=1)
+    assert proc.returncode == VALIDATION_ERROR
+    _assert_one_stdout_error_line(proc.stderr)
+    assert proc.stderr.endswith(f"{os.strerror(errno.EBADF)}\n")
+
+
+@pytest.mark.parametrize("command,patch,code", [
+    ("classify --algebra su11 --weight x", "", VALIDATION_ERROR),
+    ("sweep --algebra sp4 --max 2", "disagree at (0, 1)", VERIFICATION_FAILURE),
+    ("--bogus", "", USAGE_ERROR),
+])
+def test_a_closed_stderr_keeps_the_exit_code(command, patch, code):
+    # with no sys.stderr the message is dropped, and neither it nor the usage
+    # line goes to standard output instead
+    proc = _fresh(command.split(), patch, closed=2)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, "", "")
+
+
+@pytest.mark.parametrize("command,patch,code", [
+    ("sweep --algebra sp4su11 --max 3 --format json", "", OK),
+    ("classify --algebra su21 --weight 1,0", "", OK),
+    ("", "", USAGE_ERROR),
+    ("--bogus", "", USAGE_ERROR),
+    ("classify --algebra su11 --weight x", "", VALIDATION_ERROR),
+    ("verify lemma-bla --p-range 5:9 --format json", "feasible at 7", VERIFICATION_FAILURE),
+    ("--help", "", OK),
+])
+def test_a_fresh_process_ends_as_main_returns(monkeypatch, capsys, command, patch, code):
+    # the command flushes and calls os._exit; that leaves the exit code and
+    # both streams as main in process gives them
+    monkeypatch.setenv("COLUMNS", "80")
+    real = tightmaps.lemmas.verify_su_n1_to_sostar
+    monkeypatch.setattr(tightmaps.lemmas, "verify_su_n1_to_sostar", real)  # undone after the test
+    exec(_PATCHES[patch], {})  # the same patch in process
+    expected_code, out, err = run(capsys, *command.split())
+    proc = _fresh(command.split(), patch)
+    assert expected_code == code
+    assert (proc.returncode, untimed(proc.stdout), proc.stderr) == (code, untimed(out), err)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+def test_a_failed_last_flush_is_reported_as_a_plain_exit_reports_it():
+    # --help leaves its text in the stdout buffer, so the flush before
+    # os._exit fails; sys.exit then ends the process, and the interpreter's
+    # own last flush fails again and exits 120
+    with open("/dev/full", "w") as full:
+        proc = _fresh(["--help"], stdout=full)
+    assert proc.returncode == 120
+    assert proc.stderr.startswith("Exception ignored in: <_io.TextIOWrapper name='<stdout>'")
+    assert proc.stderr.endswith(f"OSError: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n")
+
+
+def test_out_writes_the_same_file_in_a_fresh_process(tmp_path, capsys):
+    argv = ["branch", "--algebra", "sp4", "--weight", "6,6", "--sub", "a1+a2", "--format", "json"]
+    assert run(capsys, *argv, "--out", str(tmp_path / "in.json")) == (OK, "", "")
+    proc = _fresh([*argv, "--out", str(tmp_path / "fresh.json")])
+    assert (proc.returncode, proc.stdout, proc.stderr) == (OK, "", "")
+    written = [untimed((tmp_path / name).read_text()) for name in ("in.json", "fresh.json")]
+    assert written[0] == written[1] and '"factors": [' in written[0]
+
+
+@pytest.mark.parametrize("launcher,teardown", [
+    ("import runpy\nrunpy.run_module('tightmaps', run_name='__main__')", False),
+    ("import runpy\nrunpy.run_module('tightmaps.cli', run_name='__main__')", False),
+    ("import sys, tightmaps.cli\nsys.exit(tightmaps.cli.main())", True),
+], ids=["python -m tightmaps", "python -m tightmaps.cli", "cli.main"])
+def test_a_command_skips_the_interpreter_teardown(launcher, teardown):
+    # python -m tightmaps and python -m tightmaps.cli end in os._exit, so an
+    # atexit handler never runs; main alone returns, and then it does
+    source = "import atexit\natexit.register(print, 'teardown ran')\n" + launcher
+    proc = subprocess.run([sys.executable, "-c", source, "classify", "--algebra", "su11",
+                           "--weight", "3"], capture_output=True, text=True,
+                          env=_with_src_on_path())
+    assert proc.returncode == OK and proc.stdout.startswith("# tightmaps classify\n")
+    assert proc.stdout.endswith("\nteardown ran\n") is teardown
+
+
+def test_the_installed_command_is_the_function_python_m_runs(monkeypatch):
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    module, name = re.search(r'(?m)^tightmaps = "([\w.]+):(\w+)"$', text).groups()
+    assert getattr(importlib.import_module(module), name) is run_command
+    called = []
+    monkeypatch.setattr(tightmaps.cli, "run", lambda: called.append(True))
+    runpy.run_module("tightmaps", run_name="__main__")
+    assert called == [True]
 
 
 def test_a_failed_command_creates_no_out_file(monkeypatch, tmp_path, capsys):
