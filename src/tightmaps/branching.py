@@ -14,7 +14,6 @@ copies; even-witness candidates are tested for membership by dominance.
 from __future__ import annotations
 
 import operator
-import re
 from collections import Counter, namedtuple
 
 from .errors import VerificationError
@@ -133,15 +132,17 @@ def parse_subalgebra_selector(system: RootSystemData, text: str) -> tuple[Root, 
             raise SubalgebraError(f"empty component in selector {text!r}")
         root = [0] * system.rank
         for term in part.split("+"):
-            m = re.match(r"^([0-9]*)a([12])$", term)  # compiled on first use, then cached
-            if not m:
+            # ASCII digits, 1 when there are none, then 'a' and a simple root's index
+            count, a, index = term.partition("a")
+            count = count or "1"
+            if not (a and index in ("1", "2") and count.isascii() and count.isdigit()):
                 raise SubalgebraError(f"cannot parse selector term {term!r}")
-            idx = int(m.group(2)) - 1
+            idx = int(index) - 1
             if idx >= system.rank:
                 raise SubalgebraError(
                     f"simple root a{idx + 1} does not exist in {system.kind}"
                 )
-            root[idx] += int(m.group(1)) if m.group(1) else 1
+            root[idx] += int(count)
         roots.append(tuple(root))
     return tuple(roots)
 

@@ -10,13 +10,13 @@ process with it.
 
 from __future__ import annotations
 
-import argparse
 import errno
 import json
 import os
 import re
 import sys
 import time
+import types
 
 # the layers are read as modules, so a command runs only those it uses
 from . import branching, classify, kahler, rootsys, su11
@@ -32,18 +32,24 @@ _LEMMA_BLA_RANGE = "5:21"
 _BATCH_CHARS = 1 << 18  # the most text one write of a repeated run holds
 
 
+def _to_null(stream) -> None:
+    """Point ``stream``'s file descriptor at the null device, after a write to
+    it failed, so that the flush at exit cannot fail again."""
+    null = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(null, stream.fileno())
+    os.close(null)
+
+
 def _say(message: str) -> None:
     """Write an error message to standard error, or nowhere when the command
-    was started without one (``2>&-`` leaves ``sys.stderr`` None)."""
+    was started without one (``2>&-`` leaves ``sys.stderr`` None) or cannot
+    write to it (``2>/dev/full``): the exit code is the message's own."""
     if sys.stderr is not None:
-        sys.stderr.write(message)
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        # print_usage(None) would write to standard output
-        _say(f"{self.format_usage()}error: {message}\n")
-        raise SystemExit(USAGE_ERROR)
+        try:
+            sys.stderr.write(message)
+            sys.stderr.flush()
+        except OSError:
+            _to_null(sys.stderr)
 
 
 def verdict_row(verdict: classify.TightnessVerdict) -> dict:
@@ -155,10 +161,7 @@ def _emit(report: dict, fmt: str, out: str | None) -> None:
             sys.stdout.write("\n")
             sys.stdout.flush()
         except OSError as err:
-            # fd 1 goes to the null device, so the flush at exit cannot fail again
-            null = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(null, sys.stdout.fileno())
-            os.close(null)
+            _to_null(sys.stdout)
             raise ValueError(f"cannot write report to standard output: {err.strerror}") from err
         return
     try:
@@ -193,10 +196,13 @@ def _strict_int(text: str) -> int:
 
 
 def _max_int(text: str) -> int:
-    """``--max``'s type: ``_strict_int``, refused with ``int``'s usage error."""
+    """``--max``'s type in argparse: ``_strict_int``, refused with ``int``'s
+    usage error."""
     try:
         return _strict_int(text)
     except ValueError:
+        import argparse
+
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
 
 
@@ -290,46 +296,59 @@ def cmd_verify(args) -> dict:
     return build_report("verify", {"target": "lemma-bla", "p_range": [lo, hi]}, rows, ok)
 
 
-def _add_common(parser) -> None:
-    parser.add_argument("--format", choices=("json", "md"), default="md")
-    parser.add_argument("--out", default=None, help="write the report to a file")
+# An option is (flag, choices, integer, required, default, help): a flag is
+# '--' and a name, or a positional's bare name; choices None takes any text;
+# an integer option reads ASCII digits (``_strict_int``).  The choices
+# "ALGEBRAS" are ``classify.ALGEBRAS``, read by ``_choices`` alone: reading
+# them runs ``classify``, which ``verify`` never uses
+_COMMON_OPTIONS = (
+    ("--format", ("json", "md"), False, False, "md", None),
+    ("--out", None, False, False, None, "write the report to a file"),
+)
 
-
-def _classify_arguments(p) -> None:
-    p.add_argument("--algebra", required=True, choices=classify.ALGEBRAS)
-    p.add_argument("--weight", required=True, help="comma-separated coordinates")
-
-
-def _sweep_arguments(p) -> None:
-    p.add_argument("--algebra", required=True, choices=classify.ALGEBRAS)
-    p.add_argument("--max", type=_max_int, default=10)
-
-
-def _branch_arguments(p) -> None:
-    p.add_argument("--algebra", required=True, choices=_BRANCH_ALGEBRAS)
-    p.add_argument("--weight", required=True)
-    p.add_argument("--sub", required=True, help="e.g. a1+a2 or a2,2a1+a2")
-
-
-def _verify_arguments(p) -> None:
-    p.add_argument("target", choices=("lemma-bla", "kahler-lemmas"))
-    p.add_argument("--p-range", help=f"lemma-bla's range of p, a:b (default {_LEMMA_BLA_RANGE})")
-
-
-# each subcommand's help line, the function adding its own arguments, and its handler
+# each subcommand's help line, its handler, and its options in the order its
+# help lists them
 _SUBCOMMANDS = {
-    "classify": ("classify one highest weight", _classify_arguments, cmd_classify),
-    "sweep": ("classify all weights up to a bound", _sweep_arguments, cmd_sweep),
-    "branch": ("restrict a representation to a subalgebra", _branch_arguments, cmd_branch),
-    "verify": ("run the bundled verification batteries", _verify_arguments, cmd_verify),
+    "classify": ("classify one highest weight", cmd_classify, (
+        ("--algebra", "ALGEBRAS", False, True, None, None),
+        ("--weight", None, False, True, None, "comma-separated coordinates"),
+    ) + _COMMON_OPTIONS),
+    "sweep": ("classify all weights up to a bound", cmd_sweep, (
+        ("--algebra", "ALGEBRAS", False, True, None, None),
+        ("--max", None, True, False, 10, None),
+    ) + _COMMON_OPTIONS),
+    "branch": ("restrict a representation to a subalgebra", cmd_branch, (
+        ("--algebra", _BRANCH_ALGEBRAS, False, True, None, None),
+        ("--weight", None, False, True, None, None),
+        ("--sub", None, False, True, None, "e.g. a1+a2 or a2,2a1+a2"),
+    ) + _COMMON_OPTIONS),
+    "verify": ("run the bundled verification batteries", cmd_verify, (
+        ("target", ("lemma-bla", "kahler-lemmas"), False, True, None, None),
+        ("--p-range", None, False, False, None,
+         f"lemma-bla's range of p, a:b (default {_LEMMA_BLA_RANGE})"),
+    ) + _COMMON_OPTIONS),
 }
 
 
-def make_parser(command: str | None = None) -> _Parser:
+def _choices(choices):
+    """An option's choices as argparse and ``_read`` take them."""
+    return classify.ALGEBRAS if choices == "ALGEBRAS" else choices
+
+
+def make_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The parser of the subcommand ``command`` alone, or of all of them when
-    ``command`` names none (no arguments, ``--help``, an unknown command).
-    A command reads only its own subparser, and building only that one
-    leaves the other layers unread (``classify.ALGEBRAS`` runs ``classify``)."""
+    ``command`` names none (no arguments, ``--help``, an unknown command),
+    built from ``_SUBCOMMANDS``.  ``main`` builds one only for a command line
+    that ``_read`` does not take: argparse alone writes help, usage and
+    errors, and a canonical command leaves it unimported."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        def error(self, message):
+            # print_usage(None) would write to standard output
+            _say(f"{self.format_usage()}error: {message}\n")
+            raise SystemExit(USAGE_ERROR)
+
     names = [command] if command in _SUBCOMMANDS else list(_SUBCOMMANDS)
     parser = _Parser(prog="tightmaps")
     # the usage line names every subcommand either way; with all of them
@@ -338,12 +357,57 @@ def make_parser(command: str | None = None) -> _Parser:
     choices = "{" + ",".join(_SUBCOMMANDS) + "}" if len(names) == 1 else None
     sub = parser.add_subparsers(dest="command", required=True, metavar=choices)
     for name in names:
-        help_text, add_arguments, run = _SUBCOMMANDS[name]
-        p = sub.add_parser(name, help=help_text)
-        add_arguments(p)
-        _add_common(p)
+        summary, run, options = _SUBCOMMANDS[name]
+        p = sub.add_parser(name, help=summary)
+        for flag, choices, integer, required, default, help_text in options:
+            # argparse takes no 'required' for a positional, which always is
+            kwargs = {"required": required} if flag[0] == "-" else {}
+            p.add_argument(flag, choices=_choices(choices), type=_max_int if integer else None,
+                           default=default, help=help_text, **kwargs)
         p.set_defaults(run=run)
     return parser
+
+
+def _read(argv: list[str]) -> types.SimpleNamespace | None:
+    """The namespace argparse gives a canonical command line, or None for any
+    other.  Canonical: a subcommand, then each of its options at most once,
+    as its exact flag with the value after '=' or in the next token, which
+    does not start with '-', and ``verify``'s one target; every choice and
+    integer valid, and every required option given.  It writes nothing and
+    raises nothing: anything else, an abbreviation or ``--help`` say, goes to
+    argparse."""
+    if not argv or argv[0] not in _SUBCOMMANDS:
+        return None
+    _, run, options = _SUBCOMMANDS[argv[0]]
+    rows = {flag: (_choices(choices), integer) for flag, choices, integer, *_ in options}
+    given = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token[:1] != "-":  # a positional's value
+            flag = next((f for f in rows if f[0] != "-" and f not in given), "")
+            value = token
+        elif "=" in token:
+            flag, _, value = token.partition("=")
+        else:
+            flag, value = token, next(tokens, "-")  # a missing value reads as a dash
+            if value[:1] == "-":
+                return None
+        if flag not in rows or flag in given:
+            return None
+        choices, integer = rows[flag]
+        if choices is not None and value not in choices:
+            return None
+        if integer:
+            try:
+                value = _strict_int(value)
+            except ValueError:
+                return None
+        given[flag] = value
+    if any(required and flag not in given for flag, _, _, required, _, _ in options):
+        return None
+    values = {flag.lstrip("-").replace("-", "_"): given.get(flag, default)
+              for flag, _, _, _, default, _ in options}
+    return types.SimpleNamespace(command=argv[0], run=run, **values)
 
 
 def _join_dash_values(argv: list[str]) -> list[str]:
@@ -361,12 +425,13 @@ def _join_dash_values(argv: list[str]) -> list[str]:
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    parser = make_parser(argv[0] if argv else None)
-    try:
-        args = parser.parse_args(_join_dash_values(argv))
-    except SystemExit as exit_:
-        return exit_.code if isinstance(exit_.code, int) else USAGE_ERROR
+    argv = _join_dash_values(sys.argv[1:] if argv is None else argv)
+    args = _read(argv)
+    if args is None:
+        try:
+            args = make_parser(argv[0] if argv else None).parse_args(argv)
+        except SystemExit as exit_:
+            return exit_.code if isinstance(exit_.code, int) else USAGE_ERROR
     try:
         if args.out:
             _check_out(args.out)

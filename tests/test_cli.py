@@ -14,6 +14,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tightmaps.branching
 import tightmaps.classify
@@ -29,8 +31,12 @@ from tightmaps.cli import (
     VALIDATION_ERROR,
     VERIFICATION_FAILURE,
     _BATCH_CHARS,
+    _SUBCOMMANDS,
     Runs,
+    _choices,
     _emit,
+    _join_dash_values,
+    _read,
     build_report,
     json_pieces,
     main,
@@ -539,6 +545,84 @@ def test_parser_text_is_pinned(monkeypatch, capsys, command):
     assert run(capsys, *command.split()) == PARSER_TEXT[command]
 
 
+# every subcommand's flags; their prefixes with -h, --help and an unknown
+# flag; values valid for some option or none, and stray words; and ints as
+# --max reads them or refuses them
+_FLAGS = sorted({row[0] for _, _, options in _SUBCOMMANDS.values() for row in options
+                 if row[0][0] == "-"})
+_FLAG_WORDS = sorted({flag[:n] for flag in _FLAGS for n in range(1, len(flag) + 1)}
+                     | {"-h", "--help", "--bogus"})
+_VALUES = ["su11", "sp4", "su21", "su12", "md", "JSON", "lemma-bla", "lemma", "3", "10",
+           "1,0", "-1,0", "-3", "1_0", "+3", " 3", "x", "a1+a2", "-a1", "5:9", "-5:7", "",
+           "-", "=", "a=b", "extra", "verify"]
+_INTS = ["3", "0", "-3", "1_0", "+3", " 3", "\u0663", "x", "99999"]
+
+
+def _piece(flag, value, joined):
+    """``flag`` and ``value`` as one '=' token or two, or ``value`` alone."""
+    if flag is None:
+        return [value]
+    return [f"{flag}={value}"] if joined else [flag, value]
+
+
+@st.composite
+def _command_lines(draw):
+    """Mostly a subcommand, else another word; most of its own options, their
+    flags mostly whole, each with a value mostly of its own kind, else any;
+    in one line of eight, one of them twice; in one line of four, a few
+    pieces of any option, value or word; all in any order.  About one in
+    five is canonical."""
+
+    def one_in(n):  # false in the simplest example
+        return draw(st.integers(1, n)) == n
+
+    command = draw(st.sampled_from([*_SUBCOMMANDS, *_SUBCOMMANDS, "bogus", "-h", "--help", "--"]))
+    pieces = []
+    for flag, choices, integer, *_ in _SUBCOMMANDS.get(command, (None, None, ()))[2]:
+        if one_in(8):
+            continue
+        own = _choices(choices) or (_INTS if integer else _VALUES)
+        value = draw(st.sampled_from(_VALUES if one_in(8) else own))
+        if flag[0] != "-":
+            flag = None
+        elif one_in(8):
+            flag = flag[:draw(st.integers(1, len(flag)))]
+        pieces.append(_piece(flag, value, draw(st.booleans())))
+    if pieces and one_in(8):
+        pieces.append(draw(st.sampled_from(pieces)))
+    if one_in(4):
+        pieces += draw(st.lists(st.builds(
+            _piece, st.sampled_from([None, *_FLAG_WORDS]),
+            st.sampled_from([*_VALUES, *_FLAG_WORDS]), st.booleans()), min_size=1, max_size=3))
+    return [command] + [token for piece in draw(st.permutations(pieces)) for token in piece]
+
+
+@given(argv=_command_lines())
+@settings(deadline=None, max_examples=600)
+def test_the_reader_reads_a_command_line_as_argparse_does_or_not_at_all(argv):
+    # main reads the joined argv with _read, and with argparse when it is None
+    argv = _join_dash_values(argv)
+    args = _read(argv)
+    if args is not None:
+        try:
+            parsed = vars(make_parser(argv[0]).parse_args(argv))
+        except SystemExit as exit_:
+            parsed = f"argparse exits {exit_.code}"
+        assert parsed == vars(args)
+        # and only with exact flags, each at most once: an abbreviation or a
+        # repeated flag goes to argparse
+        flags = [token.partition("=")[0] for token in argv[1:] if token[:1] == "-"]
+        assert set(flags) <= set(_FLAGS) and len(set(flags)) == len(flags)
+
+
+def test_an_abbreviated_flag_is_read_by_argparse(capsys):
+    argv = ["branch", "--weight", "2,1", "--sub", "a1+a2", "--format", "json"]
+    assert _read(["branch", "--alg", "sp4", *argv[1:]]) is None
+    code, out, err = run(capsys, "branch", "--alg", "sp4", *argv[1:])
+    assert (code, err) == (OK, "")
+    assert untimed(out) == untimed(run(capsys, *argv[:1], "--algebra", "sp4", *argv[1:])[1])
+
+
 @pytest.mark.parametrize("text", ["4:4", "6:6"])
 def test_lemma_bla_range_without_an_odd_p_is_a_validation_error(capsys, text):
     # even p only reduce to odd p + 1, so such a range checks nothing itself
@@ -598,6 +682,8 @@ def test_subalgebra_errors_print_no_fraction_reprs(capsys, algebra, sub):
         ("su21", "a1,a2", "rank-two subalgebra must split as two orthogonal sl2 blocks"),
         # a coefficient is ASCII digits, as a weight coordinate is
         ("sp4", "a2,\u0662a1+a2", "cannot parse selector term '\u0662a1'"),
+        # a term ends where the text does, not before a trailing newline
+        ("sp4", "a1\n+a2", "cannot parse selector term 'a1\\n'"),
     ],
 )
 def test_subalgebra_errors_name_roots_in_the_selector_grammar(capsys, algebra, sub, message):
@@ -753,16 +839,20 @@ _PATCHES = {
 }
 
 
-def _fresh(argv, patch="", closed=None, stdout=subprocess.PIPE):
+def _fresh(argv, patch="", closed=None, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+           unbuffered=False):
     """A fresh command on ``argv``, run after the patch named ``patch`` when
     there is one, with file descriptor ``closed`` closed, as `>&-` or `2>&-`
     would start it; its completed run, with the output captured as text.
-    Its standard output is buffered whatever PYTHONUNBUFFERED the tests run
-    under, so only the command's own flushes write it."""
+    Its standard output is buffered unless ``unbuffered``, whatever
+    PYTHONUNBUFFERED the tests run under, so only the command's own flushes
+    write it."""
     launch = ["-c", _PATCHES[patch] + _RUN_AS_MAIN] if patch else ["-m", "tightmaps"]
     env = {k: v for k, v in _with_src_on_path().items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     return subprocess.run(
-        [sys.executable, *launch, *argv], stdout=stdout, stderr=subprocess.PIPE, text=True,
+        [sys.executable, *launch, *argv], stdout=stdout, stderr=stderr, text=True,
         env=dict(env, COLUMNS="80"),
         preexec_fn=None if closed is None else lambda: os.close(closed),
     )
@@ -786,6 +876,21 @@ def test_a_closed_stderr_keeps_the_exit_code(command, patch, code):
     # line goes to standard output instead
     proc = _fresh(command.split(), patch, closed=2)
     assert (proc.returncode, proc.stdout, proc.stderr) == (code, "", "")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("command,patch,code", [
+    ("classify --algebra su11 --weight x", "", VALIDATION_ERROR),
+    ("sweep --algebra sp4 --max 2", "disagree at (0, 1)", VERIFICATION_FAILURE),
+    ("--bogus", "", USAGE_ERROR),
+])
+def test_a_full_stderr_keeps_the_exit_code(command, patch, code, unbuffered):
+    # the message cannot be written, so it is dropped, as with no stderr at
+    # all; fd 2 then goes to the null device, and no later flush fails
+    with open("/dev/full", "w") as full:
+        proc = _fresh(command.split(), patch, stderr=full, unbuffered=unbuffered)
+    assert (proc.returncode, proc.stdout) == (code, "")
 
 
 @pytest.mark.parametrize("command,patch,code", [

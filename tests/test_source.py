@@ -4,6 +4,7 @@ import ast
 import importlib
 import os
 import re
+import runpy
 import subprocess
 import sys
 from collections import Counter
@@ -273,7 +274,8 @@ def test_fresh_cli_import_loads_neither_typing_nor_fractions():
     assert _fresh(code) == "[]"
 
 
-@pytest.mark.parametrize("command", [
+# commands within the acceptance bounds, and beyond them
+_COMMANDS = [
     "classify --algebra su11 --weight 3",
     "classify --algebra su11xsu11 --weight 1,2",
     "classify --algebra sp4 --weight 1,0",
@@ -298,7 +300,10 @@ def test_fresh_cli_import_loads_neither_typing_nor_fractions():
     "classify --algebra su11 --weight 2000001 --format json",
     "classify --algebra su11 --weight 20000001 --format json",
     "classify --algebra su11xsu11 --weight 2001,2000 --format json",
-])
+]
+
+
+@pytest.mark.parametrize("command", _COMMANDS)
 def test_only_commands_that_make_a_fraction_load_fractions(command):
     # no command makes one: verdicts are decided in integers, su(1,1)
     # pairings stay doubled ints up to the wire, and every rational a report
@@ -310,6 +315,38 @@ def test_only_commands_that_make_a_fraction_load_fractions(command):
         "print(code, sorted({'fractions', 'decimal', 'numbers'} & set(sys.modules)))"
     )
     assert _fresh(code) == "0 []"
+
+
+def _canonical_command_lines():
+    """Each command of the bench, as it runs them, with ``--format json``, and
+    each of ``_COMMANDS``."""
+    bench = runpy.run_path(str(ROOT / "benchmarks" / "workloads.py"))["all_commands"]()
+    return [argv + ["--format", "json"] for argv in bench] + [c.split() for c in _COMMANDS]
+
+
+def test_the_reader_takes_every_bench_and_test_command():
+    from tightmaps.cli import _read, make_parser
+
+    for argv in _canonical_command_lines():
+        args = _read(argv)
+        assert args is not None, argv
+        assert vars(args) == vars(make_parser(argv[0]).parse_args(argv)), argv
+
+
+def test_a_canonical_command_leaves_argparse_unloaded():
+    # argparse, and the gettext and locale its messages load, are built only
+    # to write help, usage or an error; an abbreviated flag still goes to it
+    argvs = _canonical_command_lines()
+    abbreviated = ["classify", "--alg", "su11", "--weight", "3"]
+    code = (
+        "import contextlib, io, sys, tightmaps.cli as cli\n"
+        f"for argv in {[*argvs, abbreviated]!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        code = cli.main(argv)\n"
+        "    print(code, sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))"
+    )
+    lines = _fresh(code).splitlines()
+    assert lines == ["0 []"] * len(argvs) + ["0 ['argparse', 'gettext', 'locale']"]
 
 
 def test_fresh_cli_import_loads_every_traced_layer():
