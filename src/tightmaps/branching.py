@@ -4,11 +4,10 @@ subalgebras of Hermitian type.
 A subalgebra is specified by a subset B of the roots, each named by its
 simple-root coefficients, subject to three conditions: differences of
 B-elements are not roots, B is linearly independent, and each Dynkin
-component of B contains exactly one noncompact root.  Branching divides the
-Weyl numerator of the irreducible by 1 - e^-alpha for each positive root
-alpha outside B (Kostant's branching form of the Weyl character formula),
-which gives the decomposition into irreducible factors with their numbers of
-copies; even-witness candidates are tested for membership by dominance.
+component of B contains exactly one noncompact root.  Branching reads the
+irreducible factors, with their numbers of copies, off Gelfand-Tsetlin
+interlacing (GL3 to GL2 for A2, Spin(5) to Spin(4) for C2); even-witness
+candidates are tested for membership by dominance.
 """
 
 from __future__ import annotations
@@ -20,10 +19,9 @@ from .errors import VerificationError
 from .rootsys import (
     RootSystemData,
     WeightVector,
-    _divide,
     _dominant_weights,
     _orbit,
-    _weyl_numerator,
+    _require_dominant,
     dimension,
     is_weight,
     weight_multiplicities,
@@ -198,49 +196,50 @@ def _failure(highest: WeightVector, sub: SubalgebraSpec, message: str) -> Verifi
     )
 
 
-def restrict_rep(highest: WeightVector, sub: SubalgebraSpec) -> BranchingResult:
-    """Decompose the restriction of an irreducible into sl2 factors.
-
-    For B of G's rank with positive roots among G's, A(lam + rho) divided by
-    1 - e^-alpha for each alpha in Phi+ - Phi+_B is e^(rho - rho_B) sum_nu
-    m_nu A_B(nu + rho_B) (Kostant's branching form), so the copies m_nu of
-    the factor <nu, beta^vee>, beta in B in B's order, are the quotient's
-    coefficient at nu + rho for B-dominant nu.  A rank-one B = {beta} becomes
-    the Levi of the simple root of beta's length: the two are W-conjugate,
-    so the W-invariant character branches alike.  An inexact division, a
-    negative count and a lost dimension each raise.
-    """
-    system, top = highest.system, highest.coords
-    roots_b = tuple(max(r, tuple(-c for c in r)) for r in sub.roots_b)  # the positive of +-beta
-    if sub.rank == 1:
-        roots_b = (_same_length_simple(system, roots_b[0]),)
-    divisors = [r for r in system.positive_roots if r not in roots_b]
-    if not divisors:  # B is all of A1: the restriction is the irreducible itself
-        return BranchingResult(((top, 1),))
-    quotient = _weyl_numerator(system, top)
-    for root in divisors:
-        quotient = _divide(quotient, system.root_table[root].fundamental)
-        if quotient is None:
-            raise _failure(highest, sub, "the Weyl numerator is not divisible by "
-                                         f"1 - e^-({_root_name(root)})")
-    rows = [system.root_table[r].coroot for r in roots_b]
-    # the B-dominant points, each with its factor <x - rho, beta^vee> per root
-    # of B: the second coroot row is evaluated only where the first passes
-    if len(rows) == 1:
-        ((p0, p1),) = rows
-        dominant = (((f,), c) for (x0, x1), c in quotient.items()
-                    if (f := p0 * x0 + p1 * x1 - p0 - p1) >= 0)
+def _interlacing(system: RootSystemData, top: tuple[int, ...],
+                 roots_b: tuple[Root, ...]) -> list[tuple[tuple[int, ...], int]]:
+    """The (factor, copies) pairs of V(top) on B, factors descending, by
+    Gelfand-Tsetlin interlacing."""
+    if system.rank == 1:  # B is all of A1: the restriction is the irreducible itself
+        return [(top, 1)]
+    a, b = top
+    if system.kind == "A2":
+        # GL3 to GL2: the top is (a + b, b, 0), and each b <= mu1 <= a + b, 0 <= mu2 <= b
+        # gives the factor mu1 - mu2, so m counts mu2 in [max(0, b - m), min(b, a + b - m)]
+        return [((m,), min(b, a + b - m) - max(0, b - m) + 1) for m in range(a + b, -1, -1)]
+    # Spin(5) to Spin(4): the doubled top (M1, M2) = (a + 2b, a) gives P1 = M2, M2 + 2,
+    # ..., M1 and P2 = -M2, ..., M2 in steps of 2, and each (P1, P2) the factor
+    # (x, y) = ((P1 + P2)/2, (P1 - P2)/2) on (a2, 2a1+a2); by x, then y, descending,
+    # |x - M2| <= y <= min(x + M2, M1 - x).  (P1, -P2) swaps x and y and keeps the
+    # set, so 2a1+a2,a2, the same rule with each pair reversed, reads the same factors.
+    pairs = [(x, y) for x in range(a + b, -1, -1)
+             for y in range(min(x + a, a + 2 * b - x), abs(x - a) - 1, -2)]
+    if len(roots_b) == 2:
+        return [(pair, 1) for pair in pairs]
+    counts = [0] * (a + 2 * b + 1)
+    if _same_length_simple(system, roots_b[0]) == system.simple_roots[1]:
+        for x, y in pairs:  # a long root, W-conjugate to a2: y + 1 copies of x
+            counts[x] += y + 1
     else:
-        (p0, p1), (q0, q1) = rows
-        dominant = (((f, g), c) for (x0, x1), c in quotient.items()
-                    if (f := p0 * x0 + p1 * x1 - p0 - p1) >= 0
-                    and (g := q0 * x0 + q1 * x1 - q0 - q1) >= 0)
-    counts: dict[tuple[int, ...], int] = {}
-    for factor, c in dominant:
-        if c < 0:
-            raise _failure(highest, sub, f"factor {factor} counts {c} copies")
-        counts[factor] = counts.get(factor, 0) + c
-    result = BranchingResult(tuple(sorted(counts.items(), reverse=True)))
+        for x, y in pairs:  # the short root a1+a2: the Clebsch-Gordan range of x and y
+            for m in range(x + y, abs(x - y) - 1, -2):
+                counts[m] += 1
+    return [((m,), n) for m in range(len(counts) - 1, -1, -1) if (n := counts[m])]
+
+
+def restrict_rep(highest: WeightVector, sub: SubalgebraSpec) -> BranchingResult:
+    """Decompose the restriction of a dominant irreducible into sl2 factors.
+
+    The branchings to these regular subalgebras are multiplicity-free
+    interlacing (Gelfand-Tsetlin, 1950; Zhelobenko, 1973): GL3 to GL2 on A2,
+    and Spin(5) to Spin(4) = SU2 x SU2 on C2's long pair.  A single long root
+    of C2 keeps one SU2 of each pair factor; the short root a1+a2, whose sl2
+    has the neutral element of the pair's diagonal sl2, takes their
+    Clebsch-Gordan product.  A lost or extra dimension raises; Kostant's
+    division of the Weyl numerator is the oracle in the tests.
+    """
+    _require_dominant(highest)
+    result = BranchingResult(tuple(_interlacing(highest.system, highest.coords, sub.roots_b)))
     found, expected = result.factor_dimension, dimension(highest)
     if found != expected:
         raise _failure(highest, sub, f"lost dimensions: {found} != {expected}")

@@ -8,12 +8,12 @@ coordinates in the fundamental-weight basis, both integer tuples.  Each
 system holds one integer table giving every root's coroot functional,
 fundamental coordinates and half squared length, and everything here runs
 on integers through it.  Membership of a weight is a dominance test, with
-no multiplicities.  One kernel, the Weyl numerator divided by 1 - e^-alpha
-(``_weyl_numerator`` and ``_divide``), gives both the branchings of
-``tightmaps.branching`` and, divided by every positive root, the character
-that multiplicity queries read, off the commands' path.  A Euclidean
-realisation of the roots, and Freudenthal's recursion, are the oracles the
-tests check these against.
+no multiplicities.  The Weyl numerator divided by 1 - e^-alpha for every
+positive root (``_weyl_numerator`` and ``_divide``) gives the character that
+multiplicity queries read, off the commands' path; divided by the roots
+outside a subalgebra, it is the tests' oracle for the interlacing rules of
+``tightmaps.branching``.  A Euclidean realisation of the roots, and
+Freudenthal's recursion, are the oracles the tests check these against.
 """
 
 from __future__ import annotations

@@ -7,15 +7,20 @@ from collections import Counter
 from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from test_rootsys import _full_support_oracle
 
 import tightmaps.branching
+import tightmaps.rootsys
 from tightmaps.branching import (
     _WITNESS_STEPS,
+    BranchingResult,
     SubalgebraError,
+    _failure,
+    _root_name,
     _same_length_simple,
     _span_roots,
-    _weyl_numerator,
     evaluation_multiset,
     even_witness,
     make_subalgebra,
@@ -25,7 +30,9 @@ from tightmaps.branching import (
 )
 from tightmaps.errors import VerificationError
 from tightmaps.rootsys import (
+    WeightVector,
     _orbit,
+    _weyl_numerator,
     build_root_system,
     dimension,
     eval_on_coroot,
@@ -199,8 +206,9 @@ def _oracle_values(w, sub):
     """Coroot evaluations on B of every weight, with multiplicity.
 
     The multiplicities come from Freudenthal's recursion in
-    ``tests/test_rootsys.py``, not from the division ``restrict_rep`` runs,
-    so a fault in ``_weyl_numerator`` or ``_divide`` cannot reach both sides.
+    ``tests/test_rootsys.py``, not from the Weyl numerator's division, so a
+    fault in ``_weyl_numerator`` or ``_divide`` cannot reach this oracle and
+    the division oracle both.
     """
     values = Counter()
     for mu, m in _freudenthal(w.system, w.coords).items():
@@ -278,6 +286,125 @@ def test_same_length_conjugation_follows_the_cartan_data():
     assert {_same_length_simple(A2, r) for r in A2.root_table} == {A2.simple_roots[0]}
 
 
+def _division_factors(highest, sub):
+    """The branching by Kostant's division: the body ``restrict_rep`` ran
+    before the interlacing rules, kept as their oracle.
+
+    For B of G's rank with positive roots among G's, A(lam + rho) divided by
+    1 - e^-alpha for each alpha in Phi+ - Phi+_B is e^(rho - rho_B) sum_nu
+    m_nu A_B(nu + rho_B), so the copies m_nu of the factor <nu, beta^vee>,
+    beta in B in B's order, are the quotient's coefficient at nu + rho for
+    B-dominant nu.  A rank-one B = {beta} becomes the Levi of the simple root
+    of beta's length: the two are W-conjugate, so the W-invariant character
+    branches alike.  The numerator and the division are read off
+    ``tightmaps.rootsys`` at each call, where a test plants its faults; an
+    inexact division, a negative count and a lost dimension each raise.
+    """
+    rootsys = tightmaps.rootsys
+    system, top = highest.system, highest.coords
+    roots_b = tuple(max(r, tuple(-c for c in r)) for r in sub.roots_b)  # the positive of +-beta
+    if sub.rank == 1:
+        roots_b = (_same_length_simple(system, roots_b[0]),)
+    divisors = [r for r in system.positive_roots if r not in roots_b]
+    if not divisors:  # B is all of A1: the restriction is the irreducible itself
+        return BranchingResult(((top, 1),))
+    quotient = rootsys._weyl_numerator(system, top)
+    for root in divisors:
+        quotient = rootsys._divide(quotient, system.root_table[root].fundamental)
+        if quotient is None:
+            raise _failure(highest, sub, "the Weyl numerator is not divisible by "
+                                         f"1 - e^-({_root_name(root)})")
+    rows = [system.root_table[r].coroot for r in roots_b]
+    counts = Counter()
+    for x, c in quotient.items():
+        # the factor <x - rho, beta^vee> per root of B, at the B-dominant points
+        factor = tuple(sum(map(operator.mul, x, row)) - sum(row) for row in rows)
+        if min(factor) >= 0:
+            if c < 0:
+                raise _failure(highest, sub, f"factor {factor} counts {c} copies")
+            counts[factor] += c
+    result = BranchingResult(tuple(sorted(counts.items(), reverse=True)))
+    found, expected = result.factor_dimension, dimension(highest)
+    if found != expected:
+        raise _failure(highest, sub, f"lost dimensions: {found} != {expected}")
+    return result
+
+
+def _differs_from_division(restrict, system, sub, top):
+    """What ``restrict`` got wrong at ``top``, against the division oracle, or None."""
+    w = weight(system, top)
+    try:
+        found = restrict(w, sub).factors
+    except VerificationError as error:
+        return str(error)
+    expected = _division_factors(w, sub).factors
+    return None if found == expected else f"{found[:3]}... != {expected[:3]}..."
+
+
+# the seven selectors, then B all of A1
+DIFFERENTIAL = SELECTORS + [(A1, "a1")]
+
+
+@pytest.mark.parametrize(
+    "system,selector", DIFFERENTIAL, ids=[f"{s.kind}-{sel}" for s, sel in DIFFERENTIAL]
+)
+def test_interlacing_matches_the_division_oracle_to_40(system, selector):
+    sub = _spec(system, selector)
+    tops = [t for t in itertools.product(range(41), repeat=system.rank) if sum(t) <= 40]
+    assert len(tops) == (861 if system.rank == 2 else 41)
+    for top in tops:
+        assert _differs_from_division(restrict_rep, system, sub, top) is None, top
+
+
+@given(case=st.sampled_from(SELECTORS), k=st.integers(0, 200), share=st.fractions(0, 1))
+@settings(deadline=None, max_examples=100)
+def test_interlacing_matches_the_division_oracle_on_drawn_tops_to_200(case, k, share):
+    # a top of coordinate sum k, split between its two coordinates by ``share``
+    system, selector = case
+    top = (int(k * share), k - int(k * share))
+    assert _differs_from_division(restrict_rep, system, _spec(system, selector), top) is None
+
+
+# Faults planted in the interlacing rules: an exact edit of branching.py's
+# source, which must occur there once, and a top where it first shows
+MUTANTS = {
+    "gl3-bound-off-by-one": ("max(0, b - m) + 1", "max(0, b - m + 1) + 1"),
+    "spin4-bound-off-by-one": ("abs(x - a) - 1, -2)", "abs(x - a), -2)"),
+    "long-pair-order-swapped": ("[(pair, 1) for pair in pairs]", "[((y, x), 1) for x, y in pairs]"),
+    "clebsch-gordan-cut-to-its-top": ("range(x + y, abs(x - y) - 1, -2)", "(x + y,)"),
+}
+
+
+@pytest.mark.parametrize("name", MUTANTS)
+def test_a_planted_interlacing_fault_is_caught(name):
+    # each fault either raises from the dimension check or differs from the
+    # division oracle on some selector at some top to sum 8; a fault that no
+    # check catches fails here
+    path = tightmaps.branching.__file__
+    source = open(path).read()
+    old, new = MUTANTS[name]
+    assert source.count(old) == 1, old
+    mutant = {"__name__": "tightmaps.branching", "__package__": "tightmaps"}
+    exec(compile(source.replace(old, new), path, "exec"), mutant)
+    caught = [(system.kind, selector, top, found)
+              for system, selector in SELECTORS
+              for top in itertools.product(range(9), repeat=2) if sum(top) <= 8
+              if (found := _differs_from_division(mutant["restrict_rep"], system,
+                                                  _spec(system, selector), top))]
+    assert caught, name
+
+
+def test_a_non_dominant_top_is_refused_before_any_work(monkeypatch):
+    # the rules would read empty ranges off a negative coordinate, so the top
+    # is refused before they run; the numerator's orbit error is not reached
+    monkeypatch.setattr(tightmaps.branching, "_interlacing",
+                        lambda *args: pytest.fail("the rules ran on a non-dominant top"))
+    for system, selector, top in ((C2, "a2,2a1+a2", (-1, 3)), (C2, "a1+a2", (2, -1)),
+                                  (A2, "a1", (-1, 2)), (A1, "a1", (-1,))):
+        with pytest.raises(ValueError, match=re.escape(f"weight {top} is not dominant")):
+            restrict_rep(WeightVector(top, system), _spec(system, selector))
+
+
 def _counting_numerator(system, top):
     """A(top + rho) from the orbit of top + rho, eps(w) being -1 to the number
     of positive coroots negative on w(top + rho): the numerator the sign walk
@@ -305,42 +432,43 @@ def test_a_short_numerator_orbit_is_a_verification_error(system, top, points):
                         f"not |W| = {system.weyl_order}")
     with pytest.raises(VerificationError, match=message):
         _weyl_numerator(system, top)
-    if system.rank == 2:
+    if system.rank == 2:  # restrict_rep refuses such a top before any work
         sub = make_subalgebra(system, [system.positive_roots[-1]])
         with pytest.raises(VerificationError, match=message):
-            restrict_rep(weight(system, top), sub)
+            _division_factors(weight(system, top), sub)
 
 
 def test_a_planted_numerator_fault_is_a_verification_error(monkeypatch):
-    real = tightmaps.branching._weyl_numerator
+    # the division oracle reads the numerator off rootsys, where the fault is planted
+    real = tightmaps.rootsys._weyl_numerator
     w = weight(C2, (2, 3))
     for sub in (sub_c2_short(), sub_c2_pair()):
         top_term = tuple(t + 1 for t in w.coords)
         for fault in (lambda n: {**n, top_term: -1},
                       lambda n: {x: c for x, c in n.items() if x != top_term}):
-            monkeypatch.setattr(tightmaps.branching, "_weyl_numerator",
+            monkeypatch.setattr(tightmaps.rootsys, "_weyl_numerator",
                                 lambda system, top, fault=fault: fault(real(system, top)))
             with pytest.raises(VerificationError, match=r"C2 \(2, 3\) on .*not divisible by"):
-                restrict_rep(w, sub)
+                _division_factors(w, sub)
 
 
 def test_a_negated_numerator_is_a_negative_count(monkeypatch):
-    # -A(lambda + rho) divides exactly, so the read-out's sign check must catch it
-    real = tightmaps.branching._weyl_numerator
-    monkeypatch.setattr(tightmaps.branching, "_weyl_numerator",
+    # -A(lambda + rho) divides exactly, so the oracle's sign check must catch it
+    real = tightmaps.rootsys._weyl_numerator
+    monkeypatch.setattr(tightmaps.rootsys, "_weyl_numerator",
                         lambda system, top: {x: -c for x, c in real(system, top).items()})
     for system, sub in ((C2, sub_c2_short()), (C2, sub_c2_pair()), (A2, sub_a2())):
         with pytest.raises(VerificationError, match=rf"^branching {system.kind} \(2, 3\) on "
                                                     r"[a0-9+,]+: factor \([0-9, ]+\) counts -1 copies$"):
-            restrict_rep(weight(system, (2, 3)), sub)
+            _division_factors(weight(system, (2, 3)), sub)
 
 
 def test_an_empty_numerator_loses_every_dimension(monkeypatch):
-    monkeypatch.setattr(tightmaps.branching, "_weyl_numerator", lambda system, top: {})
+    monkeypatch.setattr(tightmaps.rootsys, "_weyl_numerator", lambda system, top: {})
     # the kind, the top and B, then what failed
     with pytest.raises(VerificationError,
                        match=r"^branching C2 \(1, 1\) on a1\+a2: lost dimensions: 0 != 16$"):
-        restrict_rep(weight(C2, (1, 1)), sub_c2_short())
+        _division_factors(weight(C2, (1, 1)), sub_c2_short())
 
 
 def _greedy_peel(values):

@@ -1006,24 +1006,23 @@ def test_failed_exactness_check_is_a_verification_failure(monkeypatch, capsys):
     ],
 )
 def test_a_planted_weyl_numerator_fault_is_a_verification_failure(monkeypatch, capsys, argv):
-    # a fault planted in the Weyl numerator that branching divides: the top
-    # term's sign flipped, or that term dropped
-    real = tightmaps.branching._weyl_numerator
+    # a fault planted in the interlacing rules, which branching reads in
+    # place of any Weyl numerator: the top factor dropped, or one copy of it
+    # added
+    real = tightmaps.branching._interlacing
     faults = (
-        lambda terms, top: {**terms, top: -terms[top]},
-        lambda terms, top: {x: c for x, c in terms.items() if x != top},
+        lambda factors: factors[1:],
+        lambda factors: [(factors[0][0], factors[0][1] + 1)] + factors[1:],
     )
     for fault in faults:
-        def corrupted(system, top, fault=fault):
-            return fault(real(system, top), tuple(t + 1 for t in top))
-
         tightmaps.rank2._branching.cache_clear()
-        monkeypatch.setattr(tightmaps.branching, "_weyl_numerator", corrupted)
+        monkeypatch.setattr(tightmaps.branching, "_interlacing",
+                            lambda *args, fault=fault: fault(real(*args)))
         code, out, err = run(capsys, *argv)
         assert code == VERIFICATION_FAILURE and out == ""
-        # the kind, the top, B and the root
+        # the kind, the top and B, then the dimensions
         assert re.fullmatch(r"verification failure: branching C2 \(\d+, \d+\) on [a0-9+,]+: "
-                            r"the Weyl numerator is not divisible by 1 - e\^-\([a0-9+]+\)\n", err)
+                            r"lost dimensions: \d+ != \d+\n", err)
     tightmaps.rank2._branching.cache_clear()
 
 

@@ -47,8 +47,8 @@ def test_no_package_module_expands_a_multiset():
 
 
 def test_no_package_module_peels_strings():
-    # branching divides the Weyl numerator; the string peel of the Freudenthal
-    # evaluation multiset is only the oracle in tests/test_branching.py
+    # branching reads its factors off interlacing; the string peel of the
+    # Freudenthal evaluation multiset is only an oracle in tests/test_branching.py
     found = [
         f"{path.name}:{n.lineno}"
         for path, tree in _package_trees()
@@ -236,6 +236,21 @@ def test_rootsys_and_branching_import_nothing_from_fractions():
     # would be a second arithmetic representation
     assert _imports_of("fractions", ("rootsys.py", "branching.py")) == []
     assert _imports_of("fractions", ("su11.py",)) != []  # the check can see one
+
+
+def test_branching_divides_no_weyl_numerator():
+    # branching reads its factors off the interlacing rules; Kostant's division
+    # is their oracle in tests/test_branching.py, and rootsys keeps the kernel
+    # for the character alone
+    found = [
+        f"{path.name}:{n.lineno}"
+        for path, tree in _package_trees()
+        if path.name == "branching.py"
+        for n in ast.walk(tree)
+        if (getattr(n, "id", None) or getattr(n, "attr", None) or getattr(n, "name", None))
+        in ("_weyl_numerator", "_divide")
+    ]
+    assert found == []
 
 
 def test_branching_imports_nothing_from_su11():
