@@ -249,9 +249,10 @@ def replay_witness(verdict: TightnessVerdict) -> bool:
     """Recompute the recorded witness; True iff it checks out.
 
     Even-branch and tensor-factor witnesses read their branching through
-    ``rank2._branching``: within an sp4su11 sweep that is mostly the branching
-    the row's constructive route, or an earlier row of the same sp4 top,
-    already computed and checked.  Everything else is recomputed.
+    ``rank2._branching``, shared by the rows of one rank-two top.  The sp4su11
+    constructive route branches only at (0, 0, k) and (1, 0, k); elsewhere it
+    only calls ``is_weight``, so a memo hit there is an earlier row's replay.
+    Everything else is recomputed.
 
     The witness must fit ``WITNESS_SCHEMA``, the weight and ``tight`` their wire
     types and ``holomorphic`` the reference flag; a tight verdict needs a kind

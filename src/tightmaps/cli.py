@@ -13,7 +13,6 @@ from __future__ import annotations
 import errno
 import json
 import os
-import re
 import sys
 import time
 import types
@@ -64,58 +63,57 @@ def verdict_row(verdict: classify.TightnessVerdict) -> dict:
 def build_report(command: str, params: dict, rows: list, agreement: bool,
                  **extra) -> dict:
     """A command's report; ``main`` appends ``timing_ms`` and writes it."""
-    return {
-        "command": command,
-        "params": params,
-        "rows": rows,
-        "agreement": agreement,
-        **extra,
-    }
+    return {"command": command, "params": params, "rows": rows, "agreement": agreement,
+            **extra}
 
 
-class Runs:
+class Runs(tuple):
     """An array held as (value, count) runs: each value stands count times in a row."""
 
-    def __init__(self, pairs):
-        self.pairs = tuple(pairs)
 
-    def expand(self) -> list:
-        return [value for value, count in self.pairs for _ in range(count)]
-
-
-def _run_pieces(pairs, indent: str):
-    """A ``Runs`` array's items, comma-separated, each on a line of its own
-    at ``indent``; each value's text is made once and repeated in batches."""
-    lead = ""  # no comma before the first item
-    for value, count in pairs:
-        item = indent + json.dumps(value, indent=2).replace("\n", indent)
-        per = max(1, _BATCH_CHARS // (len(item) + 1))
-        while count > 0:
-            n = min(count, per)
-            yield lead + item + ("," + item) * (n - 1)
-            lead, count = ",", count - n
+_encode = json.encoder.encode_basestring_ascii
+# json's text of each scalar type, by exact type, so a bool is never an int
+_SCALARS = {str: _encode, int: int.__repr__, float: float.__repr__,
+            bool: lambda b: "true" if b else "false", type(None): lambda _: "null"}
 
 
-def json_pieces(report: dict):
-    """The text of ``json.dumps(report, indent=2)`` of the expanded report, in
-    pieces: a ``Runs`` array is written a run at a time, so no piece holds
-    more than one batch of it."""
-    runs: list[Runs] = []
-
-    def stub(value: Runs) -> str:  # a placeholder string, written as "\u0000<n>"
-        runs.append(value)
-        return f"\0{len(runs) - 1}"
-
-    text = json.dumps(report, indent=2, default=stub)
-    done, close = 0, ""
-    # groups: the line's indent, the text before the stub, its index
-    for match in re.finditer(r'(?m)^( *)(.*)"\\u0000(\d+)"', text) if runs else ():
-        yield close + text[done:match.end(2)] + "["
-        pairs = runs[int(match[3])].pairs
-        yield from _run_pieces(pairs, "\n" + " " * (len(match[1]) + 2))
-        close = "\n" + match[1] + "]" if any(count > 0 for _, count in pairs) else "]"
-        done = match.end()
-    yield close + text[done:]
+def json_pieces(value, pad: str = "\n"):
+    """The text of ``json.dumps(value, indent=2)`` nested at ``pad`` (a newline
+    and the enclosing indent), or of ``json.dumps(value)`` when ``pad`` is
+    empty, in pieces, each ``Runs`` as its expansion: a run's item text is made
+    once and repeated in batches of at most ``_BATCH_CHARS``.  Keys are str."""
+    scalar = _SCALARS.get(type(value))
+    if scalar is not None:
+        yield scalar(value)
+        return
+    inner, comma = (pad + "  ", ",") if pad else ("", ", ")
+    if isinstance(value, Runs):
+        lead = "["
+        for item, count in value:
+            item = inner + "".join(json_pieces(item, inner))
+            per = max(1, _BATCH_CHARS // (len(item) + len(comma)))
+            for done in range(0, count, per):
+                yield lead + item + (comma + item) * (min(per, count - done) - 1)
+                lead = comma
+        yield "[]" if lead == "[" else pad + "]"
+        return
+    if isinstance(value, dict):
+        items, ends = ((_encode(k) + ": ", v) for k, v in value.items()), "{}"
+    elif isinstance(value, (list, tuple)):
+        items, ends = (("", v) for v in value), "[]"
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    text, lead = ends[0], inner  # text: what is written but not yet yielded
+    for key, item in items:
+        scalar = _SCALARS.get(type(item))
+        if scalar is None:
+            yield text + lead + key
+            yield from json_pieces(item, inner)
+            text = ""
+        else:
+            text += lead + key + scalar(item)
+        lead = comma + inner
+    yield text + (ends[1] if lead == inner else pad + ends[1])
 
 
 def to_json(report: dict) -> str:
@@ -123,35 +121,34 @@ def to_json(report: dict) -> str:
     return "".join(json_pieces(report))
 
 
-def to_markdown(report: dict) -> str:
-    lines = [f"# tightmaps {report['command']}", ""]
-    params = ", ".join(f"{k}={json.dumps(v)}" for k, v in report["params"].items())
-    lines.append(f"params: {params}")
-    rows = report["rows"]
-    if rows:
-        keys = []
-        for row in rows:
-            for k in row:
-                if k not in keys:
-                    keys.append(k)
-        lines.append("")
-        lines.append("| " + " | ".join(keys) + " |")
-        lines.append("|" + "---|" * len(keys))
-        for row in rows:
-            cells = [json.dumps(row.get(k), default=Runs.expand) for k in keys]
-            lines.append("| " + " | ".join(cells) + " |")
-    lines.append("")
+def markdown_pieces(report: dict):
+    """The markdown report, in pieces: params, table cells and the trailing
+    fields are the compact JSON of their values (``json_pieces(v, "")``)."""
+    yield f"# tightmaps {report['command']}\n\nparams: "
+    for n, (k, v) in enumerate(report["params"].items()):
+        yield f"{', ' if n else ''}{k}="
+        yield from json_pieces(v, "")
+    if report["rows"]:
+        keys = list(dict.fromkeys(k for row in report["rows"] for k in row))
+        yield "\n\n| " + " | ".join(keys) + " |\n|" + "---|" * len(keys)
+        for row in report["rows"]:
+            yield "\n| "
+            for n, k in enumerate(keys):
+                yield " | " if n else ""
+                yield from json_pieces(row.get(k), "")
+            yield " |"
+    yield "\n"
     for k, v in report.items():
-        if k in ("command", "params", "rows"):
-            continue
-        lines.append(f"{k}: {json.dumps(v)}")
-    return "\n".join(lines) + "\n"
+        if k not in ("command", "params", "rows"):
+            yield f"\n{k}: "
+            yield from json_pieces(v, "")
+    yield "\n"
 
 
 def _emit(report: dict, fmt: str, out: str | None) -> None:
     """Write the report to ``out``, or to standard output with a final
-    newline, a piece at a time: a JSON report's ``Runs`` are never joined."""
-    pieces = json_pieces(report) if fmt == "json" else (to_markdown(report),)
+    newline, a piece at a time in either format, so ``Runs`` are never joined."""
+    pieces = json_pieces(report) if fmt == "json" else markdown_pieces(report)
     if not out:
         if sys.stdout is None:  # started with fd 1 closed (`>&-`)
             raise ValueError("cannot write report to standard output: "
@@ -274,7 +271,7 @@ def cmd_branch(args) -> dict:
 def cmd_verify(args) -> dict:
     from . import lemmas  # the batteries compile only for the command that runs them
 
-    # argparse's choices admit only the two targets
+    # the option table's choices admit only the two targets, in argparse and in _read
     if args.target == "kahler-lemmas":
         if args.p_range is not None:
             raise ValueError("--p-range applies to lemma-bla only, not to kahler-lemmas")

@@ -40,7 +40,9 @@ def _subalgebra(algebra: str, selector: str) -> branching.SubalgebraSpec:
 # Rows come from ``dominant_weights`` with the last coordinate fastest, so the
 # rows of one rank-two top are consecutive, and one top needs one branching:
 # ``a1`` on su21, ``a1+a2`` for the sp4 tops with i = 0, else the long pair.
-# Four entries cover that with room to spare.  The key is the spec's value, so
+# Only sp4su11 tops have several rows, and there four entries pay: ``sweep
+# sp4su11 --max 32`` took a median 317 ms with them and 497 ms with none (10
+# alternated fresh processes each, 2 cores).  The key is the spec's value, so
 # a different or patched subalgebra never reads a stale entry.  ``restrict_rep``
 # is read off the ``branching`` module on each miss, so the function bound
 # there when the miss happens (as ``benchmarks/trace_child.py`` rebinds it, or

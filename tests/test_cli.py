@@ -41,9 +41,9 @@ from tightmaps.cli import (
     json_pieces,
     main,
     make_parser,
+    markdown_pieces,
     run as run_command,
     to_json,
-    to_markdown,
 )
 from tightmaps.errors import ratio
 
@@ -199,6 +199,8 @@ BRANCH_REPORT_SHA256 = {
     # 398 601 factor copies of 121 distinct values
     ("sp4", "80,80", "a1+a2", "json"):
         "2a40f3215204152291c6b211f43816d76a58663816d5e905d44f7c212bcd5544",
+    ("sp4", "80,80", "a1+a2", "md"):
+        "4c9601fc0b7b83f66bdb01e498b5242bcd70eb1170f779e7afe7e3a6ca5273e7",
     ("su21", "120,120", "a1", "json"):
         "1cae9e3ca10125577e5271af91199577a45a1e292e58b11126b302b1025a5f8a",
 }
@@ -278,10 +280,81 @@ def test_runs_are_written_as_their_expansion():
         return build_report("branch", {"sub": "a1"}, [{"factors": factors, "none": empty}], True)
 
     pairs = [([2, 1], 3), (0, 2), ({"p": [1, 0]}, 1), ([2, 1], 1)]
-    runs, expanded = report(Runs(pairs), Runs([])), report(Runs(pairs).expand(), [])
+    runs, expanded = report(Runs(pairs), Runs([])), report(_expanded(Runs(pairs)), [])
     assert expanded["rows"][0]["factors"][2:4] == [[2, 1], 0]
     assert to_json(runs) == json.dumps(expanded, indent=2)
-    assert to_markdown(runs) == to_markdown(expanded)
+    assert "".join(markdown_pieces(runs)) == "".join(markdown_pieces(expanded))
+
+
+def _expanded(value):
+    """``value`` with every ``Runs`` in it written out as a list."""
+    if isinstance(value, Runs):
+        return [_expanded(item) for item, count in value for _ in range(count)]
+    if isinstance(value, dict):
+        return {k: _expanded(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return type(value)(map(_expanded, value))
+    return value
+
+
+# control characters, quotes, backslashes, non-ASCII and astral characters
+_TEXT = st.text(st.sampled_from('"\\/\0\x1f\x7f\n\t\u2028é€😀 a|') | st.characters(),
+               max_size=8)
+_SCALAR = (st.integers() | st.integers(-2**200, 2**200)
+           | st.floats(allow_nan=False, allow_infinity=False)
+           | st.booleans() | st.none() | _TEXT)
+_VALUE = st.recursive(_SCALAR, lambda inner: (
+    st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(_TEXT, inner, max_size=4)
+    | st.lists(st.tuples(inner, st.integers(0, 3)), max_size=4).map(Runs)), max_leaves=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_VALUE)
+def test_the_writer_writes_what_json_dumps_writes(value):
+    # nested at two spaces per level, and compact as markdown cells are
+    expanded = _expanded(value)
+    assert "".join(json_pieces(value)) == json.dumps(expanded, indent=2)
+    assert "".join(json_pieces(value, "")) == json.dumps(expanded)
+
+
+def _markdown_oracle(report):
+    """The markdown report, each value written by ``json.dumps``."""
+    lines = [f"# tightmaps {report['command']}", ""]
+    params = ", ".join(f"{k}={json.dumps(v)}" for k, v in report["params"].items())
+    lines.append(f"params: {params}")
+    rows = report["rows"]
+    if rows:
+        keys = []
+        for row in rows:
+            for k in row:
+                if k not in keys:
+                    keys.append(k)
+        lines += ["", "| " + " | ".join(keys) + " |", "|" + "---|" * len(keys)]
+        for row in rows:
+            lines.append("| " + " | ".join(json.dumps(row.get(k)) for k in keys) + " |")
+    lines.append("")
+    lines += [f"{k}: {json.dumps(v)}" for k, v in report.items()
+              if k not in ("command", "params", "rows")]
+    return "\n".join(lines) + "\n"
+
+
+_NAME = st.text("abw_", min_size=1, max_size=3)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_NAME, st.dictionaries(_NAME, _VALUE, max_size=3),
+       st.lists(st.dictionaries(_NAME, _VALUE, max_size=3), max_size=3),
+       st.dictionaries(_NAME, _VALUE, max_size=3))
+def test_markdown_writes_what_the_json_dumps_oracle_writes(command, params, rows, extra):
+    # rows may lack keys other rows have, and a row's cells may hold runs
+    report = build_report(command, params, rows, True, **extra)
+    assert "".join(markdown_pieces(report)) == _markdown_oracle(_expanded(report))
+
+
+def test_the_writer_refuses_what_json_cannot_write():
+    with pytest.raises(TypeError, match="Object of type set is not JSON serializable"):
+        to_json({"rows": [{1, 2}]})
 
 
 def test_a_long_run_is_written_in_bounded_pieces(tmp_path, capsys):
@@ -383,7 +456,7 @@ def test_json_round_trip(capsys):
 def test_markdown_contains_same_rows(capsys):
     code, doc, _ = run_json(capsys, "sweep", "--algebra", "sp4", "--max", "4")
     assert code == OK
-    md = to_markdown(doc)
+    md = "".join(markdown_pieces(doc))
     table_lines = [
         line for line in md.splitlines() if line.startswith("| [")
     ]
@@ -779,12 +852,16 @@ def test_the_launcher_measures_the_command_and_not_its_parent():
 
 def test_a_long_branch_report_is_written_in_bounded_memory():
     # sp4 (80,80) on a1+a2 writes 398 601 factor copies of 121 distinct
-    # values; the JSON writer repeats each run's text, so the report never
-    # stands whole in memory
+    # values; the writer repeats each run's text, in either format, so the
+    # report never stands whole in memory
     argv = ["branch", "--algebra", "sp4", "--weight", "80,80", "--sub", "a1+a2", "--format", "json"]
     code, digest, rss_mb = _launched([sys.executable, "-m", "tightmaps", *argv])
     assert code == OK and digest == BRANCH_REPORT_SHA256["sp4", "80,80", "a1+a2", "json"]
     assert rss_mb <= 70, f"{rss_mb:.0f} MB max RSS"
+    # the markdown cells hold the same runs, compact, on one line
+    code, digest, md_mb = _launched([sys.executable, "-m", "tightmaps", *argv[:-1], "md"])
+    assert code == OK and digest == BRANCH_REPORT_SHA256["sp4", "80,80", "a1+a2", "md"]
+    assert md_mb <= rss_mb + 5, f"{md_mb:.0f} MB max RSS for markdown, {rss_mb:.0f} MB for JSON"
 
 
 def _assert_one_stdout_error_line(err):
