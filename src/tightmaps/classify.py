@@ -34,9 +34,9 @@ _FACTOR_KINDS = {
 }
 
 # Reference data: the weights whose corresponding maps are (anti-)
-# holomorphic, from the classification of holomorphic tight maps.  Stored,
-# not derived; deriving holomorphicity needs equivariance machinery that is
-# out of scope here.
+# holomorphic, from the classification of holomorphic tight maps.  This is
+# the theorem route's stored data; a flag derived from each weight (one
+# integer per weight, Satake's (H1) condition) is not implemented.
 HOLOMORPHIC_WEIGHTS = {
     "su11": {(1,)},
     "su11xsu11": {(1, 0), (0, 1)},

@@ -11,11 +11,11 @@ process with it.
 from __future__ import annotations
 
 import errno
-import json
 import os
 import sys
 import time
 import types
+from _json import encode_basestring_ascii as _encode  # json.encoder's C encoder
 
 # the layers are read as modules, so a command runs only those it uses
 from . import branching, classify, kahler, rootsys, su11
@@ -71,7 +71,6 @@ class Runs(tuple):
     """An array held as (value, count) runs: each value stands count times in a row."""
 
 
-_encode = json.encoder.encode_basestring_ascii
 # json's text of each scalar type, by exact type, so a bool is never an int
 _SCALARS = {str: _encode, int: int.__repr__, float: float.__repr__,
             bool: lambda b: "true" if b else "false", type(None): lambda _: "null"}

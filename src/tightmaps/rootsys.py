@@ -50,29 +50,20 @@ RootEntry = namedtuple("RootEntry", (
 ))
 
 
-class RootSystemData:
-    """Root-system data, with read-only fields.
+class RootSystemData(namedtuple("_RootSystemData", (
+    "kind",
+    "simple_roots",  # the unit coefficient tuples
+    "positive_roots",
+    "cartan_matrix",
+    "noncompact_marking",  # frozenset of simple-root indices
+    "weyl_order",
+    "root_table",  # every root's RootEntry, positive ones first, by its coefficients
+))):
+    """Root-system data.  Instances are interned by :func:`build_root_system`,
+    so a system is equal only to itself."""
 
-    Instances are interned by :func:`build_root_system`; identity comparison
-    is therefore the intended notion of equality.
-    """
-
-    kind: str
-    simple_roots: tuple[tuple[int, ...], ...]  # the unit coefficient tuples
-    positive_roots: tuple[tuple[int, ...], ...]
-    cartan_matrix: tuple[tuple[int, ...], ...]
-    noncompact_marking: frozenset[int]
-    weyl_order: int
-    # every root, positive ones first, keyed by its simple-root coefficients
-    root_table: dict[tuple[int, ...], RootEntry]
-    __slots__ = tuple(__annotations__)  # the annotated names above
-
-    def __init__(self, **fields):
-        for name in self.__slots__:
-            object.__setattr__(self, name, fields[name])
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
+    __slots__ = ()
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
 
     def __reduce__(self):  # a copy or unpickled system is the interned one
         return build_root_system, (self.kind,)
@@ -145,16 +136,6 @@ class WeightVector(namedtuple("_WeightVector", "coords system")):
         if len(coords) != system.rank:
             raise ValueError(f"expected {system.rank} coordinates, got {len(coords)}")
         return super().__new__(cls, coords, system)
-
-    def __hash__(self):
-        return hash((self.coords, id(self.system)))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, WeightVector)
-            and self.system is other.system
-            and self.coords == other.coords
-        )
 
     @property
     def is_dominant(self) -> bool:

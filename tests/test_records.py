@@ -67,7 +67,7 @@ def _records():
 
 @pytest.mark.parametrize("record", _records(), ids=lambda r: type(r).__name__)
 def test_record_fields_are_read_only(record):
-    fields = getattr(record, "_fields", None) or RootSystemData.__slots__
+    fields = getattr(record, "_fields", None) or RootSystemData._fields
     before = getattr(record, fields[0])
     with pytest.raises(AttributeError):
         setattr(record, fields[0], None)
@@ -85,13 +85,13 @@ def test_records_survive_pickling_and_copying(record):
 def test_root_systems_compare_by_identity():
     assert build_root_system("C2") is C2
     assert pickle.loads(pickle.dumps(C2)) is C2 and copy.copy(C2) is C2
-    twin = RootSystemData(**{name: getattr(C2, name) for name in RootSystemData.__slots__})
+    twin = RootSystemData(**{name: getattr(C2, name) for name in RootSystemData._fields})
     assert twin.root_table is C2.root_table
     assert twin != C2 and twin == twin
 
 
 def test_weight_vectors_are_unequal_across_systems():
-    twin = RootSystemData(**{name: getattr(C2, name) for name in RootSystemData.__slots__})
+    twin = RootSystemData(**{name: getattr(C2, name) for name in RootSystemData._fields})
     mine, other = weight(C2, (1, 0)), weight(twin, (1, 0))
     assert mine == weight(C2, (1, 0)) and hash(mine) == hash(weight(C2, (1, 0)))
     assert mine != other and mine.coords == other.coords

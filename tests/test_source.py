@@ -350,18 +350,23 @@ def test_the_reader_takes_every_bench_and_test_command():
 
 def test_a_canonical_command_leaves_argparse_unloaded():
     # argparse, and the gettext and locale its messages load, are built only
-    # to write help, usage or an error; an abbreviated flag still goes to it
+    # to write help, usage or an error; an abbreviated flag still goes to it,
+    # and it loads re and enum.  The report writer takes its string encoder
+    # from _json, so no command loads the json package
     argvs = _canonical_command_lines()
     abbreviated = ["classify", "--alg", "su11", "--weight", "3"]
     code = (
         "import contextlib, io, sys, tightmaps.cli as cli\n"
+        "loaded = {'argparse', 'gettext', 'locale', 'json', 're', 'enum'}\n"
         f"for argv in {[*argvs, abbreviated]!r}:\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        code = cli.main(argv)\n"
-        "    print(code, sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))"
+        "    print(code, sorted(loaded & set(sys.modules)))"
     )
     lines = _fresh(code).splitlines()
-    assert lines == ["0 []"] * len(argvs) + ["0 ['argparse', 'gettext', 'locale']"]
+    assert lines == ["0 []"] * len(argvs) + [
+        "0 ['argparse', 'enum', 'gettext', 'locale', 're']"
+    ]
 
 
 def test_fresh_cli_import_loads_every_traced_layer():
